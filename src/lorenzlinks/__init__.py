@@ -1,9 +1,9 @@
 """Exact-arithmetic toolkit for Lorenz links.
 
 Three equivalent parametrizations (cyclic LR words, Lorenz braids, T-links),
-their closed-form invariants, a Kauffman-bracket Jones oracle, the modular
-matrix dictionary with its Rademacher invariant, and an ODE itinerary reader,
-plus a census-building CLI (`lorenzlinks`).
+their closed-form invariants, a Temperley-Lieb Kauffman-bracket Jones
+evaluator, the modular matrix dictionary with its Rademacher invariant, and an
+ODE itinerary reader, plus a census-building CLI (`lorenzlinks`).
 """
 
 from .braid import (

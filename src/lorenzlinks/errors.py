@@ -62,7 +62,7 @@ class InfeasibleError(InternalInconsistencyError):
 
 # jones
 class TooManyCrossingsError(ResourceCapError):
-    """The 2^c smoothing state space exceeds the configured limit."""
+    """The braid word has more crossings than the configured limit."""
 
 
 class NotCoprimeError(ValidationError):

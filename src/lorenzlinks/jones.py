@@ -1,13 +1,16 @@
-"""Jones polynomials: a bracket state-sum oracle and the torus closed form.
+"""Jones polynomials: a Temperley-Lieb bracket evaluator and the torus closed form.
 
-The Kauffman bracket of a closed-braid diagram sums A^(a - b) * d^(loops - 1)
-over all 2^c smoothings (a type-A smoothings, b type-B, d = -A^2 - A^-2),
-with smoothings iterated in binary-counter order and loops counted by
-union-find over the arcs of the diagram.  Multiplying by (-A)^(-3w) (writhe
-w = c, every crossing positive) and substituting t = A^-4 gives the Jones
-polynomial under the dynamics chirality convention, which fixes
-V(trefoil) = t + t^3 - t^4; the mirror is t -> 1/t and is never applied
-implicitly.
+The Kauffman bracket of a closed positive braid is the closure trace of the
+braid's image in the Temperley-Lieb algebra, each crossing mapping to
+sigma_i = A * 1 + A^-1 * e_i and each closed loop to d = -A^2 - A^-2
+(Kauffman 1987; Jones 1985).  The evaluator carries the partial diagrams
+reached so far with their polynomials and closes each strand position as
+soon as its last generator has been applied, so its cost follows the number
+of live partial diagrams instead of the 2^c smoothings of the state sum.
+Multiplying by (-A)^(-3w) (writhe w = c, every crossing positive) and
+substituting t = A^-4 gives the Jones polynomial under the dynamics
+chirality convention, which fixes V(trefoil) = t + t^3 - t^4; the mirror is
+t -> 1/t and is never applied implicitly.
 
 Torus knots additionally have the closed form
 
@@ -15,7 +18,7 @@ Torus knots additionally have the closed form
 
 whose division is performed exactly and guarded: a numerator not divisible by
 1 - t^2 raises instead of rounding.  Jones polynomials for multi-component
-links are only available through the bracket oracle.
+links are only available through the bracket.
 """
 
 from __future__ import annotations
@@ -199,11 +202,20 @@ def kauffman_bracket(
     """Bracket polynomial (in A) of the closure of a positive braid word.
 
     ``crossings`` is a braid word as generator positions, either bare ints or
-    crossing records with a ``position`` attribute.  States are enumerated in
-    binary-counter order (bit j set = B-smoothing at crossing j); a type-B
-    smoothing merges the two incoming arcs at a cap and opens one fresh arc
-    at the cup, so loop counting is union-find over the arc endpoints, with
-    the braid closure identifying bottom and top positions.
+    crossing records with a ``position`` attribute.  Each crossing is
+    sigma_i = A * (1 + u e_i) in the Temperley-Lieb algebra, u = A^-2, and the
+    factor A^c is pulled out once.  The state maps each partial diagram (the
+    partner map over the bottom and top endpoints of the strand positions) to
+    its polynomial; e_i joins tops i and i+1 and opens a fresh cup there, and
+    a loop it closes multiplies by d = -A^2 - A^-2.
+
+    Positions are closed early: right after the last generator that touches
+    position q, top q is joined to bottom q (the braid closure, applied as a
+    partial trace) and both points leave the diagram.  Positions that no
+    generator touches are one loop d each.  The last position closed is never
+    joined: its loop is the one the normalization <unknot> = 1 removes.  The
+    cost is c times the number of live partial diagrams, which early closure
+    bounds by the matchings of the positions that are open at once.
     """
     if n < 1:
         raise ValidationError("strand count must be >= 1")
@@ -214,61 +226,74 @@ def kauffman_bracket(
     c = len(positions)
     if c > max_crossings:
         raise TooManyCrossingsError(f"{c} crossings exceeds the limit of {max_crossings}")
-    pos0 = [p - 1 for p in positions]
-
-    # multiplicity of each (a_count - b_count, loop_count) pair over all states
-    counts: dict[tuple[int, int], int] = {}
-    base = list(range(n))
-    for state in range(1 << c):
-        parent = base.copy()
-        arc = base.copy()
-        fresh = n
-        bits = state
-        for p in pos0:
-            if bits & 1:
-                x = arc[p]
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                y = arc[p + 1]
-                while parent[y] != y:
-                    parent[y] = parent[parent[y]]
-                    y = parent[y]
-                if x != y:
-                    parent[x] = y
-                parent.append(fresh)
-                arc[p] = arc[p + 1] = fresh
-                fresh += 1
-            bits >>= 1
-        for i in range(n):
-            x = arc[i]
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            y = i
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            if x != y:
-                parent[x] = y
-        loops = 0
-        for i in range(fresh):
-            if parent[i] == i:
-                loops += 1
-        key = (c - 2 * state.bit_count(), loops)
-        counts[key] = counts.get(key, 0) + 1
-
     delta = LaurentPoly({8: -1, -8: -1})  # -A^2 - A^-2 in quarter units
-    max_loops = max(loops for _, loops in counts)
-    delta_powers = [LaurentPoly.one()]
-    for _ in range(max_loops - 1):
-        delta_powers.append(delta_powers[-1] * delta)
-    total: dict[int, int] = {}
-    for (net_a, loops), multiplicity in counts.items():
-        for e, coeff in delta_powers[loops - 1].items():
-            exponent = e + 4 * net_a
-            total[exponent] = total.get(exponent, 0) + multiplicity * coeff
-    return LaurentPoly(total)
+    if not positions:
+        return delta ** (n - 1)
+
+    # strand positions are 0-based: generator p acts on positions p - 1 and p
+    last_use: dict[int, int] = {}
+    for j, p in enumerate(positions):
+        last_use[p - 1] = last_use[p] = j
+    closing: list[list[int]] = [[] for _ in positions]
+    for q, j in last_use.items():
+        closing[j].append(q)
+    closing[-1].pop()  # stays open: its loop is the one <unknot> = 1 removes
+
+    # point 2q is the bottom of position q, 2q + 1 its top; closed points hold -1;
+    # polynomials are {exponent of A: coefficient}
+    state: dict[tuple[int, ...], dict[int, int]] = {tuple(i ^ 1 for i in range(2 * n)): {0: 1}}
+    for j, p in enumerate(positions):
+        a, b = 2 * p - 1, 2 * p + 1  # the tops of positions p - 1 and p
+        after: dict[tuple[int, ...], dict[int, int]] = {}
+        for key, poly in state.items():
+            x = key[a]
+            if x == b:
+                # tops p - 1 and p are joined, so e_i closes a loop and
+                # 1 + u e_i acts as the scalar 1 + u d = -A^-4
+                _add_shifted(after, key, poly, -4, -1)
+                continue
+            _add_shifted(after, key, poly, 0, 1)
+            y = key[b]
+            joined = list(key)
+            joined[x], joined[y], joined[a], joined[b] = y, x, b, a
+            _add_shifted(after, tuple(joined), poly, -2, 1)
+        for q in closing[j]:
+            bottom, top = 2 * q, 2 * q + 1
+            closed: dict[tuple[int, ...], dict[int, int]] = {}
+            for key, poly in after.items():
+                joined = list(key)
+                joined[bottom] = joined[top] = -1
+                x = key[top]
+                if x == bottom:
+                    new_key = tuple(joined)
+                    _add_shifted(closed, new_key, poly, 2, -1)
+                    _add_shifted(closed, new_key, poly, -2, -1)
+                else:
+                    y = key[bottom]
+                    joined[x], joined[y] = y, x
+                    _add_shifted(closed, tuple(joined), poly, 0, 1)
+            after = closed
+        state = after
+
+    (poly,) = state.values()
+    untouched = n - len(last_use)
+    return LaurentPoly({4 * (e + c): coeff for e, coeff in poly.items()}) * delta ** untouched
+
+
+def _add_shifted(
+    target: dict[tuple[int, ...], dict[int, int]],
+    key: tuple[int, ...],
+    poly: dict[int, int],
+    shift: int,
+    sign: int,
+) -> None:
+    """target[key] += sign * A^shift * poly."""
+    acc = target.get(key)
+    if acc is None:
+        target[key] = {e + shift: sign * coeff for e, coeff in poly.items()}
+        return
+    for e, coeff in poly.items():
+        acc[e + shift] = acc.get(e + shift, 0) + sign * coeff
 
 
 def jones_of_braid(

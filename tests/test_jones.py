@@ -1,6 +1,12 @@
-"""Bracket state sum, Jones normalization, and the torus closed form."""
+"""Temperley-Lieb bracket against the state-sum oracle, Jones normalization,
+and the torus closed form."""
+
+import math
 
 import pytest
+from bracket_oracle import state_sum_bracket
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lorenzlinks.braid import braid_generators, braid_of_words
 from lorenzlinks.errors import (
@@ -16,8 +22,8 @@ from lorenzlinks.jones import (
     jones_torus,
     kauffman_bracket,
 )
-from lorenzlinks.tlink import TLinkParams, t_braid_word
-from lorenzlinks.words import validate_link
+from lorenzlinks.tlink import TLinkParams, from_lorenz, t_braid_word
+from lorenzlinks.words import LinkWords, enumerate_words, involute, validate_link
 
 
 def poly(pairs) -> LaurentPoly:
@@ -26,6 +32,23 @@ def poly(pairs) -> LaurentPoly:
 
 def t_power(exponent_quarters: int, coeff: int = 1) -> LaurentPoly:
     return LaurentPoly.monomial(coeff, exponent_quarters)
+
+
+def knot_braids(max_crossings: int):
+    """Lorenz braids of every knot word of length <= 12 with at most
+    ``max_crossings`` crossings, with their words."""
+    for word in enumerate_words(12):
+        braid = braid_of_words(LinkWords((word,)))
+        if braid.crossings <= max_crossings:
+            yield word, braid
+
+
+@st.composite
+def positive_braids(draw):
+    n = draw(st.integers(1, 7))
+    if n == 1:
+        return [], 1
+    return draw(st.lists(st.integers(1, n - 1), max_size=12)), n
 
 
 class TestLaurentPoly:
@@ -81,6 +104,42 @@ class TestKauffmanBracket:
             kauffman_bracket([2], 2)
 
 
+class TestBracketAgainstStateSum:
+    """The transfer evaluation equals the 2^c state sum of bracket_oracle."""
+
+    def test_t_braids_of_small_knots(self):
+        checked = 0
+        for _, braid in knot_braids(16):
+            params = from_lorenz(braid)
+            word = t_braid_word(params)
+            assert kauffman_bracket(word, params.strands) == state_sum_bracket(
+                word, params.strands
+            ), params
+            checked += 1
+        assert checked == 310
+
+    def test_lorenz_braids_up_to_fourteen_crossings(self):
+        for word, braid in knot_braids(14):
+            generators = braid_generators(braid)
+            assert kauffman_bracket(generators, braid.n) == state_sum_bracket(
+                generators, braid.n
+            ), word
+
+    @settings(max_examples=200, deadline=None)
+    @given(positive_braids())
+    @example(([], 1))
+    @example(([], 4))
+    @example(([1, 4, 1, 4], 6))  # positions 3 and 6 untouched
+    def test_random_positive_braids(self, braid):
+        word, n = braid
+        assert kauffman_bracket(word, n) == state_sum_bracket(word, n)
+
+    def test_more_strands_than_a_byte_key_holds(self):
+        n = 300
+        word = [1, 299, 150, 151, 150, 1, 299, 2, 151]
+        assert kauffman_bracket(word, n) == state_sum_bracket(word, n)
+
+
 class TestJonesOfBraid:
     def test_unknot_normalizations(self):
         assert jones_of_braid([], 1) == LaurentPoly.one()
@@ -98,6 +157,16 @@ class TestJonesOfBraid:
     def test_hopf_link_half_integer_exponents(self):
         # positive Hopf link: -t^(1/2) - t^(5/2)
         assert jones_of_braid([1, 1], 2) == poly({2: -1, 10: -1})
+
+    def test_unchanged_under_involute(self):
+        checked = 0
+        for word, braid in knot_braids(20):
+            mirror = braid_of_words(LinkWords((involute(word),)))
+            assert jones_of_braid(braid_generators(braid), braid.n) == jones_of_braid(
+                braid_generators(mirror), mirror.n
+            ), word
+            checked += 1
+        assert checked == 488
 
     def test_crossing_records_accepted(self):
         braid = braid_of_words(validate_link(["LRLRL"]))
@@ -122,21 +191,24 @@ class TestJonesTorus:
         )
 
     def test_symmetric_in_p_q(self):
-        import math
-
         for p in range(2, 12):
             for q in range(p + 1, 12):
                 if p + q <= 13 and math.gcd(p, q) == 1:
                     assert jones_torus(p, q) == jones_torus(q, p)
 
     def test_agrees_with_bracket_oracle(self):
-        for p, q in [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5)]:
-            params = TLinkParams(((p, q),))
-            from_braid = jones_of_braid(t_braid_word(params), params.strands)
-            assert from_braid == jones_torus(p, q), (p, q)
+        for p in range(2, 6):
+            for q in range(p + 1, 13):
+                if math.gcd(p, q) != 1:
+                    continue
+                params = TLinkParams(((p, q),))
+                from_braid = jones_of_braid(
+                    t_braid_word(params), params.strands, max_crossings=(p - 1) * q
+                )
+                assert from_braid == jones_torus(p, q), (p, q)
 
     def test_seven_letter_word_is_the_three_four_torus_knot(self):
-        # adjudicates the (3,4)-vs-(3,5) labelling by the oracle itself
+        # adjudicates the (3,4)-vs-(3,5) labelling by the bracket itself
         braid = braid_of_words(validate_link(["LRLRLRL"]))
         value = jones_of_braid(braid_generators(braid), braid.n)
         assert value == jones_torus(3, 4)
