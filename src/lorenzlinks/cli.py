@@ -171,12 +171,17 @@ def query_atlas(
 ) -> Iterator[dict]:
     """Stream records matching every filter, verifying each record on load."""
     filters = list(filters)
-    for line in lines:
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
-        record = json.loads(line)
-        verify_record(record)
+        try:
+            record = json.loads(line)
+            verify_record(record)
+        except KeyError as exc:
+            raise ValidationError(f"atlas line {number}: no field {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"atlas line {number}: {exc}") from exc
         if record_matches(record, filters):
             yield record
 
@@ -301,7 +306,7 @@ def _cmd_modular(args: argparse.Namespace) -> int:
     elif args.action == "decode":
         try:
             rows = json.loads(args.value)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ValidationError(f"cannot parse matrix {args.value!r}: {exc}") from exc
         word = mod_mod.word_of_matrix(mod_mod.Mat2Z.from_rows(rows))
         _emit({"word": str(word)}, args.format, sys.stdout)
@@ -320,10 +325,11 @@ def _cmd_modular(args: argparse.Namespace) -> int:
 
 
 def _cmd_flow_itinerary(args: argparse.Namespace) -> int:
-    seed = [float(part) for part in args.seed_state.split(",")]
-    if len(seed) != 3:
-        raise ValidationError("seed state must be x,y,z")
-    trajectory = flow_mod.integrate(seed, dt=args.dt, steps=args.steps)
+    try:
+        x, y, z = (float(part) for part in args.seed_state.split(","))
+    except ValueError as exc:
+        raise ValidationError(f"seed state must be x,y,z: {args.seed_state!r}") from exc
+    trajectory = flow_mod.integrate((x, y, z), dt=args.dt, steps=args.steps)
     if args.csv:
         with open(args.csv, "w", newline="") as handle:
             trajectory.write_csv(handle)

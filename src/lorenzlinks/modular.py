@@ -20,15 +20,18 @@ A = [[a, b], [c, d]] and c != 0,
     Phi(A) = (a + d)/c - 12 sign(c) s(d, |c|),
     Psi(A) = Phi(A) - 3 sign(c (a + d)),
 
-where s(h, k) is the classical Dedekind sawtooth sum.  Psi is a conjugacy
-invariant and must equal the letter count on every mixed word.
+where s(h, k) is the classical Dedekind sum.  Psi is a conjugacy invariant
+and must equal the letter count on every mixed word.  The entry c grows
+exponentially with word length, so s(h, k) is not summed over its k - 1
+sawtooth terms: Dedekind reciprocity reduces it along the Euclidean algorithm
+on (h, k), in exact integer arithmetic and O(log k) steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt
+from math import gcd, isqrt
 
 from .errors import (
     InternalInconsistencyError,
@@ -61,8 +64,16 @@ class Mat2Z:
 
     @classmethod
     def from_rows(cls, rows) -> "Mat2Z":
+        """The matrix [[a, b], [c, d]]; only a 2x2 list of ints is accepted."""
+        if not (
+            isinstance(rows, list)
+            and len(rows) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in rows)
+            and all(type(value) is int for row in rows for value in row)
+        ):
+            raise ValidationError(f"matrix must be [[a, b], [c, d]] of integers: {rows!r}")
         (a, b), (c, d) = rows
-        return cls(int(a), int(b), int(c), int(d))
+        return cls(a, b, c, d)
 
     def to_rows(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
@@ -179,20 +190,42 @@ def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
     return word
 
 
-def _sawtooth(x: Fraction) -> Fraction:
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - floor(x) - Fraction(1, 2)
-
-
 def dedekind_sum(h: int, k: int) -> Fraction:
-    """s(h, k) = sum_{i=1}^{k-1} ((i/k)) ((h i / k)) with the sawtooth ((x))."""
+    """s(h, k) = sum_{i=1}^{k-1} ((i/k)) ((h i / k)) with the sawtooth ((x)).
+
+    Evaluated by Dedekind reciprocity (Rademacher-Grosswald, *Dedekind Sums*,
+    1972) in O(log k) integer steps.  s depends only on h mod k and
+    s(g h, g k) = s(h, k), so (h, k) is first reduced to a coprime pair with
+    0 <= h < k.  For 0 < h < k reciprocity reads
+
+        s(h, k) = -s(k mod h, h) + (h^2 + k^2 + 1) / (12 h k) - 1/4,
+
+    and repeating it walks the Euclidean remainders r_0 = k, r_1 = h,
+    r_{i-1} = q_i r_i + r_{i+1} down to r_n = 1, where s(0, 1) = 0.  The
+    alternating sum of the terms telescopes: r_{i-1}/r_i = q_i + r_{i+1}/r_i,
+    and 1/(r_{i-1} r_i) = (-1)^{i+1} (v_i/r_i - v_{i-1}/r_{i-1}) / k for the
+    Bezout coefficients v_0 = 0, v_1 = 1, v_{i+1} = v_{i-1} - q_i v_i of h.
+    Hence
+
+        12 s(h, k) = sum_i (-1)^{i+1} q_i + (h + v_n) / k - 3 [n odd],
+
+    so the loop runs on integers and one ``Fraction`` is built at the end.
+    """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    return sum(
-        (_sawtooth(Fraction(i, k)) * _sawtooth(Fraction(h * i, k)) for i in range(1, k)),
-        Fraction(0),
-    )
+    g = gcd(h, k)
+    k //= g
+    h = (h // g) % k
+    if h == 0:
+        return Fraction(0)
+    r_prev, r, v_prev, v, sign, alternating_q = k, h, 0, 1, 1, 0
+    while True:
+        q, r_next = divmod(r_prev, r)
+        alternating_q += sign * q
+        if r_next == 0:  # r == 1: this was step n, and sign is (-1)^{n+1}
+            break
+        r_prev, r, v_prev, v, sign = r, r_next, v, v_prev - q * v, -sign
+    return Fraction(k * (alternating_q - 3 * (sign > 0)) + h + v, 12 * k)
 
 
 def _sign(value: int) -> int:

@@ -107,6 +107,31 @@ class TestModular:
         code, _, _ = run(capsys, "modular", "decode", "[[1,1],[0,1]]")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            ("[[2.9,1],[1,1]]", "[[2.9, 1], [1, 1]]"),
+            ('[["2",1],[1,1]]', "[['2', 1], [1, 1]]"),
+            ("[[true,1],[1,1]]", "[[True, 1], [1, 1]]"),
+            ("[[1,2],[3]]", "[[1, 2], [3]]"),
+            ("[[2,1],[1,1],[0,0]]", "[[2, 1], [1, 1], [0, 0]]"),
+            ("5", "5"),
+        ],
+    )
+    def test_decode_rejects_anything_but_2x2_integers(self, capsys, value, shown):
+        code, out, err = run(capsys, "modular", "decode", value)
+        assert code == 2
+        assert out == ""
+        assert shown in err
+
+    def test_decode_integer_beyond_the_json_digit_limit(self, capsys):
+        # Python 3.11 refuses to parse ints of more than 4,300 digits with a
+        # plain ValueError; older interpreters parse it and fail the
+        # determinant check instead.
+        code, out, _ = run(capsys, "modular", "decode", "[[" + "9" * 5000 + ",1],[1,1]]")
+        assert code == 2
+        assert out == ""
+
 
 class TestFlow:
     def test_itinerary_smoke(self, capsys, tmp_path):
@@ -122,6 +147,13 @@ class TestFlow:
         assert code == 0, err
         assert set(out.strip()) <= {"L", "R"}
         assert csv_path.read_text().startswith("t,x,y,z")
+
+    @pytest.mark.parametrize("seed_state", ["a,b,c", "1,2", "1,2,3,4"])
+    def test_bad_seed_state_exit_code(self, capsys, seed_state):
+        code, out, err = run(capsys, "flow", "itinerary", "--seed-state", seed_state)
+        assert code == 2
+        assert out == ""
+        assert f"seed state must be x,y,z: {seed_state!r}" in err
 
 
 class TestAtlas:
@@ -249,6 +281,28 @@ class TestAtlas:
         code, _, err = run(capsys, "atlas", "query", str(out_path))
         assert code == 2
         assert "corrupt" in err
+
+    def test_truncated_line_names_its_number(self, capsys, tmp_path):
+        out_path = tmp_path / "atlas.jsonl"
+        run(capsys, "atlas", "build", "--max-len", "3", "--out", str(out_path))
+        lines = out_path.read_text().splitlines()
+        lines[2] = lines[2][: len(lines[2]) // 2]
+        out_path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "atlas", "query", str(out_path))
+        assert code == 2
+        assert "atlas line 3:" in err
+
+    def test_line_missing_a_field_names_its_number(self, capsys, tmp_path):
+        out_path = tmp_path / "atlas.jsonl"
+        run(capsys, "atlas", "build", "--max-len", "3", "--out", str(out_path))
+        lines = out_path.read_text().splitlines()
+        record = json.loads(lines[1])
+        del record["chi"]
+        lines[1] = json.dumps(record, separators=(",", ":"))
+        out_path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "atlas", "query", str(out_path))
+        assert code == 2
+        assert "atlas line 2: no field 'chi'" in err
 
     def test_query_csv_format(self, capsys, tmp_path):
         out_path = tmp_path / "atlas.jsonl"

@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from dedekind_oracle import direct_dedekind_sum
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenzlinks.errors import (
     NotHyperbolicError,
@@ -22,11 +25,36 @@ from lorenzlinks.modular import (
     rademacher_psi,
     word_of_matrix,
 )
-from lorenzlinks.words import canonicalize, enumerate_words, involute
+from lorenzlinks.words import canonicalize, enumerate_words, involute, smallest_period
 
 
 def mixed_words(max_len):
     return [w for w in enumerate_words(max_len) if len(set(w.letters)) == 2]
+
+
+def random_mixed_word(rng, length):
+    """A random aperiodic word of the given length (>= 2) using both letters."""
+    while True:
+        letters = "".join(rng.choice("LR") for _ in range(length))
+        if len(set(letters)) == 2 and smallest_period(letters) == length:
+            return canonicalize(letters)
+
+
+def benchmark_style_words(rng, count=50, c_low=64, c_high=8192, band=1.05):
+    """Mixed words of length 16-24 whose lower-left matrix entry c lies within
+    5% above each of ``count`` targets spaced geometrically from c_low to
+    c_high: the sizes at which the direct Dedekind sum used to set the cost of
+    ``rademacher_psi``."""
+    ratio = (c_high / c_low) ** (1 / (count - 1))
+    words = []
+    for j in range(count):
+        low = round(c_low * ratio**j)
+        while True:
+            word = random_mixed_word(rng, rng.randrange(16, 25))
+            if low <= matrix_of_word(word).c <= low * band:
+                words.append(word)
+                break
+    return words
 
 
 def random_conjugator(rng, max_entry=50):
@@ -128,6 +156,49 @@ class TestDedekindSum:
                 ) / 12
                 assert lhs == rhs, (h, k)
 
+    def test_validation(self):
+        with pytest.raises(ValidationError):
+            dedekind_sum(1, 0)
+        with pytest.raises(ValidationError):
+            dedekind_sum(1, -3)
+
+    def test_matches_direct_sum_exhaustively(self):
+        # Every h in [-2k, 2k], negative and non-coprime h included.  The direct
+        # sum sees h only through ((h i / k)), which has period k in h, so it
+        # is evaluated once per residue.
+        for k in range(1, 151):
+            direct = [direct_dedekind_sum(h, k) for h in range(k)]
+            for h in range(-2 * k, 2 * k + 1):
+                assert dedekind_sum(h, k) == direct[h % k], (h, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-(10**6), 10**6), st.integers(1, 10**4))
+    def test_matches_direct_sum_on_drawn_pairs(self, h, k):
+        assert dedekind_sum(h, k) == direct_dedekind_sum(h, k)
+
+    def test_matches_direct_sum_on_benchmark_sized_matrices(self):
+        for word in benchmark_style_words(random.Random(5407)):
+            m = matrix_of_word(word)
+            assert dedekind_sum(m.d, m.c) == direct_dedekind_sum(m.d, m.c), word
+
+    def test_huge_arguments_stay_exact(self):
+        # 6 k s(h, k) is an integer, s(-h, k) = -s(h, k), and reciprocity
+        # holds for coprime pairs far beyond the reach of the direct sum.
+        import math
+
+        rng = random.Random(8080)
+        for _ in range(200):
+            k = rng.randrange(2, 10**80)
+            h = rng.randrange(-(10**90), 10**90)
+            value = dedekind_sum(h, k)
+            assert (6 * k * value).denominator == 1
+            assert dedekind_sum(-h, k) == -value
+            h = abs(h) % k or 1
+            if math.gcd(h, k) == 1:
+                assert dedekind_sum(h, k) + dedekind_sum(k, h) == Fraction(-1, 4) + (
+                    Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)
+                ) / 12
+
 
 class TestRademacher:
     def test_examples(self):
@@ -157,6 +228,20 @@ class TestRademacher:
             matrix = matrix_of_word(word)
             expected = rademacher_psi(matrix)
             for _ in range(4):
+                p = random_conjugator(rng)
+                assert rademacher_psi(p * matrix * p.inverse()) == expected
+
+    def test_long_words_letter_count_and_conjugation_invariance(self):
+        # Words of 100-400 letters put c between about 10^17 and 10^70, far
+        # beyond any summation over k terms.
+        rng = random.Random(4096)
+        for _ in range(30):
+            word = random_mixed_word(rng, rng.randrange(100, 401))
+            matrix = matrix_of_word(word)
+            assert matrix.c > 10**15
+            expected = word.letters.count("L") - word.letters.count("R")
+            assert rademacher_psi(matrix) == expected == rademacher(word), word
+            for _ in range(3):
                 p = random_conjugator(rng)
                 assert rademacher_psi(p * matrix * p.inverse()) == expected
 
