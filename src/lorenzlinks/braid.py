@@ -10,12 +10,19 @@ Construction from words: every rotation of every component word is one
 strand.  Rotations are sorted by their infinite periodic extensions (a
 tie-free order for valid word families), and the strand starting at the rank
 of rotation r ends at the rank of r shifted by one letter.
+
+A braid's crossing count and ear-type counts are computed once, when it is
+built.  The crossings are counted twice, independently: as the inversions
+between the two lobe blocks (each block's targets increase, so a two-pointer
+merge counts them in O(n)) and as the trip sum of the rightward strands'
+displacements, sum p * q.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InternalInconsistencyError, OddInterCrossingsError
@@ -80,13 +87,18 @@ class LorenzBraid:
                 raise InternalInconsistencyError(f"left-lobe strand {i} moves left")
             if letter == "R" and displacement > 0:
                 raise InternalInconsistencyError(f"right-lobe strand {i} moves right")
-        for block in (range(1, l_count + 1), range(l_count + 1, n + 1)):
-            block_targets = [self.targets[i - 1] for i in block]
-            if block_targets != sorted(block_targets):
+        left, right = self.targets[:l_count], self.targets[l_count:]
+        for block_targets in (left, right):
+            if any(a > b for a, b in zip(block_targets, block_targets[1:])):
                 raise InternalInconsistencyError("targets must increase within each lobe block")
-        counts = self.ear_counts
+        # a strand's next pass rounds the left lobe exactly when it ends in the left block
+        ll = sum(1 for target in left if target <= l_count)
+        rl = sum(1 for target in right if target <= l_count)
+        counts = (ll, l_count - ll, rl, n - l_count - rl)
         if counts[1] != counts[2]:
             raise InternalInconsistencyError("strands entering and leaving the right lobe differ")
+        object.__setattr__(self, "_ear_counts", counts)
+        object.__setattr__(self, "_crossings", _count_crossings(left, right))
         self._check_components()
 
     def _check_components(self) -> None:
@@ -125,11 +137,11 @@ class LorenzBraid:
     @property
     def over_positions(self) -> tuple[int, ...]:
         """Start positions of strands that move right (displacement > 0)."""
-        return tuple(i for i in range(1, self.n + 1) if self.displacement(i) > 0)
+        return tuple(i for i, target in enumerate(self.targets, start=1) if target > i)
 
     @property
     def under_positions(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.n + 1) if self.displacement(i) < 0)
+        return tuple(i for i, target in enumerate(self.targets, start=1) if target < i)
 
     def ear_type(self, start: int) -> str:
         """Lobe pair (this pass, next pass) of the strand starting at ``start``."""
@@ -146,15 +158,16 @@ class LorenzBraid:
 
     @property
     def ear_counts(self) -> tuple[int, int, int, int]:
-        """Strand counts by ear type, ordered (LL, LR, RL, RR)."""
-        counter = Counter(self.ear_type(i) for i in range(1, self.n + 1))
-        return tuple(counter.get(t, 0) for t in EAR_TYPES)  # type: ignore[return-value]
+        """Strand counts by ear type, ordered (LL, LR, RL, RR); counted once,
+        when the braid is built."""
+        return self._ear_counts
 
     @property
     def crossings(self) -> int:
-        """Crossing count of the diagram: the inversion number of the permutation."""
-        t = self.targets
-        return sum(1 for i in range(self.n) for j in range(i + 1, self.n) if t[i] > t[j])
+        """Crossing count of the diagram, the inversion number of the
+        permutation; counted once, when the braid is built, and checked there
+        against the trip sum sum p * q."""
+        return self._crossings
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Permutation cycles in orbit order, each starting at its least position."""
@@ -195,6 +208,28 @@ class LorenzBraid:
         )
 
 
+def _count_crossings(left: tuple[int, ...], right: tuple[int, ...]) -> int:
+    """Inversions of a Lorenz permutation from its two lobe blocks' targets.
+
+    Within each block the targets increase, so every inversion pairs a
+    left-block strand with a right-block strand of smaller target; a
+    two-pointer merge counts them.  The result must equal the trip sum
+    sum (target - start) over the left block, whose strands are exactly the
+    rightward ones plus the fixed strand of the word L.
+    """
+    inversions = below = 0
+    for target in left:
+        while below < len(right) and right[below] < target:
+            below += 1
+        inversions += below
+    trip_sum = sum(target - start for start, target in enumerate(left, start=1))
+    if inversions != trip_sum:
+        raise InternalInconsistencyError(
+            f"inversion count {inversions} but sum q_i p_i = {trip_sum}"
+        )
+    return inversions
+
+
 @dataclass(frozen=True)
 class StrandProfile:
     """Trip parametrization of a Lorenz braid.
@@ -219,17 +254,17 @@ class StrandProfile:
 
 def _sorted_rotations(link: LinkWords) -> list[tuple[str, int, int]]:
     """All rotations as (spelling, component, offset), in extension order."""
-    rotations = [
-        (word.rotation(k), ci, k)
-        for ci, word in enumerate(link.words)
-        for k in range(len(word))
-    ]
     key_len = 2 * max(len(w) for w in link.words)
-    rotations.sort(key=lambda item: extend_periodic(item[0], key_len))
-    for (a, _, _), (b, _, _) in zip(rotations, rotations[1:]):
-        if extend_periodic(a, key_len) == extend_periodic(b, key_len):
-            raise InternalInconsistencyError(f"rotation order tied on {a!r}")
-    return rotations
+    keyed = [
+        (extend_periodic(spelling, key_len), spelling, ci, k)
+        for ci, word in enumerate(link.words)
+        for k, spelling in enumerate(word.rotations())
+    ]
+    keyed.sort(key=itemgetter(0))
+    for (key, spelling, _, _), (next_key, _, _, _) in zip(keyed, keyed[1:]):
+        if key == next_key:
+            raise InternalInconsistencyError(f"rotation order tied on {spelling!r}")
+    return [(spelling, ci, k) for _, spelling, ci, k in keyed]
 
 
 def braid_of_words(link: LinkWords) -> LorenzBraid:
@@ -282,7 +317,9 @@ def words_of_braid(braid: LorenzBraid) -> list[CyclicWord]:
 
 def strand_profile(braid: LorenzBraid) -> StrandProfile:
     """Group the rightward strands by displacement and count crossings."""
-    groups = Counter(braid.displacement(i) for i in braid.over_positions)
+    groups = Counter(
+        target - start for start, target in enumerate(braid.targets, start=1) if target > start
+    )
     trip = tuple(sorted(groups.items()))
     total = sum(p * q for p, q in trip)
     if total != braid.crossings:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -81,10 +82,14 @@ def build_atlas(
 ) -> Iterator[str]:
     """JSON lines for every canonical word of length <= max_len, in
     (length, spelling) order.  Raises CapExceededError beyond the cap."""
-    if max_len > cap:
-        raise CapExceededError(f"max_len {max_len} exceeds the cap of {cap}")
+    _check_atlas_cap(max_len, cap)
     for word in words_mod.enumerate_words(max_len):
         yield json.dumps(word_record(word, jones_max_crossings), separators=(",", ":"))
+
+
+def _check_atlas_cap(max_len: int, cap: int) -> None:
+    if max_len > cap:
+        raise CapExceededError(f"max_len {max_len} exceeds the cap of {cap}")
 
 
 def verify_record(record: dict) -> None:
@@ -106,6 +111,11 @@ def verify_record(record: dict) -> None:
             p, q = record["torus"]
             if g != (p - 1) * (q - 1) // 2:
                 raise ValidationError(f"corrupt atlas record {record['word']}: torus genus")
+    if record["jones"] is not None:
+        # pairs carry quarter exponents, so span V <= c reads max - min <= 4c
+        exponents = [exponent for exponent, _ in record["jones"]]
+        if not exponents or max(exponents) - min(exponents) > 4 * c:
+            raise ValidationError(f"corrupt atlas record {record['word']}: Jones span > c")
 
 
 def parse_filter(expression: str) -> tuple[str, str, object]:
@@ -116,7 +126,12 @@ def parse_filter(expression: str) -> tuple[str, str, object]:
             field, raw = field.strip(), raw.strip()
             if not field or not raw:
                 raise BadFilterError(f"cannot parse filter {expression!r}")
-            return field, op, _parse_filter_value(raw)
+            try:
+                return field, op, _parse_filter_value(raw)
+            except ValueError as exc:  # an integer beyond the interpreter's digit limit
+                raise BadFilterError(
+                    f"cannot read the value of filter {expression!r}: {exc}"
+                ) from exc
     raise BadFilterError(f"no comparison operator in {expression!r}")
 
 
@@ -248,7 +263,7 @@ def _cmd_word_info(args: argparse.Namespace) -> int:
 def _parse_pairs(text: str) -> tlink_mod.TLinkParams:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer beyond the digit limit
         raise ValidationError(f"cannot parse parameter list {text!r}: {exc}") from exc
     if not isinstance(data, list) or not all(
         isinstance(pq, list) and len(pq) == 2 for pq in data
@@ -279,7 +294,10 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_jones(args: argparse.Namespace) -> int:
     tokens = [tok.strip() for tok in args.target.split(",")]
     if all(tok.isdigit() for tok in tokens) and len(tokens) == 2:
-        p, q = (int(tok) for tok in tokens)
+        try:
+            p, q = (int(tok) for tok in tokens)
+        except ValueError as exc:  # an integer beyond the interpreter's digit limit
+            raise ValidationError(f"cannot read torus pair {args.target!r}: {exc}") from exc
         poly = jones_mod.jones_torus(p, q)
         source = f"torus({p},{q})"
     else:
@@ -338,14 +356,46 @@ def _cmd_flow_itinerary(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_atlas_build(args: argparse.Namespace) -> int:
+def _write_lines(handle: TextIO, lines: Iterable[str]) -> int:
     count = 0
-    with open(args.out, "w") as handle:
-        for line in build_atlas(
-            args.max_len, jones_max_crossings=args.jones_max_crossings, cap=args.cap
-        ):
-            handle.write(line + "\n")
-            count += 1
+    for line in lines:
+        handle.write(line + "\n")
+        count += 1
+    return count
+
+
+def _write_atlas(path: str, lines: Iterable[str]) -> int:
+    """Write ``lines`` to ``path`` and return how many were written.
+
+    A regular file is written to a temporary file beside it, which is moved
+    into place only once every line is written, so a failure leaves no
+    partial file and an existing one as it was.  A symbolic link is
+    followed, so the file it names is replaced and the link kept.  A pipe or
+    device, such as ``/dev/stdout``, cannot be replaced and is written
+    directly.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as handle:
+            return _write_lines(handle, lines)
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    handle = open(tmp, "x")  # never clobbers a file of that name
+    try:
+        with handle:
+            count = _write_lines(handle, lines)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return count
+
+
+def _cmd_atlas_build(args: argparse.Namespace) -> int:
+    _check_atlas_cap(args.max_len, args.cap)
+    count = _write_atlas(args.out, build_atlas(
+        args.max_len, jones_max_crossings=args.jones_max_crossings, cap=args.cap
+    ))
     print(f"wrote {count} records to {args.out}")
     return 0
 

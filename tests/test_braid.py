@@ -1,10 +1,14 @@
 """Braid construction, strand classification and the linking matrix."""
 
 import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenzlinks.braid import (
+    EAR_TYPES,
     LorenzBraid,
     braid_generators,
     braid_of_words,
@@ -145,6 +149,27 @@ class TestStrandProfile:
         for word in enumerate_words(11):
             braid = braid_of_words(LinkWords((word,)))
             assert strand_profile(braid).crossings == inversion_oracle(braid.targets)
+
+
+LINK_WORD_POOL = enumerate_words(12)
+
+
+class TestDerivedFields:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(LINK_WORD_POOL), min_size=1, max_size=3, unique=True))
+    def test_against_oracles_on_link_families(self, words):
+        braid = braid_of_words(LinkWords(tuple(words)))
+        assert braid.crossings == inversion_oracle(braid.targets)
+        counter = Counter(braid.ear_type(i) for i in range(1, braid.n + 1))
+        assert braid.ear_counts == tuple(counter[t] for t in EAR_TYPES)
+        assert sum(p * q for p, q in strand_profile(braid).trip) == braid.crossings
+
+    def test_fields_stay_plain_properties(self):
+        # perfbench/tracer.py times these two by wrapping
+        # vars(LorenzBraid)[name].fget; a cached_property or a dataclass
+        # field in their place would break every traced benchmark run.
+        for name in ("crossings", "ear_counts"):
+            assert isinstance(vars(LorenzBraid)[name], property)
 
 
 class TestBraidGenerators:

@@ -1,12 +1,26 @@
 """Command-line interface: subcommands, formats, atlas persistence, exit codes."""
 
+import hashlib
 import json
+import os
+import stat
+import sys
 
 import pytest
 
 from lorenzlinks import cli
 from lorenzlinks.errors import BadFilterError, CapExceededError
 from lorenzlinks.words import aperiodic_count
+
+
+# Python 3.11 (and the security releases of older lines) refuses to convert
+# integers of more than 4,300 digits to or from text with a plain ValueError.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+BEYOND_DIGIT_LIMIT = "9" * 5000
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < DIGIT_LIMIT < len(BEYOND_DIGIT_LIMIT),
+    reason="this interpreter converts integers of any length",
+)
 
 
 def run(capsys, *argv):
@@ -70,6 +84,15 @@ class TestConvert:
         code, _, _ = run(capsys, "convert", "[[3,1],[2,2]]", "--to", "word")
         assert code == 2
 
+    @needs_digit_limit
+    def test_integer_beyond_the_digit_limit(self, capsys):
+        code, out, err = run(
+            capsys, "convert", f"[[2,{BEYOND_DIGIT_LIMIT}]]", "--to", "word"
+        )
+        assert code == 2
+        assert out == ""
+        assert "parameter list" in err
+
 
 class TestJones:
     def test_torus_pair(self, capsys):
@@ -88,6 +111,13 @@ class TestJones:
     def test_crossing_cap_exit_code(self, capsys):
         code, _, _ = run(capsys, "jones", "LRLRRRLRRR", "--jones-max-crossings", "10")
         assert code == 3
+
+    @needs_digit_limit
+    def test_torus_integer_beyond_the_digit_limit(self, capsys):
+        code, out, err = run(capsys, "jones", f"2,{BEYOND_DIGIT_LIMIT}")
+        assert code == 2
+        assert out == ""
+        assert "torus pair" in err
 
 
 class TestModular:
@@ -304,6 +334,34 @@ class TestAtlas:
         assert code == 2
         assert "atlas line 2: no field 'chi'" in err
 
+    @needs_digit_limit
+    def test_filter_integer_beyond_the_digit_limit(self, capsys, tmp_path):
+        out_path = tmp_path / "atlas.jsonl"
+        run(capsys, "atlas", "build", "--max-len", "3", "--out", str(out_path))
+        code, out, err = run(
+            capsys, "atlas", "query", str(out_path), "--where", f"genus={BEYOND_DIGIT_LIMIT}"
+        )
+        assert code == 2
+        assert out == ""
+        assert "filter 'genus=" in err
+
+    def test_jones_span_wider_than_c_rejected_on_load(self, capsys, tmp_path):
+        out_path = tmp_path / "atlas.jsonl"
+        run(
+            capsys, "atlas", "build", "--max-len", "5", "--jones-max-crossings", "8",
+            "--out", str(out_path),
+        )
+        lines = out_path.read_text().splitlines()
+        record = json.loads(lines[4])
+        assert record["jones"] is not None
+        low = record["jones"][0][0]
+        record["jones"].append([low + 4 * record["c"] + 4, 1])  # span V = c + 1
+        lines[4] = json.dumps(record, separators=(",", ":"))
+        out_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "atlas", "query", str(out_path))
+        assert code == 2
+        assert "atlas line 5:" in err and "Jones span" in err
+
     def test_query_csv_format(self, capsys, tmp_path):
         out_path = tmp_path / "atlas.jsonl"
         run(capsys, "atlas", "build", "--max-len", "3", "--out", str(out_path))
@@ -314,6 +372,80 @@ class TestAtlas:
         lines = out.strip().splitlines()
         assert lines[0].startswith("word,length,")
         assert len(lines) == 3  # header + LLR + LRR
+
+
+class TestAtomicBuild:
+    @pytest.mark.parametrize("max_len, code", [("30", 3), ("0", 2)])
+    def test_failure_creates_no_file(self, capsys, tmp_path, max_len, code):
+        out_path = tmp_path / "atlas.jsonl"
+        got, _, _ = run(capsys, "atlas", "build", "--max-len", max_len, "--out", str(out_path))
+        assert got == code
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("max_len, code", [("30", 3), ("0", 2)])
+    def test_failure_keeps_an_existing_file(self, capsys, tmp_path, max_len, code):
+        out_path = tmp_path / "atlas.jsonl"
+        out_path.write_bytes(b"previous contents\n")
+        got, _, _ = run(capsys, "atlas", "build", "--max-len", max_len, "--out", str(out_path))
+        assert got == code
+        assert list(tmp_path.iterdir()) == [out_path]
+        assert out_path.read_bytes() == b"previous contents\n"
+
+    def test_success_replaces_the_file(self, capsys, tmp_path):
+        out_path = tmp_path / "atlas.jsonl"
+        out_path.write_bytes(b"previous contents\n")
+        code, out, _ = run(capsys, "atlas", "build", "--max-len", "4", "--out", str(out_path))
+        assert code == 0
+        assert out.strip() == f"wrote 8 records to {out_path}"
+        assert list(tmp_path.iterdir()) == [out_path]
+        assert out_path.read_text() == "".join(line + "\n" for line in cli.build_atlas(4))
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out_path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+    def test_success_through_a_link_replaces_the_linked_file(self, capsys, tmp_path):
+        target = tmp_path / "atlas.jsonl"
+        target.write_bytes(b"previous contents\n")
+        link = tmp_path / "latest.jsonl"
+        link.symlink_to(target)
+        code, _, _ = run(capsys, "atlas", "build", "--max-len", "3", "--out", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert sorted(tmp_path.iterdir()) == [target, link]
+        assert target.read_text() == "".join(line + "\n" for line in cli.build_atlas(3))
+
+
+    def test_a_pipe_is_written_not_replaced(self, capsys, tmp_path):
+        fifo = tmp_path / "atlas.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open it
+        try:
+            code, _, _ = run(capsys, "atlas", "build", "--max-len", "3", "--out", str(fifo))
+            written = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+        assert written == "".join(line + "\n" for line in cli.build_atlas(3))
+
+
+class TestAtlasBytes:
+    """sha256 of atlases built before the braid kept its derived fields."""
+
+    @pytest.mark.parametrize(
+        "max_len, jones_max_crossings, digest",
+        [
+            (14, 0, "65d1ae1ddcf2c4a6396de3a4f854eda90f5cb19a2ff16bc0cac0f70de8b245bf"),
+            (12, 16, "db89ec2c5a4c9d3a1f0b32ed03c68869744fd27b43f1663bdeb37520afdbc133"),
+        ],
+    )
+    def test_pinned_digest(self, max_len, jones_max_crossings, digest):
+        lines = list(cli.build_atlas(max_len, jones_max_crossings=jones_max_crossings))
+        atlas = "".join(line + "\n" for line in lines).encode()
+        assert hashlib.sha256(atlas).hexdigest() == digest
+        assert len(list(cli.query_atlas(lines, []))) == len(lines)  # every record verifies
 
 
 class TestHelpers:
