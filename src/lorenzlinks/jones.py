@@ -7,6 +7,10 @@ sigma_i = A * 1 + A^-1 * e_i and each closed loop to d = -A^2 - A^-2
 reached so far with their polynomials and closes each strand position as
 soon as its last generator has been applied, so its cost follows the number
 of live partial diagrams instead of the 2^c smoothings of the state sum.
+Each diagram's polynomial in u = A^-2 is packed into one integer, one slot
+of W bits per power of u, with W derived from the braid so that the single
+surviving value decodes uniquely; see `kauffman_bracket`.
+
 Multiplying by (-A)^(-3w) (writhe w = c, every crossing positive) and
 substituting t = A^-4 gives the Jones polynomial under the dynamics
 chirality convention, which fixes V(trefoil) = t + t^3 - t^4; the mirror is
@@ -206,16 +210,36 @@ def kauffman_bracket(
     sigma_i = A * (1 + u e_i) in the Temperley-Lieb algebra, u = A^-2, and the
     factor A^c is pulled out once.  The state maps each partial diagram (the
     partner map over the bottom and top endpoints of the strand positions) to
-    its polynomial; e_i joins tops i and i+1 and opens a fresh cup there, and
-    a loop it closes multiplies by d = -A^2 - A^-2.
+    its polynomial in u; e_i joins tops i and i+1 and opens a fresh cup there,
+    and a loop it closes turns 1 + u e_i into the scalar 1 + u d = -u^2, where
+    d = -A^2 - A^-2 = -u^-1 - u.
 
     Positions are closed early: right after the last generator that touches
     position q, top q is joined to bottom q (the braid closure, applied as a
-    partial trace) and both points leave the diagram.  Positions that no
-    generator touches are one loop d each.  The last position closed is never
-    joined: its loop is the one the normalization <unknot> = 1 removes.  The
-    cost is c times the number of live partial diagrams, which early closure
-    bounds by the matchings of the positions that are open at once.
+    partial trace) and both points leave the diagram.  A closure that closes
+    a loop multiplies by d = u^-1 * -(1 + u^2); one that does not multiplies
+    by 1 = u^-1 * u.  The factor u^-1 is pulled out once per closure, so
+    every factor applied to a polynomial is a polynomial in u.  Positions
+    that no generator touches are one loop d each.  The last position closed
+    is never joined: its loop is the one the normalization <unknot> = 1
+    removes.  The cost is c times the number of live partial diagrams, which
+    early closure bounds by the matchings of the positions that are open at
+    once.
+
+    Each polynomial is packed into one integer, sum_k a_k 2^(W k) for
+    sum_k a_k u^k (Kronecker substitution u = 2^W), so multiplying by u is a
+    shift by W bits and every accumulation is one integer addition.  Packing
+    is a ring map from Z[u] to Z, so the integer arithmetic is exact whatever
+    W is; W only has to make the final value decode uniquely into balanced
+    digits in [-2^(W-1), 2^(W-1)).  Every factor applied (1 + u, -u^2 at a
+    crossing; -(1 + u^2), u at a closure) has absolute coefficient sum at
+    most 2, and adding the polynomials of merged diagrams does not increase
+    the total, so the absolute coefficient sum over the whole state starts
+    at 1 and at most doubles per crossing and per closure.  Every final
+    coefficient therefore has |a_k| <= 2^(c + closures) < 2^(W-1) for
+    W = c + closures + 2, closures being the number of positions joined.
+    Each crossing and each closure raises the degree in u by at most 2, so
+    the result has at most 2 (c + closures) + 1 slots.
     """
     if n < 1:
         raise ValidationError("strand count must be >= 1")
@@ -238,62 +262,71 @@ def kauffman_bracket(
     for q, j in last_use.items():
         closing[j].append(q)
     closing[-1].pop()  # stays open: its loop is the one <unknot> = 1 removes
+    closures = len(last_use) - 1
+    width = c + closures + 2
+    two_slots = 2 * width
 
-    # point 2q is the bottom of position q, 2q + 1 its top; closed points hold -1;
-    # polynomials are {exponent of A: coefficient}
-    state: dict[tuple[int, ...], dict[int, int]] = {tuple(i ^ 1 for i in range(2 * n)): {0: 1}}
+    # point 2q is the bottom of position q, 2q + 1 its top; closed points hold -1
+    state: dict[tuple[int, ...], int] = {tuple(i ^ 1 for i in range(2 * n)): 1}
     for j, p in enumerate(positions):
         a, b = 2 * p - 1, 2 * p + 1  # the tops of positions p - 1 and p
-        after: dict[tuple[int, ...], dict[int, int]] = {}
+        # 1 maps each diagram to itself; where tops p - 1 and p are joined,
+        # e_i closes a loop and 1 + u e_i is the scalar -u^2
+        after = {
+            key: -(poly << two_slots) if key[a] == b else poly
+            for key, poly in state.items()
+        }
         for key, poly in state.items():
             x = key[a]
             if x == b:
-                # tops p - 1 and p are joined, so e_i closes a loop and
-                # 1 + u e_i acts as the scalar 1 + u d = -A^-4
-                _add_shifted(after, key, poly, -4, -1)
                 continue
-            _add_shifted(after, key, poly, 0, 1)
             y = key[b]
             joined = list(key)
             joined[x], joined[y], joined[a], joined[b] = y, x, b, a
-            _add_shifted(after, tuple(joined), poly, -2, 1)
+            joined_key = tuple(joined)
+            after[joined_key] = after.get(joined_key, 0) + (poly << width)
         for q in closing[j]:
             bottom, top = 2 * q, 2 * q + 1
-            closed: dict[tuple[int, ...], dict[int, int]] = {}
+            closed: dict[tuple[int, ...], int] = {}
             for key, poly in after.items():
                 joined = list(key)
                 joined[bottom] = joined[top] = -1
                 x = key[top]
                 if x == bottom:
-                    new_key = tuple(joined)
-                    _add_shifted(closed, new_key, poly, 2, -1)
-                    _add_shifted(closed, new_key, poly, -2, -1)
+                    poly = -(poly + (poly << two_slots))
                 else:
                     y = key[bottom]
                     joined[x], joined[y] = y, x
-                    _add_shifted(closed, tuple(joined), poly, 0, 1)
+                    poly <<= width
+                new_key = tuple(joined)
+                closed[new_key] = closed.get(new_key, 0) + poly
             after = closed
         state = after
 
-    (poly,) = state.values()
+    (packed,) = state.values()
+    digits = _unpack(packed, width, 2 * (c + closures) + 1)
+    # a_k u^k * A^c u^-closures is a_k A^(c + 2 closures - 2k)
+    top_exponent = 4 * (c + 2 * closures)
+    coeffs = {top_exponent - 8 * k: digit for k, digit in enumerate(digits)}
     untouched = n - len(last_use)
-    return LaurentPoly({4 * (e + c): coeff for e, coeff in poly.items()}) * delta ** untouched
+    return LaurentPoly(coeffs) * delta ** untouched
 
 
-def _add_shifted(
-    target: dict[tuple[int, ...], dict[int, int]],
-    key: tuple[int, ...],
-    poly: dict[int, int],
-    shift: int,
-    sign: int,
-) -> None:
-    """target[key] += sign * A^shift * poly."""
-    acc = target.get(key)
-    if acc is None:
-        target[key] = {e + shift: sign * coeff for e, coeff in poly.items()}
-        return
-    for e, coeff in poly.items():
-        acc[e + shift] = acc.get(e + shift, 0) + sign * coeff
+def _unpack(packed: int, width: int, slots: int) -> list[int]:
+    """The ``slots`` lowest balanced base-2^width digits of ``packed``, lowest
+    first, each in [-2^(width - 1), 2^(width - 1)); a value with digits
+    beyond them raises."""
+    half, modulus = 1 << (width - 1), 1 << width
+    digits = []
+    for _ in range(slots):
+        digit = packed & (modulus - 1)
+        if digit >= half:
+            digit -= modulus
+        digits.append(digit)
+        packed = (packed - digit) >> width
+    if packed:
+        raise InternalInconsistencyError(f"packed polynomial has more than {slots} slots")
+    return digits
 
 
 def jones_of_braid(

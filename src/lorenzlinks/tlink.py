@@ -23,7 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import LorenzBraid, strand_profile
-from .errors import InfeasibleError, InvalidParamsError
+from .errors import CapExceededError, InfeasibleError, InvalidParamsError
+
+# strands to_lorenz builds at most (n = sum q_i + p_k); at the cap the
+# slowest parameter shapes tried (one block, many blocks, many components)
+# take about 1 s in `convert --to word` on a 2-vCPU VM under Python 3.11,
+# and that time grows faster than linearly above it (57 s at a million)
+MAX_STRANDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,13 @@ class TLinkParams:
 
     @classmethod
     def from_pairs(cls, pairs) -> "TLinkParams":
-        return cls(tuple((int(p), int(q)) for p, q in pairs))
+        """Parameters from [p, q] pairs of ints; bools and other numbers are
+        rejected rather than converted."""
+        blocks = tuple(tuple(pair) for pair in pairs)
+        for block in blocks:
+            if not all(type(value) is int for value in block):
+                raise InvalidParamsError(f"block {list(block)!r} must be a pair of integers")
+        return cls(blocks)
 
 
 def t_braid_word(params: TLinkParams) -> list[int]:
@@ -80,12 +92,20 @@ def to_lorenz(params: TLinkParams) -> LorenzBraid:
     p_i, packed at start positions 1..m in non-decreasing displacement order;
     leftward strands fill the remaining start positions and take the unused
     targets in increasing order, the unique order-preserving completion.
+    The braid has n = sum q_i + p_k strands; above MAX_STRANDS it raises
+    CapExceededError before building anything.
     """
-    displacements = [p for p, q in params.pairs for _ in range(q)]
-    m = len(displacements)
-    if m == 0:
+    if not params.pairs:
         return LorenzBraid(1, (1,), ("L",), (0,))
+    m = sum(q for _, q in params.pairs)
     n = m + params.pairs[-1][0]
+    if n > MAX_STRANDS:
+        # an n over Python's int-to-str digit limit is named by its bit length
+        size = n if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}"
+        raise CapExceededError(
+            f"T-link parameters need {size} strands, over the cap of {MAX_STRANDS}"
+        )
+    displacements = [p for p, q in params.pairs for _ in range(q)]
     over_targets = [j + displacements[j - 1] for j in range(1, m + 1)]
     under_targets = sorted(set(range(1, n + 1)) - set(over_targets))
     for offset, target in enumerate(under_targets, start=m + 1):

@@ -93,6 +93,36 @@ class TestConvert:
         assert out == ""
         assert "parameter list" in err
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            ('[["a",1]]', "['a', 1]"),
+            ("[[null,1]]", "[None, 1]"),
+            ("[[2,1e400]]", "[2, inf]"),
+            ("[[true,3]]", "[True, 3]"),
+            ("[[2.9,3]]", "[2.9, 3]"),
+        ],
+    )
+    def test_params_must_be_integers(self, capsys, value, shown):
+        code, out, err = run(capsys, "convert", value, "--to", "word")
+        assert code == 2
+        assert out == ""
+        assert f"block {shown} must be a pair of integers" in err
+
+    def test_strand_cap_exit_code(self, capsys):
+        code, out, err = run(capsys, "convert", "[[2,100000000]]", "--to", "word")
+        assert code == 3
+        assert out == ""
+        assert "need 100000002 strands, over the cap of 100000" in err
+
+    def test_strand_count_beyond_the_digit_limit_is_named_by_size(self, capsys):
+        # two q of 4,300 digits each parse, but their sum has 4,301 digits
+        q = "9" * 4300
+        code, out, err = run(capsys, "convert", f"[[2,{q}],[3,{q}]]", "--to", "word")
+        assert code == 3
+        assert out == ""
+        assert "need at least 2^14285 strands" in err
+
 
 class TestJones:
     def test_torus_pair(self, capsys):

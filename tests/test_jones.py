@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from lorenzlinks.braid import braid_generators, braid_of_words
 from lorenzlinks.errors import (
     DivisionRemainderError,
+    InternalInconsistencyError,
     NotCoprimeError,
     TooManyCrossingsError,
     ValidationError,
 )
 from lorenzlinks.jones import (
     LaurentPoly,
+    _unpack,
     divide_exact,
     jones_of_braid,
     jones_torus,
@@ -137,6 +139,53 @@ class TestBracketAgainstStateSum:
     def test_more_strands_than_a_byte_key_holds(self):
         n = 300
         word = [1, 299, 150, 151, 150, 1, 299, 2, 151]
+        assert kauffman_bracket(word, n) == state_sum_bracket(word, n)
+
+
+class TestPackedSlots:
+    """Edge cases of the packed evaluation: a slot of W = c + closures + 2
+    bits per power of u = A^-2, negative digits that borrow from the slot
+    above, and closure offsets that move every exponent."""
+
+    @pytest.mark.parametrize("width", [2, 3, 9, 64])
+    def test_unpack_digits_at_the_slot_edges(self, width):
+        half = 1 << (width - 1)
+        digits = [-half, half - 1, 0, -1, 1, -half, half - 1, -half]
+        packed = sum(digit << (width * k) for k, digit in enumerate(digits))
+        assert _unpack(packed, width, len(digits)) == digits
+        assert _unpack(packed, width, len(digits) + 2) == digits + [0, 0]
+
+    @pytest.mark.parametrize("width", [2, 9])
+    def test_unpack_refuses_digits_beyond_its_slots(self, width):
+        with pytest.raises(InternalInconsistencyError):
+            _unpack(1 << (3 * width), width, 3)
+        # +2^(W-1) is not a balanced digit: it borrows from a fourth slot
+        with pytest.raises(InternalInconsistencyError):
+            _unpack(1 << (3 * width - 1), width, 3)
+
+    @pytest.mark.parametrize("c", range(1, 15))
+    def test_powers_of_one_generator(self, c):
+        # the (2, c) torus links: signs alternate, so most digits borrow
+        assert kauffman_bracket([1] * c, 2) == state_sum_bracket([1] * c, 2)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_full_twists(self, n):
+        # (s_1 ... s_{n-1})^n has c = n(n - 1) and the largest coefficients
+        # here; n = 5 is 20 crossings, about 7 s of state sum
+        word = list(range(1, n)) * n
+        assert kauffman_bracket(word, n) == state_sum_bracket(word, n)
+
+    @pytest.mark.parametrize(
+        "word, n",
+        [
+            ([1], 40),
+            ([20, 20, 20], 40),
+            ([39, 38, 39], 40),
+            ([7, 9, 7, 9], 16),
+            ([1, 1, 15, 15, 15], 16),
+        ],
+    )
+    def test_mostly_untouched_strands(self, word, n):
         assert kauffman_bracket(word, n) == state_sum_bracket(word, n)
 
 

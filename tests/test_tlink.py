@@ -3,9 +3,9 @@
 import pytest
 
 from lorenzlinks.braid import braid_generators, braid_of_words, strand_profile, words_of_braid
-from lorenzlinks.errors import InvalidParamsError
+from lorenzlinks.errors import CapExceededError, InvalidParamsError
 from lorenzlinks.jones import jones_of_braid
-from lorenzlinks.tlink import TLinkParams, from_lorenz, t_braid_word, to_lorenz
+from lorenzlinks.tlink import MAX_STRANDS, TLinkParams, from_lorenz, t_braid_word, to_lorenz
 from lorenzlinks.words import LinkWords, enumerate_words, validate_link
 
 
@@ -19,6 +19,14 @@ class TestParams:
             TLinkParams(((0, 3),))
         with pytest.raises(InvalidParamsError):
             TLinkParams(((2, 2), (2, 3)))
+
+    @pytest.mark.parametrize("pair", [[True, 3], [2, False], [2.0, 3], [2, "3"], [None, 1]])
+    def test_from_pairs_takes_only_ints(self, pair):
+        with pytest.raises(InvalidParamsError, match="must be a pair of integers"):
+            TLinkParams.from_pairs([[2, 1], pair])
+
+    def test_from_pairs(self):
+        assert TLinkParams.from_pairs([[2, 3], [4, 1]]).pairs == ((2, 3), (4, 1))
 
     def test_normalization_flag(self):
         assert TLinkParams(((2, 3),)).is_normalized
@@ -72,6 +80,17 @@ class TestToLorenz:
         for pairs in [((2, 2),), ((1, 3), (4, 2)), ((2, 1), (3, 1), (5, 2))]:
             braid = to_lorenz(TLinkParams(pairs))
             assert strand_profile(braid).trip == pairs
+
+    def test_strand_cap_fires_before_any_allocation(self):
+        # 10^30 strands could never be allocated: the cap has to fire first
+        with pytest.raises(CapExceededError, match=f"over the cap of {MAX_STRANDS}"):
+            to_lorenz(TLinkParams(((2, 10**30),)))
+        with pytest.raises(CapExceededError, match=f"need {MAX_STRANDS + 1} strands"):
+            to_lorenz(TLinkParams(((2, 1), (3, MAX_STRANDS - 3))))
+
+    def test_strand_cap_is_inclusive(self):
+        braid = to_lorenz(TLinkParams(((2, 1), (3, MAX_STRANDS - 4))))
+        assert braid.n == MAX_STRANDS
 
 
 class TestFromLorenz:
