@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from . import braid as braid_mod
 from . import flow as flow_mod
@@ -38,6 +38,7 @@ from .errors import (
 
 DEFAULT_ATLAS_CAP = 18
 _FILTER_OPS = ("<=", ">=", "!=", "=", "<", ">")
+_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +350,7 @@ def _cmd_flow_itinerary(args: argparse.Namespace) -> int:
         raise ValidationError(f"seed state must be x,y,z: {args.seed_state!r}") from exc
     trajectory = flow_mod.integrate((x, y, z), dt=args.dt, steps=args.steps)
     if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            trajectory.write_csv(handle)
+        _write_atomically(args.csv, trajectory.write_csv)
     symbols = flow_mod.itinerary(trajectory, skip_transient=args.skip_transient)
     print(symbols)
     return 0
@@ -358,44 +358,43 @@ def _cmd_flow_itinerary(args: argparse.Namespace) -> int:
 
 def _write_lines(handle: TextIO, lines: Iterable[str]) -> int:
     count = 0
-    for line in lines:
+    for count, line in enumerate(lines, 1):
         handle.write(line + "\n")
-        count += 1
     return count
 
 
-def _write_atlas(path: str, lines: Iterable[str]) -> int:
-    """Write ``lines`` to ``path`` and return how many were written.
+def _write_atomically(path: str, write: Callable[[TextIO], _T]) -> _T:
+    """Open ``path`` for text with no newline translation, call ``write`` on
+    the handle and return what it returns.
 
     A regular file is written to a temporary file beside it, which is moved
-    into place only once every line is written, so a failure leaves no
+    into place only once ``write`` has returned, so a failure leaves no
     partial file and an existing one as it was.  A symbolic link is
     followed, so the file it names is replaced and the link kept.  A pipe or
     device, such as ``/dev/stdout``, cannot be replaced and is written
     directly.
     """
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w") as handle:
-            return _write_lines(handle, lines)
+        with open(path, "w", newline="") as handle:
+            return write(handle)
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    handle = open(tmp, "x")  # never clobbers a file of that name
+    handle = open(tmp, "x", newline="")  # never clobbers a file of that name
     try:
         with handle:
-            count = _write_lines(handle, lines)
+            result = write(handle)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
-    return count
+    return result
 
 
 def _cmd_atlas_build(args: argparse.Namespace) -> int:
     _check_atlas_cap(args.max_len, args.cap)
-    count = _write_atlas(args.out, build_atlas(
-        args.max_len, jones_max_crossings=args.jones_max_crossings, cap=args.cap
-    ))
+    lines = build_atlas(args.max_len, jones_max_crossings=args.jones_max_crossings, cap=args.cap)
+    count = _write_atomically(args.out, lambda handle: _write_lines(handle, lines))
     print(f"wrote {count} records to {args.out}")
     return 0
 

@@ -53,7 +53,8 @@ class LaurentPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        # told apart by items(): far cheaper than isinstance(coeffs, Mapping)
+        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         cleaned: dict[int, int] = {}
         for exponent, coefficient in items:
             if coefficient:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from lorenzlinks import cli
+from lorenzlinks import cli, flow
 from lorenzlinks.errors import BadFilterError, CapExceededError
 from lorenzlinks.words import aperiodic_count
 
@@ -207,6 +207,53 @@ class TestFlow:
         assert code == 0, err
         assert set(out.strip()) <= {"L", "R"}
         assert csv_path.read_text().startswith("t,x,y,z")
+
+    def test_default_itinerary_bytes(self, capsys):
+        # sha256 of the output from before the integrator kept plain-float columns
+        code, out, _ = run(capsys, "flow", "itinerary")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "56f71a9dce46c90970cfc549eae0c4c8f3a7abf680905d9dd7fcaca7a3648824"
+        )
+
+    def test_csv_bytes(self, capsys, tmp_path):
+        csv_path = tmp_path / "traj.csv"
+        code, out, _ = run(
+            capsys, "flow", "itinerary", "--steps", "5000", "--skip-transient", "0",
+            "--csv", str(csv_path),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e9564c24c59ff3b0370f7d9432edf500b8da5b6c0d90aa2fa1a829be2a8bb86d"
+        )
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+            "8aaa9c95e8541245bbac9a3cfde319c369e396c31c2935fcd7e4c426213e2cc8"
+        )
+
+    def test_step_cap_exit_code(self, capsys, tmp_path):
+        csv_path = tmp_path / "traj.csv"
+        code, out, err = run(
+            capsys, "flow", "itinerary", "--steps", "1000000000000", "--csv", str(csv_path)
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: 1000000000000 steps exceed the cap of 2000000\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_csv_write_keeps_an_existing_file(self, capsys, tmp_path, monkeypatch):
+        def write_then_fail(self, stream):
+            stream.write("t,x,y,z\r\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(flow.Trajectory, "write_csv", write_then_fail)
+        csv_path = tmp_path / "traj.csv"
+        csv_path.write_bytes(b"previous contents\n")
+        code, out, err = run(
+            capsys, "flow", "itinerary", "--steps", "100", "--csv", str(csv_path)
+        )
+        assert (code, out, err) == (4, "", "error: disk full\n")
+        assert list(tmp_path.iterdir()) == [csv_path]
+        assert csv_path.read_bytes() == b"previous contents\n"
 
     @pytest.mark.parametrize("seed_state", ["a,b,c", "1,2", "1,2,3,4"])
     def test_bad_seed_state_exit_code(self, capsys, seed_state):

@@ -3,17 +3,24 @@
 import io
 import math
 import random
+import subprocess
+import sys
+from array import array
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+import lorenzlinks
+from lorenzlinks import flow
 from lorenzlinks.errors import (
     AmbiguousSymbolError,
+    CapExceededError,
     NoEventsError,
     NonFiniteError,
     ValidationError,
 )
 from lorenzlinks.flow import (
+    MAX_STEPS,
     FlowParams,
     Trajectory,
     equilibria,
@@ -25,6 +32,22 @@ from lorenzlinks.flow import (
 
 def residual(state, params=FlowParams()):
     return max(abs(v) for v in vector_field(state, params))
+
+
+def columns(traj, start=0):
+    return (traj.x[start:], traj.y[start:], traj.z[start:])
+
+
+def max_abs(traj, start=0):
+    return max(max(map(abs, column)) for column in columns(traj, start))
+
+
+def final(traj):
+    return (traj.x[-1], traj.y[-1], traj.z[-1])
+
+
+def trajectory(times, x, y, z):
+    return Trajectory(*(array("d", column) for column in (times, x, y, z)))
 
 
 class TestVectorField:
@@ -57,7 +80,7 @@ class TestIntegrate:
     def test_equilibrium_stays_put(self):
         point = equilibria()[1]
         traj = integrate(point, dt=1e-3, steps=1000)
-        drift = np.max(np.abs(traj.states - np.array(point)))
+        drift = max(abs(v - p) for column, p in zip(columns(traj), point) for v in column)
         assert drift < 1e-9
 
     def test_step_halving_error_ratio(self):
@@ -66,32 +89,49 @@ class TestIntegrate:
         reference = integrate(start, dt=1e-4, steps=4000)
         coarse = integrate(start, dt=1e-2, steps=40)
         halved = integrate(start, dt=5e-3, steps=80)
-        e1 = np.linalg.norm(coarse.states[-1] - reference.states[-1])
-        e2 = np.linalg.norm(halved.states[-1] - reference.states[-1])
+        e1 = math.dist(final(coarse), final(reference))
+        e2 = math.dist(final(halved), final(reference))
         assert 12.0 <= e1 / e2 <= 40.0
 
     def test_long_run_stays_bounded(self):
         traj = integrate((1.0, 1.0, 1.0), dt=1e-3, steps=1_000_000)
-        assert np.max(np.abs(traj.states)) < 100.0
+        assert max_abs(traj) < 100.0
 
     def test_random_starts_enter_bounded_region(self):
         rng = random.Random(63)
         for _ in range(100):
             start = tuple(rng.uniform(-20.0, 20.0) for _ in range(3))
             traj = integrate(start, dt=5e-3, steps=4000)
-            tail = traj.states[len(traj) // 2 :]
-            assert np.max(np.abs(tail)) < 100.0
+            assert max_abs(traj, len(traj) // 2) < 100.0
 
     def test_determinism(self):
         a = integrate((1.0, 1.0, 1.0), dt=1e-3, steps=5000)
         b = integrate((1.0, 1.0, 1.0), dt=1e-3, steps=5000)
-        assert np.array_equal(a.states, b.states)
+        assert a.times == b.times and columns(a) == columns(b)
+
+    def test_columns(self):
+        traj = integrate((1.0, 2.0, 3.0), dt=1e-3, steps=10)
+        assert len(traj) == 11
+        for column in (traj.times, *columns(traj)):
+            assert isinstance(column, array) and column.typecode == "d" and len(column) == 11
+        assert traj.times == array("d", [i * 1e-3 for i in range(11)])
+        assert (traj.x[0], traj.y[0], traj.z[0]) == (1.0, 2.0, 3.0)
 
     def test_dt_guard(self):
         with pytest.raises(ValidationError):
             integrate((1.0, 1.0, 1.0), dt=0.02, steps=10)
         with pytest.raises(ValidationError):
             integrate((1.0, 1.0, 1.0), dt=1e-3, steps=0)
+
+    @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**12])
+    def test_step_cap_fires_before_any_allocation(self, monkeypatch, steps):
+        def no_columns(*args):
+            raise AssertionError("columns allocated before the step cap")
+
+        monkeypatch.setattr(flow, "array", no_columns)
+        with pytest.raises(CapExceededError) as caught:
+            integrate((1.0, 1.0, 1.0), dt=1e-3, steps=steps)
+        assert str(caught.value) == f"{steps} steps exceed the cap of {MAX_STEPS}"
 
     def test_divergence_detected(self):
         with pytest.raises(NonFiniteError):
@@ -101,9 +141,41 @@ class TestIntegrate:
         traj = integrate((1.0, 1.0, 1.0), dt=1e-3, steps=5)
         buffer = io.StringIO()
         traj.write_csv(buffer)
-        lines = buffer.getvalue().strip().splitlines()
-        assert lines[0] == "t,x,y,z"
-        assert len(lines) == len(traj) + 1
+        lines = buffer.getvalue().split("\r\n")
+        assert lines[0] == "t,x,y,z" and lines[-1] == ""
+        assert lines[1:-1] == [
+            ",".join(map(repr, row)) for row in zip(traj.times, *columns(traj))
+        ]
+
+
+class TestTrajectory:
+    def test_columns_must_share_one_length(self):
+        with pytest.raises(ValidationError):
+            trajectory([0.0, 1.0], [0.0, 0.0], [0.0], [0.0, 0.0])
+
+    def test_columns_must_be_double_arrays(self):
+        with pytest.raises(ValidationError):
+            Trajectory([0.0, 1.0], *(array("d", [0.0, 0.0]) for _ in range(3)))
+        with pytest.raises(ValidationError):
+            Trajectory(array("f", [0.0, 1.0]), *(array("d", [0.0, 0.0]) for _ in range(3)))
+
+    def test_needs_a_sample(self):
+        with pytest.raises(ValidationError):
+            trajectory([], [], [], [])
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, math.nan, 1.0]])
+    def test_times_must_strictly_increase(self, times):
+        with pytest.raises(ValidationError):
+            trajectory(times, [0.0] * 3, [0.0] * 3, [0.0] * 3)
+
+
+def test_import_leaves_numpy_out():
+    src = Path(lorenzlinks.__file__).resolve().parent.parent
+    code = "import sys, lorenzlinks.cli; print('numpy' in sys.modules)"
+    child = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert child.stdout == "False\n"
 
 
 class TestItinerary:
@@ -129,12 +201,11 @@ class TestItinerary:
     def test_time_translation_invariance(self):
         traj = integrate((1.0, 1.0, 1.0), dt=1e-3, steps=30000)
         offset = 5000
-        shifted = Trajectory(traj.times[offset:], traj.states[offset:])
+        shifted = Trajectory(traj.times[offset:], *columns(traj, offset))
         full = itinerary(traj, skip_transient=offset * 1e-3)
         assert itinerary(shifted) == full
 
     def test_ambiguous_event_raises(self):
-        times = np.array([0.0, 1.0, 2.0])
-        states = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        traj = trajectory([0.0, 1.0, 2.0], [0.0] * 3, [0.0] * 3, [0.0, 1.0, 0.0])
         with pytest.raises(AmbiguousSymbolError):
-            itinerary(Trajectory(times, states))
+            itinerary(traj)
