@@ -349,9 +349,9 @@ def _cmd_flow_itinerary(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ValidationError(f"seed state must be x,y,z: {args.seed_state!r}") from exc
     trajectory = flow_mod.integrate((x, y, z), dt=args.dt, steps=args.steps)
+    symbols = flow_mod.itinerary(trajectory, skip_transient=args.skip_transient)
     if args.csv:
         _write_atomically(args.csv, trajectory.write_csv)
-    symbols = flow_mod.itinerary(trajectory, skip_transient=args.skip_transient)
     print(symbols)
     return 0
 

@@ -36,18 +36,6 @@ class InvariantRecord:
     min_crossings: int | None
     torus: tuple[int, int] | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "components": self.components,
-            "n": self.strands,
-            "c": self.crossings,
-            "genus": self.genus,
-            "chi": self.chi,
-            "braid_index": self.braid_index,
-            "c_min": self.min_crossings,
-            "torus": list(self.torus) if self.torus else None,
-        }
-
 
 def euler_characteristic(braid: LorenzBraid) -> int:
     """chi of the fiber surface of the closure: strands minus crossings."""

@@ -6,9 +6,11 @@ The generators are realized as the unipotent pair
 
 so a cyclic word with both letters multiplies out to a hyperbolic matrix
 with non-negative entries, and conversely every hyperbolic conjugacy class
-with trace > 2 is that of exactly one aperiodic cyclic word.  Decoding runs
-the continued-fraction expansion of the attracting fixed point in exact
-integer surd arithmetic: the expansion is eventually periodic, the periodic
+with trace > 2 is that of exactly one aperiodic cyclic word.  Encoding keeps
+the product in four integers and spends two integer additions per letter.
+Decoding runs the continued-fraction expansion of the attracting fixed
+point in exact integer surd arithmetic, with a division-free recurrence for
+the surd denominators: the expansion is eventually periodic, the periodic
 part (doubled when odd) gives alternating L/R run lengths, and the run
 letter is fixed by the global parity of the quotient's position, since each
 expansion step conjugates by a determinant -1 element that swaps the lobes.
@@ -24,7 +26,9 @@ where s(h, k) is the classical Dedekind sum.  Psi is a conjugacy invariant
 and must equal the letter count on every mixed word.  The entry c grows
 exponentially with word length, so s(h, k) is not summed over its k - 1
 sawtooth terms: Dedekind reciprocity reduces it along the Euclidean algorithm
-on (h, k), in exact integer arithmetic and O(log k) steps.
+on (h, k), in exact integer arithmetic and O(log k) steps.  Phi is then
+assembled from the numerator and denominator of s(d, |c|) as one
+``Fraction``, and Psi is read off its integer numerator.
 """
 
 from __future__ import annotations
@@ -108,7 +112,6 @@ class Mat2Z:
 
 L_MATRIX = Mat2Z(1, 1, 0, 1)
 R_MATRIX = Mat2Z(1, 0, 1, 1)
-_GENERATORS = {"L": L_MATRIX, "R": R_MATRIX}
 
 
 def matrix_of_word(word: CyclicWord | str) -> Mat2Z:
@@ -117,14 +120,24 @@ def matrix_of_word(word: CyclicWord | str) -> Mat2Z:
     Requires both letters (a single-letter word is parabolic).  The result is
     hyperbolic with non-negative entries; its trace, hence its conjugacy
     class, does not depend on the rotation chosen.
+
+    The product is kept in four integer entries: right-multiplying by L adds
+    the first column to the second, and by R the second to the first, so a
+    letter costs two integer additions.  Only the final ``Mat2Z`` checks its
+    determinant, which covers every step: each generator has determinant 1
+    and the determinant is multiplicative.
     """
     w = canonicalize(word)
     if len(set(w.letters)) < 2:
         raise ParabolicError(f"{w.letters!r} uses one letter only")
-    result = Mat2Z.identity()
+    a, b, c, d = 1, 0, 0, 1
     for letter in w.letters:
-        result = result * _GENERATORS[letter]
-    if min(result.a, result.b, result.c, result.d) < 0 or result.trace <= 2:
+        if letter == "L":
+            b, d = a + b, c + d
+        else:
+            a, c = a + b, c + d
+    result = Mat2Z(a, b, c, d)
+    if min(a, b, c, d) < 0 or result.trace <= 2:
         raise InternalInconsistencyError("word matrix left the positive monoid")
     return result
 
@@ -140,7 +153,15 @@ def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
     """The canonical cyclic word whose matrix is conjugate to ``matrix``.
 
     Runs the integer continued-fraction expansion of the attracting fixed
-    point ((a - d) + sqrt(trace^2 - 4)) / (2c).  The (P, Q) surd states
+    point ((a - d) + sqrt(trace^2 - 4)) / (2c).  A surd state
+    (P_k + sqrt(D)) / Q_k with Q_k | D - P_k^2 steps by a_k = floor of it,
+    P_{k+1} = a_k Q_k - P_k and, since Q_{k+1} Q_k = D - P_{k+1}^2 and
+    P_k + P_{k+1} = a_k Q_k, by the division-free
+
+        Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}),
+
+    seeded with Q_{-1} = (D - P_0^2) / Q_0: one small-by-large product per
+    step instead of a square and a long division.  The (P, Q) states
     eventually cycle; the cycle's quotients are alternating run lengths, with
     the letter of each run decided by the parity of its position in the full
     expansion (L at even positions).  A proper power of a shorter class has
@@ -164,15 +185,14 @@ def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
 
     quotients: list[int] = []
     seen: dict[tuple[int, int], int] = {}
-    state = (p, q)
-    while state not in seen:
-        seen[state] = len(quotients)
-        sp, sq = state
-        digit = _floor_surd(sp, root, sq)
+    q_prev = (disc - p * p) // q
+    while (p, q) not in seen:
+        seen[p, q] = len(quotients)
+        digit = _floor_surd(p, root, q)
         quotients.append(digit)
-        np_ = digit * sq - sp
-        state = (np_, (disc - np_ * np_) // sq)
-    start = seen[state]
+        p_next = digit * q - p
+        p, q, q_prev = p_next, q_prev + digit * (p - p_next), q
+    start = seen[p, q]
     period = quotients[start:]
     if len(period) % 2:
         period = period + period
@@ -234,20 +254,28 @@ def _sign(value: int) -> int:
 
 def rademacher_phi(matrix: Mat2Z) -> Fraction:
     """Phi on the trace-positive representative; (a+d)/c - 12 sign(c) s(d, |c|),
-    or b/d for upper-triangular matrices."""
+    or b/d for upper-triangular matrices.
+
+    With s(d, |c|) = N / S in lowest terms this is the single fraction
+    ((a + d) S - 12 |c| N) / (c S), reduced once.
+    """
     m = matrix.normalized()
     if m.c == 0:
         return Fraction(m.b, m.d)
-    return Fraction(m.a + m.d, m.c) - 12 * _sign(m.c) * dedekind_sum(m.d, abs(m.c))
+    s = dedekind_sum(m.d, abs(m.c))
+    return Fraction(
+        (m.a + m.d) * s.denominator - 12 * abs(m.c) * s.numerator, m.c * s.denominator
+    )
 
 
 def rademacher_psi(matrix: Mat2Z) -> int:
     """The conjugacy-invariant Psi = Phi - 3 sign(c (a + d)); always an integer."""
     m = matrix.normalized()
-    value = rademacher_phi(m) - 3 * _sign(m.c * (m.a + m.d))
-    if value.denominator != 1:
-        raise InternalInconsistencyError(f"Psi came out non-integral: {value}")
-    return int(value)
+    phi = rademacher_phi(m)
+    shift = 3 * _sign(m.c * (m.a + m.d))
+    if phi.denominator != 1:
+        raise InternalInconsistencyError(f"Psi came out non-integral: {phi - shift}")
+    return phi.numerator - shift
 
 
 def rademacher(word: CyclicWord | str) -> int:

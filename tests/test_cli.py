@@ -248,12 +248,28 @@ class TestFlow:
         monkeypatch.setattr(flow.Trajectory, "write_csv", write_then_fail)
         csv_path = tmp_path / "traj.csv"
         csv_path.write_bytes(b"previous contents\n")
+        # the run must have section events, or it exits 2 before the write
         code, out, err = run(
-            capsys, "flow", "itinerary", "--steps", "100", "--csv", str(csv_path)
+            capsys, "flow", "itinerary", "--steps", "1000", "--skip-transient", "0",
+            "--csv", str(csv_path),
         )
         assert (code, out, err) == (4, "", "error: disk full\n")
         assert list(tmp_path.iterdir()) == [csv_path]
         assert csv_path.read_bytes() == b"previous contents\n"
+
+    @pytest.mark.parametrize("previous", [None, b"previous contents\n"])
+    def test_no_section_events_leaves_the_csv_as_it_was(self, capsys, tmp_path, previous):
+        csv_path = tmp_path / "traj.csv"
+        if previous is not None:
+            csv_path.write_bytes(previous)
+        code, out, err = run(
+            capsys, "flow", "itinerary", "--steps", "3", "--skip-transient", "0",
+            "--csv", str(csv_path),
+        )
+        assert (code, out, err) == (2, "", "error: no section events after the transient\n")
+        assert [path.read_bytes() for path in tmp_path.iterdir()] == (
+            [] if previous is None else [previous]
+        )
 
     @pytest.mark.parametrize("seed_state", ["a,b,c", "1,2", "1,2,3,4"])
     def test_bad_seed_state_exit_code(self, capsys, seed_state):

@@ -68,6 +68,42 @@ def random_conjugator(rng, max_entry=50):
             return m
 
 
+def product_oracle(letters):
+    """The word's matrix as the per-letter product of generator ``Mat2Z``s."""
+    product = Mat2Z.identity()
+    for letter in letters:
+        product = product * (L_MATRIX if letter == "L" else R_MATRIX)
+    return product
+
+
+def _sign(value):
+    return (value > 0) - (value < 0)
+
+
+def phi_oracle(matrix):
+    """Phi composed in ``Fraction`` arithmetic, term by term as defined."""
+    m = matrix.normalized()
+    if m.c == 0:
+        return Fraction(m.b, m.d)
+    return Fraction(m.a + m.d, m.c) - 12 * _sign(m.c) * dedekind_sum(m.d, abs(m.c))
+
+
+def random_sl2z(rng):
+    """A random SL(2, Z) element, either global sign, entries up to about 10^6."""
+    gens = [L_MATRIX, R_MATRIX, L_MATRIX.inverse(), R_MATRIX.inverse()]
+    m = Mat2Z.identity()
+    for _ in range(rng.randrange(1, 30)):
+        m = m * rng.choice(gens) if rng.random() < 0.5 else m * Mat2Z(0, -1, 1, 0)
+    if rng.random() < 0.5:
+        m = Mat2Z(-m.a, -m.b, -m.c, -m.d)
+    return m
+
+
+mixed_letters = st.text(alphabet="LR", min_size=2, max_size=300).filter(
+    lambda letters: len(set(letters)) == 2 and smallest_period(letters) == len(letters)
+)
+
+
 class TestMat2Z:
     def test_determinant_enforced(self):
         with pytest.raises(ValidationError):
@@ -90,17 +126,24 @@ class TestMatrixOfWord:
 
     def test_trace_is_rotation_invariant(self):
         for word in mixed_words(8):
-            traces = set()
-            for rotation in word.rotations():
-                product = Mat2Z.identity()
-                for letter in rotation:
-                    product = product * (L_MATRIX if letter == "L" else R_MATRIX)
-                traces.add(product.trace)
+            traces = {product_oracle(rotation).trace for rotation in word.rotations()}
             assert traces == {matrix_of_word(word).trace}
 
     def test_single_letter_is_parabolic(self):
         with pytest.raises(ParabolicError):
             matrix_of_word("L")
+
+    def test_equals_per_letter_product_on_all_short_words(self):
+        for word in mixed_words(12):
+            assert matrix_of_word(word) == product_oracle(word.letters), word
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_letters)
+    def test_equals_per_letter_product_on_drawn_words(self, letters):
+        word = canonicalize(letters)
+        m = matrix_of_word(letters)
+        assert m == product_oracle(word.letters)
+        assert rademacher_phi(m) == phi_oracle(m)
 
 
 class TestWordOfMatrix:
@@ -129,6 +172,13 @@ class TestWordOfMatrix:
         square = matrix_of_word("LR") * matrix_of_word("LR")
         with pytest.raises(NotPrimitiveError):
             word_of_matrix(square)
+
+    def test_roundtrip_on_long_words(self):
+        # c has 340 to 860 digits, so every surd state is a large integer
+        rng = random.Random(31415)
+        for _ in range(10):
+            word = random_mixed_word(rng, rng.randrange(2000, 5001))
+            assert word_of_matrix(matrix_of_word(word)) == word
 
     def test_negated_representative_is_projectively_equal(self):
         m = matrix_of_word("LLR")
@@ -244,6 +294,27 @@ class TestRademacher:
             for _ in range(3):
                 p = random_conjugator(rng)
                 assert rademacher_psi(p * matrix * p.inverse()) == expected
+
+    def test_phi_equals_term_by_term_composition_on_word_matrices(self):
+        for word in mixed_words(12):
+            m = matrix_of_word(word)
+            assert rademacher_phi(m) == phi_oracle(m), word
+
+    def test_phi_and_psi_equal_composition_on_random_sl2z(self):
+        # Each class of representative must show up: c < 0 and c = 0 after
+        # normalization, and a negative trace before it.
+        rng = random.Random(1729)
+        seen = {"c<0": 0, "c=0": 0, "trace<0": 0}
+        for _ in range(3000):
+            m = random_sl2z(rng)
+            n = m.normalized()
+            seen["c<0"] += n.c < 0
+            seen["c=0"] += n.c == 0
+            seen["trace<0"] += m.trace < 0
+            phi = phi_oracle(m)
+            assert rademacher_phi(m) == phi, m
+            assert rademacher_psi(m) == phi - 3 * _sign(n.c * (n.a + n.d)), m
+        assert min(seen.values()) >= 20, seen
 
     def test_parabolic_rejected(self):
         with pytest.raises(ParabolicError):
