@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import InternalInconsistencyError, OddInterCrossingsError
+from .errors import InternalInconsistencyError
 from .words import CyclicWord, LinkWords, canonicalize, extend_periodic
 
 EAR_TYPES = ("LL", "LR", "RL", "RR")
@@ -105,8 +105,9 @@ class LorenzBraid:
         labels = set(self.components)
         if labels != set(range(len(labels))):
             raise InternalInconsistencyError("component labels must be 0..mu-1")
+        cycles = permutation_cycles(self.targets)
         cycle_label: dict[int, int] = {}
-        for cycle in self.cycles():
+        for cycle in cycles:
             comp = {self.components[i - 1] for i in cycle}
             if len(comp) != 1:
                 raise InternalInconsistencyError("a cycle mixes component labels")
@@ -116,6 +117,7 @@ class LorenzBraid:
             cycle_label[label] = cycle[0]
         if len(cycle_label) != len(labels):
             raise InternalInconsistencyError("component labels do not match cycles")
+        object.__setattr__(self, "_cycles", tuple(cycles))
 
     # -- derived structure ------------------------------------------------
 
@@ -170,21 +172,9 @@ class LorenzBraid:
         return self._crossings
 
     def cycles(self) -> list[tuple[int, ...]]:
-        """Permutation cycles in orbit order, each starting at its least position."""
-        seen = [False] * (self.n + 1)
-        out: list[tuple[int, ...]] = []
-        for start in range(1, self.n + 1):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            pos = self.targets[start - 1]
-            while pos != start:
-                cycle.append(pos)
-                seen[pos] = True
-                pos = self.targets[pos - 1]
-            out.append(tuple(cycle))
-        return out
+        """Permutation cycles in orbit order, each starting at its least
+        position; walked once, when the braid is built."""
+        return list(self._cycles)
 
     # -- wire form ---------------------------------------------------------
 
@@ -206,6 +196,25 @@ class LorenzBraid:
             letters=letters,
             components=tuple(int(c) for c in data["components"]),
         )
+
+
+def permutation_cycles(targets: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Cycles of the permutation i -> targets[i - 1] of 1..n, in orbit order,
+    each starting at its least position, ordered by that position."""
+    seen = [False] * (len(targets) + 1)
+    out: list[tuple[int, ...]] = []
+    for start in range(1, len(targets) + 1):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        pos = targets[start - 1]
+        while pos != start:
+            cycle.append(pos)
+            seen[pos] = True
+            pos = targets[pos - 1]
+        out.append(tuple(cycle))
+    return out
 
 
 def _count_crossings(left: tuple[int, ...], right: tuple[int, ...]) -> int:
@@ -293,14 +302,13 @@ def position_sequences(link: LinkWords) -> list[tuple[int, ...]]:
 
     Element k of a sequence is the sorted position of the rotation starting k
     letters into the canonical spelling; the braid strand starting at rank k
-    ends at rank k+1.
+    ends at rank k+1.  The canonical spelling is its word's least rotation,
+    so each sequence is its component's braid cycle, which starts at its
+    least position.
     """
-    rotations = _sorted_rotations(link)
-    rank = {(ci, k): pos for pos, (_, ci, k) in enumerate(rotations, start=1)}
-    return [
-        tuple(rank[(ci, k)] for k in range(len(word)))
-        for ci, word in enumerate(link.words)
-    ]
+    braid = braid_of_words(link)
+    by_component = {braid.components[cycle[0] - 1]: cycle for cycle in braid.cycles()}
+    return [by_component[ci] for ci in range(len(link.words))]
 
 
 def words_of_braid(braid: LorenzBraid) -> list[CyclicWord]:
@@ -380,11 +388,11 @@ def linking_matrix(braid: LorenzBraid) -> list[list[int]]:
         for b in range(a + 1, mu):
             total = over_counts[a][b] + over_counts[b][a]
             if total % 2:
-                raise OddInterCrossingsError(
+                raise InternalInconsistencyError(
                     f"components {a} and {b} cross {total} times"
                 )
             if over_counts[a][b] != over_counts[b][a]:
-                raise OddInterCrossingsError(
+                raise InternalInconsistencyError(
                     f"asymmetric over-counts for components {a} and {b}"
                 )
             matrix[a][b] = matrix[b][a] = total // 2

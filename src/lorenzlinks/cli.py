@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 
-DEFAULT_ATLAS_CAP = 18
+MAX_ATLAS_LEN = 18
 _FILTER_OPS = ("<=", ">=", "!=", "=", "<", ">")
 _T = TypeVar("_T")
 
@@ -45,14 +45,15 @@ _T = TypeVar("_T")
 # atlas records
 
 
-def word_record(word: words_mod.CyclicWord, jones_max_crossings: int = 0) -> dict:
-    """The full atlas record of one canonical word; every field derives from it."""
-    link = words_mod.LinkWords((word,))
-    braid = braid_mod.braid_of_words(link)
-    profile = braid_mod.strand_profile(braid)
+def word_record(
+    word: words_mod.CyclicWord, braid: braid_mod.LorenzBraid, jones_max_crossings: int = 0
+) -> dict:
+    """The full atlas record of one canonical word and its Lorenz braid;
+    every field derives from the word, and this is the one place the
+    record's key names and order are written."""
     record = inv_mod.compute_record(braid)
     jones_pairs = None
-    if jones_max_crossings and profile.crossings <= jones_max_crossings:
+    if jones_max_crossings and record.crossings <= jones_max_crossings:
         gens = braid_mod.braid_generators(braid)
         poly = jones_mod.jones_of_braid(gens, braid.n, max_crossings=jones_max_crossings)
         jones_pairs = [list(pair) for pair in poly.pairs()]
@@ -62,11 +63,11 @@ def word_record(word: words_mod.CyclicWord, jones_max_crossings: int = 0) -> dic
         "components": record.components,
         "n": record.strands,
         "c": record.crossings,
-        "trip": [list(pq) for pq in profile.trip],
-        "LL": profile.ll,
-        "LR": profile.lr,
-        "RL": profile.rl,
-        "RR": profile.rr,
+        "trip": [list(pq) for pq in record.trip],
+        "LL": record.ll,
+        "LR": record.lr,
+        "RL": record.rl,
+        "RR": record.rr,
         "genus": record.genus,
         "chi": record.chi,
         "braid_index": record.braid_index,
@@ -76,21 +77,18 @@ def word_record(word: words_mod.CyclicWord, jones_max_crossings: int = 0) -> dic
     }
 
 
-def build_atlas(
-    max_len: int,
-    jones_max_crossings: int = 0,
-    cap: int = DEFAULT_ATLAS_CAP,
-) -> Iterator[str]:
+def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
     """JSON lines for every canonical word of length <= max_len, in
-    (length, spelling) order.  Raises CapExceededError beyond the cap."""
-    _check_atlas_cap(max_len, cap)
+    (length, spelling) order.  Raises CapExceededError above MAX_ATLAS_LEN."""
+    _check_atlas_cap(max_len)
     for word in words_mod.enumerate_words(max_len):
-        yield json.dumps(word_record(word, jones_max_crossings), separators=(",", ":"))
+        braid = braid_mod.braid_of_words(words_mod.LinkWords((word,)))
+        yield json.dumps(word_record(word, braid, jones_max_crossings), separators=(",", ":"))
 
 
-def _check_atlas_cap(max_len: int, cap: int) -> None:
-    if max_len > cap:
-        raise CapExceededError(f"max_len {max_len} exceeds the cap of {cap}")
+def _check_atlas_cap(max_len: int) -> None:
+    if max_len > MAX_ATLAS_LEN:
+        raise CapExceededError(f"max_len {max_len} exceeds the cap of {MAX_ATLAS_LEN}")
 
 
 def verify_record(record: dict) -> None:
@@ -206,18 +204,22 @@ def query_atlas(
 # output helpers
 
 
-def _emit(payload: dict, fmt: str, stream: TextIO) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, separators=(",", ":")), file=stream)
-    elif fmt == "table":
-        width = max(len(k) for k in payload)
-        for key, value in payload.items():
-            print(f"{key:<{width}}  {_plain(value)}", file=stream)
-    elif fmt == "csv":
-        print(",".join(payload.keys()), file=stream)
-        print(",".join(_csv_cell(v) for v in payload.values()), file=stream)
-    else:
-        raise ValidationError(f"unknown format {fmt!r}")
+def _emit(rows: Iterable[dict], fmt: str, stream: TextIO) -> None:
+    """Write rows as JSON lines, as key-value tables separated by a blank
+    line, or as CSV under the first row's header."""
+    for number, row in enumerate(rows):
+        if fmt == "json":
+            print(json.dumps(row, separators=(",", ":")), file=stream)
+        elif fmt == "table":
+            if number:
+                print(file=stream)
+            width = max(len(k) for k in row)
+            for key, value in row.items():
+                print(f"{key:<{width}}  {_plain(value)}", file=stream)
+        else:
+            if not number:
+                print(",".join(row.keys()), file=stream)
+            print(",".join(_csv_cell(v) for v in row.values()), file=stream)
 
 
 def _plain(value: object) -> str:
@@ -241,14 +243,13 @@ def _csv_cell(value: object) -> str:
 
 def _cmd_word_info(args: argparse.Namespace) -> int:
     word = words_mod.canonicalize(args.word)
-    link = words_mod.LinkWords((word,))
-    braid = braid_mod.braid_of_words(link)
-    sequences = braid_mod.position_sequences(link)
-    record = word_record(word)
+    braid = braid_mod.braid_of_words(words_mod.LinkWords((word,)))
+    record = word_record(word, braid)
     payload = {
         "word": record["word"],
         "length": record["length"],
-        "new_positions": list(sequences[0]),
+        # the rank of each successive rotation: the braid's cycle through strand 1
+        "new_positions": list(braid.cycles()[0]),
         "targets": list(braid.targets),
         "over_strands": len(braid.over_positions),
         "under_strands": len(braid.under_positions),
@@ -257,7 +258,7 @@ def _cmd_word_info(args: argparse.Namespace) -> int:
             "genus", "chi", "braid_index", "c_min", "torus",
         )},
     }
-    _emit(payload, args.format, sys.stdout)
+    _emit([payload], args.format, sys.stdout)
     return 0
 
 
@@ -282,13 +283,12 @@ def _braid_from_source(source: str) -> braid_mod.LorenzBraid:
 def _cmd_convert(args: argparse.Namespace) -> int:
     braid = _braid_from_source(args.source)
     if args.to == "braid":
-        _emit(braid.to_json_dict(), args.format, sys.stdout)
+        payload = braid.to_json_dict()
     elif args.to == "tlink":
         payload = {"pairs": tlink_mod.from_lorenz(braid).to_json_list()}
-        _emit(payload, args.format, sys.stdout)
-    elif args.to == "word":
+    else:  # word
         payload = {"words": [str(w) for w in braid_mod.words_of_braid(braid)]}
-        _emit(payload, args.format, sys.stdout)
+    _emit([payload], args.format, sys.stdout)
     return 0
 
 
@@ -314,21 +314,21 @@ def _cmd_jones(args: argparse.Namespace) -> int:
         "jones": poly.format(),
         "pairs": [list(pair) for pair in poly.pairs()],
     }
-    _emit(payload, args.format, sys.stdout)
+    _emit([payload], args.format, sys.stdout)
     return 0
 
 
 def _cmd_modular(args: argparse.Namespace) -> int:
     if args.action == "encode":
         matrix = mod_mod.matrix_of_word(args.value)
-        _emit({"matrix": matrix.to_rows(), "trace": matrix.trace}, args.format, sys.stdout)
+        _emit([{"matrix": matrix.to_rows(), "trace": matrix.trace}], args.format, sys.stdout)
     elif args.action == "decode":
         try:
             rows = json.loads(args.value)
         except ValueError as exc:
             raise ValidationError(f"cannot parse matrix {args.value!r}: {exc}") from exc
         word = mod_mod.word_of_matrix(mod_mod.Mat2Z.from_rows(rows))
-        _emit({"word": str(word)}, args.format, sys.stdout)
+        _emit([{"word": str(word)}], args.format, sys.stdout)
     else:  # rademacher
         word = words_mod.canonicalize(args.value)
         value = mod_mod.rademacher(word)
@@ -339,7 +339,7 @@ def _cmd_modular(args: argparse.Namespace) -> int:
             "phi": str(mod_mod.rademacher_phi(matrix)),
             "psi": mod_mod.rademacher_psi(matrix),
         }
-        _emit(payload, args.format, sys.stdout)
+        _emit([payload], args.format, sys.stdout)
     return 0
 
 
@@ -392,8 +392,8 @@ def _write_atomically(path: str, write: Callable[[TextIO], _T]) -> _T:
 
 
 def _cmd_atlas_build(args: argparse.Namespace) -> int:
-    _check_atlas_cap(args.max_len, args.cap)
-    lines = build_atlas(args.max_len, jones_max_crossings=args.jones_max_crossings, cap=args.cap)
+    _check_atlas_cap(args.max_len)
+    lines = build_atlas(args.max_len, jones_max_crossings=args.jones_max_crossings)
     count = _write_atomically(args.out, lambda handle: _write_lines(handle, lines))
     print(f"wrote {count} records to {args.out}")
     return 0
@@ -402,19 +402,7 @@ def _cmd_atlas_build(args: argparse.Namespace) -> int:
 def _cmd_atlas_query(args: argparse.Namespace) -> int:
     filters = [parse_filter(expr) for expr in args.where or []]
     with open(args.atlas) as handle:
-        first = True
-        for record in query_atlas(handle, filters):
-            if args.format == "json":
-                print(json.dumps(record, separators=(",", ":")))
-            elif args.format == "csv":
-                if first:
-                    print(",".join(record.keys()))
-                print(",".join(_csv_cell(v) for v in record.values()))
-            else:
-                if not first:
-                    print()
-                _emit(record, "table", sys.stdout)
-            first = False
+        _emit(query_atlas(handle, filters), args.format, sys.stdout)
     return 0
 
 
@@ -475,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--max-len", type=int, required=True)
     build.add_argument("--jones-max-crossings", type=int, default=0)
     build.add_argument("--out", required=True)
-    build.add_argument("--cap", type=int, default=DEFAULT_ATLAS_CAP)
     build.set_defaults(func=_cmd_atlas_build)
     query = atlas_sub.add_parser("query", help="stream matching records")
     query.add_argument("atlas")

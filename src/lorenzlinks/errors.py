@@ -2,7 +2,10 @@
 
 Errors are grouped by the command-line exit code they map to: rejected input
 exits 2, exceeded resource caps exit 3, and internal-consistency failures
-(which should never fire on valid data) exit 1 like any other crash.
+(which should never fire on valid data) exit 1 like any other crash.  A
+failed structural check raises InternalInconsistencyError itself, with a
+message naming the check; a subclass exists only where a caller catches it
+or a test names it.
 """
 
 from __future__ import annotations
@@ -37,27 +40,14 @@ class DuplicateComponentError(ValidationError):
     """Two link components share the same cyclic word."""
 
 
-# braid
-class OddInterCrossingsError(InternalInconsistencyError):
-    """Crossings between two components came out odd; linking is undefined."""
-
-
 # invariants
 class NotAKnotError(ValidationError):
     """A knot-only invariant was requested for a multi-component link."""
 
 
-class ParityError(InternalInconsistencyError):
-    """crossings - strands + 1 came out odd for a one-component closure."""
-
-
 # tlink
 class InvalidParamsError(ValidationError):
     """Torus-block parameters violate ordering or positivity."""
-
-
-class InfeasibleError(InternalInconsistencyError):
-    """No braid permutation realizes the requested strand displacements."""
 
 
 # jones

@@ -14,27 +14,82 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import LorenzBraid, strand_profile
-from .errors import NotAKnotError, ParityError
+from .errors import InternalInconsistencyError, NotAKnotError
 
 
 @dataclass(frozen=True)
 class InvariantRecord:
-    """Invariants of one closed Lorenz braid.
+    """Invariants of one closed Lorenz braid, every field read off one strand
+    profile: the atlas record of a word, less its word and Jones fields.
 
-    ``genus``, ``min_crossings`` and ``torus`` are None for multi-component
-    links; ``chi`` is always the Euler characteristic n - c of the fiber
-    surface.  For knots with braid_index >= 2,
+    ``trip`` lists the (displacement p_i, multiplicity q_i) blocks of the
+    rightward strands and ``ll``, ``lr``, ``rl``, ``rr`` count strands by ear
+    type.  ``genus``, ``min_crossings`` and ``torus`` are None for
+    multi-component links; ``chi`` is always the Euler characteristic n - c
+    of the fiber surface.  For knots with braid_index >= 2,
     min_crossings == 2 * genus + braid_index - 1.
     """
 
     components: int
     strands: int
     crossings: int
+    trip: tuple[tuple[int, int], ...]
+    ll: int
+    lr: int
+    rl: int
+    rr: int
     genus: int | None
     chi: int
     braid_index: int
     min_crossings: int | None
     torus: tuple[int, int] | None
+
+
+def compute_record(braid: LorenzBraid) -> InvariantRecord:
+    """Every invariant of one braid closure, from one strand profile.
+
+    A closure confined to a single lobe is an unlink of lobe-boundary
+    circles, of braid index 1 per circle, so c_min is 0 for the degenerate
+    unknots (g = 0, n_min = 1).  A knot whose rightward strands share one
+    displacement (a single trip block: q strands of displacement p) is the
+    (p, q) torus knot.  That detection is sufficient, not complete: a braid
+    with several trip blocks may still close to a torus knot.
+    """
+    profile = strand_profile(braid)
+    components = braid.component_count
+    index = min(profile.lr, profile.rl) or 1
+    g = c_min = torus = None
+    if components == 1:
+        two_g = braid.crossings - braid.n + 1
+        if two_g % 2:
+            raise InternalInconsistencyError(f"c - n + 1 = {two_g} is odd")
+        if two_g < 0:
+            raise InternalInconsistencyError(f"c - n + 1 = {two_g} is negative")
+        g = two_g // 2
+        c_min = two_g + index - 1
+        torus = profile.trip[0] if len(profile.trip) == 1 else None
+    return InvariantRecord(
+        components=components,
+        strands=braid.n,
+        crossings=braid.crossings,
+        trip=profile.trip,
+        ll=profile.ll,
+        lr=profile.lr,
+        rl=profile.rl,
+        rr=profile.rr,
+        genus=g,
+        chi=euler_characteristic(braid),
+        braid_index=index,
+        min_crossings=c_min,
+        torus=torus,
+    )
+
+
+def _knot_record(braid: LorenzBraid) -> InvariantRecord:
+    record = compute_record(braid)
+    if record.components != 1:
+        raise NotAKnotError(f"closure has {record.components} components")
+    return record
 
 
 def euler_characteristic(braid: LorenzBraid) -> int:
@@ -44,63 +99,21 @@ def euler_characteristic(braid: LorenzBraid) -> int:
 
 def genus(braid: LorenzBraid) -> int:
     """Genus of the closure, defined for knots only: g = (c - n + 1) / 2."""
-    if braid.component_count != 1:
-        raise NotAKnotError(f"closure has {braid.component_count} components")
-    two_g = braid.crossings - braid.n + 1
-    if two_g % 2:
-        raise ParityError(f"c - n + 1 = {two_g} is odd")
-    if two_g < 0:
-        raise ParityError(f"c - n + 1 = {two_g} is negative")
-    return two_g // 2
+    return _knot_record(braid).genus
 
 
 def braid_index(braid: LorenzBraid) -> int:
-    """Minimal strand count over all closed-braid presentations.
-
-    Equals min(|LR|, |RL|), except that a closure confined to a single lobe
-    is an unlink of lobe-boundary circles and has braid index 1 per circle.
-    """
-    _, lr, rl, _ = braid.ear_counts
-    return min(lr, rl) if min(lr, rl) > 0 else 1
+    """Minimal strand count over all closed-braid presentations (see
+    :func:`compute_record`)."""
+    return compute_record(braid).braid_index
 
 
 def min_crossings(braid: LorenzBraid) -> int:
-    """Minimum crossing number of a knotted closure: 2g + n_min - 1.
-
-    The minimum is realized at minimal braid index for these links; the
-    formula also returns 0 for the degenerate unknots (g = 0, n_min = 1).
-    """
-    if braid.component_count != 1:
-        raise NotAKnotError(f"closure has {braid.component_count} components")
-    return 2 * genus(braid) + braid_index(braid) - 1
+    """Minimum crossing number of a knotted closure: 2g + n_min - 1."""
+    return _knot_record(braid).min_crossings
 
 
 def is_torus(braid: LorenzBraid) -> tuple[int, int] | None:
-    """(p, q) when every rightward strand shares one displacement, else None.
-
-    A single trip group (q strands of displacement p) closes to the (p, q)
-    torus knot.  Detection is sufficient, not complete: a braid with several
-    trip groups may still close to a torus knot.
-    """
-    if braid.component_count != 1:
-        raise NotAKnotError(f"closure has {braid.component_count} components")
-    trip = strand_profile(braid).trip
-    if len(trip) == 1:
-        return trip[0]
-    return None
-
-
-def compute_record(braid: LorenzBraid) -> InvariantRecord:
-    """Bundle every invariant of one braid closure."""
-    mu = braid.component_count
-    knot = mu == 1
-    return InvariantRecord(
-        components=mu,
-        strands=braid.n,
-        crossings=braid.crossings,
-        genus=genus(braid) if knot else None,
-        chi=euler_characteristic(braid),
-        braid_index=braid_index(braid),
-        min_crossings=min_crossings(braid) if knot else None,
-        torus=is_torus(braid) if knot else None,
-    )
+    """(p, q) when every rightward strand of a knot shares one displacement p,
+    else None (see :func:`compute_record`)."""
+    return _knot_record(braid).torus

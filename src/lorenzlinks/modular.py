@@ -161,8 +161,10 @@ def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
         Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}),
 
     seeded with Q_{-1} = (D - P_0^2) / Q_0: one small-by-large product per
-    step instead of a square and a long division.  The (P, Q) states
-    eventually cycle; the cycle's quotients are alternating run lengths, with
+    step instead of a square and a long division.  The states become
+    periodic exactly at the first reduced one, 0 < P <= isqrt(D) < P + Q and
+    Q - P <= isqrt(D) (Galois), so only that state is kept to close the
+    cycle.  The cycle's quotients are alternating run lengths, with
     the letter of each run decided by the parity of its position in the full
     expansion (L at even positions).  A proper power of a shorter class has
     the same fixed points, so it decodes to the primitive word and is
@@ -184,15 +186,15 @@ def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
         raise InternalInconsistencyError("trace^2 - 4 cannot be a perfect square")
 
     quotients: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
+    start = cycle = None
     q_prev = (disc - p * p) // q
-    while (p, q) not in seen:
-        seen[p, q] = len(quotients)
+    while start is None or (p, q) != cycle:
+        if start is None and 0 < p <= root < p + q and q - p <= root:
+            start, cycle = len(quotients), (p, q)
         digit = _floor_surd(p, root, q)
         quotients.append(digit)
         p_next = digit * q - p
         p, q, q_prev = p_next, q_prev + digit * (p - p_next), q
-    start = seen[p, q]
     period = quotients[start:]
     if len(period) % 2:
         period = period + period

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import LorenzBraid, strand_profile
-from .errors import CapExceededError, InfeasibleError, InvalidParamsError
+from .braid import LorenzBraid, permutation_cycles, strand_profile
+from .errors import CapExceededError, InternalInconsistencyError, InvalidParamsError
 
 # strands to_lorenz builds at most (n = sum q_i + p_k); at the cap the
 # slowest parameter shapes tried (one block, many blocks, many components)
@@ -110,27 +110,19 @@ def to_lorenz(params: TLinkParams) -> LorenzBraid:
     under_targets = sorted(set(range(1, n + 1)) - set(over_targets))
     for offset, target in enumerate(under_targets, start=m + 1):
         if target >= offset:
-            raise InfeasibleError(
+            raise InternalInconsistencyError(
                 f"leftward strand at {offset} would not move left (target {target})"
             )
     targets = tuple(over_targets + under_targets)
     letters = ("L",) * m + ("R",) * (n - m)
 
     components = [0] * n
-    label, seen = 0, [False] * (n + 1)
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        pos = start
-        while not seen[pos]:
-            seen[pos] = True
+    for label, cycle in enumerate(permutation_cycles(targets)):
+        for pos in cycle:
             components[pos - 1] = label
-            pos = targets[pos - 1]
-        label += 1
-
     braid = LorenzBraid(n, targets, letters, tuple(components))
     if strand_profile(braid).trip != params.pairs:
-        raise InfeasibleError("constructed braid does not reproduce the parameters")
+        raise InternalInconsistencyError("constructed braid does not reproduce the parameters")
     return braid
 
 

@@ -1,6 +1,7 @@
 """Braid construction, strand classification and the linking matrix."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -40,6 +41,21 @@ def linking_oracle(braid):
                     counts[a][b] += 1
                     counts[b][a] += 1
     return [[counts[a][b] // 2 for b in range(mu)] for a in range(mu)]
+
+
+def position_sequences_oracle(link):
+    """Rank every rotation by its periodic extension to twice the longest word
+    and read off each word's ranks in rotation order: the sort and rank map
+    that position_sequences ran before it read the braid's cycles."""
+    key_len = 2 * max(len(w) for w in link.words)
+    keyed = sorted(
+        ((word.rotation(k) * key_len)[:key_len], ci, k)
+        for ci, word in enumerate(link.words)
+        for k in range(len(word))
+    )
+    assert len({key for key, _, _ in keyed}) == len(keyed)  # a tie-free order
+    rank = {(ci, k): pos for pos, (_, ci, k) in enumerate(keyed, start=1)}
+    return [tuple(rank[ci, k] for k in range(len(word))) for ci, word in enumerate(link.words)]
 
 
 def word_sets_up_to(total):
@@ -123,6 +139,20 @@ class TestBraidOfWords:
         assert not last.over and last.displacement == -2 and last.ear_type == "RR"
         fixed = braid_of_words(validate_link(["L"])).strand_meta(1)
         assert fixed.ear_type == "LL" and not fixed.over and fixed.displacement == 0
+
+
+class TestPositionSequences:
+    def test_equal_the_sort_oracle_on_every_word_to_length_12(self):
+        for word in enumerate_words(12):
+            link = LinkWords((word,))
+            assert position_sequences(link) == position_sequences_oracle(link)
+
+    def test_equal_the_sort_oracle_on_seeded_links(self):
+        rng = random.Random(1729)
+        pool = enumerate_words(9)
+        for _ in range(3000):
+            link = LinkWords(tuple(rng.sample(pool, rng.randint(2, 4))))
+            assert position_sequences(link) == position_sequences_oracle(link)
 
 
 class TestStrandProfile:

@@ -10,7 +10,7 @@ import pytest
 
 from lorenzlinks import cli, flow
 from lorenzlinks.errors import BadFilterError, CapExceededError
-from lorenzlinks.words import aperiodic_count
+from lorenzlinks.words import aperiodic_count, enumerate_words
 
 
 # Python 3.11 (and the security releases of older lines) refuses to convert
@@ -539,6 +539,82 @@ class TestAtlasBytes:
         atlas = "".join(line + "\n" for line in lines).encode()
         assert hashlib.sha256(atlas).hexdigest() == digest
         assert len(list(cli.query_atlas(lines, []))) == len(lines)  # every record verifies
+
+
+def transcript_digest(capsys, argvs) -> str:
+    """sha256 over the argv, exit code, stdout and stderr of each call in turn."""
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+    return digest.hexdigest()
+
+
+CONVERT_SOURCES = [str(w) for w in enumerate_words(8)] + [
+    "[]", "[[1,1]]", "[[2,3]]", "[[2,4]]", "[[1,2],[3,4]]", "[[2,1],[3,5]]", "[[2,2],[4,6],[5,3]]",
+]
+ATLAS_FILTERS = {
+    "all": [],
+    "several": ["--where", "genus>=2", "--where", "torus=null", "--where", "length<=9"],
+    "none": ["--where", "genus=99"],
+}
+
+
+class TestOutputBytes:
+    """sha256 of CLI transcripts taken before every output format was written
+    by one function and every record built from one braid."""
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "1d335f028fc29613d1ec970bf2a411bb90f02c9f627bec9b054382064447837a"),
+            ("table", "ca9135bc274ef109e4399207f7f03e0fa18bf0a5726787de1f79a4fdb0a3bfd5"),
+            ("csv", "68c9ee25b200a09bc897b116562556aab7d22888de84ba80099b83ae51f540a6"),
+        ],
+    )
+    def test_word_info_up_to_length_ten(self, capsys, fmt, digest):
+        argvs = [["word", "info", str(w), "--format", fmt] for w in enumerate_words(10)]
+        assert transcript_digest(capsys, argvs) == digest
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "29b707460f1248a2d54c43298be24bcfd389e63bce9004e6cadd23e5f8221eeb"),
+            ("table", "05ca4c60530ec0aed038d25ebdcb1d0055810b7089eb3b092d6075d5bee2bbd4"),
+            ("csv", "066f252ea06fe3cfce03315076993b667e81c9d520f59739fabf9b6414aed87e"),
+        ],
+    )
+    def test_convert_to_braid(self, capsys, fmt, digest):
+        argvs = [["convert", s, "--to", "braid", "--format", fmt] for s in CONVERT_SOURCES]
+        assert transcript_digest(capsys, argvs) == digest
+
+    @pytest.fixture(scope="class")
+    def atlas_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("atlas") / "atlas.jsonl"
+        path.write_text("".join(line + "\n" for line in cli.build_atlas(10, jones_max_crossings=12)))
+        return path
+
+    @pytest.mark.parametrize(
+        "selection, fmt, digest",
+        [
+            ("all", "json", "996a29c5a2d3e42cf459d0d08a37d5a3c4b9815e729402dede6e77cb59721d12"),
+            ("all", "table", "e5d8948c1a28ee605a9396f632d19ad812eff89b9ed2987ce61e30f50e4fea26"),
+            ("all", "csv", "4fb9c6a6e61439462c1cba353fd22c9cb598adc4364e15bd8e9454c6450f399a"),
+            ("several", "json", "2f3326d092e053c919942d8b96d18e2472c86b6d11699100b2f458e8f3879902"),
+            ("several", "table", "836d37aecf159f70c71f679d403d6f3c853170a6bfe2ba9ca389f6a9d9ef8fcf"),
+            ("several", "csv", "a4593028932c88c53aafc4cf9ce147b8cc5e9e487948f340ca58d06d3214f86c"),
+            ("none", "json", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            ("none", "table", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            ("none", "csv", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ],
+    )
+    def test_atlas_query(self, capsys, atlas_path, selection, fmt, digest):
+        argv = ["atlas", "query", str(atlas_path), "--format", fmt, *ATLAS_FILTERS[selection]]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        if selection == "none":
+            assert out == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestHelpers:

@@ -1,6 +1,7 @@
 """Matrix dictionary, Dedekind sums, and the Rademacher invariant."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,20 @@ class TestWordOfMatrix:
         for _ in range(10):
             word = random_mixed_word(rng, rng.randrange(2000, 5001))
             assert word_of_matrix(matrix_of_word(word)) == word
+
+    def test_decode_keeps_no_state_history(self):
+        # c has 1,726 digits: keeping every surd state of the expansion peaked
+        # at 8.8 MB, keeping only the first reduced one peaks at 0.3 MB
+        word = random_mixed_word(random.Random(2718), 10_000)
+        matrix = matrix_of_word(word)
+        tracemalloc.start()
+        try:
+            decoded = word_of_matrix(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decoded == word
+        assert peak < 2_000_000
 
     def test_negated_representative_is_projectively_equal(self):
         m = matrix_of_word("LLR")
