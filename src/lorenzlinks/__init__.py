@@ -9,13 +9,10 @@ ODE itinerary reader, plus a census-building CLI (`lorenzlinks`).
 from .braid import (
     Crossing,
     LorenzBraid,
-    StrandMeta,
-    StrandProfile,
     braid_generators,
     braid_of_words,
     linking_matrix,
     position_sequences,
-    strand_profile,
     words_of_braid,
 )
 from .invariants import (
@@ -66,8 +63,6 @@ __all__ = [
     "LinkWords",
     "LorenzBraid",
     "Mat2Z",
-    "StrandMeta",
-    "StrandProfile",
     "TLinkParams",
     "Trajectory",
     "aperiodic_count",
@@ -97,7 +92,6 @@ __all__ = [
     "rademacher",
     "rademacher_phi",
     "rademacher_psi",
-    "strand_profile",
     "t_braid_word",
     "to_lorenz",
     "validate_link",

@@ -11,24 +11,32 @@ strand.  Rotations are sorted by their infinite periodic extensions (a
 tie-free order for valid word families), and the strand starting at the rank
 of rotation r ends at the rank of r shifted by one letter.
 
-A braid's crossing count and ear-type counts are computed once, when it is
-built.  The crossings are counted twice, independently: as the inversions
-between the two lobe blocks (each block's targets increase, so a two-pointer
-merge counts them in O(n)) and as the trip sum of the rightward strands'
-displacements, sum p * q.
+A braid's crossing count, ear-type counts and trip are computed once, when
+it is built.  The trip groups the rightward strands into (displacement p,
+multiplicity q) blocks; these are the T-link parameters of the closure.  The
+crossings are counted twice, independently: as the inversions between the
+two lobe blocks (each block's targets increase, so a two-pointer merge counts
+them in O(n)) and as the trip sum, sum p * q.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import InternalInconsistencyError
+from .errors import CapExceededError, InternalInconsistencyError
 from .words import CyclicWord, LinkWords, canonicalize, extend_periodic
 
 EAR_TYPES = ("LL", "LR", "RL", "RR")
+
+# letters of rotation keys braid_of_words builds at most: one key of
+# 2 * max|w| letters per rotation, N rotations for N letters in all.  At the
+# cap (one word of about 7,000 letters, or a long word among many short
+# ones) the keys peak near 150 MB under tracemalloc and the braid takes about
+# 0.3 s on a 2-vCPU Xeon VM under Python 3.11; both grow as N * max|w|.
+MAX_KEY_LETTERS = 100_000_000
 
 
 class Crossing(NamedTuple):
@@ -37,19 +45,6 @@ class Crossing(NamedTuple):
     position: int  # 1-based generator index; crosses positions (position, position + 1)
     over: int  # start position of the overcrossing (left-lobe) strand
     under: int  # start position of the undercrossing (right-lobe) strand
-
-
-class StrandMeta(NamedTuple):
-    """Per-strand labels: component, ear type, crossing role, displacement.
-
-    ``over`` is True for strands that move right and pass in front; the fixed
-    strands of the degenerate one-letter words cross nothing and report False.
-    """
-
-    component: int
-    ear_type: str
-    over: bool
-    displacement: int
 
 
 @dataclass(frozen=True)
@@ -97,8 +92,10 @@ class LorenzBraid:
         counts = (ll, l_count - ll, rl, n - l_count - rl)
         if counts[1] != counts[2]:
             raise InternalInconsistencyError("strands entering and leaving the right lobe differ")
+        trip = _group_trip(left)
         object.__setattr__(self, "_ear_counts", counts)
-        object.__setattr__(self, "_crossings", _count_crossings(left, right))
+        object.__setattr__(self, "_trip", trip)
+        object.__setattr__(self, "_crossings", _count_crossings(left, right, trip))
         self._check_components()
 
     def _check_components(self) -> None:
@@ -149,20 +146,17 @@ class LorenzBraid:
         """Lobe pair (this pass, next pass) of the strand starting at ``start``."""
         return self.letters[start - 1] + self.letters[self.targets[start - 1] - 1]
 
-    def strand_meta(self, start: int) -> StrandMeta:
-        displacement = self.displacement(start)
-        return StrandMeta(
-            component=self.components[start - 1],
-            ear_type=self.ear_type(start),
-            over=displacement > 0,
-            displacement=displacement,
-        )
-
     @property
     def ear_counts(self) -> tuple[int, int, int, int]:
         """Strand counts by ear type, ordered (LL, LR, RL, RR); counted once,
         when the braid is built."""
         return self._ear_counts
+
+    @property
+    def trip(self) -> tuple[tuple[int, int], ...]:
+        """(displacement p_i, multiplicity q_i) over the rightward strands,
+        p_1 < p_2 < ...; grouped once, when the braid is built."""
+        return self._trip
 
     @property
     def crossings(self) -> int:
@@ -184,7 +178,7 @@ class LorenzBraid:
             "targets": list(self.targets),
             "components": list(self.components),
             "types": [self.ear_type(i) for i in range(1, self.n + 1)],
-            "trip": [list(pq) for pq in strand_profile(self).trip],
+            "trip": [list(pq) for pq in self.trip],
         }
 
     @classmethod
@@ -217,21 +211,33 @@ def permutation_cycles(targets: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def _count_crossings(left: tuple[int, ...], right: tuple[int, ...]) -> int:
+def _group_trip(left: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Trip of a Lorenz permutation from its left block's targets.
+
+    The left block holds the rightward strands plus the fixed strand of the
+    word L.  Its targets increase, so the displacements target - start never
+    decrease along it, and equal displacements form runs.
+    """
+    displacements = (target - start for start, target in enumerate(left, start=1))
+    return tuple((p, sum(1 for _ in run)) for p, run in groupby(displacements) if p > 0)
+
+
+def _count_crossings(
+    left: tuple[int, ...], right: tuple[int, ...], trip: tuple[tuple[int, int], ...]
+) -> int:
     """Inversions of a Lorenz permutation from its two lobe blocks' targets.
 
     Within each block the targets increase, so every inversion pairs a
     left-block strand with a right-block strand of smaller target; a
     two-pointer merge counts them.  The result must equal the trip sum
-    sum (target - start) over the left block, whose strands are exactly the
-    rightward ones plus the fixed strand of the word L.
+    sum p * q.
     """
     inversions = below = 0
     for target in left:
         while below < len(right) and right[below] < target:
             below += 1
         inversions += below
-    trip_sum = sum(target - start for start, target in enumerate(left, start=1))
+    trip_sum = sum(p * q for p, q in trip)
     if inversions != trip_sum:
         raise InternalInconsistencyError(
             f"inversion count {inversions} but sum q_i p_i = {trip_sum}"
@@ -239,31 +245,9 @@ def _count_crossings(left: tuple[int, ...], right: tuple[int, ...]) -> int:
     return inversions
 
 
-@dataclass(frozen=True)
-class StrandProfile:
-    """Trip parametrization of a Lorenz braid.
-
-    ``trip`` lists (displacement p_i, multiplicity q_i) over the rightward
-    strands with p_1 < p_2 < ...; ``crossings`` is sum q_i * p_i, which equals
-    the inversion count of the braid permutation.  The four ear-type counts
-    are carried along for the braid-index and symmetry formulas.
-    """
-
-    ll: int
-    lr: int
-    rl: int
-    rr: int
-    trip: tuple[tuple[int, int], ...]
-    crossings: int
-
-    @property
-    def ear_counts(self) -> tuple[int, int, int, int]:
-        return (self.ll, self.lr, self.rl, self.rr)
-
-
-def _sorted_rotations(link: LinkWords) -> list[tuple[str, int, int]]:
-    """All rotations as (spelling, component, offset), in extension order."""
-    key_len = 2 * max(len(w) for w in link.words)
+def _sorted_rotations(link: LinkWords, key_len: int) -> list[tuple[str, int, int]]:
+    """All rotations as (spelling, component, offset), ordered by their
+    periodic extensions to ``key_len`` letters."""
     keyed = [
         (extend_periodic(spelling, key_len), spelling, ci, k)
         for ci, word in enumerate(link.words)
@@ -281,9 +265,19 @@ def braid_of_words(link: LinkWords) -> LorenzBraid:
 
     The strand count is the total letter count; strand i is overcrossing
     exactly when its rotation begins with L (fixed strands of the degenerate
-    one-letter words excepted).
+    one-letter words excepted).  Rotations are sorted by keys of twice the
+    longest word's length; when those keys would hold more than
+    MAX_KEY_LETTERS letters it raises CapExceededError before building any.
     """
-    rotations = _sorted_rotations(link)
+    total = sum(len(word) for word in link.words)
+    key_len = 2 * max(len(word) for word in link.words)
+    key_letters = total * key_len
+    if key_letters > MAX_KEY_LETTERS:
+        raise CapExceededError(
+            f"words of {total} letters need {key_letters} rotation-key letters,"
+            f" over the cap of {MAX_KEY_LETTERS}"
+        )
+    rotations = _sorted_rotations(link, key_len)
     rank = {(ci, k): pos for pos, (_, ci, k) in enumerate(rotations, start=1)}
     n = len(rotations)
     targets = [0] * n
@@ -321,21 +315,6 @@ def words_of_braid(braid: LorenzBraid) -> list[CyclicWord]:
     for cycle in braid.cycles():
         out.append(canonicalize("".join(braid.letters[i - 1] for i in cycle)))
     return out
-
-
-def strand_profile(braid: LorenzBraid) -> StrandProfile:
-    """Group the rightward strands by displacement and count crossings."""
-    groups = Counter(
-        target - start for start, target in enumerate(braid.targets, start=1) if target > start
-    )
-    trip = tuple(sorted(groups.items()))
-    total = sum(p * q for p, q in trip)
-    if total != braid.crossings:
-        raise InternalInconsistencyError(
-            f"sum q_i p_i = {total} but inversion count = {braid.crossings}"
-        )
-    ll, lr, rl, rr = braid.ear_counts
-    return StrandProfile(ll=ll, lr=lr, rl=rl, rr=rr, trip=trip, crossings=total)
 
 
 def braid_generators(braid: LorenzBraid) -> list[Crossing]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
@@ -37,7 +38,15 @@ from .errors import (
 )
 
 MAX_ATLAS_LEN = 18
-_FILTER_OPS = ("<=", ">=", "!=", "=", "<", ">")
+# in parse order: a two-letter operator before the one-letter one it contains
+_FILTER_OPS = {
+    "<=": operator.le,
+    ">=": operator.ge,
+    "!=": operator.ne,
+    "=": operator.eq,
+    "<": operator.lt,
+    ">": operator.gt,
+}
 _T = TypeVar("_T")
 
 
@@ -151,32 +160,20 @@ def _parse_filter_value(raw: str) -> object:
 
 
 def record_matches(record: dict, filters: Iterable[tuple[str, str, object]]) -> bool:
+    """Whether the record passes every filter.  Ordering null against
+    anything raises TypeError and is no match; any other unorderable pair is
+    a bad filter."""
     for field, op, value in filters:
         if field not in record:
             raise BadFilterError(f"unknown field {field!r}")
         actual = record[field]
-        if op == "=":
-            if actual != value:
+        try:
+            if not _FILTER_OPS[op](actual, value):
                 return False
-        elif op == "!=":
-            if actual == value:
-                return False
-        else:
+        except TypeError as exc:
             if actual is None or value is None:
                 return False
-            try:
-                if op == "<=" and not actual <= value:
-                    return False
-                if op == ">=" and not actual >= value:
-                    return False
-                if op == "<" and not actual < value:
-                    return False
-                if op == ">" and not actual > value:
-                    return False
-            except TypeError as exc:
-                raise BadFilterError(
-                    f"cannot order {field!r} against {value!r}"
-                ) from exc
+            raise BadFilterError(f"cannot order {field!r} against {value!r}") from exc
     return True
 
 

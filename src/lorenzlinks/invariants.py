@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import LorenzBraid, strand_profile
+from .braid import LorenzBraid
 from .errors import InternalInconsistencyError, NotAKnotError
 
 
 @dataclass(frozen=True)
 class InvariantRecord:
-    """Invariants of one closed Lorenz braid, every field read off one strand
-    profile: the atlas record of a word, less its word and Jones fields.
+    """Invariants of one closed Lorenz braid, every field read off the braid's
+    own counts: the atlas record of a word, less its word and Jones fields.
 
     ``trip`` lists the (displacement p_i, multiplicity q_i) blocks of the
     rightward strands and ``ll``, ``lr``, ``rl``, ``rr`` count strands by ear
@@ -46,7 +46,8 @@ class InvariantRecord:
 
 
 def compute_record(braid: LorenzBraid) -> InvariantRecord:
-    """Every invariant of one braid closure, from one strand profile.
+    """Every invariant of one braid closure, from the braid's trip, crossing
+    and ear counts.
 
     A closure confined to a single lobe is an unlink of lobe-boundary
     circles, of braid index 1 per circle, so c_min is 0 for the degenerate
@@ -55,28 +56,30 @@ def compute_record(braid: LorenzBraid) -> InvariantRecord:
     (p, q) torus knot.  That detection is sufficient, not complete: a braid
     with several trip blocks may still close to a torus knot.
     """
-    profile = strand_profile(braid)
+    ll, lr, rl, rr = braid.ear_counts
+    crossings = braid.crossings
+    trip = braid.trip
     components = braid.component_count
-    index = min(profile.lr, profile.rl) or 1
+    index = min(lr, rl) or 1
     g = c_min = torus = None
     if components == 1:
-        two_g = braid.crossings - braid.n + 1
+        two_g = crossings - braid.n + 1
         if two_g % 2:
             raise InternalInconsistencyError(f"c - n + 1 = {two_g} is odd")
         if two_g < 0:
             raise InternalInconsistencyError(f"c - n + 1 = {two_g} is negative")
         g = two_g // 2
         c_min = two_g + index - 1
-        torus = profile.trip[0] if len(profile.trip) == 1 else None
+        torus = trip[0] if len(trip) == 1 else None
     return InvariantRecord(
         components=components,
         strands=braid.n,
-        crossings=braid.crossings,
-        trip=profile.trip,
-        ll=profile.ll,
-        lr=profile.lr,
-        rl=profile.rl,
-        rr=profile.rr,
+        crossings=crossings,
+        trip=trip,
+        ll=ll,
+        lr=lr,
+        rl=rl,
+        rr=rr,
         genus=g,
         chi=euler_characteristic(braid),
         braid_index=index,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import LorenzBraid, permutation_cycles, strand_profile
+from .braid import LorenzBraid, permutation_cycles
 from .errors import CapExceededError, InternalInconsistencyError, InvalidParamsError
 
 # strands to_lorenz builds at most (n = sum q_i + p_k); at the cap the
@@ -121,11 +121,11 @@ def to_lorenz(params: TLinkParams) -> LorenzBraid:
         for pos in cycle:
             components[pos - 1] = label
     braid = LorenzBraid(n, targets, letters, tuple(components))
-    if strand_profile(braid).trip != params.pairs:
+    if braid.trip != params.pairs:
         raise InternalInconsistencyError("constructed braid does not reproduce the parameters")
     return braid
 
 
 def from_lorenz(braid: LorenzBraid) -> TLinkParams:
     """T-link parameters of a Lorenz braid: exactly its trip parameters."""
-    return TLinkParams(strand_profile(braid).trip)
+    return TLinkParams(braid.trip)

@@ -8,16 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorenzlinks import braid as braid_mod
 from lorenzlinks.braid import (
     EAR_TYPES,
+    MAX_KEY_LETTERS,
     LorenzBraid,
+    _count_crossings,
     braid_generators,
     braid_of_words,
     linking_matrix,
     position_sequences,
-    strand_profile,
     words_of_braid,
 )
+from lorenzlinks.errors import CapExceededError, InternalInconsistencyError
 from lorenzlinks.tlink import TLinkParams, to_lorenz
 from lorenzlinks.words import LinkWords, enumerate_words, validate_link
 
@@ -27,6 +30,15 @@ def inversion_oracle(targets):
     return sum(
         1 for i in range(n) for j in range(i + 1, n) if targets[i] > targets[j]
     )
+
+
+def trip_oracle(targets):
+    """Rightward strands of every start position grouped by displacement and
+    sorted: no use of the lobe blocks or of their order."""
+    groups = Counter(
+        target - start for start, target in enumerate(targets, start=1) if target > start
+    )
+    return tuple(sorted(groups.items()))
 
 
 def linking_oracle(braid):
@@ -130,15 +142,52 @@ class TestBraidOfWords:
                 assert braid.targets[rank - 1] == sequence[(k + 1) % len(sequence)]
 
     def test_strand_meta(self):
+        # the per-strand labels, read off the braid itself
         braid = braid_of_words(validate_link(["LRLRRRLRRR"]))
-        meta = braid.strand_meta(1)
-        assert meta.component == 0
-        assert meta.ear_type == "LR"
-        assert meta.over and meta.displacement == 5
-        last = braid.strand_meta(10)
-        assert not last.over and last.displacement == -2 and last.ear_type == "RR"
-        fixed = braid_of_words(validate_link(["L"])).strand_meta(1)
-        assert fixed.ear_type == "LL" and not fixed.over and fixed.displacement == 0
+        assert braid.components[0] == 0
+        assert braid.ear_type(1) == "LR"
+        assert 1 in braid.over_positions and braid.displacement(1) == 5
+        assert 10 not in braid.over_positions
+        assert braid.displacement(10) == -2 and braid.ear_type(10) == "RR"
+        fixed = braid_of_words(validate_link(["L"]))
+        assert fixed.ear_type(1) == "LL" and fixed.over_positions == ()
+        assert fixed.displacement(1) == 0
+
+
+class TestKeyCap:
+    # one word of N letters needs N * 2N rotation-key letters
+    OVER = 7072  # 100,026,368 letters
+    AT = 7071  # 99,998,082 letters
+
+    @pytest.fixture
+    def no_keys(self, monkeypatch):
+        def refuse(link, key_len):
+            raise AssertionError("rotation keys were built")
+
+        monkeypatch.setattr(braid_mod, "_sorted_rotations", refuse)
+
+    def test_cap_fires_before_any_key_is_built(self, no_keys):
+        link = validate_link(["L" + "R" * (self.OVER - 1)])
+        with pytest.raises(CapExceededError) as caught:
+            braid_of_words(link)
+        assert str(caught.value) == (
+            f"words of {self.OVER} letters need {self.OVER * 2 * self.OVER}"
+            f" rotation-key letters, over the cap of {MAX_KEY_LETTERS}"
+        )
+
+    def test_cap_is_inclusive(self, no_keys):
+        assert self.AT * 2 * self.AT <= MAX_KEY_LETTERS < self.OVER * 2 * self.OVER
+        with pytest.raises(AssertionError, match="rotation keys were built"):
+            braid_of_words(validate_link(["L" + "R" * (self.AT - 1)]))
+
+    def test_cap_counts_every_component(self, no_keys):
+        # a long word's keys are built for the short words' rotations too
+        long_word = "L" + "R" * 5999
+        short = [str(w) for w in enumerate_words(12) if len(w) == 12][:200]
+        link = validate_link([long_word, *short])
+        assert 6000 * 12_000 <= MAX_KEY_LETTERS < (6000 + 200 * 12) * 12_000
+        with pytest.raises(CapExceededError, match="words of 8400 letters"):
+            braid_of_words(link)
 
 
 class TestPositionSequences:
@@ -156,29 +205,46 @@ class TestPositionSequences:
 
 
 class TestStrandProfile:
+    """Trip, crossing and ear counts: the braid's strand profile."""
+
     def test_ten_strand_profile(self):
         braid = braid_of_words(validate_link(["LRLRRRLRRR"]))
-        profile = strand_profile(braid)
-        assert profile.trip == ((5, 1), (7, 2))
-        assert profile.crossings == 19
-        assert profile.ear_counts == (0, 3, 3, 4)
+        assert braid.trip == ((5, 1), (7, 2))
+        assert braid.crossings == 19
+        assert braid.ear_counts == (0, 3, 3, 4)
 
     def test_trefoil_profile(self):
-        profile = strand_profile(braid_of_words(validate_link(["LRLRL"])))
-        assert profile.trip == ((2, 3),)
-        assert profile.crossings == 6
-        assert profile.ear_counts == (1, 2, 2, 0)
+        braid = braid_of_words(validate_link(["LRLRL"]))
+        assert braid.trip == ((2, 3),)
+        assert braid.crossings == 6
+        assert braid.ear_counts == (1, 2, 2, 0)
 
     def test_two_strand_crossing(self):
-        profile = strand_profile(braid_of_words(validate_link(["LR"])))
-        assert profile.trip == ((1, 1),)
-        assert profile.crossings == 1
-        assert profile.ear_counts == (0, 1, 1, 0)
+        braid = braid_of_words(validate_link(["LR"]))
+        assert braid.trip == ((1, 1),)
+        assert braid.crossings == 1
+        assert braid.ear_counts == (0, 1, 1, 0)
+
+    def test_fixed_strand_has_no_trip(self):
+        for letter in "LR":
+            braid = braid_of_words(validate_link([letter]))
+            assert braid.trip == ()
+            assert braid.crossings == 0
 
     def test_crossings_equal_inversions(self):
         for word in enumerate_words(11):
             braid = braid_of_words(LinkWords((word,)))
-            assert strand_profile(braid).crossings == inversion_oracle(braid.targets)
+            assert braid.crossings == inversion_oracle(braid.targets)
+
+    def test_trip_equals_the_oracle_on_every_word_to_length_12(self):
+        for word in enumerate_words(12):
+            braid = braid_of_words(LinkWords((word,)))
+            assert braid.trip == trip_oracle(braid.targets)
+
+    def test_trip_sum_mismatch_is_refused(self):
+        # the inversion count is checked against the trip the braid publishes
+        with pytest.raises(InternalInconsistencyError, match="inversion count 6"):
+            _count_crossings((3, 4, 5), (1, 2), ((2, 2),))
 
 
 LINK_WORD_POOL = enumerate_words(12)
@@ -192,7 +258,8 @@ class TestDerivedFields:
         assert braid.crossings == inversion_oracle(braid.targets)
         counter = Counter(braid.ear_type(i) for i in range(1, braid.n + 1))
         assert braid.ear_counts == tuple(counter[t] for t in EAR_TYPES)
-        assert sum(p * q for p, q in strand_profile(braid).trip) == braid.crossings
+        assert braid.trip == trip_oracle(braid.targets)
+        assert sum(p * q for p, q in braid.trip) == braid.crossings
 
     def test_fields_stay_plain_properties(self):
         # perfbench/tracer.py times these two by wrapping
@@ -253,4 +320,4 @@ class TestSerialization:
         data = braid.to_json_dict()
         rebuilt = LorenzBraid.from_json_dict(data)
         assert rebuilt == braid
-        assert data["trip"] == [list(pq) for pq in strand_profile(braid).trip]
+        assert data["trip"] == [list(pq) for pq in braid.trip]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import stat
 import sys
 
@@ -122,6 +123,25 @@ class TestConvert:
         assert code == 3
         assert out == ""
         assert "need at least 2^14285 strands" in err
+
+
+class TestRotationKeyCap:
+    # 20,000 letters sort by keys of 40,000: 8 * 10^8 key letters, about 1.2 GB
+    WORD = "L" + "".join(random.Random(20_000).choices("LR", k=19_998)) + "R"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("jones", WORD), ("word", "info", WORD), ("convert", WORD, "--to", "braid")],
+        ids=["jones", "word-info", "convert-braid"],
+    )
+    def test_long_word_exits_3_before_building_keys(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: words of 20000 letters need 800000000 rotation-key letters,"
+            " over the cap of 100000000\n"
+        )
 
 
 class TestJones:
@@ -369,6 +389,40 @@ class TestAtlas:
         run(capsys, "atlas", "build", "--max-len", "5", "--out", str(out_path))
         code, out, _ = run(capsys, "atlas", "query", str(out_path))
         assert len(out.strip().splitlines()) == 14
+
+    def test_strict_orderings_and_null(self, capsys, tmp_path):
+        out_path = tmp_path / "atlas.jsonl"
+        run(capsys, "atlas", "build", "--max-len", "6", "--out", str(out_path))
+        records = [json.loads(line) for line in out_path.read_text().splitlines()]
+
+        def query(*where):
+            argv = ["atlas", "query", str(out_path)]
+            for expression in where:
+                argv += ["--where", expression]
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            return [json.loads(line)["word"] for line in out.splitlines()]
+
+        assert query("c<3") == [r["word"] for r in records if r["c"] < 3]
+        assert query("c>3", "length<6") == [
+            r["word"] for r in records if r["c"] > 3 and r["length"] < 6
+        ]
+        # a knot not found to be torus has torus null: ordering it matches nothing
+        tori = [r["word"] for r in records if r["torus"] is not None]
+        assert 0 < len(tori) < len(records)
+        assert query("torus>=1,1") == tori
+        assert query("torus<null") == []
+        assert query("torus>2,3") == [
+            r["word"] for r in records if r["torus"] is not None and r["torus"] > [2, 3]
+        ]
+
+    def test_unorderable_filter_exit_code(self, capsys, tmp_path):
+        out_path = tmp_path / "atlas.jsonl"
+        run(capsys, "atlas", "build", "--max-len", "3", "--out", str(out_path))
+        code, out, err = run(capsys, "atlas", "query", str(out_path), "--where", "word<3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot order 'word' against 3\n"
 
     def test_bad_filter_exit_code(self, capsys, tmp_path):
         out_path = tmp_path / "atlas.jsonl"

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lorenzlinks.braid import braid_of_words, strand_profile
+from lorenzlinks.braid import braid_of_words
 from lorenzlinks.errors import NotAKnotError
 from lorenzlinks.invariants import (
     braid_index,
@@ -117,8 +117,7 @@ class TestFormulaAudit:
             if len(set(word.letters)) < 2:
                 continue
             braid = braid_of_words(LinkWords((word,)))
-            profile = strand_profile(braid)
-            lhs = sum(q * (p - 1) for p, q in profile.trip) - braid.r_count + 1
+            lhs = sum(q * (p - 1) for p, q in braid.trip) - braid.r_count + 1
             assert lhs == braid.crossings - braid.n + 1
 
     def test_record_relations(self):

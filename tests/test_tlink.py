@@ -2,7 +2,7 @@
 
 import pytest
 
-from lorenzlinks.braid import braid_generators, braid_of_words, strand_profile, words_of_braid
+from lorenzlinks.braid import braid_generators, braid_of_words, words_of_braid
 from lorenzlinks.errors import CapExceededError, InvalidParamsError
 from lorenzlinks.jones import jones_of_braid
 from lorenzlinks.tlink import MAX_STRANDS, TLinkParams, from_lorenz, t_braid_word, to_lorenz
@@ -79,7 +79,7 @@ class TestToLorenz:
         # LorenzBraid.__post_init__ re-validates everything on construction
         for pairs in [((2, 2),), ((1, 3), (4, 2)), ((2, 1), (3, 1), (5, 2))]:
             braid = to_lorenz(TLinkParams(pairs))
-            assert strand_profile(braid).trip == pairs
+            assert braid.trip == pairs
 
     def test_strand_cap_fires_before_any_allocation(self):
         # 10^30 strands could never be allocated: the cap has to fire first
@@ -103,7 +103,7 @@ class TestFromLorenz:
         for word in enumerate_words(12):
             braid = braid_of_words(LinkWords((word,)))
             params = from_lorenz(braid)
-            assert strand_profile(to_lorenz(params)).trip == params.pairs
+            assert to_lorenz(params).trip == params.pairs
 
 
 class TestCrossParametrization:
