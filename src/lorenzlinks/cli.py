@@ -399,7 +399,12 @@ def _cmd_atlas_build(args: argparse.Namespace) -> int:
 def _cmd_atlas_query(args: argparse.Namespace) -> int:
     filters = [parse_filter(expr) for expr in args.where or []]
     with open(args.atlas) as handle:
-        _emit(query_atlas(handle, filters), args.format, sys.stdout)
+        try:
+            _emit(query_atlas(handle, filters), args.format, sys.stdout)
+        except UnicodeDecodeError as exc:  # raised by the file's own line iterator
+            raise ValidationError(
+                f"{args.atlas!r} is not {exc.encoding} text: {exc.reason}"
+            ) from exc
     return 0
 
 

@@ -31,12 +31,14 @@ import math
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    CapExceededError,
     DivisionRemainderError,
     InternalInconsistencyError,
     NotCoprimeError,
     TooManyCrossingsError,
     ValidationError,
 )
+from .tlink import MAX_STRANDS
 
 DEFAULT_MAX_CROSSINGS = 20
 
@@ -358,12 +360,19 @@ def jones_torus(p: int, q: int) -> LaurentPoly:
 
     V = t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2); the
     division must be exact, and the guard raising otherwise is what certifies
-    the numerator.  Symmetric in p and q.
+    the numerator.  Symmetric in p and q.  The polynomials have O(p + q)
+    terms, so p + q over tlink.MAX_STRANDS (the strand count of the Lorenz
+    braid of [[p, q]], which ``to_lorenz`` refuses) raises CapExceededError
+    before any is built.
     """
     if p < 2 or q < 2:
         raise ValidationError("torus parameters must both be >= 2")
     if math.gcd(p, q) != 1:
         raise NotCoprimeError(f"({p}, {q}) is a torus link, not a knot")
+    if p + q > MAX_STRANDS:
+        raise CapExceededError(
+            f"torus knot ({p}, {q}) needs p + q strands, over the cap of {MAX_STRANDS}"
+        )
     numerator = (
         LaurentPoly.one()
         - LaurentPoly.var_power(p + 1)

@@ -38,13 +38,14 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import (
+    CapExceededError,
     InternalInconsistencyError,
     NotHyperbolicError,
     NotPrimitiveError,
     ParabolicError,
     ValidationError,
 )
-from .words import CyclicWord, canonicalize
+from .words import MAX_LETTERS, CyclicWord, canonicalize
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,25 @@ def _floor_surd(p: int, root: int, q: int) -> int:
     return -((p + root) // -q) - 1
 
 
+def _letter_cap_error(letters: int) -> CapExceededError:
+    # a count over Python's int-to-str digit limit is named by its bit length
+    size = letters if letters.bit_length() <= 64 else f"2^{letters.bit_length() - 1}"
+    return CapExceededError(
+        f"the decoded word has at least {size} letters, over the cap of {MAX_LETTERS}"
+    )
+
+
+def _spell_runs(period: list[int], start: int) -> str:
+    """The letters of alternating runs whose first length is quotient number
+    ``start`` of the expansion: L runs at even positions, R at odd ones."""
+    runs: list[str] = []
+    for offset, count in enumerate(period, start=start):
+        if count < 1:
+            raise InternalInconsistencyError("periodic quotient < 1")
+        runs.append(("L" if offset % 2 == 0 else "R") * count)
+    return "".join(runs)
+
+
 def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
     """The canonical cyclic word whose matrix is conjugate to ``matrix``.
 
@@ -168,7 +188,10 @@ def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
     the letter of each run decided by the parity of its position in the full
     expansion (L at even positions).  A proper power of a shorter class has
     the same fixed points, so it decodes to the primitive word and is
-    reported as an error via the trace check.
+    reported as an error via the trace check.  The period's letters are
+    counted as its quotients arrive, and again once it is doubled; over
+    MAX_LETTERS they raise CapExceededError before any run is built.  The
+    pre-period quotients, however large, name no letter and are not counted.
     """
     m = matrix.normalized()
     t = m.trace
@@ -187,24 +210,26 @@ def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
 
     quotients: list[int] = []
     start = cycle = None
+    letters = 0
     q_prev = (disc - p * p) // q
     while start is None or (p, q) != cycle:
         if start is None and 0 < p <= root < p + q and q - p <= root:
             start, cycle = len(quotients), (p, q)
         digit = _floor_surd(p, root, q)
         quotients.append(digit)
+        if start is not None:
+            letters += digit
+            if letters > MAX_LETTERS:
+                raise _letter_cap_error(letters)
         p_next = digit * q - p
         p, q, q_prev = p_next, q_prev + digit * (p - p_next), q
     period = quotients[start:]
     if len(period) % 2:
-        period = period + period
+        period, letters = period + period, 2 * letters
+        if letters > MAX_LETTERS:
+            raise _letter_cap_error(letters)
 
-    runs: list[str] = []
-    for offset, count in enumerate(period, start=start):
-        if count < 1:
-            raise InternalInconsistencyError("periodic quotient < 1")
-        runs.append(("L" if offset % 2 == 0 else "R") * count)
-    word = canonicalize("".join(runs))
+    word = canonicalize(_spell_runs(period, start))
     if matrix_of_word(word).trace != t:
         raise NotPrimitiveError(
             f"trace {t} is a proper power of the class of {word.letters!r}"

@@ -2,10 +2,11 @@
 
 A closed orbit on the Lorenz template is named by the cyclic sequence of its
 passes around the left and right lobes.  An orbit has no preferred starting
-point, so the name is a cyclic word; we store the lexicographically least
-rotation under L < R as the canonical spelling, which doubles as the wire
-form.  Periodic words are rejected (a proper power retraces the same orbit),
-and a multi-component link is a family of pairwise-distinct canonical words.
+point, so the name is a cyclic word.  ``CyclicWord`` accepts any rotation and
+stores the lexicographically least one under L < R, the canonical spelling
+and the wire form.  Periodic words are rejected (a proper power retraces the
+same orbit), words over MAX_LETTERS letters are refused before any work, and
+a multi-component link is a family of pairwise-distinct canonical words.
 
 Rotations of different words are compared through their infinite periodic
 extensions.  For aperiodic words that are not rotations of one another this
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
+    CapExceededError,
     DuplicateComponentError,
     EmptyWordError,
     PeriodicWordError,
@@ -27,6 +29,9 @@ from .errors import (
 
 ALPHABET = "LR"
 _SWAP = str.maketrans("LR", "RL")
+# at the cap the O(n^2) least rotation takes about 1 s (2-vCPU VM, Python 3.11);
+# equal to tlink.MAX_STRANDS, so every T-link the strand cap admits converts to words
+MAX_LETTERS = 100_000
 
 
 def smallest_period(letters: str) -> int:
@@ -47,28 +52,27 @@ def extend_periodic(letters: str, total: int) -> str:
     return (letters * reps)[:total]
 
 
-def _check_alphabet(raw: str) -> None:
-    if not raw:
-        raise EmptyWordError("a cyclic word needs at least one letter")
-    bad = set(raw) - set(ALPHABET)
-    if bad:
-        raise ValidationError(f"letters outside {{L, R}}: {sorted(bad)}")
-
-
 @dataclass(frozen=True)
 class CyclicWord:
-    """An aperiodic cyclic word over {L, R}, stored as its least rotation."""
+    """An aperiodic cyclic word over {L, R}.  Any rotation goes in, and its
+    least rotation is stored, so ``letters`` is always canonical."""
 
     letters: str
 
     def __post_init__(self) -> None:
-        _check_alphabet(self.letters)
-        if smallest_period(self.letters) != len(self.letters):
-            raise PeriodicWordError(f"{self.letters!r} is a proper power")
-        if self.letters != least_rotation(self.letters):
-            raise ValidationError(
-                f"{self.letters!r} is not in canonical rotation; use canonicalize()"
+        raw = self.letters
+        if len(raw) > MAX_LETTERS:
+            raise CapExceededError(
+                f"a word of {len(raw)} letters is over the cap of {MAX_LETTERS}"
             )
+        if not raw:
+            raise EmptyWordError("a cyclic word needs at least one letter")
+        bad = set(raw) - set(ALPHABET)
+        if bad:
+            raise ValidationError(f"letters outside {{L, R}}: {sorted(bad)}")
+        if smallest_period(raw) != len(raw):
+            raise PeriodicWordError(f"{raw!r} is a proper power")
+        object.__setattr__(self, "letters", least_rotation(raw))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -88,12 +92,7 @@ class CyclicWord:
 
 def canonicalize(raw: str | CyclicWord) -> CyclicWord:
     """Canonical form of a cyclic word; rejects empty and periodic input."""
-    if isinstance(raw, CyclicWord):
-        return raw
-    _check_alphabet(raw)
-    if smallest_period(raw) != len(raw):
-        raise PeriodicWordError(f"{raw!r} is a proper power")
-    return CyclicWord(least_rotation(raw))
+    return raw if isinstance(raw, CyclicWord) else CyclicWord(raw)
 
 
 def involute(word: CyclicWord | str) -> CyclicWord:
@@ -102,8 +101,7 @@ def involute(word: CyclicWord | str) -> CyclicWord:
     Applying it twice is the identity, and it is a bijection on the set of
     canonical words of each length.
     """
-    w = canonicalize(word)
-    return CyclicWord(least_rotation(w.letters.translate(_SWAP)))
+    return CyclicWord(canonicalize(word).letters.translate(_SWAP))
 
 
 @dataclass(frozen=True)

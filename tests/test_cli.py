@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, formats, atlas persistence, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -8,10 +10,13 @@ import stat
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lorenzlinks import cli, flow
+from lorenzlinks import modular as mod_mod
 from lorenzlinks.errors import BadFilterError, CapExceededError
-from lorenzlinks.words import aperiodic_count, enumerate_words
+from lorenzlinks.words import MAX_LETTERS, aperiodic_count, enumerate_words
 
 
 # Python 3.11 (and the security releases of older lines) refuses to convert
@@ -162,12 +167,24 @@ class TestJones:
         code, _, _ = run(capsys, "jones", "LRLRRRLRRR", "--jones-max-crossings", "10")
         assert code == 3
 
+    def test_torus_pair_over_the_strand_cap(self, capsys):
+        code, out, err = run(capsys, "jones", f"{10**30},{10**30 + 1}")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"error: torus knot ({10**30}, {10**30 + 1}) needs p + q strands,"
+            " over the cap of 100000\n"
+        )
+
     @needs_digit_limit
     def test_torus_integer_beyond_the_digit_limit(self, capsys):
         code, out, err = run(capsys, "jones", f"2,{BEYOND_DIGIT_LIMIT}")
         assert code == 2
         assert out == ""
         assert "torus pair" in err
+
+
+HUGE = 10**30
 
 
 class TestModular:
@@ -203,6 +220,27 @@ class TestModular:
         assert code == 2
         assert out == ""
         assert shown in err
+
+    def test_decode_huge_run_exits_3_before_any_run(self, capsys, monkeypatch):
+        def refuse(period, start):
+            raise AssertionError("runs were built")
+
+        monkeypatch.setattr(mod_mod, "_spell_runs", refuse)
+        # the class of L^N R
+        code, out, err = run(capsys, "modular", "decode", f"[[{HUGE + 1},{HUGE}],[1,1]]")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: the decoded word has at least 2^99 letters, over the cap of 100000\n"
+        )
+
+    def test_word_over_the_letter_cap_exits_3(self, capsys):
+        code, out, err = run(capsys, "modular", "encode", "L" * MAX_LETTERS + "R")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"error: a word of {MAX_LETTERS + 1} letters is over the cap of {MAX_LETTERS}\n"
+        )
 
     def test_decode_integer_beyond_the_json_digit_limit(self, capsys):
         # Python 3.11 refuses to parse ints of more than 4,300 digits with a
@@ -509,6 +547,16 @@ class TestAtlas:
         assert code == 2
         assert "atlas line 5:" in err and "Jones span" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+    def test_query_of_a_file_that_is_not_utf8_exits_2(self, capsys, tmp_path, fmt):
+        path = tmp_path / "utf16.jsonl"
+        path.write_bytes(b"\xff\xfe" + '{"word":"L"}\n'.encode("utf-16-le"))
+        code, out, err = run(capsys, "atlas", "query", str(path), "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {str(path)!r} is not ")
+        assert err.count("\n") == 1
+
     def test_query_csv_format(self, capsys, tmp_path):
         out_path = tmp_path / "atlas.jsonl"
         run(capsys, "atlas", "build", "--max-len", "3", "--out", str(out_path))
@@ -688,3 +736,109 @@ class TestHelpers:
     def test_necklace_counts_drive_build(self):
         lines = list(cli.build_atlas(6))
         assert len(lines) == sum(aperiodic_count(n) for n in range(1, 7))
+
+
+# ---------------------------------------------------------------------------
+# fuzzed command lines: "{tmp}" in an argument stands for a directory holding
+# a small valid atlas, a UTF-16 file, a corrupt atlas and nothing else
+
+_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8
+)
+_WORD = st.text("LR", max_size=12)
+_WORDISH = st.one_of(
+    _WORD,
+    _TEXT,
+    st.lists(_WORD, min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["", "LRX", "lr", "LRLR", "L" * (MAX_LETTERS + 1), BEYOND_DIGIT_LIMIT]),
+)
+_SMALL_INT = st.integers(-3, 40)
+_INTISH = st.one_of(
+    _SMALL_INT.map(str), st.sampled_from([str(HUGE), BEYOND_DIGIT_LIMIT]), _TEXT
+)
+_PAIRS = st.one_of(
+    st.lists(st.lists(_SMALL_INT, min_size=2, max_size=2), max_size=3).map(json.dumps),
+    st.sampled_from(["[[2,3]", "[[2,1e400]]", '[["a",1]]', "[[null,1]]", f"[[2,{HUGE}]]"]),
+)
+_MATRIX = st.one_of(
+    st.lists(_SMALL_INT, min_size=4, max_size=4).map(lambda v: json.dumps([v[:2], v[2:]])),
+    st.integers(1, 200).map(lambda n: f"[[{n + 1},{n}],[1,1]]"),  # the class of L^n R
+    st.sampled_from([f"[[{HUGE + 1},{HUGE}],[1,1]]", "[[2.5,1],[1,1]]", "[[1,2],[3]]", "{"]),
+)
+_FORMAT = st.sampled_from([[], ["--format", "table"], ["--format", "csv"], ["--format", "xml"]])
+_OUT = st.sampled_from(["{tmp}/out.jsonl", "{tmp}/no/such/dir.jsonl", "{tmp}"])
+_FILTER = st.one_of(
+    st.sampled_from(["genus=1", "c_min<=3", "torus=null", "word<3", "torus=[2,3]", "x=1"]),
+    _TEXT,
+)
+
+
+@st.composite
+def _argv(draw):
+    """One command line of any subcommand, with valid, malformed or oversized
+    values; "{tmp}" stands for the directory the fuzz_dir fixture fills."""
+
+    def pick(*choices):
+        return draw(st.sampled_from(choices))
+
+    command = pick("word", "convert", "jones", "modular", "flow", "build", "query", "any")
+    if command == "word":
+        return ["word", "info", draw(_WORDISH), *draw(_FORMAT)]
+    if command == "convert":
+        return ["convert", draw(_WORDISH | _PAIRS), "--to", pick("braid", "tlink", "word", "x")]
+    if command == "jones":
+        target = draw(_WORDISH | st.builds("{},{}".format, _INTISH, _INTISH))
+        return ["jones", target, "--jones-max-crossings", pick("0", "8", "20", "-1", "x")]
+    if command == "modular":
+        action = pick("encode", "decode", "rademacher", "invert")
+        return ["modular", action, draw(_WORDISH | _MATRIX), *draw(_FORMAT)]
+    if command == "flow":
+        return [
+            "flow", "itinerary",
+            "--seed-state", pick("1,1,1", "0,0,0", "1,1", "a,b,c", "nan,1,1", "1e300,1,1"),
+            "--steps", draw(st.integers(-2, 5000).map(str) | st.just(str(HUGE))),
+            "--skip-transient", pick("0", "1", "10", "-1", "nan", "inf"),
+            *pick([], ["--dt", "0.01"], ["--dt", "0"], ["--dt", "nan"], ["--dt", "0.5"]),
+            *draw(st.just([]) | _OUT.map(lambda out: ["--csv", out])),
+        ]
+    if command == "build":
+        max_len = draw(st.integers(-1, 8).map(str) | st.sampled_from(["19", str(HUGE), "x"]))
+        return [
+            "atlas", "build", "--max-len", max_len,
+            "--jones-max-crossings", pick("0", "6", "-1"), "--out", draw(_OUT),
+        ]
+    if command == "query":
+        atlas = pick("atlas.jsonl", "utf16.jsonl", "corrupt.jsonl", "missing", "")
+        filters = draw(st.lists(_FILTER, max_size=2))
+        return [
+            "atlas", "query", f"{{tmp}}/{atlas}",
+            *(arg for expression in filters for arg in ("--where", expression)),
+            *draw(_FORMAT),
+        ]
+    return draw(st.lists(_TEXT, max_size=4) | st.sampled_from([["--help"], ["atlas"]]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "atlas.jsonl").write_text("".join(line + "\n" for line in cli.build_atlas(6, 8)))
+    (path / "utf16.jsonl").write_bytes(b"\xff\xfe" + '{"word":"L"}\n'.encode("utf-16-le"))
+    (path / "corrupt.jsonl").write_text('{"word":"L","n":1}\n')
+    return path
+
+
+class TestFuzzedCli:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=_argv())
+    @example(argv=["modular", "decode", f"[[{HUGE + 1},{HUGE}],[1,1]]"])
+    @example(argv=["jones", f"{HUGE},{HUGE + 1}"])
+    @example(argv=["atlas", "query", "{tmp}/utf16.jsonl"])
+    def test_every_command_line_exits_0_2_3_or_4(self, fuzz_dir, argv):
+        argv = [arg.replace("{tmp}", str(fuzz_dir)) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse: --help, or a malformed command line
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())

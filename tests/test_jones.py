@@ -8,8 +8,10 @@ from bracket_oracle import state_sum_bracket
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lorenzlinks import jones as jones_mod
 from lorenzlinks.braid import braid_generators, braid_of_words
 from lorenzlinks.errors import (
+    CapExceededError,
     DivisionRemainderError,
     InternalInconsistencyError,
     NotCoprimeError,
@@ -270,6 +272,25 @@ class TestJonesTorus:
     def test_rejects_small_parameters(self):
         with pytest.raises(ValidationError):
             jones_torus(1, 5)
+
+    def test_strand_cap_is_inclusive(self, monkeypatch):
+        # p + q is the strand count of the Lorenz braid of [[p, q]]
+        monkeypatch.setattr(jones_mod, "MAX_STRANDS", 7)
+        assert jones_torus(3, 4) == poly({12: 1, 20: 1, 32: -1})
+        with pytest.raises(CapExceededError) as caught:
+            jones_torus(3, 5)
+        assert str(caught.value) == (
+            "torus knot (3, 5) needs p + q strands, over the cap of 7"
+        )
+
+    def test_huge_pair_is_refused_before_any_polynomial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a polynomial was built")
+
+        monkeypatch.setattr(LaurentPoly, "var_power", staticmethod(refuse))
+        p = 10**30
+        with pytest.raises(CapExceededError, match="over the cap of 100000"):
+            jones_torus(p, p + 1)
 
     def test_alternative_numerator_is_not_divisible(self):
         # 1 - t^(p-1) - t^(q-1) - t^(p+q) at (p, q) = (2, 3) fails the guard

@@ -9,7 +9,10 @@ from dedekind_oracle import direct_dedekind_sum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorenzlinks import modular as modular_mod
+from lorenzlinks import words as words_mod
 from lorenzlinks.errors import (
+    CapExceededError,
     NotHyperbolicError,
     NotPrimitiveError,
     ParabolicError,
@@ -199,6 +202,55 @@ class TestWordOfMatrix:
         m = matrix_of_word("LLR")
         negated = Mat2Z(-m.a, -m.b, -m.c, -m.d)
         assert word_of_matrix(negated).letters == "LLR"
+
+
+class TestDecodeLetterCap:
+    @pytest.fixture
+    def cap(self, monkeypatch):
+        monkeypatch.setattr(words_mod, "MAX_LETTERS", 10)
+        monkeypatch.setattr(modular_mod, "MAX_LETTERS", 10)
+        return 10
+
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        def refuse(period, start):
+            raise AssertionError("runs were built")
+
+        monkeypatch.setattr(modular_mod, "_spell_runs", refuse)
+
+    def test_running_count_is_inclusive(self, cap):
+        # L^n R is [[n + 1, n], [1, 1]]; its period is the runs (n, 1)
+        assert word_of_matrix(Mat2Z(10, 9, 1, 1)).letters == "L" * 9 + "R"
+        with pytest.raises(CapExceededError) as caught:
+            word_of_matrix(Mat2Z(11, 10, 1, 1))
+        assert str(caught.value) == (
+            "the decoded word has at least 11 letters, over the cap of 10"
+        )
+
+    def test_doubled_period_is_counted(self, cap, no_runs):
+        # L^n R^n has the one-quotient period (n), doubled: n letters, then 2n
+        with pytest.raises(CapExceededError, match="at least 12 letters"):
+            word_of_matrix(Mat2Z(37, 6, 6, 1))  # L^6 R^6
+
+    def test_doubled_period_at_the_cap_decodes(self, cap):
+        word = canonicalize("LLLLLRRRRR")
+        assert word_of_matrix(matrix_of_word(word)) == word
+
+    def test_huge_run_is_refused_before_any_run(self, no_runs):
+        n = 10**30
+        with pytest.raises(CapExceededError) as caught:
+            word_of_matrix(Mat2Z(n + 1, n, 1, 1))
+        assert str(caught.value) == (
+            "the decoded word has at least 2^99 letters, over the cap of 100000"
+        )
+
+    def test_pre_period_quotients_are_not_counted(self):
+        # conjugating by L^k or R^k puts a quotient near k before the period
+        word = canonicalize("LLRLRRLR")
+        k = 10**50
+        for conjugator in (Mat2Z(1, k, 0, 1), Mat2Z(1, 0, k, 1)):
+            conjugated = conjugator * matrix_of_word(word) * conjugator.inverse()
+            assert word_of_matrix(conjugated) == word
 
 
 class TestDedekindSum:

@@ -2,13 +2,18 @@
 
 import pytest
 
+from lorenzlinks import words as words_mod
 from lorenzlinks.errors import (
+    CapExceededError,
     DuplicateComponentError,
     EmptyWordError,
     PeriodicWordError,
     ValidationError,
 )
+from lorenzlinks.modular import matrix_of_word, rademacher_psi, word_of_matrix
+from lorenzlinks.tlink import MAX_STRANDS
 from lorenzlinks.words import (
+    MAX_LETTERS,
     CyclicWord,
     aperiodic_count,
     canonicalize,
@@ -80,9 +85,77 @@ class TestCanonicalize:
                     with pytest.raises(PeriodicWordError):
                         canonicalize(s)
 
-    def test_direct_construction_enforces_canonical(self):
-        with pytest.raises(ValidationError):
-            CyclicWord("RL")
+    def test_direct_construction_canonicalizes(self):
+        assert CyclicWord("RL").letters == "LR"
+        for n in range(1, 9):
+            for bits in range(2**n):
+                s = "".join("LR"[(bits >> i) & 1] for i in range(n))
+                if brute_is_aperiodic(s):
+                    assert CyclicWord(s) == canonicalize(s)
+                    assert CyclicWord(s).letters == brute_least_rotation(s)
+                else:
+                    with pytest.raises(PeriodicWordError) as caught:
+                        CyclicWord(s)
+                    assert str(caught.value) == f"{s!r} is a proper power"
+
+
+class TestLeastRotationOnce:
+    """Each canonical word is made by exactly one least rotation."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+
+        def counting(letters):
+            counted.append(letters)
+            return least_rotation(letters)
+
+        monkeypatch.setattr(words_mod, "least_rotation", counting)
+        return counted
+
+    def test_canonicalize_a_string(self, calls):
+        assert canonicalize("RLRLL").letters == "LLRLR"
+        assert calls == ["RLRLL"]
+
+    def test_involute_a_word(self, calls):
+        word = canonicalize("LLRLR")
+        calls.clear()
+        assert involute(word).letters == "LRLRR"
+        assert calls == ["RRLRL"]
+
+    def test_modular_unit(self, calls):
+        matrix = matrix_of_word("RLRLLRRL")
+        decoded = word_of_matrix(matrix)
+        assert rademacher_psi(matrix) == 0
+        assert decoded.letters == "LLRRLRLR"
+        assert len(calls) == 2
+
+
+class TestLetterCap:
+    @pytest.fixture
+    def cap(self, monkeypatch):
+        monkeypatch.setattr(words_mod, "MAX_LETTERS", 12)
+        return 12
+
+    def test_cap_covers_every_t_link_the_strand_cap_admits(self):
+        assert MAX_LETTERS >= MAX_STRANDS
+
+    def test_cap_is_inclusive(self, cap):
+        assert len(CyclicWord("R" + "L" * (cap - 1))) == cap
+        with pytest.raises(CapExceededError) as caught:
+            CyclicWord("R" + "L" * cap)
+        assert str(caught.value) == f"a word of {cap + 1} letters is over the cap of {cap}"
+
+    def test_cap_is_checked_before_the_letters(self, cap, monkeypatch):
+        def refuse(letters):
+            raise AssertionError("the word was read")
+
+        monkeypatch.setattr(words_mod, "smallest_period", refuse)
+        monkeypatch.setattr(words_mod, "least_rotation", refuse)
+        with pytest.raises(CapExceededError):
+            CyclicWord("X" * (cap + 1))
+        with pytest.raises(CapExceededError):
+            canonicalize("LR" * cap)
 
 
 class TestValidateLink:
