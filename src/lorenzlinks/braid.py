@@ -7,9 +7,11 @@ that round the right lobe move leftward behind them.  Every crossing is
 positive, the dynamics sign convention used throughout this package.
 
 Construction from words: every rotation of every component word is one
-strand.  Rotations are sorted by their infinite periodic extensions (a
+strand.  Rotations are ranked by their infinite periodic extensions (a
 tie-free order for valid word families), and the strand starting at the rank
-of rotation r ends at the rank of r shifted by one letter.
+of rotation r ends at the rank of r shifted by one letter.  Bounded prefixes
+of the extensions are sorted, then ranks double until no two tie, so no
+rotation is spelled and memory is linear in the letter count.
 
 A braid's crossing count, ear-type counts and trip are computed once, when
 it is built.  The trip groups the rightward strands into (displacement p,
@@ -21,22 +23,20 @@ them in O(n)) and as the trip sum, sum p * q.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
+from itertools import accumulate, groupby
 from typing import NamedTuple
 
-from .errors import CapExceededError, InternalInconsistencyError
-from .words import CyclicWord, LinkWords, canonicalize, extend_periodic
+from .errors import InternalInconsistencyError
+from .words import CyclicWord, LinkWords, canonicalize
 
 EAR_TYPES = ("LL", "LR", "RL", "RR")
 
-# letters of rotation keys braid_of_words builds at most: one key of
-# 2 * max|w| letters per rotation, N rotations for N letters in all.  At the
-# cap (one word of about 7,000 letters, or a long word among many short
-# ones) the keys peak near 150 MB under tracemalloc and the braid takes about
-# 0.3 s on a 2-vCPU Xeon VM under Python 3.11; both grow as N * max|w|.
-MAX_KEY_LETTERS = 100_000_000
+# letters in each rotation's first sort key: the keys hold N * SEED letters
+# for N letters in all, and every atlas word (at most 18 letters, so keys of
+# at most 36) is ordered by this first sort alone, as by a full-key sort
+SEED = 64
 
 
 class Crossing(NamedTuple):
@@ -121,10 +121,6 @@ class LorenzBraid:
     @property
     def l_count(self) -> int:
         return sum(1 for letter in self.letters if letter == "L")
-
-    @property
-    def r_count(self) -> int:
-        return self.n - self.l_count
 
     @property
     def component_count(self) -> int:
@@ -245,64 +241,85 @@ def _count_crossings(
     return inversions
 
 
-def _sorted_rotations(link: LinkWords, key_len: int) -> list[tuple[str, int, int]]:
-    """All rotations as (spelling, component, offset), ordered by their
-    periodic extensions to ``key_len`` letters."""
-    keyed = [
-        (extend_periodic(spelling, key_len), spelling, ci, k)
-        for ci, word in enumerate(link.words)
-        for k, spelling in enumerate(word.rotations())
-    ]
-    keyed.sort(key=itemgetter(0))
-    for (key, spelling, _, _), (next_key, _, _, _) in zip(keyed, keyed[1:]):
-        if key == next_key:
-            raise InternalInconsistencyError(f"rotation order tied on {spelling!r}")
-    return [(spelling, ci, k) for _, spelling, ci, k in keyed]
+def _rotation_ranks(texts: list[str]) -> list[list[int]]:
+    """Per word, the 0-based rank of each rotation among all rotations of
+    all the words, by periodic extension.
+
+    Prefixes of min(SEED, 2 * max|w|) letters are sorted first.  Then ranks
+    double: the 2s-prefix from rotation k is the s-prefix from k followed by
+    the s-prefix from k + s, so the pair of their ranks orders it.  Rotations
+    still tied at 2 * max|w| letters have equal extensions, which no valid
+    word family has.
+    """
+    key_len = 2 * max(len(text) for text in texts)
+    span = min(key_len, SEED)
+    starts = [0, *accumulate(len(text) for text in texts)]
+    first: list = []
+    for text in texts:
+        extension = text * (span // len(text) + 2)
+        first.extend(extension[k : k + span] for k in range(len(text)))
+    second = first
+    indices = list(range(len(first)))  # ints made once, not once per round
+    order = sorted(indices, key=first.__getitem__)
+    while True:
+        rank = [0] * len(order)
+        tied = prev = -1
+        for pos, at in zip(indices, order):
+            if pos and first[at] == first[prev] and second[at] == second[prev]:
+                rank[at] = rank[prev]
+                if tied < 0:
+                    tied = prev
+            else:
+                rank[at] = pos
+            prev = at
+        if tied < 0 or span >= key_len:
+            break
+        first, second = rank, []
+        for text, start in zip(texts, starts):
+            mid = start + span % len(text)
+            second.extend(rank[mid : start + len(text)] + rank[start:mid])
+        # two stable sorts order by (first, second) without building pairs
+        order = sorted(indices, key=second.__getitem__)
+        order.sort(key=first.__getitem__)
+        span *= 2
+    if tied >= 0:
+        i = bisect_right(starts, tied) - 1
+        k, text = tied - starts[i], texts[i]
+        raise InternalInconsistencyError(f"rotation order tied on {text[k:] + text[:k]!r}")
+    return [rank[start : start + len(text)] for text, start in zip(texts, starts)]
 
 
 def braid_of_words(link: LinkWords) -> LorenzBraid:
     """The Lorenz braid whose closure is the link named by ``link``.
 
-    The strand count is the total letter count; strand i is overcrossing
-    exactly when its rotation begins with L (fixed strands of the degenerate
-    one-letter words excepted).  Rotations are sorted by keys of twice the
-    longest word's length; when those keys would hold more than
-    MAX_KEY_LETTERS letters it raises CapExceededError before building any.
+    The strand at the rank of a rotation ends at the rank of the rotation
+    one letter on, and is overcrossing exactly when the rotation begins with
+    L (fixed strands of the degenerate one-letter words excepted).  The
+    ranks take memory linear in the letter count, so words.MAX_LETTERS is
+    the one cap on a word's size.
     """
-    total = sum(len(word) for word in link.words)
-    key_len = 2 * max(len(word) for word in link.words)
-    key_letters = total * key_len
-    if key_letters > MAX_KEY_LETTERS:
-        raise CapExceededError(
-            f"words of {total} letters need {key_letters} rotation-key letters,"
-            f" over the cap of {MAX_KEY_LETTERS}"
-        )
-    rotations = _sorted_rotations(link, key_len)
-    rank = {(ci, k): pos for pos, (_, ci, k) in enumerate(rotations, start=1)}
-    n = len(rotations)
-    targets = [0] * n
-    letters = [""] * n
-    components = [0] * n
-    for pos, (spelling, ci, k) in enumerate(rotations, start=1):
-        length = len(link.words[ci])
-        targets[pos - 1] = rank[(ci, (k + 1) % length)]
-        letters[pos - 1] = spelling[0]
-        components[pos - 1] = ci
+    texts = [word.letters for word in link.words]
+    n = sum(len(text) for text in texts)
+    targets, letters, components = [0] * n, [""] * n, [0] * n
+    for ci, (text, block) in enumerate(zip(texts, _rotation_ranks(texts))):
+        for pos, next_pos, letter in zip(block, block[1:] + block[:1], text):
+            targets[pos] = next_pos + 1
+            letters[pos] = letter
+            components[pos] = ci
     return LorenzBraid(n, tuple(targets), tuple(letters), tuple(components))
 
 
 def position_sequences(link: LinkWords) -> list[tuple[int, ...]]:
     """Per component, the rank of each successive rotation of the word.
 
-    Element k of a sequence is the sorted position of the rotation starting k
+    Element k of a sequence is the 1-based rank of the rotation starting k
     letters into the canonical spelling; the braid strand starting at rank k
     ends at rank k+1.  The canonical spelling is its word's least rotation,
     so each sequence is its component's braid cycle, which starts at its
     least position.
     """
-    braid = braid_of_words(link)
-    by_component = {braid.components[cycle[0] - 1]: cycle for cycle in braid.cycles()}
-    return [by_component[ci] for ci in range(len(link.words))]
+    blocks = _rotation_ranks([word.letters for word in link.words])
+    return [tuple(rank + 1 for rank in block) for block in blocks]
 
 
 def words_of_braid(braid: LorenzBraid) -> list[CyclicWord]:

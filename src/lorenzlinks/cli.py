@@ -34,6 +34,7 @@ from .errors import (
     CapExceededError,
     NonFiniteError,
     ResourceCapError,
+    TooManyCrossingsError,
     ValidationError,
 )
 
@@ -301,10 +302,11 @@ def _cmd_jones(args: argparse.Namespace) -> int:
     else:
         link = words_mod.validate_link(tokens)
         braid = braid_mod.braid_of_words(link)
+        cap = args.jones_max_crossings
+        if braid.crossings > cap:  # refused before one crossing is built
+            raise TooManyCrossingsError(f"{braid.crossings} crossings exceeds the limit of {cap}")
         gens = braid_mod.braid_generators(braid)
-        poly = jones_mod.jones_of_braid(
-            gens, braid.n, max_crossings=args.jones_max_crossings
-        )
+        poly = jones_mod.jones_of_braid(gens, braid.n, max_crossings=cap)
         source = ",".join(str(w) for w in link.words)
     payload = {
         "source": source,

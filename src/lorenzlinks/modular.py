@@ -87,10 +87,6 @@ class Mat2Z:
     def trace(self) -> int:
         return self.a + self.d
 
-    @property
-    def is_hyperbolic(self) -> bool:
-        return abs(self.trace) > 2
-
     def __mul__(self, other: "Mat2Z") -> "Mat2Z":
         return Mat2Z(
             self.a * other.a + self.b * other.c,

@@ -29,8 +29,10 @@ from .errors import (
 
 ALPHABET = "LR"
 _SWAP = str.maketrans("LR", "RL")
-# at the cap the O(n^2) least rotation takes about 1 s (2-vCPU VM, Python 3.11);
-# equal to tlink.MAX_STRANDS, so every T-link the strand cap admits converts to words
+# the one cap on a word's length (the braid's rotation ranks take memory
+# linear in it); at the cap the O(n^2) least rotation takes about 1 s (2-vCPU
+# VM, Python 3.11); equal to tlink.MAX_STRANDS, so every T-link the strand
+# cap admits converts to words
 MAX_LETTERS = 100_000
 
 
@@ -44,12 +46,6 @@ def least_rotation(letters: str) -> str:
     doubled = letters + letters
     n = len(letters)
     return min(doubled[i : i + n] for i in range(n))
-
-
-def extend_periodic(letters: str, total: int) -> str:
-    """Length-``total`` prefix of the infinite periodic extension of ``letters``."""
-    reps = -(-total // len(letters))
-    return (letters * reps)[:total]
 
 
 @dataclass(frozen=True)
@@ -79,15 +75,6 @@ class CyclicWord:
 
     def __str__(self) -> str:
         return self.letters
-
-    def rotation(self, k: int) -> str:
-        """The spelling that starts k letters into the canonical one."""
-        k %= len(self.letters)
-        return self.letters[k:] + self.letters[:k]
-
-    def rotations(self) -> list[str]:
-        """All rotations in orbit order, starting from the canonical spelling."""
-        return [self.rotation(k) for k in range(len(self.letters))]
 
 
 def canonicalize(raw: str | CyclicWord) -> CyclicWord:
@@ -129,10 +116,6 @@ class LinkWords:
     @property
     def component_count(self) -> int:
         return len(self.words)
-
-    @property
-    def total_letters(self) -> int:
-        return sum(len(w) for w in self.words)
 
 
 def validate_link(words: Iterable[str | CyclicWord]) -> LinkWords:

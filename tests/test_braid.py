@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from lorenzlinks import braid as braid_mod
 from lorenzlinks.braid import (
     EAR_TYPES,
-    MAX_KEY_LETTERS,
     LorenzBraid,
     _count_crossings,
     braid_generators,
@@ -20,7 +19,7 @@ from lorenzlinks.braid import (
     position_sequences,
     words_of_braid,
 )
-from lorenzlinks.errors import CapExceededError, InternalInconsistencyError
+from lorenzlinks.errors import InternalInconsistencyError
 from lorenzlinks.tlink import TLinkParams, to_lorenz
 from lorenzlinks.words import LinkWords, enumerate_words, validate_link
 
@@ -55,19 +54,38 @@ def linking_oracle(braid):
     return [[counts[a][b] // 2 for b in range(mu)] for a in range(mu)]
 
 
-def position_sequences_oracle(link):
-    """Rank every rotation by its periodic extension to twice the longest word
-    and read off each word's ranks in rotation order: the sort and rank map
-    that position_sequences ran before it read the braid's cycles."""
+def sorted_rotations_oracle(link):
+    """Every rotation as (spelling, component, offset), sorted by its periodic
+    extension to twice the longest word: the key sort braid_of_words ran
+    before it ranked rotations by prefix doubling."""
     key_len = 2 * max(len(w) for w in link.words)
-    keyed = sorted(
-        ((word.rotation(k) * key_len)[:key_len], ci, k)
-        for ci, word in enumerate(link.words)
-        for k in range(len(word))
-    )
-    assert len({key for key, _, _ in keyed}) == len(keyed)  # a tie-free order
-    rank = {(ci, k): pos for pos, (_, ci, k) in enumerate(keyed, start=1)}
+    keyed = []
+    for ci, word in enumerate(link.words):
+        text = word.letters
+        for k in range(len(text)):
+            spelling = text[k:] + text[:k]
+            keyed.append(((spelling * key_len)[:key_len], spelling, ci, k))
+    keyed.sort(key=lambda entry: entry[0])
+    assert len({key for key, _, _, _ in keyed}) == len(keyed)  # a tie-free order
+    return [(spelling, ci, k) for _, spelling, ci, k in keyed]
+
+
+def position_sequences_oracle(link):
+    """Each word's rotation ranks in rotation order, read off the key sort:
+    the rank map that position_sequences ran before it read the braid's
+    cycles."""
+    rank = {(ci, k): pos for pos, (_, ci, k) in enumerate(sorted_rotations_oracle(link), start=1)}
     return [tuple(rank[ci, k] for k in range(len(word))) for ci, word in enumerate(link.words)]
+
+
+def braid_oracle(link):
+    """The whole braid built from the key sort, as braid_of_words built it."""
+    rotations = sorted_rotations_oracle(link)
+    rank = {(ci, k): pos for pos, (_, ci, k) in enumerate(rotations, start=1)}
+    targets = tuple(rank[ci, (k + 1) % len(link.words[ci])] for _, ci, k in rotations)
+    letters = tuple(spelling[0] for spelling, _, _ in rotations)
+    components = tuple(ci for _, ci, _ in rotations)
+    return LorenzBraid(len(rotations), targets, letters, components)
 
 
 def word_sets_up_to(total):
@@ -154,40 +172,66 @@ class TestBraidOfWords:
         assert fixed.displacement(1) == 0
 
 
-class TestKeyCap:
-    # one word of N letters needs N * 2N rotation-key letters
-    OVER = 7072  # 100,026,368 letters
-    AT = 7071  # 99,998,082 letters
+def seeded_links(count, seed=1729):
+    rng = random.Random(seed)
+    pool = enumerate_words(12)
+    return [LinkWords(tuple(rng.sample(pool, rng.randint(2, 5)))) for _ in range(count)]
 
-    @pytest.fixture
-    def no_keys(self, monkeypatch):
-        def refuse(link, key_len):
-            raise AssertionError("rotation keys were built")
 
-        monkeypatch.setattr(braid_mod, "_sorted_rotations", refuse)
+class TestRotationRanks:
+    """The prefix-doubling order against the key sort, with the doubling
+    forced by a one- or two-letter seed."""
 
-    def test_cap_fires_before_any_key_is_built(self, no_keys):
-        link = validate_link(["L" + "R" * (self.OVER - 1)])
-        with pytest.raises(CapExceededError) as caught:
+    @pytest.fixture(params=[None, 1, 2], ids=["seed-default", "seed-1", "seed-2"])
+    def seed(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(braid_mod, "SEED", request.param)
+
+    def test_every_word_to_length_12(self, seed):
+        for word in enumerate_words(12):
+            link = LinkWords((word,))
+            assert braid_of_words(link) == braid_oracle(link), word
+
+    def test_every_word_set_to_12_letters(self, seed):
+        for words in word_sets_up_to(12):
+            link = LinkWords(words)
+            assert braid_of_words(link) == braid_oracle(link), words
+
+    def test_seeded_links(self, seed):
+        for link in seeded_links(3000):
+            assert braid_of_words(link) == braid_oracle(link), link
+
+    def test_forged_equal_words_tie(self):
+        # LinkWords refuses two equal words; bypass its check
+        link = object.__new__(LinkWords)
+        object.__setattr__(link, "words", tuple(validate_link(["LLR"]).words) * 2)
+        with pytest.raises(InternalInconsistencyError, match="rotation order tied on 'LLR'"):
             braid_of_words(link)
-        assert str(caught.value) == (
-            f"words of {self.OVER} letters need {self.OVER * 2 * self.OVER}"
-            f" rotation-key letters, over the cap of {MAX_KEY_LETTERS}"
-        )
 
-    def test_cap_is_inclusive(self, no_keys):
-        assert self.AT * 2 * self.AT <= MAX_KEY_LETTERS < self.OVER * 2 * self.OVER
-        with pytest.raises(AssertionError, match="rotation keys were built"):
-            braid_of_words(validate_link(["L" + "R" * (self.AT - 1)]))
 
-    def test_cap_counts_every_component(self, no_keys):
-        # a long word's keys are built for the short words' rotations too
-        long_word = "L" + "R" * 5999
-        short = [str(w) for w in enumerate_words(12) if len(w) == 12][:200]
-        link = validate_link([long_word, *short])
-        assert 6000 * 12_000 <= MAX_KEY_LETTERS < (6000 + 200 * 12) * 12_000
-        with pytest.raises(CapExceededError, match="words of 8400 letters"):
-            braid_of_words(link)
+class TestLongWords:
+    """Words far beyond the atlas lengths, once refused by a rotation-key cap."""
+
+    WORDS = {
+        "random": "L" + "".join(random.Random(20_000).choices("LR", k=19_998)) + "R",
+        "one-R": "L" * 19_999 + "R",
+        "one-L": "L" + "R" * 19_999,
+    }
+
+    @pytest.mark.parametrize("name", WORDS)
+    def test_strand_order_is_rotation_order(self, name):
+        # distinct rotations of one aperiodic word differ within their length,
+        # so their order as plain strings is their periodic-extension order
+        link = validate_link([self.WORDS[name]])
+        text = link.words[0].letters
+        offset_at = [0] * len(text)
+        for k, pos in enumerate(position_sequences(link)[0]):
+            offset_at[pos - 1] = k
+        prev = None
+        for k in offset_at:
+            rotation = text[k:] + text[:k]
+            assert prev is None or prev < rotation
+            prev = rotation
 
 
 class TestPositionSequences:

@@ -8,15 +8,18 @@ import os
 import random
 import stat
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lorenzlinks import braid as braid_mod
 from lorenzlinks import cli, flow
 from lorenzlinks import modular as mod_mod
+from lorenzlinks.braid import braid_of_words
 from lorenzlinks.errors import BadFilterError, CapExceededError
-from lorenzlinks.words import MAX_LETTERS, aperiodic_count, enumerate_words
+from lorenzlinks.words import MAX_LETTERS, aperiodic_count, enumerate_words, validate_link
 
 
 # Python 3.11 (and the security releases of older lines) refuses to convert
@@ -130,23 +133,47 @@ class TestConvert:
         assert "need at least 2^14285 strands" in err
 
 
-class TestRotationKeyCap:
-    # 20,000 letters sort by keys of 40,000: 8 * 10^8 key letters, about 1.2 GB
+class TestLongWord:
+    # 20,000 letters: 8 * 10^8 letters of full-length rotation keys, which a
+    # key sort would hold at once; ranking by prefix doubling holds N * SEED
     WORD = "L" + "".join(random.Random(20_000).choices("LR", k=19_998)) + "R"
 
     @pytest.mark.parametrize(
         "argv",
-        [("jones", WORD), ("word", "info", WORD), ("convert", WORD, "--to", "braid")],
-        ids=["jones", "word-info", "convert-braid"],
+        [("word", "info", WORD), ("convert", WORD, "--to", "braid")],
+        ids=["word-info", "convert-braid"],
     )
-    def test_long_word_exits_3_before_building_keys(self, capsys, argv):
+    def test_long_word_succeeds(self, capsys, argv):
         code, out, err = run(capsys, *argv)
-        assert code == 3
-        assert out == ""
-        assert err == (
-            "error: words of 20000 letters need 800000000 rotation-key letters,"
-            " over the cap of 100000000\n"
-        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["n"] == 20_000
+        assert sorted(payload["targets"]) == list(range(1, 20_001))
+
+    def test_jones_refuses_before_any_crossing_is_built(self, capsys, monkeypatch):
+        crossings = braid_of_words(validate_link([self.WORD])).crossings
+
+        def refuse(braid):
+            raise AssertionError("crossings were built")
+
+        monkeypatch.setattr(braid_mod, "braid_generators", refuse)
+        code, out, err = run(capsys, "jones", self.WORD)
+        assert (code, out) == (3, "")
+        assert err == f"error: {crossings} crossings exceeds the limit of 20\n"
+
+    def test_word_info_at_the_letter_cap_has_bounded_memory(self, capsys):
+        # one R among L's: its rotations share the longest prefixes, so the
+        # ranks take the most doubling rounds
+        word = "L" * (MAX_LETTERS - 1) + "R"
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "word", "info", word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n"] == MAX_LETTERS
+        assert peak < 64 * 2**20
 
 
 class TestJones:

@@ -117,7 +117,7 @@ class TestFormulaAudit:
             if len(set(word.letters)) < 2:
                 continue
             braid = braid_of_words(LinkWords((word,)))
-            lhs = sum(q * (p - 1) for p, q in braid.trip) - braid.r_count + 1
+            lhs = sum(q * (p - 1) for p, q in braid.trip) - (braid.n - braid.l_count) + 1
             assert lhs == braid.crossings - braid.n + 1
 
     def test_record_relations(self):

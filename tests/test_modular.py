@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from math import floor
 
 import pytest
 from dedekind_oracle import direct_dedekind_sum
@@ -80,6 +81,20 @@ def product_oracle(letters):
     return product
 
 
+def _sawtooth(x):
+    if x.denominator == 1:
+        return Fraction(0)
+    return x - floor(x) - Fraction(1, 2)
+
+
+def fraction_dedekind_sum(h, k):
+    """The oracle's earlier form: every sawtooth term in ``Fraction``s."""
+    return sum(
+        (_sawtooth(Fraction(i, k)) * _sawtooth(Fraction(h * i, k)) for i in range(1, k)),
+        Fraction(0),
+    )
+
+
 def _sign(value):
     return (value > 0) - (value < 0)
 
@@ -130,7 +145,8 @@ class TestMatrixOfWord:
 
     def test_trace_is_rotation_invariant(self):
         for word in mixed_words(8):
-            traces = {product_oracle(rotation).trace for rotation in word.rotations()}
+            text = word.letters
+            traces = {product_oracle(text[k:] + text[:k]).trace for k in range(len(text))}
             assert traces == {matrix_of_word(word).trace}
 
     def test_single_letter_is_parabolic(self):
@@ -254,6 +270,11 @@ class TestDecodeLetterCap:
 
 
 class TestDedekindSum:
+    def test_integer_oracle_equals_the_fraction_form(self):
+        for k in range(1, 31):
+            for h in range(-2 * k, 2 * k + 1):
+                assert direct_dedekind_sum(h, k) == fraction_dedekind_sum(h, k), (h, k)
+
     def test_small_values(self):
         assert dedekind_sum(1, 1) == 0
         assert dedekind_sum(1, 2) == 0

@@ -18,7 +18,6 @@ from lorenzlinks.words import (
     aperiodic_count,
     canonicalize,
     enumerate_words,
-    extend_periodic,
     involute,
     least_rotation,
     validate_link,
@@ -162,7 +161,7 @@ class TestValidateLink:
     def test_three_component_example(self):
         link = validate_link(["LRLRL", "LRLRLRL", "LRLRRRLRRR"])
         assert link.component_count == 3
-        assert link.total_letters == 22
+        assert sum(len(w) for w in link.words) == 22
 
     def test_duplicate_cyclic_words(self):
         with pytest.raises(DuplicateComponentError):
@@ -229,14 +228,10 @@ class TestExtensionOrder:
         words = enumerate_words(8)
         keys = set()
         for w in words:
-            for rotation in w.rotations():
-                key = extend_periodic(rotation, 16)
+            for k in range(len(w)):
+                key = ((w.letters[k:] + w.letters[:k]) * 16)[:16]
                 assert key not in keys
                 keys.add(key)
-
-    def test_extension_prefix(self):
-        assert extend_periodic("LR", 5) == "LRLRL"
-        assert extend_periodic("L", 3) == "LLL"
 
     def test_least_rotation_agrees_with_brute_force(self):
         for s in ("LRRLRL", "RRRL", "LRLLRR"):
