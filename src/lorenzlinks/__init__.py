@@ -26,7 +26,6 @@ from .invariants import (
 )
 from .jones import (
     LaurentPoly,
-    divide_exact,
     jones_of_braid,
     jones_torus,
     kauffman_bracket,
@@ -72,7 +71,6 @@ __all__ = [
     "canonicalize",
     "compute_record",
     "dedekind_sum",
-    "divide_exact",
     "enumerate_words",
     "equilibria",
     "euler_characteristic",

@@ -34,7 +34,6 @@ from .errors import (
     CapExceededError,
     NonFiniteError,
     ResourceCapError,
-    TooManyCrossingsError,
     ValidationError,
 )
 
@@ -303,8 +302,7 @@ def _cmd_jones(args: argparse.Namespace) -> int:
         link = words_mod.validate_link(tokens)
         braid = braid_mod.braid_of_words(link)
         cap = args.jones_max_crossings
-        if braid.crossings > cap:  # refused before one crossing is built
-            raise TooManyCrossingsError(f"{braid.crossings} crossings exceeds the limit of {cap}")
+        jones_mod._check_crossings(braid.crossings, cap)  # before one crossing is built
         gens = braid_mod.braid_generators(braid)
         poly = jones_mod.jones_of_braid(gens, braid.n, max_crossings=cap)
         source = ",".join(str(w) for w in link.words)

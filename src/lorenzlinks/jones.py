@@ -8,13 +8,16 @@ reached so far with their polynomials and closes each strand position as
 soon as its last generator has been applied, so its cost follows the number
 of live partial diagrams instead of the 2^c smoothings of the state sum.
 Each diagram's polynomial in u = A^-2 is packed into one integer, one slot
-of W bits per power of u, with W derived from the braid so that the single
-surviving value decodes uniquely; see `kauffman_bracket`.
+of W = c + n + 1 bits per power of u, and every strand position but one,
+untouched ones included, is closed inside that integer; see
+`kauffman_bracket`.
 
 Multiplying by (-A)^(-3w) (writhe w = c, every crossing positive) and
 substituting t = A^-4 gives the Jones polynomial under the dynamics
 chirality convention, which fixes V(trefoil) = t + t^3 - t^4; the mirror is
-t -> 1/t and is never applied implicitly.
+t -> 1/t and is never applied implicitly.  Both steps together map each
+bracket term to one Jones term, so `jones_of_braid` reads every coefficient
+once.
 
 Torus knots additionally have the closed form
 
@@ -23,6 +26,9 @@ Torus knots additionally have the closed form
 whose division is performed exactly and guarded: a numerator not divisible by
 1 - t^2 raises instead of rounding.  Jones polynomials for multi-component
 links are only available through the bracket.
+
+`LaurentPoly` is the read-only value both evaluators return; it carries no
+arithmetic.
 """
 
 from __future__ import annotations
@@ -49,7 +55,8 @@ class LaurentPoly:
     The key e stands for var**(e/4).  Quarter units let one exact type carry
     both the bracket variable (integer exponents, stored as multiples of 4)
     and the Jones variable, whose exponents for links live in (1/2)Z.  Zero
-    coefficients are never stored; all arithmetic is exact over the integers.
+    coefficients are never stored.  The value is read-only: it is built once
+    from a mapping or from pairs and then read through `pairs` and `format`.
     """
 
     __slots__ = ("_coeffs",)
@@ -62,26 +69,6 @@ class LaurentPoly:
             if coefficient:
                 cleaned[int(exponent)] = cleaned.get(int(exponent), 0) + int(coefficient)
         self._coeffs = {e: c for e, c in cleaned.items() if c}
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, coefficient: int, quarter_exponent: int) -> "LaurentPoly":
-        return cls({quarter_exponent: coefficient})
-
-    @classmethod
-    def var_power(cls, exponent: int) -> "LaurentPoly":
-        """var**exponent for integer ``exponent`` (stored as 4 * exponent)."""
-        return cls({4 * exponent: 1})
-
-    def items(self):
-        return self._coeffs.items()
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Sorted (quarter_exponent, coefficient) pairs; the wire form."""
@@ -98,51 +85,11 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash(self.pairs())
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    def __pow__(self, power: int) -> "LaurentPoly":
-        if power < 0:
-            raise ValidationError("negative powers are not defined for polynomials")
-        result, base = LaurentPoly.one(), self
-        while power:
-            if power & 1:
-                result = result * base
-            base = base * base
-            power >>= 1
-        return result
-
-    def map_exponents(self, fn) -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e, c in self._coeffs.items():
-            new = fn(e)
-            if new in out:
-                raise InternalInconsistencyError("exponent map is not injective")
-            out[new] = c
-        return LaurentPoly(out)
-
     def __repr__(self) -> str:
         return f"LaurentPoly({self.format()!r})"
 
-    def format(self, var: str = "t") -> str:
-        """Human-readable form, fractional exponents rendered as e/4 or e/2."""
+    def format(self) -> str:
+        """Human-readable form in t, fractional exponents rendered as e/4 or e/2."""
         if not self._coeffs:
             return "0"
         chunks: list[str] = []
@@ -156,7 +103,7 @@ class LaurentPoly:
                     exp = f"({e // 2}/2)"
                 else:
                     exp = f"({e}/4)"
-                power = var if exp == "1" else f"{var}^{exp}"
+                power = "t" if exp == "1" else f"t^{exp}"
                 body = power if abs(c) == 1 else f"{abs(c)}*{power}"
             sign = "-" if c < 0 else "+"
             chunks.append(f"{sign} {body}")
@@ -164,41 +111,10 @@ class LaurentPoly:
         return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
 
 
-def divide_exact(numerator: LaurentPoly, denominator: LaurentPoly) -> LaurentPoly:
-    """Exact Laurent division; raises DivisionRemainderError if inexact."""
-    if not denominator:
-        raise ValidationError("division by the zero polynomial")
-    if not numerator:
-        return LaurentPoly.zero()
-    remainder = dict(numerator.items())
-    den = sorted(denominator.items())
-    den_lead_exp, den_lead_coeff = den[-1]
-    den_min_exp = den[0][0]
-    min_quotient_exp = min(remainder) - den_min_exp
-    quotient: dict[int, int] = {}
-    while remainder:
-        lead_exp = max(remainder)
-        lead_coeff = remainder[lead_exp]
-        shift = lead_exp - den_lead_exp
-        if lead_coeff % den_lead_coeff or shift < min_quotient_exp:
-            raise DivisionRemainderError("division left a nonzero remainder")
-        q = lead_coeff // den_lead_coeff
-        quotient[shift] = quotient.get(shift, 0) + q
-        for e, c in den:
-            target = e + shift
-            value = remainder.get(target, 0) - q * c
-            if value:
-                remainder[target] = value
-            else:
-                remainder.pop(target, None)
-    return LaurentPoly(quotient)
-
-
-def _crossing_positions(crossings: Sequence) -> list[int]:
-    positions = []
-    for crossing in crossings:
-        positions.append(int(getattr(crossing, "position", crossing)))
-    return positions
+def _check_crossings(c: int, cap: int) -> None:
+    """The one wording of the crossing-cap refusal."""
+    if c > cap:
+        raise TooManyCrossingsError(f"{c} crossings exceeds the limit of {cap}")
 
 
 def kauffman_bracket(
@@ -222,40 +138,38 @@ def kauffman_bracket(
     partial trace) and both points leave the diagram.  A closure that closes
     a loop multiplies by d = u^-1 * -(1 + u^2); one that does not multiplies
     by 1 = u^-1 * u.  The factor u^-1 is pulled out once per closure, so
-    every factor applied to a polynomial is a polynomial in u.  Positions
-    that no generator touches are one loop d each.  The last position closed
+    every factor applied to a polynomial is a polynomial in u.  The m
+    positions that no generator touches are one loop each, closed before the
+    first crossing: the state starts at (-(1 + u^2))^m instead of 1.  The
+    last touched position closed (the last position, when none is touched)
     is never joined: its loop is the one the normalization <unknot> = 1
-    removes.  The cost is c times the number of live partial diagrams, which
-    early closure bounds by the matchings of the positions that are open at
-    once.
+    removes.  So closures = n - 1 for every braid.  The cost is c times the
+    number of live partial diagrams, which early closure bounds by the
+    matchings of the positions that are open at once.
 
     Each polynomial is packed into one integer, sum_k a_k 2^(W k) for
     sum_k a_k u^k (Kronecker substitution u = 2^W), so multiplying by u is a
     shift by W bits and every accumulation is one integer addition.  Packing
     is a ring map from Z[u] to Z, so the integer arithmetic is exact whatever
-    W is; W only has to make the final value decode uniquely into balanced
-    digits in [-2^(W-1), 2^(W-1)).  Every factor applied (1 + u, -u^2 at a
+    W is, the starting power included; W only has to make the final value
+    decode uniquely into balanced digits in [-2^(W-1), 2^(W-1)).  Every
+    factor applied (-(1 + u^2) per untouched position; 1 + u, -u^2 at a
     crossing; -(1 + u^2), u at a closure) has absolute coefficient sum at
     most 2, and adding the polynomials of merged diagrams does not increase
-    the total, so the absolute coefficient sum over the whole state starts
-    at 1 and at most doubles per crossing and per closure.  Every final
-    coefficient therefore has |a_k| <= 2^(c + closures) < 2^(W-1) for
-    W = c + closures + 2, closures being the number of positions joined.
-    Each crossing and each closure raises the degree in u by at most 2, so
-    the result has at most 2 (c + closures) + 1 slots.
+    the total, so the absolute coefficient sum over the whole state at most
+    doubles per crossing and per closure.  Every final coefficient therefore
+    has |a_k| <= 2^(c + n - 1) < 2^(W-1) for W = c + n + 1.  Each factor
+    raises the degree in u by at most 2, so the result has at most
+    2 (c + n - 1) + 1 slots.
     """
     if n < 1:
         raise ValidationError("strand count must be >= 1")
-    positions = _crossing_positions(crossings)
+    positions = [int(getattr(crossing, "position", crossing)) for crossing in crossings]
     for p in positions:
         if not 1 <= p <= n - 1:
             raise ValidationError(f"generator index {p} outside 1..{n - 1}")
     c = len(positions)
-    if c > max_crossings:
-        raise TooManyCrossingsError(f"{c} crossings exceeds the limit of {max_crossings}")
-    delta = LaurentPoly({8: -1, -8: -1})  # -A^2 - A^-2 in quarter units
-    if not positions:
-        return delta ** (n - 1)
+    _check_crossings(c, max_crossings)
 
     # strand positions are 0-based: generator p acts on positions p - 1 and p
     last_use: dict[int, int] = {}
@@ -264,13 +178,15 @@ def kauffman_bracket(
     closing: list[list[int]] = [[] for _ in positions]
     for q, j in last_use.items():
         closing[j].append(q)
-    closing[-1].pop()  # stays open: its loop is the one <unknot> = 1 removes
-    closures = len(last_use) - 1
-    width = c + closures + 2
+    if closing:
+        closing[-1].pop()  # stays open: its loop is the one <unknot> = 1 removes
+    untouched = n - max(len(last_use), 1)  # with no crossings, one loop stays open
+    width = c + n + 1
     two_slots = 2 * width
 
     # point 2q is the bottom of position q, 2q + 1 its top; closed points hold -1
-    state: dict[tuple[int, ...], int] = {tuple(i ^ 1 for i in range(2 * n)): 1}
+    start = (-1) ** untouched * (1 + (1 << two_slots)) ** untouched
+    state: dict[tuple[int, ...], int] = {tuple(i ^ 1 for i in range(2 * n)): start}
     for j, p in enumerate(positions):
         a, b = 2 * p - 1, 2 * p + 1  # the tops of positions p - 1 and p
         # 1 maps each diagram to itself; where tops p - 1 and p are joined,
@@ -307,12 +223,10 @@ def kauffman_bracket(
         state = after
 
     (packed,) = state.values()
-    digits = _unpack(packed, width, 2 * (c + closures) + 1)
-    # a_k u^k * A^c u^-closures is a_k A^(c + 2 closures - 2k)
-    top_exponent = 4 * (c + 2 * closures)
-    coeffs = {top_exponent - 8 * k: digit for k, digit in enumerate(digits)}
-    untouched = n - len(last_use)
-    return LaurentPoly(coeffs) * delta ** untouched
+    digits = _unpack(packed, width, 2 * (c + n - 1) + 1)
+    # a_k u^k * A^c u^-(n - 1) is a_k A^(c + 2 (n - 1) - 2k)
+    top_exponent = 4 * (c + 2 * (n - 1))
+    return LaurentPoly({top_exponent - 8 * k: digit for k, digit in enumerate(digits)})
 
 
 def _unpack(packed: int, width: int, slots: int) -> list[int]:
@@ -340,19 +254,35 @@ def jones_of_braid(
     """Jones polynomial (in t) of the closure of a positive braid word.
 
     Normalizes the bracket by (-A)^(-3w) with writhe w equal to the crossing
-    count (all crossings positive), then substitutes t = A^-4.
+    count c (all crossings positive), then substitutes t = A^-4: the bracket
+    term a A^(e/4) becomes (-1)^c a t^((12c - e)/16), stored at quarter
+    exponent (12c - e)/4.
     """
     bracket = kauffman_bracket(crossings, n, max_crossings=max_crossings)
-    w = len(_crossing_positions(crossings))
-    sign = -1 if w % 2 else 1
-    normalized = bracket * LaurentPoly.monomial(sign, -12 * w)
-
-    def to_jones(e: int) -> int:
+    c = len(crossings)
+    sign = -1 if c % 2 else 1
+    coeffs: dict[int, int] = {}
+    for e, coefficient in bracket.pairs():
         if e % 4:
             raise InternalInconsistencyError("bracket exponent not a multiple of 4")
-        return -e // 4
+        coeffs[(12 * c - e) // 4] = sign * coefficient
+    return LaurentPoly(coeffs)
 
-    return normalized.map_exponents(to_jones)
+
+def _divide_by_one_minus_t_squared(numerator: list[int]) -> list[int]:
+    """Coefficients of N / (1 - t^2), lowest power first, for the polynomial
+    N with coefficients ``numerator``, lowest power first.
+
+    N = (1 - t^2) Q gives N_i = Q_i - Q_(i-2), so Q_i = N_i + Q_(i-2) is a
+    running sum over each parity.  Run to the top of N, the two highest sums
+    are the remainder; either one nonzero raises DivisionRemainderError.
+    """
+    sums = list(numerator)
+    for i in range(2, len(sums)):
+        sums[i] += sums[i - 2]
+    if any(sums[-2:]):
+        raise DivisionRemainderError("division left a nonzero remainder")
+    return sums[:-2]
 
 
 def jones_torus(p: int, q: int) -> LaurentPoly:
@@ -373,13 +303,11 @@ def jones_torus(p: int, q: int) -> LaurentPoly:
         raise CapExceededError(
             f"torus knot ({p}, {q}) needs p + q strands, over the cap of {MAX_STRANDS}"
         )
-    numerator = (
-        LaurentPoly.one()
-        - LaurentPoly.var_power(p + 1)
-        - LaurentPoly.var_power(q + 1)
-        + LaurentPoly.var_power(p + q)
-    )
-    denominator = LaurentPoly.one() - LaurentPoly.var_power(2)
-    quotient = divide_exact(numerator, denominator)
+    # the four exponents differ, since p != q and both are >= 2
+    numerator = [0] * (p + q + 1)
+    numerator[0] = numerator[p + q] = 1
+    numerator[p + 1] = numerator[q + 1] = -1
+    quotient = _divide_by_one_minus_t_squared(numerator)
     # (p-1)(q-1) is even for coprime p, q, so the prefactor exponent is integral
-    return LaurentPoly.monomial(1, 2 * (p - 1) * (q - 1)) * quotient
+    low = 2 * (p - 1) * (q - 1)
+    return LaurentPoly({low + 4 * i: coefficient for i, coefficient in enumerate(quotient)})

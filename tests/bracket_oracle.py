@@ -1,10 +1,12 @@
 """The Kauffman bracket by the state sum over all 2^c smoothings.
 
 This is the bracket evaluator the package used before the Temperley-Lieb
-transfer evaluation replaced it, kept here unchanged as an independent
-oracle: it enumerates every smoothing and counts loops by union-find, and
-shares no code with ``lorenzlinks.jones.kauffman_bracket`` beyond the
-polynomial type and the errors.  Its cost is 2^c, so tests keep c small.
+transfer evaluation replaced it, kept here as an independent oracle: it
+enumerates every smoothing, counts loops by union-find and expands the loop
+factors with its own dict product.  It shares no code with
+``lorenzlinks.jones`` beyond the errors and ``LaurentPoly``, which it uses
+only as the read-only type of the value it returns, so results compare with
+``==``.  Its cost is 2^c, so tests keep c small.
 """
 
 from __future__ import annotations
@@ -89,11 +91,15 @@ def state_sum_bracket(
         key = (c - 2 * state.bit_count(), loops)
         counts[key] = counts.get(key, 0) + 1
 
-    delta = LaurentPoly({8: -1, -8: -1})  # -A^2 - A^-2 in quarter units
+    # d^k for d = -A^2 - A^-2, as {quarter exponent: coefficient}
     max_loops = max(loops for _, loops in counts)
-    delta_powers = [LaurentPoly.one()]
+    delta_powers: list[dict[int, int]] = [{0: 1}]
     for _ in range(max_loops - 1):
-        delta_powers.append(delta_powers[-1] * delta)
+        power: dict[int, int] = {}
+        for e, coeff in delta_powers[-1].items():
+            for shift in (8, -8):
+                power[e + shift] = power.get(e + shift, 0) - coeff
+        delta_powers.append(power)
     total: dict[int, int] = {}
     for (net_a, loops), multiplicity in counts.items():
         for e, coeff in delta_powers[loops - 1].items():

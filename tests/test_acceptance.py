@@ -18,7 +18,7 @@ from lorenzlinks.braid import braid_generators, braid_of_words
 from lorenzlinks.errors import DivisionRemainderError
 from lorenzlinks.flow import equilibria, integrate, itinerary, vector_field
 from lorenzlinks.invariants import braid_index, genus, min_crossings
-from lorenzlinks.jones import LaurentPoly, divide_exact, jones_of_braid, jones_torus
+from lorenzlinks.jones import _divide_by_one_minus_t_squared, jones_of_braid, jones_torus
 from lorenzlinks.modular import (
     L_MATRIX,
     R_MATRIX,
@@ -102,16 +102,11 @@ def test_criterion_05_jones_cross_validation():
     for p, q in [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5)]:
         params = TLinkParams(((p, q),))
         ok = ok and jones_of_braid(t_braid_word(params), params.strands) == jones_torus(p, q)
-    bad_numerator = (
-        LaurentPoly.one()
-        - LaurentPoly.var_power(1)  # t^(p-1) at (2,3)
-        - LaurentPoly.var_power(2)  # t^(q-1)
-        - LaurentPoly.var_power(5)  # t^(p+q)
-    )
-    denominator = LaurentPoly.one() - LaurentPoly.var_power(2)
+    # 1 - t^(p-1) - t^(q-1) - t^(p+q) at (2,3), lowest power first
+    bad_numerator = [1, -1, -1, 0, 0, -1]
     guard_fired = False
     try:
-        divide_exact(bad_numerator, denominator)
+        _divide_by_one_minus_t_squared(bad_numerator)
     except DivisionRemainderError:
         guard_fired = True
     elapsed = time.perf_counter() - start

@@ -682,6 +682,10 @@ def transcript_digest(capsys, argvs) -> str:
 CONVERT_SOURCES = [str(w) for w in enumerate_words(8)] + [
     "[]", "[[1,1]]", "[[2,3]]", "[[2,4]]", "[[1,2],[3,4]]", "[[2,1],[3,5]]", "[[2,2],[4,6],[5,3]]",
 ]
+JONES_TARGETS = [str(w) for w in enumerate_words(8)] + [
+    "L,R", "L,LR", "LR,LLR", "LLR,LRR", "LR,LLRR", "LLR,LRLRR", "L,LLR,LRR",
+    "2,3", "3,2", "2,5", "3,4", "3,5", "2,7", "4,5", "5,7", "2,4",
+]
 ATLAS_FILTERS = {
     "all": [],
     "several": ["--where", "genus>=2", "--where", "torus=null", "--where", "length<=9"],
@@ -715,6 +719,22 @@ class TestOutputBytes:
     )
     def test_convert_to_braid(self, capsys, fmt, digest):
         argvs = [["convert", s, "--to", "braid", "--format", fmt] for s in CONVERT_SOURCES]
+        assert transcript_digest(capsys, argvs) == digest
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "c0cda0974d3c782b38f3f602fc41152c460ba201997c7f34cefa4e88a545ff3a"),
+            ("table", "697ac60487e7943dc7b216c2d482c59e03de6a452869247022892ef398894a5c"),
+            ("csv", "a79350ec88cfbd60375daae399e5fd61351d8160e430231fa4cbc37ceee11dc2"),
+        ],
+    )
+    def test_jones(self, capsys, fmt, digest):
+        # digests taken before Jones was read straight off the packed bracket:
+        # knots, links with half-integer exponents, torus pairs and a refusal
+        # over the crossing cap (exit 3)
+        argvs = [["jones", t, "--format", fmt] for t in JONES_TARGETS]
+        argvs.append(["jones", "LRLRRRLRRR", "--jones-max-crossings", "10", "--format", fmt])
         assert transcript_digest(capsys, argvs) == digest
 
     @pytest.fixture(scope="class")

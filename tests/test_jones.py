@@ -20,8 +20,8 @@ from lorenzlinks.errors import (
 )
 from lorenzlinks.jones import (
     LaurentPoly,
+    _divide_by_one_minus_t_squared,
     _unpack,
-    divide_exact,
     jones_of_braid,
     jones_torus,
     kauffman_bracket,
@@ -34,8 +34,20 @@ def poly(pairs) -> LaurentPoly:
     return LaurentPoly(dict(pairs))
 
 
-def t_power(exponent_quarters: int, coeff: int = 1) -> LaurentPoly:
-    return LaurentPoly.monomial(coeff, exponent_quarters)
+ONE = LaurentPoly({0: 1})
+
+
+def jones_by_definition(word, n) -> LaurentPoly:
+    """V(t) = (-A)^(-3c) <K> at t = A^-4, from the state-sum bracket."""
+    c = len(word)
+    out = {}
+    for e, a in state_sum_bracket(word, n).pairs():
+        # (-A)^(-3c) a A^(e/4) = (-1)^c a A^((e - 12c)/4)
+        a_quarters = e - 12 * c
+        assert a_quarters % 4 == 0
+        # A = t^(-1/4), so A^(k/4) = t^(-k/16): quarter exponent -k/4 in t
+        out[-a_quarters // 4] = (-1) ** c * a
+    return LaurentPoly(out)
 
 
 def knot_braids(max_crossings: int):
@@ -56,41 +68,43 @@ def positive_braids(draw):
 
 
 class TestLaurentPoly:
-    def test_arithmetic(self):
-        a = poly({0: 1, 4: 2})
-        b = poly({4: -2, 8: 3})
-        assert (a + b).pairs() == ((0, 1), (8, 3))
-        assert (a * b).pairs() == ((4, -2), (8, -1), (12, 6))
-        assert (a - a).pairs() == ()
-        assert poly({0: 1}) ** 5 == LaurentPoly.one()
-
     def test_no_zero_coefficients_stored(self):
         assert poly({4: 0, 8: 1}).pairs() == ((8, 1),)
 
     def test_format(self):
         assert poly({4: 1, 12: 1, 16: -1}).format() == "t + t^3 - t^4"
         assert poly({2: -1}).format() == "-t^(1/2)"
-        assert LaurentPoly.zero().format() == "0"
+        assert LaurentPoly().format() == "0"
+
+
+class TestDivideByOneMinusTSquared:
+    """The exact division of the torus closed form; coefficient lists run
+    from the lowest power of t up."""
 
     def test_division_exact(self):
-        num = LaurentPoly.one() - LaurentPoly.var_power(4)
-        den = LaurentPoly.one() - LaurentPoly.var_power(2)
-        assert divide_exact(num, den) == LaurentPoly.one() + LaurentPoly.var_power(2)
+        # (1 - t^4) / (1 - t^2) = 1 + t^2
+        assert _divide_by_one_minus_t_squared([1, 0, 0, 0, -1]) == [1, 0, 1]
 
     def test_division_remainder_detected(self):
-        num = LaurentPoly.one() - LaurentPoly.var_power(3)
-        den = LaurentPoly.one() - LaurentPoly.var_power(2)
+        # 1 - t^3 leaves a remainder
         with pytest.raises(DivisionRemainderError):
-            divide_exact(num, den)
+            _divide_by_one_minus_t_squared([1, 0, 0, -1])
+
+    @given(st.lists(st.integers(-50, 50), max_size=30))
+    def test_multiplied_out_product_divides_back(self, quotient):
+        # (1 - t^2) Q multiplied out: N_i = Q_i - Q_(i-2)
+        padded = [0, 0, *quotient, 0, 0]
+        numerator = [padded[i + 2] - padded[i] for i in range(len(quotient) + 2)]
+        assert _divide_by_one_minus_t_squared(numerator) == quotient
 
 
 class TestKauffmanBracket:
     def test_zero_crossing_unknot(self):
-        assert kauffman_bracket([], 1) == LaurentPoly.one()
+        assert kauffman_bracket([], 1) == ONE
 
     def test_single_positive_crossing(self):
         # hand state sum: A * delta + A^-1 = -A^3
-        assert kauffman_bracket([1], 2) == t_power(12, -1)
+        assert kauffman_bracket([1], 2) == poly({12: -1})
 
     def test_hopf_link(self):
         # hand state sum over 4 states: -A^4 - A^-4
@@ -101,7 +115,9 @@ class TestKauffmanBracket:
             kauffman_bracket([1] * 21, 2)
         with pytest.raises(TooManyCrossingsError):
             kauffman_bracket([1] * 9, 2, max_crossings=8)
-        assert kauffman_bracket([1] * 9, 2, max_crossings=9)
+        assert kauffman_bracket([1] * 9, 2, max_crossings=9) == state_sum_bracket(
+            [1] * 9, 2, max_crossings=9
+        )
 
     def test_generator_positions_validated(self):
         with pytest.raises(ValidationError):
@@ -144,10 +160,20 @@ class TestBracketAgainstStateSum:
         assert kauffman_bracket(word, n) == state_sum_bracket(word, n)
 
 
+MOSTLY_UNTOUCHED = [
+    ([1], 40),
+    ([20, 20, 20], 40),
+    ([39, 38, 39], 40),
+    ([7, 9, 7, 9], 16),
+    ([1, 1, 15, 15, 15], 16),
+]
+
+
 class TestPackedSlots:
-    """Edge cases of the packed evaluation: a slot of W = c + closures + 2
-    bits per power of u = A^-2, negative digits that borrow from the slot
-    above, and closure offsets that move every exponent."""
+    """Edge cases of the packed evaluation: a slot of W = c + n + 1 bits per
+    power of u = A^-2, negative digits that borrow from the slot above,
+    untouched positions closed in the starting power (-(1 + u^2))^m, and the
+    n - 1 closure offsets that move every exponent."""
 
     @pytest.mark.parametrize("width", [2, 3, 9, 64])
     def test_unpack_digits_at_the_slot_edges(self, width):
@@ -177,24 +203,28 @@ class TestPackedSlots:
         word = list(range(1, n)) * n
         assert kauffman_bracket(word, n) == state_sum_bracket(word, n)
 
-    @pytest.mark.parametrize(
-        "word, n",
-        [
-            ([1], 40),
-            ([20, 20, 20], 40),
-            ([39, 38, 39], 40),
-            ([7, 9, 7, 9], 16),
-            ([1, 1, 15, 15, 15], 16),
-        ],
-    )
+    @pytest.mark.parametrize("word, n", MOSTLY_UNTOUCHED)
     def test_mostly_untouched_strands(self, word, n):
         assert kauffman_bracket(word, n) == state_sum_bracket(word, n)
 
 
 class TestJonesOfBraid:
     def test_unknot_normalizations(self):
-        assert jones_of_braid([], 1) == LaurentPoly.one()
-        assert jones_of_braid([1], 2) == LaurentPoly.one()
+        assert jones_of_braid([], 1) == ONE
+        assert jones_of_braid([1], 2) == ONE
+
+    @settings(max_examples=200, deadline=None)
+    @given(positive_braids())
+    @example(([], 1))
+    @example(([], 4))
+    @example(([1, 4, 1, 4], 6))  # positions 3 and 6 untouched
+    def test_random_positive_braids_against_the_state_sum(self, braid):
+        word, n = braid
+        assert jones_of_braid(word, n) == jones_by_definition(word, n)
+
+    @pytest.mark.parametrize("word, n", MOSTLY_UNTOUCHED)
+    def test_mostly_untouched_strands_against_the_state_sum(self, word, n):
+        assert jones_of_braid(word, n) == jones_by_definition(word, n)
 
     def test_trefoil_value(self):
         expected = poly({4: 1, 12: 1, 16: -1})  # t + t^3 - t^4
@@ -287,7 +317,7 @@ class TestJonesTorus:
         def refuse(*args):
             raise AssertionError("a polynomial was built")
 
-        monkeypatch.setattr(LaurentPoly, "var_power", staticmethod(refuse))
+        monkeypatch.setattr(jones_mod, "_divide_by_one_minus_t_squared", refuse)
         p = 10**30
         with pytest.raises(CapExceededError, match="over the cap of 100000"):
             jones_torus(p, p + 1)
@@ -295,12 +325,10 @@ class TestJonesTorus:
     def test_alternative_numerator_is_not_divisible(self):
         # 1 - t^(p-1) - t^(q-1) - t^(p+q) at (p, q) = (2, 3) fails the guard
         p, q = 2, 3
-        numerator = (
-            LaurentPoly.one()
-            - LaurentPoly.var_power(p - 1)
-            - LaurentPoly.var_power(q - 1)
-            - LaurentPoly.var_power(p + q)
-        )
-        denominator = LaurentPoly.one() - LaurentPoly.var_power(2)
+        numerator = [0] * (p + q + 1)
+        numerator[0] += 1
+        numerator[p - 1] -= 1
+        numerator[q - 1] -= 1
+        numerator[p + q] -= 1
         with pytest.raises(DivisionRemainderError):
-            divide_exact(numerator, denominator)
+            _divide_by_one_minus_t_squared(numerator)
