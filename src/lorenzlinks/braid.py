@@ -86,12 +86,12 @@ class LorenzBraid:
         for block_targets in (left, right):
             if any(a > b for a, b in zip(block_targets, block_targets[1:])):
                 raise InternalInconsistencyError("targets must increase within each lobe block")
-        # a strand's next pass rounds the left lobe exactly when it ends in the left block
+        # a strand's next pass rounds the left lobe exactly when it ends in the
+        # left block; the l_count targets there make ll + rl = l_count, so
+        # LR = l_count - ll equals RL for every permutation
         ll = sum(1 for target in left if target <= l_count)
         rl = sum(1 for target in right if target <= l_count)
         counts = (ll, l_count - ll, rl, n - l_count - rl)
-        if counts[1] != counts[2]:
-            raise InternalInconsistencyError("strands entering and leaving the right lobe differ")
         trip = _group_trip(left)
         object.__setattr__(self, "_ear_counts", counts)
         object.__setattr__(self, "_trip", trip)
@@ -102,18 +102,18 @@ class LorenzBraid:
         labels = set(self.components)
         if labels != set(range(len(labels))):
             raise InternalInconsistencyError("component labels must be 0..mu-1")
+        # no cycle mixing labels and no label on two cycles make cycles and
+        # labels correspond one to one, since every label is some strand's
         cycles = permutation_cycles(self.targets)
-        cycle_label: dict[int, int] = {}
+        cycle_labels: set[int] = set()
         for cycle in cycles:
             comp = {self.components[i - 1] for i in cycle}
             if len(comp) != 1:
                 raise InternalInconsistencyError("a cycle mixes component labels")
             label = comp.pop()
-            if label in cycle_label:
+            if label in cycle_labels:
                 raise InternalInconsistencyError("two cycles share a component label")
-            cycle_label[label] = cycle[0]
-        if len(cycle_label) != len(labels):
-            raise InternalInconsistencyError("component labels do not match cycles")
+            cycle_labels.add(label)
         object.__setattr__(self, "_cycles", tuple(cycles))
 
     # -- derived structure ------------------------------------------------

@@ -7,10 +7,14 @@ sigma_i = A * 1 + A^-1 * e_i and each closed loop to d = -A^2 - A^-2
 reached so far with their polynomials and closes each strand position as
 soon as its last generator has been applied, so its cost follows the number
 of live partial diagrams instead of the 2^c smoothings of the state sum.
-Each diagram's polynomial in u = A^-2 is packed into one integer, one slot
-of W = c + n + 1 bits per power of u, and every strand position but one,
-untouched ones included, is closed inside that integer; see
-`kauffman_bracket`.
+Before it runs, the word is Markov-destabilized: while the highest or the
+lowest generator index occurs once, that crossing and one strand go, a
+positive Reidemeister I move that divides the bracket by -A^3, so the
+evaluator sees k fewer crossings and strands and the result is multiplied
+back by (-A^3)^k.  On the reduced braid, each diagram's polynomial in
+u = A^-2 is packed into one integer, one slot of W = c + n + 1 bits per
+power of u, and every strand position but one, untouched ones included, is
+closed inside that integer; see `kauffman_bracket`.
 
 Multiplying by (-A)^(-3w) (writhe w = c, every crossing positive) and
 substituting t = A^-4 gives the Jones polynomial under the dynamics
@@ -34,6 +38,7 @@ arithmetic.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -47,6 +52,9 @@ from .errors import (
 from .tlink import MAX_STRANDS
 
 DEFAULT_MAX_CROSSINGS = 20
+
+# slots that _peel decodes one digit at a time; wider values are split in two
+_LEAF_SLOTS = 64
 
 
 class LaurentPoly:
@@ -125,13 +133,21 @@ def kauffman_bracket(
     """Bracket polynomial (in A) of the closure of a positive braid word.
 
     ``crossings`` is a braid word as generator positions, either bare ints or
-    crossing records with a ``position`` attribute.  Each crossing is
-    sigma_i = A * (1 + u e_i) in the Temperley-Lieb algebra, u = A^-2, and the
-    factor A^c is pulled out once.  The state maps each partial diagram (the
-    partner map over the bottom and top endpoints of the strand positions) to
-    its polynomial in u; e_i joins tops i and i+1 and opens a fresh cup there,
-    and a loop it closes turns 1 + u e_i into the scalar 1 + u d = -u^2, where
-    d = -A^2 - A^-2 = -u^-1 - u.
+    crossing records with a ``position`` attribute.  After the generator
+    indices are validated and the crossing cap is checked on the word as
+    given, `_destabilize` removes k crossings and k strands by positive
+    Reidemeister I moves.  The evaluation below runs on the reduced word, so
+    c and n from here on are its counts, and the result is multiplied by
+    (-A^3)^k: 12k is added to every quarter exponent and every coefficient
+    is multiplied by (-1)^k.
+
+    Each crossing is sigma_i = A * (1 + u e_i) in the Temperley-Lieb
+    algebra, u = A^-2, and the factor A^c is pulled out once.  The state
+    maps each partial diagram (the partner map over the bottom and top
+    endpoints of the strand positions) to its polynomial in u; e_i joins tops
+    i and i+1 and opens a fresh cup there, and a loop it closes turns
+    1 + u e_i into the scalar 1 + u d = -u^2, where d = -A^2 - A^-2 =
+    -u^-1 - u.
 
     Positions are closed early: right after the last generator that touches
     position q, top q is joined to bottom q (the braid closure, applied as a
@@ -143,9 +159,9 @@ def kauffman_bracket(
     first crossing: the state starts at (-(1 + u^2))^m instead of 1.  The
     last touched position closed (the last position, when none is touched)
     is never joined: its loop is the one the normalization <unknot> = 1
-    removes.  So closures = n - 1 for every braid.  The cost is c times the
-    number of live partial diagrams, which early closure bounds by the
-    matchings of the positions that are open at once.
+    removes.  So closures = n - 1 for every reduced braid.  The cost is c
+    times the number of live partial diagrams, which early closure bounds by
+    the matchings of the positions that are open at once.
 
     Each polynomial is packed into one integer, sum_k a_k 2^(W k) for
     sum_k a_k u^k (Kronecker substitution u = 2^W), so multiplying by u is a
@@ -168,8 +184,9 @@ def kauffman_bracket(
     for p in positions:
         if not 1 <= p <= n - 1:
             raise ValidationError(f"generator index {p} outside 1..{n - 1}")
+    _check_crossings(len(positions), max_crossings)
+    positions, n, removed = _destabilize(positions, n)
     c = len(positions)
-    _check_crossings(c, max_crossings)
 
     # strand positions are 0-based: generator p acts on positions p - 1 and p
     last_use: dict[int, int] = {}
@@ -224,26 +241,78 @@ def kauffman_bracket(
 
     (packed,) = state.values()
     digits = _unpack(packed, width, 2 * (c + n - 1) + 1)
-    # a_k u^k * A^c u^-(n - 1) is a_k A^(c + 2 (n - 1) - 2k)
-    top_exponent = 4 * (c + 2 * (n - 1))
-    return LaurentPoly({top_exponent - 8 * k: digit for k, digit in enumerate(digits)})
+    # a_k u^k * A^c u^-(n - 1) * (-A^3)^removed is
+    # (-1)^removed a_k A^(c + 2 (n - 1) + 3 removed - 2k)
+    top_exponent = 4 * (c + 2 * (n - 1)) + 12 * removed
+    sign = -1 if removed % 2 else 1
+    return LaurentPoly({top_exponent - 8 * k: sign * digit for k, digit in enumerate(digits)})
+
+
+def _destabilize(positions: list[int], n: int) -> tuple[list[int], int, int]:
+    """Markov-destabilize a positive braid word at both ends of its index
+    range; returns the reduced word, its strand count and the number k of
+    crossings removed, which is also the number of strands removed.
+
+    While the highest index used, h, occurs once, the word is A sigma_h B
+    with A and B on the strands up to h.  Its closure is that of the
+    conjugate B A sigma_h, where closing strand h + 1 around sigma_h is a
+    positive Reidemeister I move, which multiplies the bracket by -A^3; so
+    the crossing and strand h + 1 go, leaving B A, whose closure is that of
+    A B.  The lowest index used, l, goes the same way with strand l, and
+    every index above it moves down by one.  Strands no crossing touches
+    stay, to be closed as loops by the caller.  Each removal costs O(c).
+    """
+    counts = Counter(positions)
+    removed = 0
+    while counts:
+        high, low = max(counts), min(counts)
+        if counts[high] == 1:
+            positions = [p for p in positions if p != high]
+            del counts[high]
+        elif counts[low] == 1:
+            positions = [p - (p > low) for p in positions if p != low]
+            counts = {p - (p > low): k for p, k in counts.items() if p != low}
+        else:
+            break
+        removed += 1
+    return positions, n - removed, removed
 
 
 def _unpack(packed: int, width: int, slots: int) -> list[int]:
     """The ``slots`` lowest balanced base-2^width digits of ``packed``, lowest
     first, each in [-2^(width - 1), 2^(width - 1)); a value with digits
     beyond them raises."""
+    digits, rest = _peel(packed, width, slots)
+    if rest:
+        raise InternalInconsistencyError(f"packed polynomial has more than {slots} slots")
+    return digits
+
+
+def _peel(value: int, width: int, slots: int) -> tuple[list[int], int]:
+    """The ``slots`` lowest balanced base-2^width digits of ``value`` and
+    the rest, (value - sum_k d_k 2^(width k)) >> (width slots).
+
+    Divide and conquer: the low half of the slots is masked off, so it is
+    nonnegative and its balanced digits leave a rest of 0 or 1, the borrow
+    that the high half takes on.  Only leaves of at most _LEAF_SLOTS slots
+    are peeled one digit at a time, each peel a shift of the whole leaf, so
+    the decode costs O(b log b) bit operations for b bits, not O(b^2 / width).
+    """
+    if slots > _LEAF_SLOTS:
+        low_slots = slots // 2
+        low_bits = width * low_slots
+        low, borrow = _peel(value & ((1 << low_bits) - 1), width, low_slots)
+        high, rest = _peel((value >> low_bits) + borrow, width, slots - low_slots)
+        return low + high, rest
     half, modulus = 1 << (width - 1), 1 << width
     digits = []
     for _ in range(slots):
-        digit = packed & (modulus - 1)
+        digit = value & (modulus - 1)
         if digit >= half:
             digit -= modulus
         digits.append(digit)
-        packed = (packed - digit) >> width
-    if packed:
-        raise InternalInconsistencyError(f"packed polynomial has more than {slots} slots")
-    return digits
+        value = (value - digit) >> width
+    return digits, value
 
 
 def jones_of_braid(

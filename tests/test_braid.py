@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -289,6 +290,29 @@ class TestStrandProfile:
         # the inversion count is checked against the trip the braid publishes
         with pytest.raises(InternalInconsistencyError, match="inversion count 6"):
             _count_crossings((3, 4, 5), (1, 2), ((2, 2),))
+
+
+# one hand-built braid (n, targets, letters, components) per refusal message
+BAD_BRAIDS = [
+    ((2, (1, 2), ("L",), (0, 1)), "field lengths disagree"),
+    ((0, (), (), ()), "field lengths disagree"),
+    ((2, (1, 1), ("L", "R"), (0, 1)), "not a permutation"),
+    ((1, (1,), ("X",), (0,)), "letters must be L or R"),
+    ((2, (1, 2), ("R", "L"), (0, 1)), "must form an initial block"),
+    ((3, (2, 1, 3), ("L", "L", "R"), (0, 0, 1)), "left-lobe strand 2 moves left"),
+    ((3, (1, 3, 2), ("L", "R", "R"), (0, 1, 1)), "right-lobe strand 2 moves right"),
+    ((4, (4, 3, 1, 2), ("L", "L", "R", "R"), (0, 0, 0, 0)), "must increase"),
+    ((1, (1,), ("L",), (1,)), "labels must be 0..mu-1"),
+    ((2, (2, 1), ("L", "R"), (0, 1)), "a cycle mixes component labels"),
+    ((2, (1, 2), ("L", "R"), (0, 0)), "two cycles share a component label"),
+]
+
+
+class TestLorenzBraidRejections:
+    @pytest.mark.parametrize("fields, message", BAD_BRAIDS, ids=[m for _, m in BAD_BRAIDS])
+    def test_refused(self, fields, message):
+        with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+            LorenzBraid(*fields)
 
 
 LINK_WORD_POOL = enumerate_words(12)

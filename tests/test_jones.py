@@ -19,7 +19,9 @@ from lorenzlinks.errors import (
     ValidationError,
 )
 from lorenzlinks.jones import (
+    _LEAF_SLOTS,
     LaurentPoly,
+    _destabilize,
     _divide_by_one_minus_t_squared,
     _unpack,
     jones_of_braid,
@@ -65,6 +67,26 @@ def positive_braids(draw):
     if n == 1:
         return [], 1
     return draw(st.lists(st.integers(1, n - 1), max_size=12)), n
+
+
+# braids that kauffman_bracket Markov-destabilizes before its state sum
+DESTABILIZING = [
+    ([1, 2, 3, 2, 3, 4], 5),  # 4 goes from the top, then 1 from the bottom
+    ([1, 2, 1, 2, 3, 4], 5),  # 4, then 3, go from the top
+    ([1], 2),  # to nothing
+    ([1, 3], 4),
+    ([2, 4], 5),
+    ([1, 1, 4, 5], 6),  # position 3 untouched, below the crossings that go
+    ([1, 4, 4, 6], 7),  # position 3 untouched; 6 and 1 go around it
+    ([2, 1, 1, 3], 4),  # to the Hopf link
+    ([1, 1, 2, 2, 3, 4, 3], 5),  # a four-component link
+]
+
+
+def destabilizing_examples(test):
+    for braid in DESTABILIZING:
+        test = example(braid)(test)
+    return test
 
 
 class TestLaurentPoly:
@@ -123,6 +145,22 @@ class TestKauffmanBracket:
         with pytest.raises(ValidationError):
             kauffman_bracket([2], 2)
 
+    def test_crossing_cap_counts_the_word_as_given(self):
+        # every crossing would be destabilized away, but the cap comes first
+        with pytest.raises(TooManyCrossingsError, match="21 crossings"):
+            kauffman_bracket(list(range(1, 22)), 22)
+
+    def test_generator_positions_validated_before_destabilizing(self):
+        # a once-used top index that is out of range is refused, not removed
+        with pytest.raises(ValidationError, match="generator index 3"):
+            kauffman_bracket([3], 3)
+
+    def test_destabilizing_narrows_a_lorenz_braid(self):
+        braid = braid_of_words(validate_link(["LLLLLRRRRRLR"]))
+        positions = [crossing.position for crossing in braid_generators(braid)]
+        assert (braid.n, len(positions)) == (12, 13)
+        assert _destabilize(positions, braid.n) == ([2, 1, 2, 1], 3, 9)
+
 
 class TestBracketAgainstStateSum:
     """The transfer evaluation equals the 2^c state sum of bracket_oracle."""
@@ -150,6 +188,7 @@ class TestBracketAgainstStateSum:
     @example(([], 1))
     @example(([], 4))
     @example(([1, 4, 1, 4], 6))  # positions 3 and 6 untouched
+    @destabilizing_examples
     def test_random_positive_braids(self, braid):
         word, n = braid
         assert kauffman_bracket(word, n) == state_sum_bracket(word, n)
@@ -183,6 +222,17 @@ class TestPackedSlots:
         assert _unpack(packed, width, len(digits)) == digits
         assert _unpack(packed, width, len(digits) + 2) == digits + [0, 0]
 
+    @pytest.mark.parametrize("width", [2, 3, 9, 64])
+    def test_unpack_digits_at_the_slot_edges_across_leaves(self, width):
+        # more slots than one leaf holds: the value is split before it is
+        # peeled, and the negative digits borrow across the splits
+        half = 1 << (width - 1)
+        edges = [-half, half - 1, 0, -1, 1, -half, half - 1, -half]
+        digits = (edges * _LEAF_SLOTS)[:3 * _LEAF_SLOTS + 5]
+        packed = sum(digit << (width * k) for k, digit in enumerate(digits))
+        assert _unpack(packed, width, len(digits)) == digits
+        assert _unpack(packed, width, len(digits) + 2) == digits + [0, 0]
+
     @pytest.mark.parametrize("width", [2, 9])
     def test_unpack_refuses_digits_beyond_its_slots(self, width):
         with pytest.raises(InternalInconsistencyError):
@@ -190,6 +240,19 @@ class TestPackedSlots:
         # +2^(W-1) is not a balanced digit: it borrows from a fourth slot
         with pytest.raises(InternalInconsistencyError):
             _unpack(1 << (3 * width - 1), width, 3)
+
+    @pytest.mark.parametrize("width", [2, 9])
+    def test_unpack_refuses_digits_beyond_its_slots_across_leaves(self, width):
+        slots = 3 * _LEAF_SLOTS + 5
+        with pytest.raises(InternalInconsistencyError):
+            _unpack(1 << (slots * width), width, slots)
+        with pytest.raises(InternalInconsistencyError):
+            _unpack(1 << (slots * width - 1), width, slots)
+        # +2^(W-1) in the lowest slot under the top digit 2^(W-1) - 1 in
+        # every slot above it: the borrow crosses every split and leaves
+        top = sum(((1 << (width - 1)) - 1) << (width * k) for k in range(1, slots))
+        with pytest.raises(InternalInconsistencyError):
+            _unpack(top + (1 << (width - 1)), width, slots)
 
     @pytest.mark.parametrize("c", range(1, 15))
     def test_powers_of_one_generator(self, c):
@@ -207,6 +270,14 @@ class TestPackedSlots:
     def test_mostly_untouched_strands(self, word, n):
         assert kauffman_bracket(word, n) == state_sum_bracket(word, n)
 
+    def test_one_crossing_on_six_hundred_strands(self):
+        # a kinked unknot and 598 loose ones: (-A^3) d^598, d = -A^2 - A^-2,
+        # expanded as (-1)^(m + 1) sum_k C(m, k) A^(2m - 4k + 3) for m = 598
+        m = 598
+        sign = (-1) ** (m + 1)
+        expected = {4 * (2 * m - 4 * k + 3): sign * math.comb(m, k) for k in range(m + 1)}
+        assert kauffman_bracket([1], m + 2) == LaurentPoly(expected)
+
 
 class TestJonesOfBraid:
     def test_unknot_normalizations(self):
@@ -218,6 +289,7 @@ class TestJonesOfBraid:
     @example(([], 1))
     @example(([], 4))
     @example(([1, 4, 1, 4], 6))  # positions 3 and 6 untouched
+    @destabilizing_examples
     def test_random_positive_braids_against_the_state_sum(self, braid):
         word, n = braid
         assert jones_of_braid(word, n) == jones_by_definition(word, n)
