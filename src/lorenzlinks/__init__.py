@@ -16,7 +16,6 @@ from .braid import (
     words_of_braid,
 )
 from .invariants import (
-    InvariantRecord,
     braid_index,
     compute_record,
     euler_characteristic,
@@ -57,7 +56,6 @@ __all__ = [
     "Crossing",
     "CyclicWord",
     "FlowParams",
-    "InvariantRecord",
     "LaurentPoly",
     "LinkWords",
     "LorenzBraid",

@@ -58,32 +58,16 @@ def word_record(
     word: words_mod.CyclicWord, braid: braid_mod.LorenzBraid, jones_max_crossings: int = 0
 ) -> dict:
     """The full atlas record of one canonical word and its Lorenz braid;
-    every field derives from the word, and this is the one place the
-    record's key names and order are written."""
+    every field derives from the word.  The invariant fields, their keys and
+    their order come from ``compute_record``, so this and it are the one
+    place the record's key names and order are written."""
     record = inv_mod.compute_record(braid)
     jones_pairs = None
-    if jones_max_crossings and record.crossings <= jones_max_crossings:
+    if jones_max_crossings and record["c"] <= jones_max_crossings:
         gens = braid_mod.braid_generators(braid)
         poly = jones_mod.jones_of_braid(gens, braid.n, max_crossings=jones_max_crossings)
-        jones_pairs = [list(pair) for pair in poly.pairs()]
-    return {
-        "word": str(word),
-        "length": len(word),
-        "components": record.components,
-        "n": record.strands,
-        "c": record.crossings,
-        "trip": [list(pq) for pq in record.trip],
-        "LL": record.ll,
-        "LR": record.lr,
-        "RL": record.rl,
-        "RR": record.rr,
-        "genus": record.genus,
-        "chi": record.chi,
-        "braid_index": record.braid_index,
-        "c_min": record.min_crossings,
-        "torus": list(record.torus) if record.torus else None,
-        "jones": jones_pairs,
-    }
+        jones_pairs = poly.pairs()
+    return {"word": str(word), "length": len(word), **record, "jones": jones_pairs}
 
 
 def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
@@ -120,10 +104,32 @@ def verify_record(record: dict) -> None:
             if g != (p - 1) * (q - 1) // 2:
                 raise ValidationError(f"corrupt atlas record {record['word']}: torus genus")
     if record["jones"] is not None:
-        # pairs carry quarter exponents, so span V <= c reads max - min <= 4c
-        exponents = [exponent for exponent, _ in record["jones"]]
-        if not exponents or max(exponents) - min(exponents) > 4 * c:
-            raise ValidationError(f"corrupt atlas record {record['word']}: Jones span > c")
+        _verify_jones(record)
+
+
+def _verify_jones(record: dict) -> None:
+    """Relations between a published Jones polynomial and the invariants
+    beside it: span V <= c (Kauffman-Murasugi-Thistlethwaite),
+    V(1) = (-2)^(components - 1) and, for knots, V(-1) odd and
+    span V <= c_min.  Pairs (e, a) carry quarter exponents, so span V <= c
+    reads max e - min e <= 4c, and a knot's exponents are multiples of 4."""
+    word, components, pairs = record["word"], record["components"], record["jones"]
+    exponents = [e for e, _ in pairs]
+    span = max(exponents) - min(exponents) if exponents else None
+    if span is None or span > 4 * record["c"]:
+        raise ValidationError(f"corrupt atlas record {word}: Jones span > c")
+    at_one = sum(a for _, a in pairs)
+    # |V(1)| = 2^(components - 1) has components bits, so a larger count
+    # fails before any power is taken
+    if not 0 < components <= abs(at_one).bit_length() or at_one != (-2) ** (components - 1):
+        raise ValidationError(f"corrupt atlas record {word}: Jones V(1) != (-2)^(components - 1)")
+    if components != 1:
+        return
+    at_minus_one = sum(-a if e % 8 == 4 else a for e, a in pairs)
+    if any(e % 4 for e in exponents) or at_minus_one % 2 == 0:
+        raise ValidationError(f"corrupt atlas record {word}: Jones V(-1) is not odd")
+    if span > 4 * record["c_min"]:
+        raise ValidationError(f"corrupt atlas record {word}: Jones span > c_min")
 
 
 def parse_filter(expression: str) -> tuple[str, str, object]:

@@ -7,47 +7,30 @@ min(|LR|, |RL|), the number of strands passing between the two lobes, and
 the minimum crossing number of a knotted closure is realized at that braid
 index: c_min = 2g + n_min - 1.  All three are invariant under the order-2
 symmetry that rotates the template half a turn (swapping the lobes).
+
+`compute_record` returns every invariant as a plain dict under the atlas
+record's own keys and in its key order, so the atlas, `word info` and the
+readers below share one schema.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .braid import LorenzBraid
 from .errors import InternalInconsistencyError, NotAKnotError
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
-    """Invariants of one closed Lorenz braid, every field read off the braid's
-    own counts: the atlas record of a word, less its word and Jones fields.
+def compute_record(braid: LorenzBraid) -> dict:
+    """Every invariant of one braid closure, from the braid's trip, crossing
+    and ear counts: the atlas record of a word, less its word, length and
+    Jones fields, under the atlas keys and in the atlas order.
 
-    ``trip`` lists the (displacement p_i, multiplicity q_i) blocks of the
-    rightward strands and ``ll``, ``lr``, ``rl``, ``rr`` count strands by ear
-    type.  ``genus``, ``min_crossings`` and ``torus`` are None for
+    ``n`` and ``c`` count strands and crossings, ``trip`` lists the
+    (displacement p_i, multiplicity q_i) blocks of the rightward strands and
+    ``LL``, ``LR``, ``RL``, ``RR`` count strands by ear type.  ``genus``,
+    ``c_min`` (the minimum crossing number) and ``torus`` are None for
     multi-component links; ``chi`` is always the Euler characteristic n - c
     of the fiber surface.  For knots with braid_index >= 2,
-    min_crossings == 2 * genus + braid_index - 1.
-    """
-
-    components: int
-    strands: int
-    crossings: int
-    trip: tuple[tuple[int, int], ...]
-    ll: int
-    lr: int
-    rl: int
-    rr: int
-    genus: int | None
-    chi: int
-    braid_index: int
-    min_crossings: int | None
-    torus: tuple[int, int] | None
-
-
-def compute_record(braid: LorenzBraid) -> InvariantRecord:
-    """Every invariant of one braid closure, from the braid's trip, crossing
-    and ear counts.
+    c_min == 2 * genus + braid_index - 1.
 
     A closure confined to a single lobe is an unlink of lobe-boundary
     circles, of braid index 1 per circle, so c_min is 0 for the degenerate
@@ -71,27 +54,27 @@ def compute_record(braid: LorenzBraid) -> InvariantRecord:
         g = two_g // 2
         c_min = two_g + index - 1
         torus = trip[0] if len(trip) == 1 else None
-    return InvariantRecord(
-        components=components,
-        strands=braid.n,
-        crossings=crossings,
-        trip=trip,
-        ll=ll,
-        lr=lr,
-        rl=rl,
-        rr=rr,
-        genus=g,
-        chi=euler_characteristic(braid),
-        braid_index=index,
-        min_crossings=c_min,
-        torus=torus,
-    )
+    return {
+        "components": components,
+        "n": braid.n,
+        "c": crossings,
+        "trip": trip,
+        "LL": ll,
+        "LR": lr,
+        "RL": rl,
+        "RR": rr,
+        "genus": g,
+        "chi": euler_characteristic(braid),
+        "braid_index": index,
+        "c_min": c_min,
+        "torus": torus,
+    }
 
 
-def _knot_record(braid: LorenzBraid) -> InvariantRecord:
+def _knot_record(braid: LorenzBraid) -> dict:
     record = compute_record(braid)
-    if record.components != 1:
-        raise NotAKnotError(f"closure has {record.components} components")
+    if record["components"] != 1:
+        raise NotAKnotError(f"closure has {record['components']} components")
     return record
 
 
@@ -102,21 +85,21 @@ def euler_characteristic(braid: LorenzBraid) -> int:
 
 def genus(braid: LorenzBraid) -> int:
     """Genus of the closure, defined for knots only: g = (c - n + 1) / 2."""
-    return _knot_record(braid).genus
+    return _knot_record(braid)["genus"]
 
 
 def braid_index(braid: LorenzBraid) -> int:
     """Minimal strand count over all closed-braid presentations (see
     :func:`compute_record`)."""
-    return compute_record(braid).braid_index
+    return compute_record(braid)["braid_index"]
 
 
 def min_crossings(braid: LorenzBraid) -> int:
     """Minimum crossing number of a knotted closure: 2g + n_min - 1."""
-    return _knot_record(braid).min_crossings
+    return _knot_record(braid)["c_min"]
 
 
 def is_torus(braid: LorenzBraid) -> tuple[int, int] | None:
     """(p, q) when every rightward strand of a knot shares one displacement p,
     else None (see :func:`compute_record`)."""
-    return _knot_record(braid).torus
+    return _knot_record(braid)["torus"]

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     CapExceededError,
@@ -64,19 +64,14 @@ class LaurentPoly:
     both the bracket variable (integer exponents, stored as multiples of 4)
     and the Jones variable, whose exponents for links live in (1/2)Z.  Zero
     coefficients are never stored.  The value is read-only: it is built once
-    from a mapping or from pairs and then read through `pairs` and `format`.
+    from a mapping of quarter exponents to coefficients and then read through
+    `pairs` and `format`.  ``LaurentPoly()`` is the zero polynomial.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        # told apart by items(): far cheaper than isinstance(coeffs, Mapping)
-        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        cleaned: dict[int, int] = {}
-        for exponent, coefficient in items:
-            if coefficient:
-                cleaned[int(exponent)] = cleaned.get(int(exponent), 0) + int(coefficient)
-        self._coeffs = {e: c for e, c in cleaned.items() if c}
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
+        self._coeffs = {e: c for e, c in (coeffs or {}).items() if c}
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Sorted (quarter_exponent, coefficient) pairs; the wire form."""

@@ -66,6 +66,14 @@ class TestWordInfo:
         assert header.startswith("word,length,")
         assert row.startswith("LR,2,")
 
+    def test_agrees_with_the_atlas_record_on_every_shared_key(self, capsys):
+        for line in cli.build_atlas(10):
+            atlas_record = json.loads(line)
+            payload = run_json(capsys, "word", "info", atlas_record["word"])
+            shared = payload.keys() & atlas_record.keys()
+            assert shared == atlas_record.keys() - {"jones"}
+            assert {k: payload[k] for k in shared} == {k: atlas_record[k] for k in shared}
+
     def test_validation_exit_code(self, capsys):
         code, _, err = run(capsys, "word", "info", "LRLR")
         assert code == 2
@@ -573,6 +581,35 @@ class TestAtlas:
         code, out, err = run(capsys, "atlas", "query", str(out_path))
         assert code == 2
         assert "atlas line 5:" in err and "Jones span" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"jones": [[4, 3], [12, 1], [16, -1]]}, "Jones V(1) != (-2)^(components - 1)"),
+            # |V(1)| would need 10^12 bits: refused before any power is taken
+            ({"components": 10**12}, "Jones V(1) != (-2)^(components - 1)"),
+            ({"jones": [[4, 1], [12, 1], [14, -1]]}, "Jones V(-1) is not odd"),
+            ({"jones": [[4, 1], [12, 1], [16, -1], [20, 1], [24, -1]]}, "Jones span > c_min"),
+        ],
+    )
+    def test_jones_relations_rechecked_on_load(self, capsys, tmp_path, edit, message):
+        out_path = tmp_path / "atlas.jsonl"
+        run(
+            capsys, "atlas", "build", "--max-len", "5", "--jones-max-crossings", "8",
+            "--out", str(out_path),
+        )
+        lines = out_path.read_text().splitlines()
+        record = json.loads(lines[10])
+        # the trefoil, V = t + t^3 - t^4: each edit breaks one relation and
+        # keeps the others, span V <= c = 6 among them
+        assert (record["word"], record["c"], record["c_min"]) == ("LLRLR", 6, 3)
+        assert record["jones"] == [[4, 1], [12, 1], [16, -1]]
+        record.update(edit)
+        lines[10] = json.dumps(record, separators=(",", ":"))
+        out_path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "atlas", "query", str(out_path))
+        assert code == 2
+        assert err == f"error: atlas line 11: corrupt atlas record LLRLR: {message}\n"
 
     @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
     def test_query_of_a_file_that_is_not_utf8_exits_2(self, capsys, tmp_path, fmt):

@@ -1,9 +1,11 @@
 """Genus, braid index, minimum crossings, torus detection."""
 
+import json
 import math
 
 import pytest
 
+from lorenzlinks import cli
 from lorenzlinks.braid import braid_of_words
 from lorenzlinks.errors import NotAKnotError
 from lorenzlinks.invariants import (
@@ -83,9 +85,9 @@ class TestTorusDetection:
     def test_torus_records_have_torus_genus(self):
         for word in enumerate_words(10):
             record = compute_record(braid_of_words(LinkWords((word,))))
-            if record.torus is not None:
-                p, q = record.torus
-                assert record.genus == (p - 1) * (q - 1) // 2
+            if record["torus"] is not None:
+                p, q = record["torus"]
+                assert record["genus"] == (p - 1) * (q - 1) // 2
 
 
 class TestTorusSweep:
@@ -124,6 +126,15 @@ class TestFormulaAudit:
         for word in enumerate_words(9):
             braid = braid_of_words(LinkWords((word,)))
             record = compute_record(braid)
-            assert record.chi == record.strands - record.crossings
-            assert 2 * record.genus == record.crossings - record.strands + 1
-            assert record.min_crossings == 2 * record.genus + record.braid_index - 1
+            assert record["chi"] == record["n"] - record["c"]
+            assert 2 * record["genus"] == record["c"] - record["n"] + 1
+            assert record["c_min"] == 2 * record["genus"] + record["braid_index"] - 1
+
+
+class TestRecordSchema:
+    def test_keys_are_the_atlas_keys_in_atlas_order(self):
+        for line in cli.build_atlas(6):
+            atlas_record = json.loads(line)
+            keys = list(atlas_record)
+            assert keys[:2] == ["word", "length"] and keys[-1] == "jones"
+            assert list(compute_record(braid_of(atlas_record["word"]))) == keys[2:-1]
