@@ -7,22 +7,13 @@ ODE itinerary reader, plus a census-building CLI (`lorenzlinks`).
 """
 
 from .braid import (
-    Crossing,
     LorenzBraid,
     braid_generators,
     braid_of_words,
     linking_matrix,
-    position_sequences,
     words_of_braid,
 )
-from .invariants import (
-    braid_index,
-    compute_record,
-    euler_characteristic,
-    genus,
-    is_torus,
-    min_crossings,
-)
+from .invariants import compute_record
 from .jones import (
     LaurentPoly,
     jones_of_braid,
@@ -38,7 +29,7 @@ from .modular import (
     rademacher_psi,
     word_of_matrix,
 )
-from .flow import FlowParams, Trajectory, equilibria, integrate, itinerary, vector_field
+from .flow import Trajectory, equilibria, integrate, itinerary, vector_field
 from .tlink import TLinkParams, from_lorenz, t_braid_word, to_lorenz
 from .words import (
     CyclicWord,
@@ -53,9 +44,7 @@ from .words import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Crossing",
     "CyclicWord",
-    "FlowParams",
     "LaurentPoly",
     "LinkWords",
     "LorenzBraid",
@@ -64,27 +53,21 @@ __all__ = [
     "Trajectory",
     "aperiodic_count",
     "braid_generators",
-    "braid_index",
     "braid_of_words",
     "canonicalize",
     "compute_record",
     "dedekind_sum",
     "enumerate_words",
     "equilibria",
-    "euler_characteristic",
     "from_lorenz",
-    "genus",
     "integrate",
     "involute",
-    "is_torus",
     "itinerary",
     "jones_of_braid",
     "jones_torus",
     "kauffman_bracket",
     "linking_matrix",
     "matrix_of_word",
-    "min_crossings",
-    "position_sequences",
     "rademacher",
     "rademacher_phi",
     "rademacher_psi",

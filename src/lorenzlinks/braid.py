@@ -26,7 +26,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, groupby
-from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
 from .words import CyclicWord, LinkWords, canonicalize
@@ -37,14 +36,6 @@ EAR_TYPES = ("LL", "LR", "RL", "RR")
 # for N letters in all, and every atlas word (at most 18 letters, so keys of
 # at most 36) is ordered by this first sort alone, as by a full-key sort
 SEED = 64
-
-
-class Crossing(NamedTuple):
-    """One positive crossing: generator position plus the strand ids involved."""
-
-    position: int  # 1-based generator index; crosses positions (position, position + 1)
-    over: int  # start position of the overcrossing (left-lobe) strand
-    under: int  # start position of the undercrossing (right-lobe) strand
 
 
 @dataclass(frozen=True)
@@ -119,15 +110,8 @@ class LorenzBraid:
     # -- derived structure ------------------------------------------------
 
     @property
-    def l_count(self) -> int:
-        return sum(1 for letter in self.letters if letter == "L")
-
-    @property
     def component_count(self) -> int:
         return len(set(self.components))
-
-    def displacement(self, start: int) -> int:
-        return self.targets[start - 1] - start
 
     @property
     def over_positions(self) -> tuple[int, ...]:
@@ -176,16 +160,6 @@ class LorenzBraid:
             "types": [self.ear_type(i) for i in range(1, self.n + 1)],
             "trip": [list(pq) for pq in self.trip],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LorenzBraid":
-        letters = tuple(t[0] for t in data["types"])
-        return cls(
-            n=int(data["n"]),
-            targets=tuple(int(t) for t in data["targets"]),
-            letters=letters,
-            components=tuple(int(c) for c in data["components"]),
-        )
 
 
 def permutation_cycles(targets: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -309,19 +283,6 @@ def braid_of_words(link: LinkWords) -> LorenzBraid:
     return LorenzBraid(n, tuple(targets), tuple(letters), tuple(components))
 
 
-def position_sequences(link: LinkWords) -> list[tuple[int, ...]]:
-    """Per component, the rank of each successive rotation of the word.
-
-    Element k of a sequence is the 1-based rank of the rotation starting k
-    letters into the canonical spelling; the braid strand starting at rank k
-    ends at rank k+1.  The canonical spelling is its word's least rotation,
-    so each sequence is its component's braid cycle, which starts at its
-    least position.
-    """
-    blocks = _rotation_ranks([word.letters for word in link.words])
-    return [tuple(rank + 1 for rank in block) for block in blocks]
-
-
 def words_of_braid(braid: LorenzBraid) -> list[CyclicWord]:
     """Read each cycle's letters back into a canonical cyclic word.
 
@@ -334,8 +295,9 @@ def words_of_braid(braid: LorenzBraid) -> list[CyclicWord]:
     return out
 
 
-def braid_generators(braid: LorenzBraid) -> list[Crossing]:
-    """A positive braid word realizing the permutation, one crossing per pair.
+def braid_generators(braid: LorenzBraid) -> list[int]:
+    """A positive braid word realizing the permutation, one crossing per pair,
+    as 1-based generator indices: i crosses positions i and i + 1.
 
     Rightward strands are slid to their targets one at a time, rightmost
     first, so each slide passes only leftward strands.  The word length is
@@ -344,7 +306,7 @@ def braid_generators(braid: LorenzBraid) -> list[Crossing]:
     treat the result as a crossing multiset.
     """
     arrangement = list(range(1, braid.n + 1))
-    out: list[Crossing] = []
+    out: list[int] = []
     for over in reversed(braid.over_positions):
         target = braid.targets[over - 1]
         if arrangement[over - 1] != over:
@@ -353,7 +315,7 @@ def braid_generators(braid: LorenzBraid) -> list[Crossing]:
             under = arrangement[idx + 1]
             if braid.letters[under - 1] != "R":
                 raise InternalInconsistencyError("two left-lobe strands crossed")
-            out.append(Crossing(position=idx + 1, over=over, under=under))
+            out.append(idx + 1)
             arrangement[idx], arrangement[idx + 1] = arrangement[idx + 1], arrangement[idx]
     inverse = [0] * braid.n
     for start, target in enumerate(braid.targets, start=1):
@@ -371,14 +333,17 @@ def linking_matrix(braid: LorenzBraid) -> list[list[int]]:
     With every crossing positive, the linking number of components A and B is
     half their total crossing count, equivalently the number of crossings
     with the overstrand in A; both counts are computed and must agree.  The
-    diagonal is left zero.
+    generator word is replayed on the strands' arrangement: at generator i
+    the strand at position i passes over the one at position i + 1, and the
+    two swap.  The diagonal is left zero.
     """
     mu = braid.component_count
     over_counts = [[0] * mu for _ in range(mu)]
-    for crossing in braid_generators(braid):
-        a = braid.components[crossing.over - 1]
-        b = braid.components[crossing.under - 1]
+    arrangement = list(braid.components)
+    for i in braid_generators(braid):
+        a, b = arrangement[i - 1], arrangement[i]
         over_counts[a][b] += 1
+        arrangement[i - 1], arrangement[i] = b, a
     matrix = [[0] * mu for _ in range(mu)]
     for a in range(mu):
         for b in range(a + 1, mu):

@@ -85,46 +85,44 @@ def _check_atlas_cap(max_len: int) -> None:
 
 
 def verify_record(record: dict) -> None:
-    """Consistency relations every atlas record must satisfy on load."""
-    n, c = record["n"], record["c"]
+    """Consistency relations every atlas record must satisfy on load.  A
+    record names one word, so its closure is a knot and every knot relation
+    applies."""
+    word, n, c = record["word"], record["n"], record["c"]
+    if record["components"] != 1:
+        raise ValidationError(f"corrupt atlas record {word}: components != 1")
     if record["chi"] != n - c:
-        raise ValidationError(f"corrupt atlas record {record['word']}: chi != n - c")
+        raise ValidationError(f"corrupt atlas record {word}: chi != n - c")
     if record["LL"] + record["LR"] + record["RL"] + record["RR"] != n:
-        raise ValidationError(f"corrupt atlas record {record['word']}: ear counts != n")
+        raise ValidationError(f"corrupt atlas record {word}: ear counts != n")
     if record["LR"] != record["RL"]:
-        raise ValidationError(f"corrupt atlas record {record['word']}: |LR| != |RL|")
-    if record["components"] == 1:
-        g, bi, c_min = record["genus"], record["braid_index"], record["c_min"]
-        if 2 * g != c - n + 1:
-            raise ValidationError(f"corrupt atlas record {record['word']}: 2g != c - n + 1")
-        if c_min != 2 * g + bi - 1:
-            raise ValidationError(f"corrupt atlas record {record['word']}: c_min relation")
-        if record["torus"] is not None:
-            p, q = record["torus"]
-            if g != (p - 1) * (q - 1) // 2:
-                raise ValidationError(f"corrupt atlas record {record['word']}: torus genus")
+        raise ValidationError(f"corrupt atlas record {word}: |LR| != |RL|")
+    g, bi, c_min = record["genus"], record["braid_index"], record["c_min"]
+    if 2 * g != c - n + 1:
+        raise ValidationError(f"corrupt atlas record {word}: 2g != c - n + 1")
+    if c_min != 2 * g + bi - 1:
+        raise ValidationError(f"corrupt atlas record {word}: c_min relation")
+    if record["torus"] is not None:
+        p, q = record["torus"]
+        if g != (p - 1) * (q - 1) // 2:
+            raise ValidationError(f"corrupt atlas record {word}: torus genus")
     if record["jones"] is not None:
         _verify_jones(record)
 
 
 def _verify_jones(record: dict) -> None:
-    """Relations between a published Jones polynomial and the invariants
-    beside it: span V <= c (Kauffman-Murasugi-Thistlethwaite),
-    V(1) = (-2)^(components - 1) and, for knots, V(-1) odd and
-    span V <= c_min.  Pairs (e, a) carry quarter exponents, so span V <= c
-    reads max e - min e <= 4c, and a knot's exponents are multiples of 4."""
-    word, components, pairs = record["word"], record["components"], record["jones"]
+    """Relations between a knot's published Jones polynomial and the
+    invariants beside it: span V <= c (Kauffman-Murasugi-Thistlethwaite),
+    V(1) = 1, V(-1) odd and span V <= c_min.  Pairs (e, a) carry quarter
+    exponents, so span V <= c reads max e - min e <= 4c, and a knot's
+    exponents are multiples of 4."""
+    word, pairs = record["word"], record["jones"]
     exponents = [e for e, _ in pairs]
     span = max(exponents) - min(exponents) if exponents else None
     if span is None or span > 4 * record["c"]:
         raise ValidationError(f"corrupt atlas record {word}: Jones span > c")
-    at_one = sum(a for _, a in pairs)
-    # |V(1)| = 2^(components - 1) has components bits, so a larger count
-    # fails before any power is taken
-    if not 0 < components <= abs(at_one).bit_length() or at_one != (-2) ** (components - 1):
-        raise ValidationError(f"corrupt atlas record {word}: Jones V(1) != (-2)^(components - 1)")
-    if components != 1:
-        return
+    if sum(a for _, a in pairs) != 1:
+        raise ValidationError(f"corrupt atlas record {word}: Jones V(1) != 1")
     at_minus_one = sum(-a if e % 8 == 4 else a for e, a in pairs)
     if any(e % 4 for e in exponents) or at_minus_one % 2 == 0:
         raise ValidationError(f"corrupt atlas record {word}: Jones V(-1) is not odd")
@@ -459,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     flow_sub = flow.add_subparsers(dest="action", required=True)
     itin = flow_sub.add_parser("itinerary", help="LR symbols of a trajectory")
     itin.add_argument("--seed-state", default="1,1,1")
-    itin.add_argument("--dt", type=float, default=None)
+    itin.add_argument("--dt", type=float, default=flow_mod.DT)
     itin.add_argument("--steps", type=int, default=40000)
     itin.add_argument("--skip-transient", type=float, default=10.0)
     itin.add_argument("--csv", default=None, help="also dump the trajectory as CSV")

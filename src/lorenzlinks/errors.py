@@ -40,11 +40,6 @@ class DuplicateComponentError(ValidationError):
     """Two link components share the same cyclic word."""
 
 
-# invariants
-class NotAKnotError(ValidationError):
-    """A knot-only invariant was requested for a multi-component link."""
-
-
 # tlink
 class InvalidParamsError(ValidationError):
     """Torus-block parameters violate ordering or positivity."""

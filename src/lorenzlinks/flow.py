@@ -4,18 +4,20 @@ The vector field is
 
     dx/dt = sigma (y - x),  dy/dt = rho x - y - x z,  dz/dt = x y - beta z
 
-with the classical parameters sigma = 10, rho = 28, beta = 8/3.  Besides the
-origin it has two rest points at (+-sqrt(beta (rho - 1)), same, rho - 1), the
-centers of the attractor's lobes.  Integration is classical fixed-step
-fourth-order Runge-Kutta, fully deterministic for fixed inputs, in plain
-Python floats: a trajectory is four ``array('d')`` columns (times, x, y, z)
-that grow by one sample per step, and at most MAX_STEPS steps are taken.
+with the classical parameters, the module constants SIGMA = 10, RHO = 28
+and BETA = 8/3, the one system the template models.  Besides the origin it
+has two rest points at (+-sqrt(beta (rho - 1)), same, rho - 1), the centers
+of the attractor's lobes.  Integration is classical fixed-step fourth-order
+Runge-Kutta with step DT unless a caller passes another, fully deterministic
+for fixed inputs, in plain Python floats: a trajectory is four ``array('d')``
+columns (times, x, y, z) that grow by one sample per step, and at most
+MAX_STEPS steps are taken.
 
 The itinerary of a trajectory is read off the standard one-dimensional
 return section: at each local maximum of z, emit L when x < 0 and R when
-x > 0.  Events with |x| inside a small dead band are refused rather than
-guessed.  Trajectories are chaotic, so itineraries are best-effort symbol
-prefixes, not certified orbit names.
+x > 0.  Events with |x| inside a dead band of half-width 1e-6 are refused
+rather than guessed.  Trajectories are chaotic, so itineraries are
+best-effort symbol prefixes, not certified orbit names.
 """
 
 from __future__ import annotations
@@ -35,30 +37,16 @@ from .errors import (
     ValidationError,
 )
 
+SIGMA = 10.0
+RHO = 28.0
+BETA = 8.0 / 3.0
+DT = 1.0e-3
 MAX_STABLE_DT = 0.01
 # 2e6 steps take about 4 s and hold 64 MB of samples (2-vCPU 2.1 GHz Xeon
 # VM, Python 3.11); the longest run in the tests is 1e6 steps
 MAX_STEPS = 2_000_000
 _DIVERGENCE_BOUND = 1.0e6
-
-
-@dataclass(frozen=True)
-class FlowParams:
-    """System coefficients plus the default integration step."""
-
-    sigma: float = 10.0
-    rho: float = 28.0
-    beta: float = 8.0 / 3.0
-    dt: float = 1.0e-3
-
-    def __post_init__(self) -> None:
-        if min(self.sigma, self.rho, self.beta) <= 0:
-            raise ValidationError("sigma, rho, beta must be positive")
-        if self.dt <= 0:
-            raise ValidationError("dt must be positive")
-
-
-DEFAULT_PARAMS = FlowParams()
+_AMBIGUITY_TOL = 1.0e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,47 +79,33 @@ class Trajectory:
         writer.writerows(zip(self.times, self.x, self.y, self.z))
 
 
-def equilibria(params: FlowParams = DEFAULT_PARAMS) -> tuple[tuple[float, float, float], ...]:
+def equilibria() -> tuple[tuple[float, float, float], ...]:
     """The three rest points: the origin and the two lobe centers."""
-    r = sqrt(params.beta * (params.rho - 1.0))
-    height = params.rho - 1.0
+    r = sqrt(BETA * (RHO - 1.0))
+    height = RHO - 1.0
     return ((0.0, 0.0, 0.0), (r, r, height), (-r, -r, height))
 
 
-def vector_field(
-    state: Sequence[float], params: FlowParams = DEFAULT_PARAMS
-) -> tuple[float, float, float]:
+def vector_field(state: Sequence[float]) -> tuple[float, float, float]:
     """Time derivative (dx, dy, dz) at ``state``."""
     x, y, z = (float(v) for v in state)
-    return (
-        params.sigma * (y - x),
-        params.rho * x - y - x * z,
-        x * y - params.beta * z,
-    )
+    return (SIGMA * (y - x), RHO * x - y - x * z, x * y - BETA * z)
 
 
-def integrate(
-    start: Sequence[float],
-    dt: float | None = None,
-    steps: int = 1,
-    params: FlowParams = DEFAULT_PARAMS,
-) -> Trajectory:
+def integrate(start: Sequence[float], dt: float = DT, steps: int = 1) -> Trajectory:
     """Classical fixed-step RK4 from ``start`` for ``steps`` steps of ``dt``.
 
-    ``dt`` defaults to ``params.dt`` and is capped at 0.01 as a stability
-    guard.  More than MAX_STEPS steps raise CapExceededError before any
-    work.  Divergence (any coordinate beyond 1e6) raises instead of
-    returning NaNs.
+    ``dt`` is capped at MAX_STABLE_DT as a stability guard.  More than
+    MAX_STEPS steps raise CapExceededError before any work.  Divergence (any
+    coordinate beyond 1e6) raises instead of returning NaNs.
     """
-    if dt is None:
-        dt = params.dt
     if not 0 < dt <= MAX_STABLE_DT:
         raise ValidationError(f"dt must satisfy 0 < dt <= {MAX_STABLE_DT}")
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     if steps > MAX_STEPS:
         raise CapExceededError(f"{steps} steps exceed the cap of {MAX_STEPS}")
-    sigma, rho, beta = params.sigma, params.rho, params.beta
+    sigma, rho, beta = SIGMA, RHO, BETA  # locals: the loop reads them every step
     x, y, z = (float(v) for v in start)
     if not all(abs(v) < _DIVERGENCE_BOUND for v in (x, y, z)):
         raise NonFiniteError("start state out of range")
@@ -169,17 +143,13 @@ def integrate(
     return Trajectory(times, xs, ys, zs)
 
 
-def itinerary(
-    trajectory: Trajectory,
-    skip_transient: float = 0.0,
-    ambiguity_tol: float = 1.0e-6,
-) -> str:
+def itinerary(trajectory: Trajectory, skip_transient: float = 0.0) -> str:
     """LR symbols of a trajectory, one per local maximum of z.
 
     ``skip_transient`` is measured in time units from the first sample, so
     the result is invariant under dropping whole leading steps (with the
-    transient reduced to match).  A section event with |x| < ambiguity_tol
-    raises AmbiguousSymbolError rather than guessing the lobe.
+    transient reduced to match).  A section event with |x| < 1e-6 raises
+    AmbiguousSymbolError rather than guessing the lobe.
     """
     if len(trajectory) < 3:
         raise NoEventsError("trajectory too short to contain a section event")
@@ -188,7 +158,7 @@ def itinerary(
     symbols = []
     for t, xi, before, zi, after in zip(times[1:], x[1:], z, z[1:], z[2:]):
         if before < zi > after and t >= cutoff:
-            if abs(xi) < ambiguity_tol:
+            if abs(xi) < _AMBIGUITY_TOL:
                 raise AmbiguousSymbolError(f"|x| = {abs(xi):.3g} at t = {t:.6g}")
             symbols.append("L" if xi < 0 else "R")
     if not symbols:

@@ -8,15 +8,15 @@ the minimum crossing number of a knotted closure is realized at that braid
 index: c_min = 2g + n_min - 1.  All three are invariant under the order-2
 symmetry that rotates the template half a turn (swapping the lobes).
 
-`compute_record` returns every invariant as a plain dict under the atlas
-record's own keys and in its key order, so the atlas, `word info` and the
-readers below share one schema.
+`compute_record` is the one reader: it returns every invariant as a plain
+dict under the atlas record's own keys and in its key order, so the atlas,
+`word info` and library callers read one schema, by key.
 """
 
 from __future__ import annotations
 
 from .braid import LorenzBraid
-from .errors import InternalInconsistencyError, NotAKnotError
+from .errors import InternalInconsistencyError
 
 
 def compute_record(braid: LorenzBraid) -> dict:
@@ -64,42 +64,9 @@ def compute_record(braid: LorenzBraid) -> dict:
         "RL": rl,
         "RR": rr,
         "genus": g,
-        "chi": euler_characteristic(braid),
+        "chi": braid.n - crossings,
         "braid_index": index,
         "c_min": c_min,
         "torus": torus,
     }
 
-
-def _knot_record(braid: LorenzBraid) -> dict:
-    record = compute_record(braid)
-    if record["components"] != 1:
-        raise NotAKnotError(f"closure has {record['components']} components")
-    return record
-
-
-def euler_characteristic(braid: LorenzBraid) -> int:
-    """chi of the fiber surface of the closure: strands minus crossings."""
-    return braid.n - braid.crossings
-
-
-def genus(braid: LorenzBraid) -> int:
-    """Genus of the closure, defined for knots only: g = (c - n + 1) / 2."""
-    return _knot_record(braid)["genus"]
-
-
-def braid_index(braid: LorenzBraid) -> int:
-    """Minimal strand count over all closed-braid presentations (see
-    :func:`compute_record`)."""
-    return compute_record(braid)["braid_index"]
-
-
-def min_crossings(braid: LorenzBraid) -> int:
-    """Minimum crossing number of a knotted closure: 2g + n_min - 1."""
-    return _knot_record(braid)["c_min"]
-
-
-def is_torus(braid: LorenzBraid) -> tuple[int, int] | None:
-    """(p, q) when every rightward strand of a knot shares one displacement p,
-    else None (see :func:`compute_record`)."""
-    return _knot_record(braid)["torus"]

@@ -121,16 +121,16 @@ def _check_crossings(c: int, cap: int) -> None:
 
 
 def kauffman_bracket(
-    crossings: Sequence,
+    crossings: Sequence[int],
     n: int,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> LaurentPoly:
     """Bracket polynomial (in A) of the closure of a positive braid word.
 
-    ``crossings`` is a braid word as generator positions, either bare ints or
-    crossing records with a ``position`` attribute.  After the generator
-    indices are validated and the crossing cap is checked on the word as
-    given, `_destabilize` removes k crossings and k strands by positive
+    ``crossings`` is a braid word as 1-based generator indices, the form
+    `braid_generators` and `t_braid_word` return.  After the indices are
+    validated and the crossing cap is checked on the word as given,
+    `_destabilize` removes k crossings and k strands by positive
     Reidemeister I moves.  The evaluation below runs on the reduced word, so
     c and n from here on are its counts, and the result is multiplied by
     (-A^3)^k: 12k is added to every quarter exponent and every coefficient
@@ -175,7 +175,7 @@ def kauffman_bracket(
     """
     if n < 1:
         raise ValidationError("strand count must be >= 1")
-    positions = [int(getattr(crossing, "position", crossing)) for crossing in crossings]
+    positions = list(crossings)
     for p in positions:
         if not 1 <= p <= n - 1:
             raise ValidationError(f"generator index {p} outside 1..{n - 1}")
@@ -311,7 +311,7 @@ def _peel(value: int, width: int, slots: int) -> tuple[list[int], int]:
 
 
 def jones_of_braid(
-    crossings: Sequence,
+    crossings: Sequence[int],
     n: int,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> LaurentPoly:

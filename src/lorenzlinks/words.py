@@ -113,10 +113,6 @@ class LinkWords:
                 )
             seen[w.letters] = idx
 
-    @property
-    def component_count(self) -> int:
-        return len(self.words)
-
 
 def validate_link(words: Iterable[str | CyclicWord]) -> LinkWords:
     """Canonicalize every entry and reject duplicates."""

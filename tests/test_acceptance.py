@@ -17,7 +17,7 @@ from lorenzlinks import cli
 from lorenzlinks.braid import braid_generators, braid_of_words
 from lorenzlinks.errors import DivisionRemainderError
 from lorenzlinks.flow import equilibria, integrate, itinerary, vector_field
-from lorenzlinks.invariants import braid_index, genus, min_crossings
+from lorenzlinks.invariants import compute_record
 from lorenzlinks.jones import _divide_by_one_minus_t_squared, jones_of_braid, jones_torus
 from lorenzlinks.modular import (
     L_MATRIX,
@@ -86,10 +86,10 @@ def test_criterion_04_torus_oracle_sweep():
         for q in range(p + 1, 9):
             if math.gcd(p, q) != 1:
                 continue
-            braid = to_lorenz(TLinkParams(((p, q),)))
-            ok = ok and genus(braid) == (p - 1) * (q - 1) // 2
-            ok = ok and braid_index(braid) == p
-            ok = ok and min_crossings(braid) == q * (p - 1)
+            record = compute_record(to_lorenz(TLinkParams(((p, q),))))
+            ok = ok and record["genus"] == (p - 1) * (q - 1) // 2
+            ok = ok and record["braid_index"] == p
+            ok = ok and record["c_min"] == q * (p - 1)
             checked += 1
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
@@ -139,9 +139,8 @@ def test_criterion_07_involution_symmetry():
     for word in enumerate_words(12):
         braid = word_braid(word)
         mirror = word_braid(involute(word))
-        ok = ok and genus(braid) == genus(mirror)
-        ok = ok and braid_index(braid) == braid_index(mirror)
-        ok = ok and min_crossings(braid) == min_crossings(mirror)
+        record, mirrored = compute_record(braid), compute_record(mirror)
+        ok = ok and all(record[k] == mirrored[k] for k in ("genus", "braid_index", "c_min"))
         ll, lr, rl, rr = braid.ear_counts
         ok = ok and mirror.ear_counts == (rr, rl, lr, ll)
         checked += 1

@@ -17,7 +17,6 @@ from lorenzlinks.braid import (
     braid_generators,
     braid_of_words,
     linking_matrix,
-    position_sequences,
     words_of_braid,
 )
 from lorenzlinks.errors import InternalInconsistencyError
@@ -73,8 +72,7 @@ def sorted_rotations_oracle(link):
 
 def position_sequences_oracle(link):
     """Each word's rotation ranks in rotation order, read off the key sort:
-    the rank map that position_sequences ran before it read the braid's
-    cycles."""
+    the cycle the braid's strands make through each component."""
     rank = {(ci, k): pos for pos, (_, ci, k) in enumerate(sorted_rotations_oracle(link), start=1)}
     return [tuple(rank[ci, k] for k in range(len(word))) for ci, word in enumerate(link.words)]
 
@@ -113,7 +111,7 @@ class TestBraidOfWords:
     def test_ten_strand_word(self):
         link = validate_link(["LRLRRRLRRR"])
         braid = braid_of_words(link)
-        assert position_sequences(link)[0] == (1, 6, 3, 10, 8, 5, 2, 9, 7, 4)
+        assert braid.cycles()[0] == (1, 6, 3, 10, 8, 5, 2, 9, 7, 4)
         assert braid.targets == (6, 9, 10, 1, 2, 3, 4, 5, 7, 8)
         assert len(braid.over_positions) == 3
         assert len(braid.under_positions) == 7
@@ -122,7 +120,7 @@ class TestBraidOfWords:
         braid = braid_of_words(validate_link(["LRLRL"]))
         assert braid.targets == (3, 4, 5, 1, 2)
         assert braid.over_positions == (1, 2, 3)
-        assert all(braid.displacement(i) == 2 for i in (1, 2, 3))
+        assert all(braid.targets[i - 1] - i == 2 for i in (1, 2, 3))
 
     def test_degenerate_single_letter(self):
         braid = braid_of_words(validate_link(["L"]))
@@ -156,7 +154,7 @@ class TestBraidOfWords:
     def test_position_sequences_chain_through_targets(self):
         link = validate_link(["LRLRL", "LRLRLRL", "LRLRRRLRRR"])
         braid = braid_of_words(link)
-        for sequence in position_sequences(link):
+        for sequence in position_sequences_oracle(link):
             for k, rank in enumerate(sequence):
                 assert braid.targets[rank - 1] == sequence[(k + 1) % len(sequence)]
 
@@ -165,12 +163,12 @@ class TestBraidOfWords:
         braid = braid_of_words(validate_link(["LRLRRRLRRR"]))
         assert braid.components[0] == 0
         assert braid.ear_type(1) == "LR"
-        assert 1 in braid.over_positions and braid.displacement(1) == 5
+        assert 1 in braid.over_positions and braid.targets[0] - 1 == 5
         assert 10 not in braid.over_positions
-        assert braid.displacement(10) == -2 and braid.ear_type(10) == "RR"
+        assert braid.targets[9] - 10 == -2 and braid.ear_type(10) == "RR"
         fixed = braid_of_words(validate_link(["L"]))
         assert fixed.ear_type(1) == "LL" and fixed.over_positions == ()
-        assert fixed.displacement(1) == 0
+        assert fixed.targets[0] - 1 == 0
 
 
 def seeded_links(count, seed=1729):
@@ -226,7 +224,7 @@ class TestLongWords:
         link = validate_link([self.WORDS[name]])
         text = link.words[0].letters
         offset_at = [0] * len(text)
-        for k, pos in enumerate(position_sequences(link)[0]):
+        for k, pos in enumerate(braid_of_words(link).cycles()[0]):
             offset_at[pos - 1] = k
         prev = None
         for k in offset_at:
@@ -236,17 +234,25 @@ class TestLongWords:
 
 
 class TestPositionSequences:
+    """The braid's cycles, walked from its targets and taken in component
+    order, are the components' rotation ranks in rotation order."""
+
+    @staticmethod
+    def cycles_by_component(link):
+        braid = braid_of_words(link)
+        return sorted(braid.cycles(), key=lambda cycle: braid.components[cycle[0] - 1])
+
     def test_equal_the_sort_oracle_on_every_word_to_length_12(self):
         for word in enumerate_words(12):
             link = LinkWords((word,))
-            assert position_sequences(link) == position_sequences_oracle(link)
+            assert self.cycles_by_component(link) == position_sequences_oracle(link)
 
     def test_equal_the_sort_oracle_on_seeded_links(self):
         rng = random.Random(1729)
         pool = enumerate_words(9)
         for _ in range(3000):
             link = LinkWords(tuple(rng.sample(pool, rng.randint(2, 4))))
-            assert position_sequences(link) == position_sequences_oracle(link)
+            assert self.cycles_by_component(link) == position_sequences_oracle(link)
 
 
 class TestStrandProfile:
@@ -354,12 +360,18 @@ class TestBraidGenerators:
     def test_each_pair_crosses_at_most_once(self):
         for word in enumerate_words(9):
             braid = braid_of_words(LinkWords((word,)))
-            pairs = [(g.over, g.under) for g in braid_generators(braid)]
+            # replay the word: generator i takes the strand at position i
+            # over the one at position i + 1, and the two swap
+            arrangement = list(range(1, braid.n + 1))
+            pairs = []
+            for i in braid_generators(braid):
+                assert 1 <= i <= braid.n - 1
+                over, under = arrangement[i - 1], arrangement[i]
+                assert braid.letters[over - 1] == "L"
+                assert braid.letters[under - 1] == "R"
+                pairs.append((over, under))
+                arrangement[i - 1], arrangement[i] = under, over
             assert len(pairs) == len(set(pairs))
-            for g in braid_generators(braid):
-                assert 1 <= g.position <= braid.n - 1
-                assert braid.letters[g.over - 1] == "L"
-                assert braid.letters[g.under - 1] == "R"
 
 
 class TestLinkingMatrix:
@@ -386,6 +398,9 @@ class TestSerialization:
     def test_json_roundtrip(self):
         braid = braid_of_words(validate_link(["LRLRRRLRRR", "LR"]))
         data = braid.to_json_dict()
-        rebuilt = LorenzBraid.from_json_dict(data)
+        # the wire form carries the whole braid: each type's first letter is
+        # its strand's letter
+        letters = tuple(t[0] for t in data["types"])
+        rebuilt = LorenzBraid(data["n"], tuple(data["targets"]), letters, tuple(data["components"]))
         assert rebuilt == braid
         assert data["trip"] == [list(pq) for pq in braid.trip]

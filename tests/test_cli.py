@@ -532,6 +532,21 @@ class TestAtlas:
         assert code == 2
         assert "corrupt" in err
 
+    def test_record_edited_into_a_link_rejected_on_load(self, capsys, tmp_path):
+        # an atlas record names one word, so a component count other than 1
+        # is corrupt, and no knot relation is skipped for it
+        out_path = tmp_path / "atlas.jsonl"
+        run(capsys, "atlas", "build", "--max-len", "5", "--out", str(out_path))
+        lines = out_path.read_text().splitlines()
+        record = json.loads(lines[10])
+        assert record["word"] == "LLRLR"
+        record.update({"components": 2, "genus": 99, "c_min": -5, "torus": [7, 7]})
+        lines[10] = json.dumps(record, separators=(",", ":"))
+        out_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "atlas", "query", str(out_path))
+        assert code == 2
+        assert err == "error: atlas line 11: corrupt atlas record LLRLR: components != 1\n"
+
     def test_truncated_line_names_its_number(self, capsys, tmp_path):
         out_path = tmp_path / "atlas.jsonl"
         run(capsys, "atlas", "build", "--max-len", "3", "--out", str(out_path))
@@ -585,9 +600,8 @@ class TestAtlas:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            ({"jones": [[4, 3], [12, 1], [16, -1]]}, "Jones V(1) != (-2)^(components - 1)"),
-            # |V(1)| would need 10^12 bits: refused before any power is taken
-            ({"components": 10**12}, "Jones V(1) != (-2)^(components - 1)"),
+            ({"jones": [[4, 3], [12, 1], [16, -1]]}, "Jones V(1) != 1"),
+            ({"components": 10**12}, "components != 1"),
             ({"jones": [[4, 1], [12, 1], [14, -1]]}, "Jones V(-1) is not odd"),
             ({"jones": [[4, 1], [12, 1], [16, -1], [20, 1], [24, -1]]}, "Jones span > c_min"),
         ],

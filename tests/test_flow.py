@@ -21,7 +21,6 @@ from lorenzlinks.errors import (
 )
 from lorenzlinks.flow import (
     MAX_STEPS,
-    FlowParams,
     Trajectory,
     equilibria,
     integrate,
@@ -30,8 +29,8 @@ from lorenzlinks.flow import (
 )
 
 
-def residual(state, params=FlowParams()):
-    return max(abs(v) for v in vector_field(state, params))
+def residual(state):
+    return max(abs(v) for v in vector_field(state))
 
 
 def columns(traj, start=0):
@@ -68,12 +67,6 @@ class TestVectorField:
         for point in points:
             assert residual(point) < 1e-12
         assert points[1][2] == 27.0
-
-    def test_params_validation(self):
-        with pytest.raises(ValidationError):
-            FlowParams(sigma=-1.0)
-        with pytest.raises(ValidationError):
-            FlowParams(dt=0.0)
 
 
 class TestIntegrate:

@@ -3,25 +3,19 @@
 import json
 import math
 
-import pytest
-
 from lorenzlinks import cli
 from lorenzlinks.braid import braid_of_words
-from lorenzlinks.errors import NotAKnotError
-from lorenzlinks.invariants import (
-    braid_index,
-    compute_record,
-    euler_characteristic,
-    genus,
-    is_torus,
-    min_crossings,
-)
+from lorenzlinks.invariants import compute_record
 from lorenzlinks.tlink import TLinkParams, to_lorenz
 from lorenzlinks.words import LinkWords, enumerate_words, involute, validate_link
 
 
 def braid_of(word: str):
     return braid_of_words(validate_link([word]))
+
+
+def record_of(word: str) -> dict:
+    return compute_record(braid_of(word))
 
 
 def coprime_pairs(lo, hi):
@@ -35,23 +29,22 @@ def coprime_pairs(lo, hi):
 
 class TestGenus:
     def test_trefoil(self):
-        assert genus(braid_of("LRLRL")) == 1
+        assert record_of("LRLRL")["genus"] == 1
 
     def test_ten_letter_knot(self):
-        assert genus(braid_of("LRLRRRLRRR")) == 5
+        assert record_of("LRLRRRLRRR")["genus"] == 5
 
     def test_unknots(self):
-        assert genus(braid_of("L")) == 0
-        assert genus(braid_of("LR")) == 0
+        assert record_of("L")["genus"] == 0
+        assert record_of("LR")["genus"] == 0
 
     def test_chi_for_links(self):
         braid = to_lorenz(TLinkParams(((2, 4),)))
-        assert euler_characteristic(braid) == braid.n - braid.crossings == -2
+        assert compute_record(braid)["chi"] == braid.n - braid.crossings == -2
 
     def test_rejects_links(self):
         braid = to_lorenz(TLinkParams(((2, 4),)))
-        with pytest.raises(NotAKnotError):
-            genus(braid)
+        assert compute_record(braid)["genus"] is None
 
     def test_parity_holds_up_to_length_14(self):
         for word in enumerate_words(14):
@@ -61,26 +54,25 @@ class TestGenus:
 
 class TestBraidIndex:
     def test_examples(self):
-        assert braid_index(braid_of("LRLRRRLRRR")) == 3
-        assert braid_index(braid_of("LRLRL")) == 2
-        assert braid_index(braid_of("L")) == 1
+        assert record_of("LRLRRRLRRR")["braid_index"] == 3
+        assert record_of("LRLRL")["braid_index"] == 2
+        assert record_of("L")["braid_index"] == 1
 
     def test_min_crossings_examples(self):
-        assert min_crossings(braid_of("LRLRL")) == 3
-        assert min_crossings(to_lorenz(TLinkParams(((3, 5),)))) == 10
-        assert min_crossings(braid_of("L")) == 0
+        assert record_of("LRLRL")["c_min"] == 3
+        assert compute_record(to_lorenz(TLinkParams(((3, 5),))))["c_min"] == 10
+        assert record_of("L")["c_min"] == 0
 
     def test_min_crossings_rejects_links(self):
-        with pytest.raises(NotAKnotError):
-            min_crossings(to_lorenz(TLinkParams(((2, 4),))))
+        assert compute_record(to_lorenz(TLinkParams(((2, 4),))))["c_min"] is None
 
 
 class TestTorusDetection:
     def test_examples(self):
-        assert is_torus(braid_of("LRLRL")) == (2, 3)
-        assert is_torus(braid_of("LRLRRRLRRR")) is None
+        assert record_of("LRLRL")["torus"] == (2, 3)
+        assert record_of("LRLRRRLRRR")["torus"] is None
         # the seven-letter alternating word carries four strands of displacement 3
-        assert is_torus(braid_of("LRLRLRL")) == (3, 4)
+        assert record_of("LRLRLRL")["torus"] == (3, 4)
 
     def test_torus_records_have_torus_genus(self):
         for word in enumerate_words(10):
@@ -93,11 +85,11 @@ class TestTorusDetection:
 class TestTorusSweep:
     def test_closed_forms_for_all_coprime_pairs(self):
         for p, q in coprime_pairs(2, 8):
-            braid = to_lorenz(TLinkParams(((p, q),)))
-            assert genus(braid) == (p - 1) * (q - 1) // 2
-            assert braid_index(braid) == p
-            assert min_crossings(braid) == q * (p - 1)
-            assert is_torus(braid) == (p, q)
+            record = compute_record(to_lorenz(TLinkParams(((p, q),))))
+            assert record["genus"] == (p - 1) * (q - 1) // 2
+            assert record["braid_index"] == p
+            assert record["c_min"] == q * (p - 1)
+            assert record["torus"] == (p, q)
 
 
 class TestSymmetry:
@@ -105,9 +97,9 @@ class TestSymmetry:
         for word in enumerate_words(12):
             braid = braid_of_words(LinkWords((word,)))
             mirror = braid_of_words(LinkWords((involute(word),)))
-            assert genus(braid) == genus(mirror)
-            assert braid_index(braid) == braid_index(mirror)
-            assert min_crossings(braid) == min_crossings(mirror)
+            record, mirrored = compute_record(braid), compute_record(mirror)
+            for key in ("genus", "braid_index", "c_min"):
+                assert record[key] == mirrored[key]
             ll, lr, rl, rr = braid.ear_counts
             assert mirror.ear_counts == (rr, rl, lr, ll)
 
@@ -119,7 +111,7 @@ class TestFormulaAudit:
             if len(set(word.letters)) < 2:
                 continue
             braid = braid_of_words(LinkWords((word,)))
-            lhs = sum(q * (p - 1) for p, q in braid.trip) - (braid.n - braid.l_count) + 1
+            lhs = sum(q * (p - 1) for p, q in braid.trip) - braid.letters.count("R") + 1
             assert lhs == braid.crossings - braid.n + 1
 
     def test_record_relations(self):

@@ -157,7 +157,7 @@ class TestKauffmanBracket:
 
     def test_destabilizing_narrows_a_lorenz_braid(self):
         braid = braid_of_words(validate_link(["LLLLLRRRRRLR"]))
-        positions = [crossing.position for crossing in braid_generators(braid)]
+        positions = braid_generators(braid)
         assert (braid.n, len(positions)) == (12, 13)
         assert _destabilize(positions, braid.n) == ([2, 1, 2, 1], 3, 9)
 
@@ -320,12 +320,6 @@ class TestJonesOfBraid:
             ), word
             checked += 1
         assert checked == 488
-
-    def test_crossing_records_accepted(self):
-        braid = braid_of_words(validate_link(["LRLRL"]))
-        records = braid_generators(braid)
-        positions = [r.position for r in records]
-        assert jones_of_braid(records, braid.n) == jones_of_braid(positions, braid.n)
 
 
 class TestJonesTorus:

@@ -160,7 +160,7 @@ class TestLetterCap:
 class TestValidateLink:
     def test_three_component_example(self):
         link = validate_link(["LRLRL", "LRLRLRL", "LRLRRRLRRR"])
-        assert link.component_count == 3
+        assert len(link.words) == 3
         assert sum(len(w) for w in link.words) == 22
 
     def test_duplicate_cyclic_words(self):
