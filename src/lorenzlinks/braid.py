@@ -15,17 +15,17 @@ rotation is spelled and memory is linear in the letter count.
 
 A braid's crossing count, ear-type counts and trip are computed once, when
 it is built.  The trip groups the rightward strands into (displacement p,
-multiplicity q) blocks; these are the T-link parameters of the closure.  The
-crossings are counted twice, independently: as the inversions between the
-two lobe blocks (each block's targets increase, so a two-pointer merge counts
-them in O(n)) and as the trip sum, sum p * q.
+multiplicity q) blocks; these are the T-link parameters of the closure.  One
+merge of the two lobe blocks into 1..n checks the braid and reads the trip
+and crossings: a left strand's displacement is the number of right targets
+merged before it, and the crossings are the trip sum, sum p * q.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 from .errors import InternalInconsistencyError
 from .words import CyclicWord, LinkWords, canonicalize
@@ -57,61 +57,57 @@ class LorenzBraid:
     components: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = self.n
-        if n < 1 or len(self.targets) != n or len(self.letters) != n or len(self.components) != n:
+        n, targets, letters = self.n, self.targets, self.letters
+        if n < 1 or len(targets) != n or len(letters) != n or len(self.components) != n:
             raise InternalInconsistencyError("field lengths disagree with strand count")
-        if sorted(self.targets) != list(range(1, n + 1)):
-            raise InternalInconsistencyError("targets is not a permutation of 1..n")
-        if any(letter not in "LR" for letter in self.letters):
+        l_count = letters.count("L")
+        if l_count + letters.count("R") != n:
             raise InternalInconsistencyError("strand letters must be L or R")
-        l_count = sum(1 for letter in self.letters if letter == "L")
-        if any(letter == "R" for letter in self.letters[:l_count]):
+        if "R" in letters[:l_count]:
             raise InternalInconsistencyError("left-lobe strands must form an initial block")
-        for i, (letter, target) in enumerate(zip(self.letters, self.targets), start=1):
-            displacement = target - i
-            if letter == "L" and displacement < 0:
-                raise InternalInconsistencyError(f"left-lobe strand {i} moves left")
-            if letter == "R" and displacement > 0:
-                raise InternalInconsistencyError(f"right-lobe strand {i} moves right")
-        left, right = self.targets[:l_count], self.targets[l_count:]
-        for block_targets in (left, right):
-            if any(a > b for a, b in zip(block_targets, block_targets[1:])):
-                raise InternalInconsistencyError("targets must increase within each lobe block")
+        # merge the two lobe blocks into 1..n; a left strand's displacement is
+        # the number of right targets merged before it, so runs of equal
+        # displacement are the trip blocks and their sum is the crossing count
+        trip: list[list[int]] = []
+        crossings = left = 0
+        right = l_count
+        for value in range(1, n + 1):
+            if right < n and targets[right] == value:
+                right += 1
+            elif left < l_count and targets[left] == value:
+                left += 1
+                p = right - l_count
+                crossings += p
+                if trip and trip[-1][0] == p:
+                    trip[-1][1] += 1
+                elif p:
+                    trip.append([p, 1])
+            else:
+                raise InternalInconsistencyError(
+                    "targets are not two increasing lobe blocks merging into 1..n"
+                )
         # a strand's next pass rounds the left lobe exactly when it ends in the
-        # left block; the l_count targets there make ll + rl = l_count, so
-        # LR = l_count - ll equals RL for every permutation
-        ll = sum(1 for target in left if target <= l_count)
-        rl = sum(1 for target in right if target <= l_count)
-        counts = (ll, l_count - ll, rl, n - l_count - rl)
-        trip = _group_trip(left)
-        object.__setattr__(self, "_ear_counts", counts)
-        object.__setattr__(self, "_trip", trip)
-        object.__setattr__(self, "_crossings", _count_crossings(left, right, trip))
-        self._check_components()
-
-    def _check_components(self) -> None:
-        labels = set(self.components)
-        if labels != set(range(len(labels))):
-            raise InternalInconsistencyError("component labels must be 0..mu-1")
-        # no cycle mixing labels and no label on two cycles make cycles and
-        # labels correspond one to one, since every label is some strand's
-        cycles = permutation_cycles(self.targets)
-        cycle_labels: set[int] = set()
-        for cycle in cycles:
-            comp = {self.components[i - 1] for i in cycle}
-            if len(comp) != 1:
+        # left block; the l_count targets there make LL + RL = l_count, so
+        # RL = l_count - LL equals LR
+        ll = bisect_right(targets, l_count, 0, l_count)
+        lr = l_count - ll
+        object.__setattr__(self, "_ear_counts", (ll, lr, lr, n - l_count - lr))
+        object.__setattr__(self, "_trip", tuple(map(tuple, trip)))
+        object.__setattr__(self, "_crossings", crossings)
+        cycles = permutation_cycles(targets)
+        labels = [self.components[cycle[0] - 1] for cycle in cycles]
+        if sorted(labels) != list(range(len(cycles))):
+            raise InternalInconsistencyError("component labels must be 0..mu-1, one per cycle")
+        for label, cycle in zip(labels, cycles):
+            if any(self.components[pos - 1] != label for pos in cycle):
                 raise InternalInconsistencyError("a cycle mixes component labels")
-            label = comp.pop()
-            if label in cycle_labels:
-                raise InternalInconsistencyError("two cycles share a component label")
-            cycle_labels.add(label)
         object.__setattr__(self, "_cycles", tuple(cycles))
 
     # -- derived structure ------------------------------------------------
 
     @property
     def component_count(self) -> int:
-        return len(set(self.components))
+        return len(self._cycles)
 
     @property
     def over_positions(self) -> tuple[int, ...]:
@@ -141,8 +137,7 @@ class LorenzBraid:
     @property
     def crossings(self) -> int:
         """Crossing count of the diagram, the inversion number of the
-        permutation; counted once, when the braid is built, and checked there
-        against the trip sum sum p * q."""
+        permutation; summed once, as sum p * q, when the braid is built."""
         return self._crossings
 
     def cycles(self) -> list[tuple[int, ...]]:
@@ -179,40 +174,6 @@ def permutation_cycles(targets: tuple[int, ...]) -> list[tuple[int, ...]]:
             pos = targets[pos - 1]
         out.append(tuple(cycle))
     return out
-
-
-def _group_trip(left: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Trip of a Lorenz permutation from its left block's targets.
-
-    The left block holds the rightward strands plus the fixed strand of the
-    word L.  Its targets increase, so the displacements target - start never
-    decrease along it, and equal displacements form runs.
-    """
-    displacements = (target - start for start, target in enumerate(left, start=1))
-    return tuple((p, sum(1 for _ in run)) for p, run in groupby(displacements) if p > 0)
-
-
-def _count_crossings(
-    left: tuple[int, ...], right: tuple[int, ...], trip: tuple[tuple[int, int], ...]
-) -> int:
-    """Inversions of a Lorenz permutation from its two lobe blocks' targets.
-
-    Within each block the targets increase, so every inversion pairs a
-    left-block strand with a right-block strand of smaller target; a
-    two-pointer merge counts them.  The result must equal the trip sum
-    sum p * q.
-    """
-    inversions = below = 0
-    for target in left:
-        while below < len(right) and right[below] < target:
-            below += 1
-        inversions += below
-    trip_sum = sum(p * q for p, q in trip)
-    if inversions != trip_sum:
-        raise InternalInconsistencyError(
-            f"inversion count {inversions} but sum q_i p_i = {trip_sum}"
-        )
-    return inversions
 
 
 def _rotation_ranks(texts: list[str]) -> list[list[int]]:

@@ -91,6 +91,10 @@ def verify_record(record: dict) -> None:
     word, n, c = record["word"], record["n"], record["c"]
     if record["components"] != 1:
         raise ValidationError(f"corrupt atlas record {word}: components != 1")
+    if not record["length"] == len(word) == n:  # one strand per letter
+        raise ValidationError(f"corrupt atlas record {word}: length, |word| and n differ")
+    if sum(p * q for p, q in record["trip"]) != c:
+        raise ValidationError(f"corrupt atlas record {word}: sum p * q over trip != c")
     if record["chi"] != n - c:
         raise ValidationError(f"corrupt atlas record {word}: chi != n - c")
     if record["LL"] + record["LR"] + record["RL"] + record["RR"] != n:

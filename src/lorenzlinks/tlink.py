@@ -108,11 +108,6 @@ def to_lorenz(params: TLinkParams) -> LorenzBraid:
     displacements = [p for p, q in params.pairs for _ in range(q)]
     over_targets = [j + displacements[j - 1] for j in range(1, m + 1)]
     under_targets = sorted(set(range(1, n + 1)) - set(over_targets))
-    for offset, target in enumerate(under_targets, start=m + 1):
-        if target >= offset:
-            raise InternalInconsistencyError(
-                f"leftward strand at {offset} would not move left (target {target})"
-            )
     targets = tuple(over_targets + under_targets)
     letters = ("L",) * m + ("R",) * (n - m)
 

@@ -13,10 +13,10 @@ from lorenzlinks import braid as braid_mod
 from lorenzlinks.braid import (
     EAR_TYPES,
     LorenzBraid,
-    _count_crossings,
     braid_generators,
     braid_of_words,
     linking_matrix,
+    permutation_cycles,
     words_of_braid,
 )
 from lorenzlinks.errors import InternalInconsistencyError
@@ -38,6 +38,58 @@ def trip_oracle(targets):
         target - start for start, target in enumerate(targets, start=1) if target > start
     )
     return tuple(sorted(groups.items()))
+
+
+def lorenz_braid_oracle(n, targets, letters, components):
+    """The checks LorenzBraid's constructor made one at a time, with their
+    messages, and its fields computed the way it computed them: returns
+    (crossings, ear_counts, trip, cycles) or raises InternalInconsistencyError."""
+    if n < 1 or len(targets) != n or len(letters) != n or len(components) != n:
+        raise InternalInconsistencyError("field lengths disagree with strand count")
+    if sorted(targets) != list(range(1, n + 1)):
+        raise InternalInconsistencyError("targets is not a permutation of 1..n")
+    if any(letter not in "LR" for letter in letters):
+        raise InternalInconsistencyError("strand letters must be L or R")
+    l_count = sum(1 for letter in letters if letter == "L")
+    if any(letter == "R" for letter in letters[:l_count]):
+        raise InternalInconsistencyError("left-lobe strands must form an initial block")
+    for i, (letter, target) in enumerate(zip(letters, targets), start=1):
+        if letter == "L" and target < i:
+            raise InternalInconsistencyError(f"left-lobe strand {i} moves left")
+        if letter == "R" and target > i:
+            raise InternalInconsistencyError(f"right-lobe strand {i} moves right")
+    left, right = targets[:l_count], targets[l_count:]
+    for block in (left, right):
+        if any(a > b for a, b in zip(block, block[1:])):
+            raise InternalInconsistencyError("targets must increase within each lobe block")
+    ll = sum(1 for target in left if target <= l_count)
+    rl = sum(1 for target in right if target <= l_count)
+    displacements = (target - start for start, target in enumerate(left, start=1))
+    trip = tuple((p, len(list(run))) for p, run in itertools.groupby(displacements) if p > 0)
+    inversions = below = 0
+    for target in left:
+        while below < len(right) and right[below] < target:
+            below += 1
+        inversions += below
+    trip_sum = sum(p * q for p, q in trip)
+    if inversions != trip_sum:
+        raise InternalInconsistencyError(
+            f"inversion count {inversions} but sum q_i p_i = {trip_sum}"
+        )
+    labels = set(components)
+    if labels != set(range(len(labels))):
+        raise InternalInconsistencyError("component labels must be 0..mu-1")
+    cycles = permutation_cycles(targets)
+    cycle_labels = set()
+    for cycle in cycles:
+        comp = {components[i - 1] for i in cycle}
+        if len(comp) != 1:
+            raise InternalInconsistencyError("a cycle mixes component labels")
+        label = comp.pop()
+        if label in cycle_labels:
+            raise InternalInconsistencyError("two cycles share a component label")
+        cycle_labels.add(label)
+    return inversions, (ll, l_count - ll, rl, n - l_count - rl), trip, cycles
 
 
 def linking_oracle(braid):
@@ -292,33 +344,81 @@ class TestStrandProfile:
             braid = braid_of_words(LinkWords((word,)))
             assert braid.trip == trip_oracle(braid.targets)
 
-    def test_trip_sum_mismatch_is_refused(self):
-        # the inversion count is checked against the trip the braid publishes
-        with pytest.raises(InternalInconsistencyError, match="inversion count 6"):
-            _count_crossings((3, 4, 5), (1, 2), ((2, 2),))
 
-
-# one hand-built braid (n, targets, letters, components) per refusal message
+# one hand-built braid (n, targets, letters, components) per malformation,
+# named for it, and the refusal it meets; one merge into 1..n refuses every
+# permutation that is not two increasing lobe blocks
+NOT_MERGED = "targets are not two increasing lobe blocks merging into 1..n"
 BAD_BRAIDS = [
-    ((2, (1, 2), ("L",), (0, 1)), "field lengths disagree"),
-    ((0, (), (), ()), "field lengths disagree"),
-    ((2, (1, 1), ("L", "R"), (0, 1)), "not a permutation"),
-    ((1, (1,), ("X",), (0,)), "letters must be L or R"),
-    ((2, (1, 2), ("R", "L"), (0, 1)), "must form an initial block"),
-    ((3, (2, 1, 3), ("L", "L", "R"), (0, 0, 1)), "left-lobe strand 2 moves left"),
-    ((3, (1, 3, 2), ("L", "R", "R"), (0, 1, 1)), "right-lobe strand 2 moves right"),
-    ((4, (4, 3, 1, 2), ("L", "L", "R", "R"), (0, 0, 0, 0)), "must increase"),
-    ((1, (1,), ("L",), (1,)), "labels must be 0..mu-1"),
-    ((2, (2, 1), ("L", "R"), (0, 1)), "a cycle mixes component labels"),
-    ((2, (1, 2), ("L", "R"), (0, 0)), "two cycles share a component label"),
+    ("field lengths disagree", (2, (1, 2), ("L",), (0, 1)), "field lengths disagree"),
+    ("field lengths disagree", (0, (), (), ()), "field lengths disagree"),
+    ("not a permutation", (2, (1, 1), ("L", "R"), (0, 1)), NOT_MERGED),
+    ("letters must be L or R", (1, (1,), ("X",), (0,)), "letters must be L or R"),
+    ("must form an initial block", (2, (1, 2), ("R", "L"), (0, 1)), "must form an initial block"),
+    ("left-lobe strand 2 moves left", (3, (2, 1, 3), ("L", "L", "R"), (0, 0, 1)), NOT_MERGED),
+    ("right-lobe strand 2 moves right", (3, (1, 3, 2), ("L", "R", "R"), (0, 1, 1)), NOT_MERGED),
+    ("must increase", (4, (4, 3, 1, 2), ("L", "L", "R", "R"), (0, 0, 0, 0)), NOT_MERGED),
+    ("labels must be 0..mu-1", (1, (1,), ("L",), (1,)), "labels must be 0..mu-1"),
+    (
+        "a cycle mixes component labels",
+        (2, (2, 1), ("L", "R"), (0, 1)),
+        "a cycle mixes component labels",
+    ),
+    (
+        "two cycles share a component label",
+        (2, (1, 2), ("L", "R"), (0, 0)),
+        "labels must be 0..mu-1",
+    ),
 ]
 
 
+def labelings(targets):
+    """Component labels for a permutation's strands: by cycle, all 0, by
+    cycle read in reverse strand order and by cycle shifted by 1, without
+    repeats."""
+    by_cycle = [0] * len(targets)
+    for label, cycle in enumerate(permutation_cycles(targets)):
+        for pos in cycle:
+            by_cycle[pos - 1] = label
+    by_cycle = tuple(by_cycle)
+    return {by_cycle, (0,) * len(targets), by_cycle[::-1], tuple(x + 1 for x in by_cycle)}
+
+
 class TestLorenzBraidRejections:
-    @pytest.mark.parametrize("fields, message", BAD_BRAIDS, ids=[m for _, m in BAD_BRAIDS])
+    @pytest.mark.parametrize(
+        "fields, message", [row[1:] for row in BAD_BRAIDS], ids=[row[0] for row in BAD_BRAIDS]
+    )
     def test_refused(self, fields, message):
         with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
             LorenzBraid(*fields)
+
+    @pytest.mark.parametrize("name, fields", [row[:2] for row in BAD_BRAIDS])
+    def test_oracle_refuses_with_the_name(self, name, fields):
+        # each row is named for the message the constructor gave before the merge
+        with pytest.raises(InternalInconsistencyError, match=re.escape(name)):
+            lorenz_braid_oracle(*fields)
+
+    def test_merge_accepts_exactly_what_the_oracle_accepts(self):
+        # every permutation of n <= 6 strands, every lobe split, every labeling
+        cases = accepted = 0
+        for n in range(1, 7):
+            for targets in itertools.permutations(range(1, n + 1)):
+                for l_count in range(n + 1):
+                    letters = ("L",) * l_count + ("R",) * (n - l_count)
+                    for components in labelings(targets):
+                        cases += 1
+                        fields = (n, targets, letters, components)
+                        try:
+                            expected = lorenz_braid_oracle(*fields)
+                        except InternalInconsistencyError:
+                            with pytest.raises(InternalInconsistencyError):
+                                LorenzBraid(*fields)
+                            continue
+                        braid = LorenzBraid(*fields)
+                        read = (braid.crossings, braid.ear_counts, braid.trip, braid.cycles())
+                        assert read == expected, fields
+                        accepted += 1
+        assert (cases, accepted) == (21_386, 164)
 
 
 LINK_WORD_POOL = enumerate_words(12)

@@ -547,6 +547,26 @@ class TestAtlas:
         assert code == 2
         assert err == "error: atlas line 11: corrupt atlas record LLRLR: components != 1\n"
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"length": 77}, "length, |word| and n differ"),
+            ({"trip": [[9, 9]]}, "sum p * q over trip != c"),
+        ],
+    )
+    def test_length_and_trip_rechecked_on_load(self, capsys, tmp_path, edit, message):
+        out_path = tmp_path / "atlas.jsonl"
+        run(capsys, "atlas", "build", "--max-len", "5", "--out", str(out_path))
+        lines = out_path.read_text().splitlines()
+        record = json.loads(lines[10])
+        assert (record["word"], record["length"], record["trip"]) == ("LLRLR", 5, [[2, 3]])
+        record.update(edit)
+        lines[10] = json.dumps(record, separators=(",", ":"))
+        out_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "atlas", "query", str(out_path))
+        assert code == 2
+        assert err == f"error: atlas line 11: corrupt atlas record LLRLR: {message}\n"
+
     def test_truncated_line_names_its_number(self, capsys, tmp_path):
         out_path = tmp_path / "atlas.jsonl"
         run(capsys, "atlas", "build", "--max-len", "3", "--out", str(out_path))
