@@ -84,6 +84,11 @@ def _check_atlas_cap(max_len: int) -> None:
         raise CapExceededError(f"max_len {max_len} exceeds the cap of {MAX_ATLAS_LEN}")
 
 
+def _check_jones_cap(cap: int) -> None:
+    if cap < 0:
+        raise ValidationError(f"--jones-max-crossings must be >= 0, got {cap}")
+
+
 def verify_record(record: dict) -> None:
     """Consistency relations every atlas record must satisfy on load.  A
     record names one word, so its closure is a knot and every knot relation
@@ -298,6 +303,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_jones(args: argparse.Namespace) -> int:
+    _check_jones_cap(args.jones_max_crossings)
     tokens = [tok.strip() for tok in args.target.split(",")]
     if all(tok.isdigit() for tok in tokens) and len(tokens) == 2:
         try:
@@ -354,11 +360,21 @@ def _cmd_flow_itinerary(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ValidationError(f"seed state must be x,y,z: {args.seed_state!r}") from exc
     trajectory = flow_mod.integrate((x, y, z), dt=args.dt, steps=args.steps)
-    symbols = flow_mod.itinerary(trajectory, skip_transient=args.skip_transient)
-    if args.csv:
-        _write_atomically(args.csv, trajectory.write_csv)
-    print(symbols)
+
+    def read(handle: TextIO | None = None) -> str:  # one pass, writing rows to a handle
+        samples = trajectory if handle is None else _csv_rows(trajectory, handle)
+        return flow_mod.itinerary(samples, skip_transient=args.skip_transient)
+
+    print(_write_atomically(args.csv, read) if args.csv else read())
     return 0
+
+
+def _csv_rows(samples: Iterable[tuple], handle: TextIO) -> Iterator[tuple]:
+    """Pass (t, x, y, z) ``samples`` through, writing a header and each as a CSV row."""
+    handle.write("t,x,y,z\r\n")
+    for row in samples:
+        handle.write("%r,%r,%r,%r\r\n" % row)
+        yield row
 
 
 def _write_lines(handle: TextIO, lines: Iterable[str]) -> int:
@@ -398,6 +414,7 @@ def _write_atomically(path: str, write: Callable[[TextIO], _T]) -> _T:
 
 def _cmd_atlas_build(args: argparse.Namespace) -> int:
     _check_atlas_cap(args.max_len)
+    _check_jones_cap(args.jones_max_crossings)
     lines = build_atlas(args.max_len, jones_max_crossings=args.jones_max_crossings)
     count = _write_atomically(args.out, lambda handle: _write_lines(handle, lines))
     print(f"wrote {count} records to {args.out}")

@@ -10,6 +10,7 @@ import json
 import math
 import random
 import time
+from collections import deque
 
 import pytest
 
@@ -43,7 +44,7 @@ def word_braid(word):
 
 
 def final_state(trajectory):
-    return (trajectory.x[-1], trajectory.y[-1], trajectory.z[-1])
+    return deque(trajectory, maxlen=1)[0][1:]
 
 
 def test_criterion_01_ten_strand_word_via_cli(capsys):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lorenzlinks import braid as braid_mod
-from lorenzlinks import cli, flow
+from lorenzlinks import cli
 from lorenzlinks import modular as mod_mod
 from lorenzlinks.braid import braid_of_words
 from lorenzlinks.errors import BadFilterError, CapExceededError
@@ -202,6 +202,20 @@ class TestJones:
         code, _, _ = run(capsys, "jones", "LRLRRRLRRR", "--jones-max-crossings", "10")
         assert code == 3
 
+    @pytest.mark.parametrize("target", ["LR", "LRLRL", "2,3"])
+    @pytest.mark.parametrize("cap", [-1, -5])
+    def test_negative_crossing_cap_is_refused(self, capsys, target, cap):
+        code, out, err = run(capsys, "jones", target, "--jones-max-crossings", str(cap))
+        assert (code, out) == (2, "")
+        assert err == f"error: --jones-max-crossings must be >= 0, got {cap}\n"
+
+    def test_zero_crossing_cap_is_a_cap(self, capsys):
+        code, out, err = run(capsys, "jones", "LR", "--jones-max-crossings", "0")
+        assert (code, out, err) == (3, "", "error: 1 crossings exceeds the limit of 0\n")
+        assert run_json(capsys, "jones", "2,3", "--jones-max-crossings", "0")["pairs"] == [
+            [4, 1], [12, 1], [16, -1]
+        ]
+
     def test_torus_pair_over_the_strand_cap(self, capsys):
         code, out, err = run(capsys, "jones", f"{10**30},{10**30 + 1}")
         assert code == 3
@@ -334,14 +348,13 @@ class TestFlow:
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_csv_write_keeps_an_existing_file(self, capsys, tmp_path, monkeypatch):
-        def write_then_fail(self, stream):
-            stream.write("t,x,y,z\r\n")
+        def write_then_fail(samples, handle):
+            handle.write("t,x,y,z\r\n")
             raise OSError("disk full")
 
-        monkeypatch.setattr(flow.Trajectory, "write_csv", write_then_fail)
+        monkeypatch.setattr(cli, "_csv_rows", write_then_fail)
         csv_path = tmp_path / "traj.csv"
         csv_path.write_bytes(b"previous contents\n")
-        # the run must have section events, or it exits 2 before the write
         code, out, err = run(
             capsys, "flow", "itinerary", "--steps", "1000", "--skip-transient", "0",
             "--csv", str(csv_path),
@@ -349,6 +362,39 @@ class TestFlow:
         assert (code, out, err) == (4, "", "error: disk full\n")
         assert list(tmp_path.iterdir()) == [csv_path]
         assert csv_path.read_bytes() == b"previous contents\n"
+
+    @pytest.mark.parametrize("previous", [None, b"previous contents\n"])
+    def test_divergence_during_the_csv_write_leaves_the_csv_as_it_was(
+        self, capsys, tmp_path, previous
+    ):
+        # rows 0 and 1 are written to the temporary file before step 2 diverges
+        csv_path = tmp_path / "traj.csv"
+        if previous is not None:
+            csv_path.write_bytes(previous)
+        code, out, err = run(
+            capsys, "flow", "itinerary", "--dt", "0.01", "--seed-state", "1000,1000,1000",
+            "--csv", str(csv_path),
+        )
+        assert (code, out, err) == (2, "", "error: trajectory diverged at step 2\n")
+        assert [path.read_bytes() for path in tmp_path.iterdir()] == (
+            [] if previous is None else [previous]
+        )
+
+    @pytest.mark.parametrize("csv", [False, True])
+    def test_itinerary_has_bounded_memory(self, capsys, tmp_path, csv):
+        # samples are read as they are computed, so nothing grows with --steps
+        argv = ["flow", "itinerary", "--steps", "200000"]
+        if csv:
+            argv += ["--csv", str(tmp_path / "traj.csv")]
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert set(out.strip()) <= {"L", "R"}
+        assert peak < 2**20
 
     @pytest.mark.parametrize("previous", [None, b"previous contents\n"])
     def test_no_section_events_leaves_the_csv_as_it_was(self, capsys, tmp_path, previous):
@@ -405,6 +451,22 @@ class TestAtlas:
             capsys, "atlas", "build", "--max-len", "19", "--out", str(tmp_path / "x")
         )
         assert code == 3
+
+    @pytest.mark.parametrize("cap", [-1, -20])
+    @pytest.mark.parametrize("previous", [None, b"previous contents\n"])
+    def test_negative_jones_cap_leaves_the_atlas_as_it_was(self, capsys, tmp_path, cap, previous):
+        out_path = tmp_path / "atlas.jsonl"
+        if previous is not None:
+            out_path.write_bytes(previous)
+        code, out, err = run(
+            capsys, "atlas", "build", "--max-len", "3", "--jones-max-crossings", str(cap),
+            "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --jones-max-crossings must be >= 0, got {cap}\n"
+        assert [path.read_bytes() for path in tmp_path.iterdir()] == (
+            [] if previous is None else [previous]
+        )
 
     def test_io_error_exit_code(self, capsys, tmp_path):
         code, _, _ = run(

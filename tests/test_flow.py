@@ -5,13 +5,14 @@ import math
 import random
 import subprocess
 import sys
-from array import array
+from collections import deque
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import lorenzlinks
-from lorenzlinks import flow
+from lorenzlinks import cli, flow
 from lorenzlinks.errors import (
     AmbiguousSymbolError,
     CapExceededError,
@@ -21,7 +22,6 @@ from lorenzlinks.errors import (
 )
 from lorenzlinks.flow import (
     MAX_STEPS,
-    Trajectory,
     equilibria,
     integrate,
     itinerary,
@@ -33,20 +33,17 @@ def residual(state):
     return max(abs(v) for v in vector_field(state))
 
 
-def columns(traj, start=0):
-    return (traj.x[start:], traj.y[start:], traj.z[start:])
-
-
 def max_abs(traj, start=0):
-    return max(max(map(abs, column)) for column in columns(traj, start))
+    return max(max(map(abs, sample[1:])) for sample in islice(traj, start, None))
 
 
 def final(traj):
-    return (traj.x[-1], traj.y[-1], traj.z[-1])
+    return deque(traj, maxlen=1)[0][1:]
 
 
-def trajectory(times, x, y, z):
-    return Trajectory(*(array("d", column) for column in (times, x, y, z)))
+def samples(times, z):
+    """Hand-built (t, x, y, z) samples with x = y = 0."""
+    return [(t, 0.0, 0.0, zi) for t, zi in zip(times, z)]
 
 
 class TestVectorField:
@@ -73,7 +70,7 @@ class TestIntegrate:
     def test_equilibrium_stays_put(self):
         point = equilibria()[1]
         traj = integrate(point, dt=1e-3, steps=1000)
-        drift = max(abs(v - p) for column, p in zip(columns(traj), point) for v in column)
+        drift = max(abs(v - p) for sample in traj for v, p in zip(sample[1:], point))
         assert drift < 1e-9
 
     def test_step_halving_error_ratio(self):
@@ -100,15 +97,16 @@ class TestIntegrate:
     def test_determinism(self):
         a = integrate((1.0, 1.0, 1.0), dt=1e-3, steps=5000)
         b = integrate((1.0, 1.0, 1.0), dt=1e-3, steps=5000)
-        assert a.times == b.times and columns(a) == columns(b)
+        assert list(a) == list(b)
 
-    def test_columns(self):
-        traj = integrate((1.0, 2.0, 3.0), dt=1e-3, steps=10)
-        assert len(traj) == 11
-        for column in (traj.times, *columns(traj)):
-            assert isinstance(column, array) and column.typecode == "d" and len(column) == 11
-        assert traj.times == array("d", [i * 1e-3 for i in range(11)])
-        assert (traj.x[0], traj.y[0], traj.z[0]) == (1.0, 2.0, 3.0)
+    def test_samples(self):
+        traj = integrate((1, 2, 3), dt=1e-3, steps=10)
+        rows = list(traj)
+        assert len(traj) == len(rows) == 11
+        assert all(type(v) is float for row in rows for v in row)
+        assert [row[0] for row in rows] == [i * 1e-3 for i in range(11)]
+        assert rows[0] == (0.0, 1.0, 2.0, 3.0)
+        assert list(traj) == rows  # each pass integrates afresh
 
     def test_dt_guard(self):
         with pytest.raises(ValidationError):
@@ -118,48 +116,42 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**12])
     def test_step_cap_fires_before_any_allocation(self, monkeypatch, steps):
-        def no_columns(*args):
-            raise AssertionError("columns allocated before the step cap")
+        def no_samples(self):
+            raise AssertionError("a sample was produced before the step cap")
 
-        monkeypatch.setattr(flow, "array", no_columns)
+        monkeypatch.setattr(flow.Trajectory, "__iter__", no_samples)
         with pytest.raises(CapExceededError) as caught:
             integrate((1.0, 1.0, 1.0), dt=1e-3, steps=steps)
         assert str(caught.value) == f"{steps} steps exceed the cap of {MAX_STEPS}"
 
     def test_divergence_detected(self):
-        with pytest.raises(NonFiniteError):
-            integrate((9.0e5, 9.0e5, 9.0e5), dt=0.01, steps=50)
+        traj = integrate((9.0e5, 9.0e5, 9.0e5), dt=0.01, steps=50)  # nothing runs yet
+        with pytest.raises(NonFiniteError, match=r"^trajectory diverged at step \d+$"):
+            deque(traj, maxlen=0)
 
     def test_csv_export(self):
         traj = integrate((1.0, 1.0, 1.0), dt=1e-3, steps=5)
         buffer = io.StringIO()
-        traj.write_csv(buffer)
+        assert list(cli._csv_rows(traj, buffer)) == list(traj)
         lines = buffer.getvalue().split("\r\n")
         assert lines[0] == "t,x,y,z" and lines[-1] == ""
-        assert lines[1:-1] == [
-            ",".join(map(repr, row)) for row in zip(traj.times, *columns(traj))
-        ]
+        assert lines[1:-1] == [",".join(map(repr, row)) for row in traj]
 
 
 class TestTrajectory:
-    def test_columns_must_share_one_length(self):
-        with pytest.raises(ValidationError):
-            trajectory([0.0, 1.0], [0.0, 0.0], [0.0], [0.0, 0.0])
-
-    def test_columns_must_be_double_arrays(self):
-        with pytest.raises(ValidationError):
-            Trajectory([0.0, 1.0], *(array("d", [0.0, 0.0]) for _ in range(3)))
-        with pytest.raises(ValidationError):
-            Trajectory(array("f", [0.0, 1.0]), *(array("d", [0.0, 0.0]) for _ in range(3)))
+    """Any iterable of (t, x, y, z) samples is a trajectory to `itinerary`,
+    which checks the times as it reads them."""
 
     def test_needs_a_sample(self):
+        with pytest.raises(NoEventsError):
+            itinerary([])
         with pytest.raises(ValidationError):
-            trajectory([], [], [], [])
+            integrate((1.0, 1.0, 1.0), steps=0)
 
     @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, math.nan, 1.0]])
     def test_times_must_strictly_increase(self, times):
         with pytest.raises(ValidationError):
-            trajectory(times, [0.0] * 3, [0.0] * 3, [0.0] * 3)
+            itinerary(samples(times, [0.0, 1.0, 0.5]))
 
 
 def test_import_leaves_numpy_out():
@@ -194,11 +186,9 @@ class TestItinerary:
     def test_time_translation_invariance(self):
         traj = integrate((1.0, 1.0, 1.0), dt=1e-3, steps=30000)
         offset = 5000
-        shifted = Trajectory(traj.times[offset:], *columns(traj, offset))
         full = itinerary(traj, skip_transient=offset * 1e-3)
-        assert itinerary(shifted) == full
+        assert itinerary(islice(traj, offset, None)) == full
 
     def test_ambiguous_event_raises(self):
-        traj = trajectory([0.0, 1.0, 2.0], [0.0] * 3, [0.0] * 3, [0.0, 1.0, 0.0])
         with pytest.raises(AmbiguousSymbolError):
-            itinerary(traj)
+            itinerary(samples([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]))
