@@ -10,6 +10,12 @@ built-in builder is sequential.
 Subcommands: word info, convert, jones, modular {encode, decode, rademacher},
 flow itinerary, atlas {build, query}.  Exit codes: 0 success, 2 validation
 error, 3 resource cap exceeded, 4 I/O failure.
+
+`main` builds the argument parser on its first call and reuses it on every
+later call in the process, so the ``set_defaults(func=...)`` handlers are
+bound once, at that first call.  argparse reads ``sys.stdout``,
+``sys.stderr`` and the terminal width when it prints, not when it builds,
+so a redirected stream is still honoured on every call.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .errors import (
 )
 
 MAX_ATLAS_LEN = 18
+_parser: argparse.ArgumentParser | None = None  # built by the first `main` call
 # in parse order: a two-letter operator before the one-letter one it contains
 _FILTER_OPS = {
     "<=": operator.le,
@@ -60,7 +67,9 @@ def word_record(
     """The full atlas record of one canonical word and its Lorenz braid;
     every field derives from the word.  The invariant fields, their keys and
     their order come from ``compute_record``, so this and it are the one
-    place the record's key names and order are written."""
+    place the record's key names and order are written.  A negative Jones
+    crossing cap raises ValidationError."""
+    _check_jones_cap(jones_max_crossings)
     record = inv_mod.compute_record(braid)
     jones_pairs = None
     if jones_max_crossings and record["c"] <= jones_max_crossings:
@@ -72,8 +81,10 @@ def word_record(
 
 def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
     """JSON lines for every canonical word of length <= max_len, in
-    (length, spelling) order.  Raises CapExceededError above MAX_ATLAS_LEN."""
+    (length, spelling) order.  Raises CapExceededError above MAX_ATLAS_LEN
+    and ValidationError for a negative Jones crossing cap."""
     _check_atlas_cap(max_len)
+    _check_jones_cap(jones_max_crossings)
     for word in words_mod.enumerate_words(max_len):
         braid = braid_mod.braid_of_words(words_mod.LinkWords((word,)))
         yield json.dumps(word_record(word, braid, jones_max_crossings), separators=(",", ":"))
@@ -438,6 +449,7 @@ def _cmd_atlas_query(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the whole command line."""
     parser = argparse.ArgumentParser(
         prog="lorenzlinks",
         description="Lorenz links: words, braids, T-links, invariants, census.",
@@ -494,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     query = atlas_sub.add_parser("query", help="stream matching records")
     query.add_argument("atlas")
     query.add_argument(
-        "--where", action="append", default=[],
+        "--where", action="append",
         help="conjunctive filter, e.g. genus=5, c_min<=3, torus=null",
     )
     add_format(query)
@@ -504,8 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, NonFiniteError, AmbiguousSymbolError) as exc:

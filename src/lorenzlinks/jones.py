@@ -162,8 +162,11 @@ def kauffman_bracket(
     sum_k a_k u^k (Kronecker substitution u = 2^W), so multiplying by u is a
     shift by W bits and every accumulation is one integer addition.  Packing
     is a ring map from Z[u] to Z, so the integer arithmetic is exact whatever
-    W is, the starting power included; W only has to make the final value
-    decode uniquely into balanced digits in [-2^(W-1), 2^(W-1)).  Every
+    W is; W only has to make the final value decode uniquely into balanced
+    digits in [-2^(W-1), 2^(W-1)).  The start (-(1 + u^2))^m is written slot
+    by slot, (-1)^m C(m, j) in slot 2j, since no C(m, j) <= 2^m < 2^W
+    overlaps the next; raising the packed 1 + u^2 to the m-th power would
+    cost multiplications of the full width.  Every
     factor applied (-(1 + u^2) per untouched position; 1 + u, -u^2 at a
     crossing; -(1 + u^2), u at a closure) has absolute coefficient sum at
     most 2, and adding the polynomials of merged diagrams does not increase
@@ -173,6 +176,8 @@ def kauffman_bracket(
     raises the degree in u by at most 2, so the result has at most
     2 (c + n - 1) + 1 slots.
     """
+    if max_crossings < 0:
+        raise ValidationError(f"max_crossings must be >= 0, got {max_crossings}")
     if n < 1:
         raise ValidationError("strand count must be >= 1")
     positions = list(crossings)
@@ -196,8 +201,13 @@ def kauffman_bracket(
     width = c + n + 1
     two_slots = 2 * width
 
+    start = 1
+    if untouched:
+        row = [1]
+        for j in range(untouched):
+            row.append(row[-1] * (untouched - j) // (j + 1))
+        start = (-1) ** untouched * _pack(row, two_slots)
     # point 2q is the bottom of position q, 2q + 1 its top; closed points hold -1
-    start = (-1) ** untouched * (1 + (1 << two_slots)) ** untouched
     state: dict[tuple[int, ...], int] = {tuple(i ^ 1 for i in range(2 * n)): start}
     for j, p in enumerate(positions):
         a, b = 2 * p - 1, 2 * p + 1  # the tops of positions p - 1 and p
@@ -271,6 +281,20 @@ def _destabilize(positions: list[int], n: int) -> tuple[list[int], int, int]:
             break
         removed += 1
     return positions, n - removed, removed
+
+
+def _pack(digits: list[int], width: int) -> int:
+    """sum_k digits[k] 2^(width k) for digits in [0, 2^width); `_unpack`
+    reads back digits below 2^(width - 1).  Divide and conquer, like `_peel`:
+    only leaves of at most _LEAF_SLOTS digits are shifted in one at a time,
+    so the cost is O(b log b) bit operations for b bits."""
+    if len(digits) > _LEAF_SLOTS:
+        half = len(digits) // 2
+        return _pack(digits[:half], width) | _pack(digits[half:], width) << (width * half)
+    packed = 0
+    for digit in reversed(digits):
+        packed = packed << width | digit
+    return packed
 
 
 def _unpack(packed: int, width: int, slots: int) -> list[int]:

@@ -18,7 +18,7 @@ from lorenzlinks import braid as braid_mod
 from lorenzlinks import cli
 from lorenzlinks import modular as mod_mod
 from lorenzlinks.braid import braid_of_words
-from lorenzlinks.errors import BadFilterError, CapExceededError
+from lorenzlinks.errors import BadFilterError, CapExceededError, ValidationError
 from lorenzlinks.words import MAX_LETTERS, aperiodic_count, enumerate_words, validate_link
 
 
@@ -916,6 +916,84 @@ class TestHelpers:
     def test_necklace_counts_drive_build(self):
         lines = list(cli.build_atlas(6))
         assert len(lines) == sum(aperiodic_count(n) for n in range(1, 7))
+
+    @pytest.mark.parametrize("cap", [-1, -20])
+    def test_library_refuses_a_negative_jones_cap(self, monkeypatch, cap):
+        with monkeypatch.context() as patch:  # build_atlas refuses before any word
+            patch.setattr(cli.words_mod, "enumerate_words", None)
+            lines = cli.build_atlas(3, jones_max_crossings=cap)
+            with pytest.raises(ValidationError, match=f"must be >= 0, got {cap}$"):
+                next(lines)
+        link = validate_link(["LRR"])
+        with pytest.raises(ValidationError, match=f"must be >= 0, got {cap}$"):
+            cli.word_record(link.words[0], braid_of_words(link), jones_max_crossings=cap)
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and reuses it."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        """Forget the shared parser; returns a list that grows by one per build."""
+        builds = []
+        build = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        return builds
+
+    def test_built_once_across_many_calls(self, capsys, fresh):
+        for argv in (
+            ["word", "info", "LRLRL"],
+            ["convert", "LLR", "--to", "knot"],  # argparse refuses it: exit 2
+            ["jones", "2,3"],
+            ["modular", "encode", "LRLLR"],
+            ["jones", "LR", "--jones-max-crossings", "-1"],
+        ) * 20:
+            try:
+                cli.main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2
+        capsys.readouterr()
+        assert len(fresh) == 1
+
+    def test_no_where_clause_after_two(self, capsys, tmp_path, fresh):
+        out_path = tmp_path / "atlas.jsonl"
+        run(capsys, "atlas", "build", "--max-len", "6", "--out", str(out_path))
+        query = ["atlas", "query", str(out_path)]
+        some = run(capsys, *query, "--where", "genus>=1", "--where", "torus=null")[1]
+        code, out, _ = run(capsys, *query)
+        assert code == 0
+        every = sum(aperiodic_count(n) for n in range(1, 7))
+        assert 0 < len(some.splitlines()) < len(out.splitlines()) == every
+        assert len(fresh) == 1
+
+    def test_argparse_error_leaves_the_parser_as_new(self, capsys, fresh):
+        argv = ["word", "info", "LLRLR", "--format", "table"]
+        first = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["convert", "LLR", "--to", "knot"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'knot'" in capsys.readouterr().err
+        assert run(capsys, *argv) == first
+        assert len(fresh) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["atlas", "query", "--help"]])
+    def test_help_is_unchanged(self, capsys, fresh, argv):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        assert texts == [capsys.readouterr().out] * 2
+        assert len(fresh) == 2  # the shared parser and the one built here
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 and the torus closed form."""
 
 import math
+import random
 
 import pytest
 from bracket_oracle import state_sum_bracket
@@ -23,6 +24,7 @@ from lorenzlinks.jones import (
     LaurentPoly,
     _destabilize,
     _divide_by_one_minus_t_squared,
+    _pack,
     _unpack,
     jones_of_braid,
     jones_torus,
@@ -145,6 +147,14 @@ class TestKauffmanBracket:
         with pytest.raises(ValidationError):
             kauffman_bracket([2], 2)
 
+    @pytest.mark.parametrize("cap", [-1, -20])
+    def test_negative_cap_is_refused_before_any_work(self, cap):
+        with pytest.raises(ValidationError, match=f"max_crossings must be >= 0, got {cap}"):
+            jones_of_braid([1, 1, 1], 2, max_crossings=cap)
+        # refused before the word is read: an out-of-range index is not reached
+        with pytest.raises(ValidationError, match="max_crossings"):
+            kauffman_bracket([99], 2, max_crossings=cap)
+
     def test_crossing_cap_counts_the_word_as_given(self):
         # every crossing would be destabilized away, but the cap comes first
         with pytest.raises(TooManyCrossingsError, match="21 crossings"):
@@ -232,6 +242,16 @@ class TestPackedSlots:
         packed = sum(digit << (width * k) for k, digit in enumerate(digits))
         assert _unpack(packed, width, len(digits)) == digits
         assert _unpack(packed, width, len(digits) + 2) == digits + [0, 0]
+
+    @pytest.mark.parametrize("width", [2, 3, 9, 64])
+    @pytest.mark.parametrize("slots", [1, _LEAF_SLOTS, 3 * _LEAF_SLOTS + 5])
+    def test_pack_inverts_unpack_on_nonnegative_digits(self, width, slots):
+        rng = random.Random(f"{width}:{slots}")
+        digits = [rng.randrange(1 << (width - 1)) for _ in range(slots)]
+        digits[-1] = (1 << (width - 1)) - 1  # the largest digit, in the top slot
+        packed = _pack(digits, width)
+        assert packed == sum(digit << (width * k) for k, digit in enumerate(digits))
+        assert _unpack(packed, width, slots) == digits
 
     @pytest.mark.parametrize("width", [2, 9])
     def test_unpack_refuses_digits_beyond_its_slots(self, width):
