@@ -34,14 +34,7 @@ from . import jones as jones_mod
 from . import modular as mod_mod
 from . import tlink as tlink_mod
 from . import words as words_mod
-from .errors import (
-    AmbiguousSymbolError,
-    BadFilterError,
-    CapExceededError,
-    NonFiniteError,
-    ResourceCapError,
-    ValidationError,
-)
+from .errors import ResourceCapError, ValidationError
 
 MAX_ATLAS_LEN = 18
 _parser: argparse.ArgumentParser | None = None  # built by the first `main` call
@@ -81,7 +74,7 @@ def word_record(
 
 def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
     """JSON lines for every canonical word of length <= max_len, in
-    (length, spelling) order.  Raises CapExceededError above MAX_ATLAS_LEN
+    (length, spelling) order.  Raises ResourceCapError above MAX_ATLAS_LEN
     and ValidationError for a negative Jones crossing cap."""
     _check_atlas_cap(max_len)
     _check_jones_cap(jones_max_crossings)
@@ -92,7 +85,7 @@ def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
 
 def _check_atlas_cap(max_len: int) -> None:
     if max_len > MAX_ATLAS_LEN:
-        raise CapExceededError(f"max_len {max_len} exceeds the cap of {MAX_ATLAS_LEN}")
+        raise ResourceCapError(f"max_len {max_len} exceeds the cap of {MAX_ATLAS_LEN}")
 
 
 def _check_jones_cap(cap: int) -> None:
@@ -157,19 +150,17 @@ def parse_filter(expression: str) -> tuple[str, str, object]:
             field, _, raw = expression.partition(op)
             field, raw = field.strip(), raw.strip()
             if not field or not raw:
-                raise BadFilterError(f"cannot parse filter {expression!r}")
+                raise ValidationError(f"cannot parse filter {expression!r}")
             try:
                 return field, op, _parse_filter_value(raw)
             except ValueError as exc:  # an integer beyond the interpreter's digit limit
-                raise BadFilterError(
+                raise ValidationError(
                     f"cannot read the value of filter {expression!r}: {exc}"
                 ) from exc
-    raise BadFilterError(f"no comparison operator in {expression!r}")
+    raise ValidationError(f"no comparison operator in {expression!r}")
 
 
 def _parse_filter_value(raw: str) -> object:
-    if raw == "null":
-        return None
     try:
         return int(raw)
     except ValueError:
@@ -189,7 +180,7 @@ def record_matches(record: dict, filters: Iterable[tuple[str, str, object]]) -> 
     a bad filter."""
     for field, op, value in filters:
         if field not in record:
-            raise BadFilterError(f"unknown field {field!r}")
+            raise ValidationError(f"unknown field {field!r}")
         actual = record[field]
         try:
             if not _FILTER_OPS[op](actual, value):
@@ -197,7 +188,7 @@ def record_matches(record: dict, filters: Iterable[tuple[str, str, object]]) -> 
         except TypeError as exc:
             if actual is None or value is None:
                 return False
-            raise BadFilterError(f"cannot order {field!r} against {value!r}") from exc
+            raise ValidationError(f"cannot order {field!r} against {value!r}") from exc
     return True
 
 
@@ -412,7 +403,12 @@ def _write_atomically(path: str, write: Callable[[TextIO], _T]) -> _T:
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    handle = open(tmp, "x", newline="")  # never clobbers a file of that name
+    try:
+        handle = open(tmp, "x", newline="")  # never clobbers a file of that name
+    except FileExistsError:  # a stale temporary file, which the message names
+        raise
+    except OSError as exc:  # the message names the user's path, not the hidden one
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with handle:
             result = write(handle)
@@ -522,7 +518,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, NonFiniteError, AmbiguousSymbolError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:

@@ -26,13 +26,7 @@ from dataclasses import dataclass
 from math import inf, sqrt
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    AmbiguousSymbolError,
-    CapExceededError,
-    NoEventsError,
-    NonFiniteError,
-    ValidationError,
-)
+from .errors import ResourceCapError, ValidationError
 
 SIGMA = 10.0
 RHO = 28.0
@@ -83,7 +77,7 @@ class Trajectory:
             y += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
             z += sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
             if not (-bound < x < bound and -bound < y < bound and -bound < z < bound):
-                raise NonFiniteError(f"trajectory diverged at step {i}")
+                raise ValidationError(f"trajectory diverged at step {i}")
             yield (i * dt, x, y, z)
 
 
@@ -104,7 +98,7 @@ def integrate(start: Sequence[float], dt: float = DT, steps: int = 1) -> Traject
     """Classical fixed-step RK4 from ``start`` for ``steps`` steps of ``dt``.
 
     ``dt`` is capped at MAX_STABLE_DT as a stability guard.  More than
-    MAX_STEPS steps raise CapExceededError before any work.  Divergence (any
+    MAX_STEPS steps raise ResourceCapError before any work.  Divergence (any
     coordinate beyond 1e6) raises when its step is read, instead of a NaN.
     """
     if not 0 < dt <= MAX_STABLE_DT:
@@ -112,10 +106,10 @@ def integrate(start: Sequence[float], dt: float = DT, steps: int = 1) -> Traject
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     if steps > MAX_STEPS:
-        raise CapExceededError(f"{steps} steps exceed the cap of {MAX_STEPS}")
+        raise ResourceCapError(f"{steps} steps exceed the cap of {MAX_STEPS}")
     x, y, z = (float(v) for v in start)
     if not all(abs(v) < _DIVERGENCE_BOUND for v in (x, y, z)):
-        raise NonFiniteError("start state out of range")
+        raise ValidationError("start state out of range")
     return Trajectory((x, y, z), dt, steps)
 
 
@@ -126,12 +120,12 @@ def itinerary(samples: Iterable[Sequence[float]], skip_transient: float = 0.0) -
     ``skip_transient`` is measured in time units from the first sample, so
     the result is invariant under dropping whole leading steps (with the
     transient reduced to match).  A section event with |x| < 1e-6 raises
-    AmbiguousSymbolError rather than guessing the lobe.
+    ValidationError rather than guessing the lobe.
     """
     rows = iter(samples)
     first = next(rows, None)
     if first is None:
-        raise NoEventsError("trajectory too short to contain a section event")
+        raise ValidationError("trajectory too short to contain a section event")
     t_mid, x_mid, _, z_mid = first
     cutoff = t_mid + skip_transient
     z_before = inf  # the first sample is never a maximum
@@ -141,9 +135,9 @@ def itinerary(samples: Iterable[Sequence[float]], skip_transient: float = 0.0) -
             raise ValidationError("sample times must strictly increase")
         if z_before < z_mid > z and t_mid >= cutoff:
             if abs(x_mid) < _AMBIGUITY_TOL:
-                raise AmbiguousSymbolError(f"|x| = {abs(x_mid):.3g} at t = {t_mid:.6g}")
+                raise ValidationError(f"|x| = {abs(x_mid):.3g} at t = {t_mid:.6g}")
             symbols.append("L" if x_mid < 0 else "R")
         z_before, t_mid, x_mid, z_mid = z_mid, t, x, z
     if not symbols:
-        raise NoEventsError("no section events after the transient")
+        raise ValidationError("no section events after the transient")
     return "".join(symbols)

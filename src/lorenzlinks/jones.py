@@ -41,15 +41,8 @@ import math
 from collections import Counter
 from typing import Mapping, Sequence
 
-from .errors import (
-    CapExceededError,
-    DivisionRemainderError,
-    InternalInconsistencyError,
-    NotCoprimeError,
-    TooManyCrossingsError,
-    ValidationError,
-)
-from .tlink import MAX_STRANDS
+from .errors import InternalInconsistencyError, ResourceCapError, ValidationError
+from .words import MAX_LETTERS
 
 DEFAULT_MAX_CROSSINGS = 20
 
@@ -117,7 +110,7 @@ class LaurentPoly:
 def _check_crossings(c: int, cap: int) -> None:
     """The one wording of the crossing-cap refusal."""
     if c > cap:
-        raise TooManyCrossingsError(f"{c} crossings exceeds the limit of {cap}")
+        raise ResourceCapError(f"{c} crossings exceeds the limit of {cap}")
 
 
 def kauffman_bracket(
@@ -363,13 +356,13 @@ def _divide_by_one_minus_t_squared(numerator: list[int]) -> list[int]:
 
     N = (1 - t^2) Q gives N_i = Q_i - Q_(i-2), so Q_i = N_i + Q_(i-2) is a
     running sum over each parity.  Run to the top of N, the two highest sums
-    are the remainder; either one nonzero raises DivisionRemainderError.
+    are the remainder; either one nonzero raises InternalInconsistencyError.
     """
     sums = list(numerator)
     for i in range(2, len(sums)):
         sums[i] += sums[i - 2]
     if any(sums[-2:]):
-        raise DivisionRemainderError("division left a nonzero remainder")
+        raise InternalInconsistencyError("division left a nonzero remainder")
     return sums[:-2]
 
 
@@ -379,17 +372,17 @@ def jones_torus(p: int, q: int) -> LaurentPoly:
     V = t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2); the
     division must be exact, and the guard raising otherwise is what certifies
     the numerator.  Symmetric in p and q.  The polynomials have O(p + q)
-    terms, so p + q over tlink.MAX_STRANDS (the strand count of the Lorenz
-    braid of [[p, q]], which ``to_lorenz`` refuses) raises CapExceededError
+    terms, so p + q over words.MAX_LETTERS (the strand count of the Lorenz
+    braid of [[p, q]], which ``to_lorenz`` refuses) raises ResourceCapError
     before any is built.
     """
     if p < 2 or q < 2:
         raise ValidationError("torus parameters must both be >= 2")
     if math.gcd(p, q) != 1:
-        raise NotCoprimeError(f"({p}, {q}) is a torus link, not a knot")
-    if p + q > MAX_STRANDS:
-        raise CapExceededError(
-            f"torus knot ({p}, {q}) needs p + q strands, over the cap of {MAX_STRANDS}"
+        raise ValidationError(f"({p}, {q}) is a torus link, not a knot")
+    if p + q > MAX_LETTERS:
+        raise ResourceCapError(
+            f"torus knot ({p}, {q}) needs p + q strands, over the cap of {MAX_LETTERS}"
         )
     # the four exponents differ, since p != q and both are >= 2
     numerator = [0] * (p + q + 1)

@@ -37,14 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import (
-    CapExceededError,
-    InternalInconsistencyError,
-    NotHyperbolicError,
-    NotPrimitiveError,
-    ParabolicError,
-    ValidationError,
-)
+from .errors import InternalInconsistencyError, ResourceCapError, ValidationError
 from .words import MAX_LETTERS, CyclicWord, canonicalize
 
 
@@ -126,7 +119,7 @@ def matrix_of_word(word: CyclicWord | str) -> Mat2Z:
     """
     w = canonicalize(word)
     if len(set(w.letters)) < 2:
-        raise ParabolicError(f"{w.letters!r} uses one letter only")
+        raise ValidationError(f"{w.letters!r} uses one letter only")
     a, b, c, d = 1, 0, 0, 1
     for letter in w.letters:
         if letter == "L":
@@ -146,10 +139,10 @@ def _floor_surd(p: int, root: int, q: int) -> int:
     return -((p + root) // -q) - 1
 
 
-def _letter_cap_error(letters: int) -> CapExceededError:
+def _letter_cap_error(letters: int) -> ResourceCapError:
     # a count over Python's int-to-str digit limit is named by its bit length
     size = letters if letters.bit_length() <= 64 else f"2^{letters.bit_length() - 1}"
-    return CapExceededError(
+    return ResourceCapError(
         f"the decoded word has at least {size} letters, over the cap of {MAX_LETTERS}"
     )
 
@@ -186,17 +179,17 @@ def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
     the same fixed points, so it decodes to the primitive word and is
     reported as an error via the trace check.  The period's letters are
     counted as its quotients arrive, and again once it is doubled; over
-    MAX_LETTERS they raise CapExceededError before any run is built.  The
+    MAX_LETTERS they raise ResourceCapError before any run is built.  The
     pre-period quotients, however large, name no letter and are not counted.
     """
     m = matrix.normalized()
     t = m.trace
     if t <= 2:
-        raise NotHyperbolicError(f"trace {t} <= 2 carries no closed geodesic")
+        raise ValidationError(f"trace {t} <= 2 carries no closed geodesic")
     disc = t * t - 4
     p, q = m.a - m.d, 2 * m.c
     if q == 0:
-        raise NotHyperbolicError("lower-left entry 0 is impossible for hyperbolic")
+        raise ValidationError("lower-left entry 0 is impossible for hyperbolic")
     if (disc - p * p) % q:
         scale = abs(q)
         p, disc, q = p * scale, disc * scale * scale, q * scale
@@ -227,7 +220,7 @@ def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
 
     word = canonicalize(_spell_runs(period, start))
     if matrix_of_word(word).trace != t:
-        raise NotPrimitiveError(
+        raise ValidationError(
             f"trace {t} is a proper power of the class of {word.letters!r}"
         )
     return word
@@ -310,5 +303,5 @@ def rademacher(word: CyclicWord | str) -> int:
     """
     w = canonicalize(word)
     if len(set(w.letters)) < 2:
-        raise ParabolicError(f"{w.letters!r} uses one letter only")
+        raise ValidationError(f"{w.letters!r} uses one letter only")
     return w.letters.count("L") - w.letters.count("R")

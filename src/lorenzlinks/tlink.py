@@ -23,13 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import LorenzBraid, permutation_cycles
-from .errors import CapExceededError, InternalInconsistencyError, InvalidParamsError
-
-# strands to_lorenz builds at most (n = sum q_i + p_k); at the cap the
-# slowest parameter shapes tried (one block, many blocks, many components)
-# take about 1 s in `convert --to word` on a 2-vCPU VM under Python 3.11,
-# and that time grows faster than linearly above it (57 s at a million)
-MAX_STRANDS = 100_000
+from .errors import InternalInconsistencyError, ResourceCapError, ValidationError
+from .words import MAX_LETTERS
 
 
 @dataclass(frozen=True)
@@ -42,9 +37,9 @@ class TLinkParams:
         previous = 0
         for p, q in self.pairs:
             if p < 1 or q < 1:
-                raise InvalidParamsError(f"block ({p}, {q}) must be positive")
+                raise ValidationError(f"block ({p}, {q}) must be positive")
             if p <= previous:
-                raise InvalidParamsError("block widths p_i must strictly increase")
+                raise ValidationError("block widths p_i must strictly increase")
             previous = p
 
     @property
@@ -72,7 +67,7 @@ class TLinkParams:
         blocks = tuple(tuple(pair) for pair in pairs)
         for block in blocks:
             if not all(type(value) is int for value in block):
-                raise InvalidParamsError(f"block {list(block)!r} must be a pair of integers")
+                raise ValidationError(f"block {list(block)!r} must be a pair of integers")
         return cls(blocks)
 
 
@@ -92,18 +87,18 @@ def to_lorenz(params: TLinkParams) -> LorenzBraid:
     p_i, packed at start positions 1..m in non-decreasing displacement order;
     leftward strands fill the remaining start positions and take the unused
     targets in increasing order, the unique order-preserving completion.
-    The braid has n = sum q_i + p_k strands; above MAX_STRANDS it raises
-    CapExceededError before building anything.
+    The braid has n = sum q_i + p_k strands, one per letter of its words;
+    above words.MAX_LETTERS it raises ResourceCapError before building anything.
     """
     if not params.pairs:
         return LorenzBraid(1, (1,), ("L",), (0,))
     m = sum(q for _, q in params.pairs)
     n = m + params.pairs[-1][0]
-    if n > MAX_STRANDS:
+    if n > MAX_LETTERS:
         # an n over Python's int-to-str digit limit is named by its bit length
         size = n if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}"
-        raise CapExceededError(
-            f"T-link parameters need {size} strands, over the cap of {MAX_STRANDS}"
+        raise ResourceCapError(
+            f"T-link parameters need {size} strands, over the cap of {MAX_LETTERS}"
         )
     displacements = [p for p, q in params.pairs for _ in range(q)]
     over_targets = [j + displacements[j - 1] for j in range(1, m + 1)]

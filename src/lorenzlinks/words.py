@@ -19,20 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    CapExceededError,
-    DuplicateComponentError,
-    EmptyWordError,
-    PeriodicWordError,
-    ValidationError,
-)
+from .errors import ResourceCapError, ValidationError
 
 ALPHABET = "LR"
 _SWAP = str.maketrans("LR", "RL")
 # the one cap on a word's length (the braid's rotation ranks take memory
 # linear in it); at the cap the O(n^2) least rotation takes about 1 s (2-vCPU
-# VM, Python 3.11); equal to tlink.MAX_STRANDS, so every T-link the strand
-# cap admits converts to words
+# VM, Python 3.11); a braid strand is a letter, so it also caps the strands
+# tlink.to_lorenz builds, where the slowest parameter shapes take about 1 s
+# at the cap in `convert --to word` and 57 s at a million
 MAX_LETTERS = 100_000
 
 
@@ -58,16 +53,16 @@ class CyclicWord:
     def __post_init__(self) -> None:
         raw = self.letters
         if len(raw) > MAX_LETTERS:
-            raise CapExceededError(
+            raise ResourceCapError(
                 f"a word of {len(raw)} letters is over the cap of {MAX_LETTERS}"
             )
         if not raw:
-            raise EmptyWordError("a cyclic word needs at least one letter")
+            raise ValidationError("a cyclic word needs at least one letter")
         bad = set(raw) - set(ALPHABET)
         if bad:
             raise ValidationError(f"letters outside {{L, R}}: {sorted(bad)}")
         if smallest_period(raw) != len(raw):
-            raise PeriodicWordError(f"{raw!r} is a proper power")
+            raise ValidationError(f"{raw!r} is a proper power")
         object.__setattr__(self, "letters", least_rotation(raw))
 
     def __len__(self) -> int:
@@ -104,11 +99,11 @@ class LinkWords:
 
     def __post_init__(self) -> None:
         if not self.words:
-            raise EmptyWordError("a link needs at least one component word")
+            raise ValidationError("a link needs at least one component word")
         seen: dict[str, int] = {}
         for idx, w in enumerate(self.words):
             if w.letters in seen:
-                raise DuplicateComponentError(
+                raise ValidationError(
                     f"components {seen[w.letters]} and {idx} share the word {w.letters!r}"
                 )
             seen[w.letters] = idx

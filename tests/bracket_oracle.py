@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from lorenzlinks.errors import TooManyCrossingsError, ValidationError
+from lorenzlinks.errors import ResourceCapError, ValidationError
 from lorenzlinks.jones import DEFAULT_MAX_CROSSINGS, LaurentPoly
 
 
@@ -46,7 +46,7 @@ def state_sum_bracket(
             raise ValidationError(f"generator index {p} outside 1..{n - 1}")
     c = len(positions)
     if c > max_crossings:
-        raise TooManyCrossingsError(f"{c} crossings exceeds the limit of {max_crossings}")
+        raise ResourceCapError(f"{c} crossings exceeds the limit of {max_crossings}")
     pos0 = [p - 1 for p in positions]
 
     # multiplicity of each (a_count - b_count, loop_count) pair over all states

@@ -16,7 +16,7 @@ import pytest
 
 from lorenzlinks import cli
 from lorenzlinks.braid import braid_generators, braid_of_words
-from lorenzlinks.errors import DivisionRemainderError
+from lorenzlinks.errors import InternalInconsistencyError
 from lorenzlinks.flow import equilibria, integrate, itinerary, vector_field
 from lorenzlinks.invariants import compute_record
 from lorenzlinks.jones import _divide_by_one_minus_t_squared, jones_of_braid, jones_torus
@@ -108,8 +108,8 @@ def test_criterion_05_jones_cross_validation():
     guard_fired = False
     try:
         _divide_by_one_minus_t_squared(bad_numerator)
-    except DivisionRemainderError:
-        guard_fired = True
+    except InternalInconsistencyError as exc:
+        guard_fired = str(exc) == "division left a nonzero remainder"
     elapsed = time.perf_counter() - start
     ok = ok and guard_fired and elapsed < 30.0
     report(5, ok, f"5 torus pairs match the closed form, bad numerator rejected, {elapsed:.2f} s")

@@ -18,7 +18,7 @@ from lorenzlinks import braid as braid_mod
 from lorenzlinks import cli
 from lorenzlinks import modular as mod_mod
 from lorenzlinks.braid import braid_of_words
-from lorenzlinks.errors import BadFilterError, CapExceededError, ValidationError
+from lorenzlinks.errors import ResourceCapError, ValidationError
 from lorenzlinks.words import MAX_LETTERS, aperiodic_count, enumerate_words, validate_link
 
 
@@ -410,6 +410,14 @@ class TestFlow:
             [] if previous is None else [previous]
         )
 
+    def test_io_error_exit_code(self, capsys, tmp_path):
+        # the message names the path given, not the hidden temporary file
+        path = str(tmp_path / "missing" / "t.csv")
+        code, out, err = run(capsys, "flow", "itinerary", "--steps", "100", "--csv", path)
+        assert (code, out) == (4, "")
+        assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("seed_state", ["a,b,c", "1,2", "1,2,3,4"])
     def test_bad_seed_state_exit_code(self, capsys, seed_state):
         code, out, err = run(capsys, "flow", "itinerary", "--seed-state", seed_state)
@@ -469,11 +477,12 @@ class TestAtlas:
         )
 
     def test_io_error_exit_code(self, capsys, tmp_path):
-        code, _, _ = run(
-            capsys, "atlas", "build", "--max-len", "3",
-            "--out", str(tmp_path / "missing" / "x.jsonl"),
-        )
-        assert code == 4
+        # the message names the path given, not the hidden temporary file
+        path = str(tmp_path / "missing" / "x.jsonl")
+        code, out, err = run(capsys, "atlas", "build", "--max-len", "3", "--out", path)
+        assert (code, out) == (4, "")
+        assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_query_filters(self, capsys, tmp_path):
         out_path = tmp_path / "atlas.jsonl"
@@ -729,6 +738,104 @@ class TestAtlas:
         assert len(lines) == 3  # header + LLR + LRR
 
 
+# One row per kind of refusal; the message is what tells them apart, and
+# the exception's class alone decides the exit code.  "{atlas}" stands for a
+# valid atlas of the words up to length 3.  A dead-band section event and an
+# inexact torus division cannot be reached from the command line.
+REFUSALS = [
+    pytest.param(["word", "info", ""], 2, "a cyclic word needs at least one letter", id="empty-word"),
+    pytest.param(["word", "info", "LLLL"], 2, "'LLLL' is a proper power", id="periodic-word"),
+    pytest.param(["jones", "LR,RL"], 2, "components 0 and 1 share the word 'LR'", id="duplicate"),
+    pytest.param(
+        ["convert", "[[3,1],[2,2]]", "--to", "word"], 2,
+        "block widths p_i must strictly increase", id="params-order",
+    ),
+    pytest.param(
+        ["convert", "[[0,1]]", "--to", "word"], 2, "block (0, 1) must be positive",
+        id="params-positive",
+    ),
+    pytest.param(
+        ["convert", '[["a",1]]', "--to", "word"], 2, "block ['a', 1] must be a pair of integers",
+        id="params-integers",
+    ),
+    pytest.param(["jones", "2,4"], 2, "(2, 4) is a torus link, not a knot", id="not-coprime"),
+    pytest.param(["modular", "encode", "L"], 2, "'L' uses one letter only", id="parabolic-encode"),
+    pytest.param(
+        ["modular", "rademacher", "R"], 2, "'R' uses one letter only", id="parabolic-rademacher"
+    ),
+    pytest.param(
+        ["modular", "decode", "[[1,1],[0,1]]"], 2, "trace 2 <= 2 carries no closed geodesic",
+        id="not-hyperbolic",
+    ),
+    pytest.param(
+        ["modular", "decode", "[[5,3],[3,2]]"], 2,
+        "trace 7 is a proper power of the class of 'LR'", id="not-primitive",
+    ),
+    pytest.param(
+        ["flow", "itinerary", "--steps", "10"], 2, "no section events after the transient",
+        id="no-events",
+    ),
+    pytest.param(
+        ["flow", "itinerary", "--dt", "0.01", "--steps", "100", "--seed-state", "1e5,1e5,1e5"],
+        2, "trajectory diverged at step 1", id="diverged",
+    ),
+    pytest.param(
+        ["flow", "itinerary", "--seed-state", "1e7,0,0"], 2, "start state out of range",
+        id="start-out-of-range",
+    ),
+    pytest.param(
+        ["atlas", "query", "{atlas}", "--where", "nonsense"], 2,
+        "no comparison operator in 'nonsense'", id="filter-operator",
+    ),
+    pytest.param(
+        ["atlas", "query", "{atlas}", "--where", "=3"], 2, "cannot parse filter '=3'",
+        id="filter-parse",
+    ),
+    pytest.param(
+        ["atlas", "query", "{atlas}", "--where", "no_field=3"], 2, "unknown field 'no_field'",
+        id="filter-field",
+    ),
+    pytest.param(
+        ["atlas", "query", "{atlas}", "--where", "word<3"], 2, "cannot order 'word' against 3",
+        id="filter-order",
+    ),
+    pytest.param(
+        ["atlas", "build", "--max-len", "19", "--out", "{atlas}"], 3,
+        "max_len 19 exceeds the cap of 18", id="atlas-cap",
+    ),
+    pytest.param(
+        ["flow", "itinerary", "--steps", "1000000000000"], 3,
+        "1000000000000 steps exceed the cap of 2000000", id="step-cap",
+    ),
+    pytest.param(
+        ["convert", "[[2,100000000]]", "--to", "word"], 3,
+        "T-link parameters need 100000002 strands, over the cap of 100000", id="strand-cap",
+    ),
+    pytest.param(
+        ["jones", "99999,99998"], 3,
+        "torus knot (99999, 99998) needs p + q strands, over the cap of 100000",
+        id="torus-strand-cap",
+    ),
+    pytest.param(
+        ["modular", "decode", f"[[{10**30 + 1},{10**30}],[1,1]]"], 3,
+        "the decoded word has at least 2^99 letters, over the cap of 100000",
+        id="decode-letter-cap",
+    ),
+    pytest.param(
+        ["jones", "LR", "--jones-max-crossings", "0"], 3, "1 crossings exceeds the limit of 0",
+        id="crossing-cap",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", REFUSALS)
+def test_refusal_exit_code_and_message(capsys, tmp_path, argv, code, message):
+    atlas = tmp_path / "atlas.jsonl"
+    atlas.write_text("".join(line + "\n" for line in cli.build_atlas(3)))
+    argv = [arg.replace("{atlas}", str(atlas)) for arg in argv]
+    assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
 class TestAtomicBuild:
     @pytest.mark.parametrize("max_len, code", [("30", 3), ("0", 2)])
     def test_failure_creates_no_file(self, capsys, tmp_path, max_len, code):
@@ -770,6 +877,17 @@ class TestAtomicBuild:
         assert sorted(tmp_path.iterdir()) == [target, link]
         assert target.read_text() == "".join(line + "\n" for line in cli.build_atlas(3))
 
+
+    def test_a_stale_temporary_file_is_named_and_kept(self, capsys, tmp_path):
+        stale = tmp_path / f".atlas.jsonl.{os.getpid()}.tmp"
+        stale.write_bytes(b"stale\n")
+        code, out, err = run(
+            capsys, "atlas", "build", "--max-len", "3", "--out", str(tmp_path / "atlas.jsonl")
+        )
+        assert (code, out) == (4, "")
+        assert err == f"error: [Errno 17] File exists: {str(stale)!r}\n"
+        assert list(tmp_path.iterdir()) == [stale]
+        assert stale.read_bytes() == b"stale\n"
 
     def test_a_pipe_is_written_not_replaced(self, capsys, tmp_path):
         fifo = tmp_path / "atlas.fifo"
@@ -906,11 +1024,11 @@ class TestHelpers:
         assert cli.parse_filter("torus=null") == ("torus", "=", None)
         assert cli.parse_filter("word=LR") == ("word", "=", "LR")
         assert cli.parse_filter("torus=[2,3]") == ("torus", "=", [2, 3])
-        with pytest.raises(BadFilterError):
+        with pytest.raises(ValidationError, match="^no comparison operator in 'gibberish'$"):
             cli.parse_filter("gibberish")
 
     def test_build_atlas_cap(self):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(ResourceCapError, match="^max_len 25 exceeds the cap of 18$"):
             list(cli.build_atlas(25))
 
     def test_necklace_counts_drive_build(self):

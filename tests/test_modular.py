@@ -12,13 +12,7 @@ from hypothesis import strategies as st
 
 from lorenzlinks import modular as modular_mod
 from lorenzlinks import words as words_mod
-from lorenzlinks.errors import (
-    CapExceededError,
-    NotHyperbolicError,
-    NotPrimitiveError,
-    ParabolicError,
-    ValidationError,
-)
+from lorenzlinks.errors import ResourceCapError, ValidationError
 from lorenzlinks.modular import (
     L_MATRIX,
     R_MATRIX,
@@ -150,7 +144,7 @@ class TestMatrixOfWord:
             assert traces == {matrix_of_word(word).trace}
 
     def test_single_letter_is_parabolic(self):
-        with pytest.raises(ParabolicError):
+        with pytest.raises(ValidationError, match="^'L' uses one letter only$"):
             matrix_of_word("L")
 
     def test_equals_per_letter_product_on_all_short_words(self):
@@ -171,9 +165,9 @@ class TestWordOfMatrix:
         assert word_of_matrix(Mat2Z(2, 1, 1, 1)).letters == "LR"
 
     def test_parabolic_rejected(self):
-        with pytest.raises(NotHyperbolicError):
+        with pytest.raises(ValidationError, match="^trace 2 <= 2 carries no closed geodesic$"):
             word_of_matrix(Mat2Z(1, 1, 0, 1))
-        with pytest.raises(NotHyperbolicError):
+        with pytest.raises(ValidationError, match="^trace 0 <= 2 carries no closed geodesic$"):
             word_of_matrix(Mat2Z(0, -1, 1, 0))
 
     def test_roundtrip_on_all_mixed_words(self):
@@ -190,7 +184,9 @@ class TestWordOfMatrix:
 
     def test_proper_powers_are_detected(self):
         square = matrix_of_word("LR") * matrix_of_word("LR")
-        with pytest.raises(NotPrimitiveError):
+        with pytest.raises(
+            ValidationError, match="^trace 7 is a proper power of the class of 'LR'$"
+        ):
             word_of_matrix(square)
 
     def test_roundtrip_on_long_words(self):
@@ -237,7 +233,7 @@ class TestDecodeLetterCap:
     def test_running_count_is_inclusive(self, cap):
         # L^n R is [[n + 1, n], [1, 1]]; its period is the runs (n, 1)
         assert word_of_matrix(Mat2Z(10, 9, 1, 1)).letters == "L" * 9 + "R"
-        with pytest.raises(CapExceededError) as caught:
+        with pytest.raises(ResourceCapError) as caught:
             word_of_matrix(Mat2Z(11, 10, 1, 1))
         assert str(caught.value) == (
             "the decoded word has at least 11 letters, over the cap of 10"
@@ -245,7 +241,7 @@ class TestDecodeLetterCap:
 
     def test_doubled_period_is_counted(self, cap, no_runs):
         # L^n R^n has the one-quotient period (n), doubled: n letters, then 2n
-        with pytest.raises(CapExceededError, match="at least 12 letters"):
+        with pytest.raises(ResourceCapError, match="at least 12 letters"):
             word_of_matrix(Mat2Z(37, 6, 6, 1))  # L^6 R^6
 
     def test_doubled_period_at_the_cap_decodes(self, cap):
@@ -254,7 +250,7 @@ class TestDecodeLetterCap:
 
     def test_huge_run_is_refused_before_any_run(self, no_runs):
         n = 10**30
-        with pytest.raises(CapExceededError) as caught:
+        with pytest.raises(ResourceCapError) as caught:
             word_of_matrix(Mat2Z(n + 1, n, 1, 1))
         assert str(caught.value) == (
             "the decoded word has at least 2^99 letters, over the cap of 100000"
@@ -405,7 +401,7 @@ class TestRademacher:
         assert min(seen.values()) >= 20, seen
 
     def test_parabolic_rejected(self):
-        with pytest.raises(ParabolicError):
+        with pytest.raises(ValidationError, match="^'R' uses one letter only$"):
             rademacher("R")
 
     def test_canonical_input_accepted_in_any_rotation(self):

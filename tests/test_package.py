@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import lorenzlinks
+from lorenzlinks import errors
 
 
 def test_every_export_resolves():
@@ -46,3 +47,18 @@ def test_public_names_are_pinned():
         "word_of_matrix",
         "words_of_braid",
     ]
+
+
+def test_error_classes_are_pinned():
+    # one class per exit code: adding or removing one is a visible diff here
+    defined = {
+        name: value.__bases__
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and value.__module__ == errors.__name__
+    }
+    assert defined == {
+        "LorenzError": (Exception,),
+        "ValidationError": (errors.LorenzError, ValueError),
+        "ResourceCapError": (errors.LorenzError,),
+        "InternalInconsistencyError": (errors.LorenzError,),
+    }

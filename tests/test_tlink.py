@@ -3,26 +3,27 @@
 import pytest
 
 from lorenzlinks.braid import braid_generators, braid_of_words, words_of_braid
-from lorenzlinks.errors import CapExceededError, InvalidParamsError
+from lorenzlinks.errors import ResourceCapError, ValidationError
 from lorenzlinks.jones import jones_of_braid
-from lorenzlinks.tlink import MAX_STRANDS, TLinkParams, from_lorenz, t_braid_word, to_lorenz
-from lorenzlinks.words import LinkWords, enumerate_words, validate_link
+from lorenzlinks.tlink import TLinkParams, from_lorenz, t_braid_word, to_lorenz
+from lorenzlinks.words import MAX_LETTERS, LinkWords, enumerate_words, validate_link
 
 
 class TestParams:
     def test_ordering_and_positivity(self):
-        with pytest.raises(InvalidParamsError):
+        increasing = r"^block widths p_i must strictly increase$"
+        with pytest.raises(ValidationError, match=increasing):
             TLinkParams(((3, 2), (2, 1)))
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ValidationError, match=r"^block \(2, 0\) must be positive$"):
             TLinkParams(((2, 0),))
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ValidationError, match=r"^block \(0, 3\) must be positive$"):
             TLinkParams(((0, 3),))
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ValidationError, match=increasing):
             TLinkParams(((2, 2), (2, 3)))
 
     @pytest.mark.parametrize("pair", [[True, 3], [2, False], [2.0, 3], [2, "3"], [None, 1]])
     def test_from_pairs_takes_only_ints(self, pair):
-        with pytest.raises(InvalidParamsError, match="must be a pair of integers"):
+        with pytest.raises(ValidationError, match="must be a pair of integers"):
             TLinkParams.from_pairs([[2, 1], pair])
 
     def test_from_pairs(self):
@@ -84,14 +85,14 @@ class TestToLorenz:
 
     def test_strand_cap_fires_before_any_allocation(self):
         # 10^30 strands could never be allocated: the cap has to fire first
-        with pytest.raises(CapExceededError, match=f"over the cap of {MAX_STRANDS}"):
+        with pytest.raises(ResourceCapError, match=f"over the cap of {MAX_LETTERS}"):
             to_lorenz(TLinkParams(((2, 10**30),)))
-        with pytest.raises(CapExceededError, match=f"need {MAX_STRANDS + 1} strands"):
-            to_lorenz(TLinkParams(((2, 1), (3, MAX_STRANDS - 3))))
+        with pytest.raises(ResourceCapError, match=f"need {MAX_LETTERS + 1} strands"):
+            to_lorenz(TLinkParams(((2, 1), (3, MAX_LETTERS - 3))))
 
     def test_strand_cap_is_inclusive(self):
-        braid = to_lorenz(TLinkParams(((2, 1), (3, MAX_STRANDS - 4))))
-        assert braid.n == MAX_STRANDS
+        braid = to_lorenz(TLinkParams(((2, 1), (3, MAX_LETTERS - 4))))
+        assert braid.n == MAX_LETTERS
 
 
 class TestFromLorenz:
