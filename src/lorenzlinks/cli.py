@@ -7,6 +7,12 @@ with the same arguments is byte-identical.  Generation is embarrassingly
 parallel by word length (the merge would be a sorted concatenation), but the
 built-in builder is sequential.
 
+One compact JSON encoder writes every atlas line and every json row, so an
+unfiltered json ``atlas query`` reproduces a built atlas byte for byte: its
+rows are re-encoded, never echoed as read.  ``atlas query`` decodes each line
+once and re-checks the record; a line that is not exactly one JSON value is
+refused with the message ``json.loads`` gives for it.
+
 Subcommands: word info, convert, jones, modular {encode, decode, rademacher},
 flow itinerary, atlas {build, query}.  Exit codes: 0 success, 2 validation
 error, 3 resource cap exceeded, 4 I/O failure.
@@ -48,6 +54,9 @@ _FILTER_OPS = {
     ">": operator.gt,
 }
 _T = TypeVar("_T")
+# one codec for every atlas line and json row, with json's default settings
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_decode = json.JSONDecoder().raw_decode
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +89,7 @@ def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
     _check_jones_cap(jones_max_crossings)
     for word in words_mod.enumerate_words(max_len):
         braid = braid_mod.braid_of_words(words_mod.LinkWords((word,)))
-        yield json.dumps(word_record(word, braid, jones_max_crossings), separators=(",", ":"))
+        yield _encode(word_record(word, braid, jones_max_crossings))
 
 
 def _check_atlas_cap(max_len: int) -> None:
@@ -102,7 +111,10 @@ def verify_record(record: dict) -> None:
         raise ValidationError(f"corrupt atlas record {word}: components != 1")
     if not record["length"] == len(word) == n:  # one strand per letter
         raise ValidationError(f"corrupt atlas record {word}: length, |word| and n differ")
-    if sum(p * q for p, q in record["trip"]) != c:
+    total = 0  # sum p * q, without a generator frame per record
+    for p, q in record["trip"]:
+        total = total + p * q
+    if total != c:
         raise ValidationError(f"corrupt atlas record {word}: sum p * q over trip != c")
     if record["chi"] != n - c:
         raise ValidationError(f"corrupt atlas record {word}: chi != n - c")
@@ -195,14 +207,20 @@ def record_matches(record: dict, filters: Iterable[tuple[str, str, object]]) -> 
 def query_atlas(
     lines: Iterable[str], filters: Iterable[tuple[str, str, object]]
 ) -> Iterator[dict]:
-    """Stream records matching every filter, verifying each record on load."""
+    """Stream records matching every filter, decoding each line once and
+    verifying each record on load."""
     filters = list(filters)
     for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
+            try:
+                record, end = _decode(line)
+            except ValueError:
+                end = 0
+            if end != len(line):  # a bad line: raise what json.loads says of it
+                record = json.loads(line)
             verify_record(record)
         except KeyError as exc:
             raise ValidationError(f"atlas line {number}: no field {exc}") from exc
@@ -218,27 +236,27 @@ def query_atlas(
 
 def _emit(rows: Iterable[dict], fmt: str, stream: TextIO) -> None:
     """Write rows as JSON lines, as key-value tables separated by a blank
-    line, or as CSV under the first row's header."""
+    line, or as CSV under the first row's header, one write per row."""
     for number, row in enumerate(rows):
         if fmt == "json":
-            print(json.dumps(row, separators=(",", ":")), file=stream)
+            text = _encode(row) + "\n"
         elif fmt == "table":
-            if number:
-                print(file=stream)
             width = max(len(k) for k in row)
-            for key, value in row.items():
-                print(f"{key:<{width}}  {_plain(value)}", file=stream)
+            text = "".join(f"{key:<{width}}  {_plain(value)}\n" for key, value in row.items())
+            if number:
+                text = "\n" + text
         else:
+            text = ",".join(_csv_cell(v) for v in row.values()) + "\n"
             if not number:
-                print(",".join(row.keys()), file=stream)
-            print(",".join(_csv_cell(v) for v in row.values()), file=stream)
+                text = ",".join(row.keys()) + "\n" + text
+        stream.write(text)
 
 
 def _plain(value: object) -> str:
     if value is None:
         return "-"
     if isinstance(value, (list, tuple)):
-        return json.dumps(value, separators=(",", ":"))
+        return _encode(value)
     return str(value)
 
 

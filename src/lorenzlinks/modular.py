@@ -187,9 +187,7 @@ def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
     if t <= 2:
         raise ValidationError(f"trace {t} <= 2 carries no closed geodesic")
     disc = t * t - 4
-    p, q = m.a - m.d, 2 * m.c
-    if q == 0:
-        raise ValidationError("lower-left entry 0 is impossible for hyperbolic")
+    p, q = m.a - m.d, 2 * m.c  # c != 0: det 1 with c = 0 forces |trace| = 2
     if (disc - p * p) % q:
         scale = abs(q)
         p, disc, q = p * scale, disc * scale * scale, q * scale

@@ -253,6 +253,13 @@ class TestModular:
         code, _, _ = run(capsys, "modular", "decode", "[[1,1],[0,1]]")
         assert code == 2
 
+    @pytest.mark.parametrize("rows", ["[[1,5],[0,1]]", "[[-1,3],[0,-1]]"])
+    def test_decode_lower_left_zero_is_refused_by_its_trace(self, capsys, rows):
+        # det 1 with c = 0 forces a = d = +-1, so |trace| = 2
+        assert run(capsys, "modular", "decode", rows) == (
+            2, "", "error: trace 2 <= 2 carries no closed geodesic\n"
+        )
+
     @pytest.mark.parametrize(
         "value, shown",
         [
@@ -424,6 +431,28 @@ class TestFlow:
         assert code == 2
         assert out == ""
         assert f"seed state must be x,y,z: {seed_state!r}" in err
+
+
+def query_with_a_bad_line(capsys, tmp_path, number, edit) -> str:
+    """Query the atlas of the words up to length 4 after ``edit`` rewrites
+    its line ``number``, check that the query exits 2 with the rows before
+    that line on stdout and on stderr what json.loads and then verify_record
+    raise on the line, and return that message."""
+    lines = list(cli.build_atlas(4))
+    lines[number - 1] = bad = edit(lines[number - 1])
+    path = tmp_path / "atlas.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    try:
+        cli.verify_record(json.loads(bad))
+    except (ValueError, TypeError) as exc:
+        message = str(exc)
+    else:
+        pytest.fail(f"line {number} loads: {bad!r}")
+    before = "".join(line + "\n" for line in lines[: number - 1])
+    assert run(capsys, "atlas", "query", str(path)) == (
+        2, before, f"error: atlas line {number}: {message}\n"
+    )
+    return message
 
 
 class TestAtlas:
@@ -639,14 +668,34 @@ class TestAtlas:
         assert err == f"error: atlas line 11: corrupt atlas record LLRLR: {message}\n"
 
     def test_truncated_line_names_its_number(self, capsys, tmp_path):
-        out_path = tmp_path / "atlas.jsonl"
-        run(capsys, "atlas", "build", "--max-len", "3", "--out", str(out_path))
-        lines = out_path.read_text().splitlines()
-        lines[2] = lines[2][: len(lines[2]) // 2]
-        out_path.write_text("\n".join(lines) + "\n")
-        code, _, err = run(capsys, "atlas", "query", str(out_path))
-        assert code == 2
-        assert "atlas line 3:" in err
+        message = query_with_a_bad_line(capsys, tmp_path, 3, lambda line: line[: len(line) // 2])
+        assert message.startswith("Unterminated string starting at: line 1 column ")
+
+    @pytest.mark.parametrize(
+        "number, edit, start",
+        [
+            pytest.param(
+                4, lambda line: line + line, "Extra data: line 1 column ", id="two-records"
+            ),
+            pytest.param(
+                1, lambda line: "\ufeff" + line, "Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                id="bom",
+            ),
+            pytest.param(
+                6, lambda line: "[1,2]", "list indices must be integers or slices, not str",
+                id="list",
+            ),
+            pytest.param(
+                6, lambda line: "null", "'NoneType' object is not subscriptable", id="null"
+            ),
+            pytest.param(2, lambda line: "3", "'int' object is not subscriptable", id="number"),
+        ],
+    )
+    def test_a_line_that_is_not_one_record_is_refused(
+        self, capsys, tmp_path, number, edit, start
+    ):
+        # the refusal names what json.loads, then verify_record, says of the line
+        assert query_with_a_bad_line(capsys, tmp_path, number, edit).startswith(start)
 
     def test_line_missing_a_field_names_its_number(self, capsys, tmp_path):
         out_path = tmp_path / "atlas.jsonl"
@@ -919,6 +968,29 @@ class TestAtlasBytes:
         atlas = "".join(line + "\n" for line in lines).encode()
         assert hashlib.sha256(atlas).hexdigest() == digest
         assert len(list(cli.query_atlas(lines, []))) == len(lines)  # every record verifies
+
+    def test_unfiltered_json_query_reproduces_the_atlas(self, capsys, tmp_path):
+        # the atlas-12 pin above: every row is decoded, re-checked and re-encoded
+        path = tmp_path / "atlas.jsonl"
+        lines = cli.build_atlas(12, jones_max_crossings=16)
+        path.write_text("".join(line + "\n" for line in lines))
+        code, out, err = run(capsys, "atlas", "query", str(path))
+        assert (code, err) == (0, "")
+        assert out == path.read_text()
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "db89ec2c5a4c9d3a1f0b32ed03c68869744fd27b43f1663bdeb37520afdbc133"
+        )
+
+    def test_query_re_encodes_rather_than_echoes(self, capsys, tmp_path):
+        # a hand-written atlas with spaces after its separators and around
+        # its lines comes out in the compact encoding atlas build writes
+        compact = list(cli.build_atlas(5, jones_max_crossings=8))
+        path = tmp_path / "atlas.jsonl"
+        path.write_text("".join(f"  {json.dumps(json.loads(line))} \n" for line in compact))
+        assert ", " in path.read_text() and ": " in path.read_text()
+        assert run(capsys, "atlas", "query", str(path)) == (
+            0, "".join(line + "\n" for line in compact), ""
+        )
 
 
 def transcript_digest(capsys, argvs) -> str:
