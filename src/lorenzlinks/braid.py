@@ -40,25 +40,24 @@ SEED = 64
 
 @dataclass(frozen=True)
 class LorenzBraid:
-    """A positive permutation braid with per-strand letter and component labels.
+    """A positive permutation braid with a lobe letter per strand.
 
     ``targets[i - 1]`` is the end position of the strand starting at position
-    i (1-based).  ``letters[i - 1]`` records which lobe the strand rounds,
-    and ``components[i - 1]`` the link component it belongs to.  Left-lobe
-    strands occupy an initial block of start positions and have strictly
-    increasing targets; right-lobe strands fill the rest, also with
+    i (1-based), and ``letters[i - 1]`` records which lobe the strand rounds.
+    Left-lobe strands occupy an initial block of start positions and have
+    strictly increasing targets; right-lobe strands fill the rest, also with
     increasing targets.  Fixed strands (target == start) occur only for the
-    two degenerate lobe-boundary unknots named by the words L and R.
+    two degenerate lobe-boundary unknots named by the words L and R.  The
+    components are its cycles, numbered by least strand as in words_of_braid.
     """
 
     n: int
     targets: tuple[int, ...]
     letters: tuple[str, ...]
-    components: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n, targets, letters = self.n, self.targets, self.letters
-        if n < 1 or len(targets) != n or len(letters) != n or len(self.components) != n:
+        if n < 1 or len(targets) != n or len(letters) != n:
             raise InternalInconsistencyError("field lengths disagree with strand count")
         l_count = letters.count("L")
         if l_count + letters.count("R") != n:
@@ -94,20 +93,19 @@ class LorenzBraid:
         object.__setattr__(self, "_ear_counts", (ll, lr, lr, n - l_count - lr))
         object.__setattr__(self, "_trip", tuple(map(tuple, trip)))
         object.__setattr__(self, "_crossings", crossings)
-        cycles = permutation_cycles(targets)
-        labels = [self.components[cycle[0] - 1] for cycle in cycles]
-        if sorted(labels) != list(range(len(cycles))):
-            raise InternalInconsistencyError("component labels must be 0..mu-1, one per cycle")
-        for label, cycle in zip(labels, cycles):
-            if any(self.components[pos - 1] != label for pos in cycle):
-                raise InternalInconsistencyError("a cycle mixes component labels")
-        object.__setattr__(self, "_cycles", tuple(cycles))
+        object.__setattr__(self, "_cycles", tuple(permutation_cycles(targets)))
 
     # -- derived structure ------------------------------------------------
 
     @property
     def component_count(self) -> int:
         return len(self._cycles)
+
+    @property
+    def components(self) -> tuple[int, ...]:
+        """Per strand, the index of its cycle in ``cycles()``."""
+        label_of = {pos: k for k, cycle in enumerate(self._cycles) for pos in cycle}
+        return tuple(label_of[i] for i in range(1, self.n + 1))
 
     @property
     def over_positions(self) -> tuple[int, ...]:
@@ -141,8 +139,8 @@ class LorenzBraid:
         return self._crossings
 
     def cycles(self) -> list[tuple[int, ...]]:
-        """Permutation cycles in orbit order, each starting at its least
-        position; walked once, when the braid is built."""
+        """Permutation cycles in orbit order, each from its least position,
+        in order of that position; walked once, when the braid is built."""
         return list(self._cycles)
 
     # -- wire form ---------------------------------------------------------
@@ -231,29 +229,28 @@ def braid_of_words(link: LinkWords) -> LorenzBraid:
     one letter on, and is overcrossing exactly when the rotation begins with
     L (fixed strands of the degenerate one-letter words excepted).  The
     ranks take memory linear in the letter count, so words.MAX_LETTERS is
-    the one cap on a word's size.
+    the one cap on a word's size.  Components are numbered by least strand,
+    as in words_of_braid, not in the order of ``link``.
     """
     texts = [word.letters for word in link.words]
     n = sum(len(text) for text in texts)
-    targets, letters, components = [0] * n, [""] * n, [0] * n
-    for ci, (text, block) in enumerate(zip(texts, _rotation_ranks(texts))):
+    targets, letters = [0] * n, [""] * n
+    for text, block in zip(texts, _rotation_ranks(texts)):
         for pos, next_pos, letter in zip(block, block[1:] + block[:1], text):
             targets[pos] = next_pos + 1
             letters[pos] = letter
-            components[pos] = ci
-    return LorenzBraid(n, tuple(targets), tuple(letters), tuple(components))
+    return LorenzBraid(n, tuple(targets), tuple(letters))
 
 
 def words_of_braid(braid: LorenzBraid) -> list[CyclicWord]:
-    """Read each cycle's letters back into a canonical cyclic word.
+    """The canonical word of each cycle, by least strand: word k is component k.
 
     Components built by :func:`lorenzlinks.tlink.to_lorenz` may repeat a word
     (parallel orbits), so the result is a list, not a LinkWords.
     """
-    out = []
-    for cycle in braid.cycles():
-        out.append(canonicalize("".join(braid.letters[i - 1] for i in cycle)))
-    return out
+    return [
+        canonicalize("".join(braid.letters[i - 1] for i in cycle)) for cycle in braid.cycles()
+    ]
 
 
 def braid_generators(braid: LorenzBraid) -> list[int]:
@@ -296,7 +293,7 @@ def linking_matrix(braid: LorenzBraid) -> list[list[int]]:
     with the overstrand in A; both counts are computed and must agree.  The
     generator word is replayed on the strands' arrangement: at generator i
     the strand at position i passes over the one at position i + 1, and the
-    two swap.  The diagonal is left zero.
+    two swap.  The diagonal is left zero; row k is component k of words_of_braid.
     """
     mu = braid.component_count
     over_counts = [[0] * mu for _ in range(mu)]

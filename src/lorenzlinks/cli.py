@@ -156,12 +156,13 @@ def _verify_jones(record: dict) -> None:
 
 
 def parse_filter(expression: str) -> tuple[str, str, object]:
-    """Parse ``field OP value`` with OP in =, !=, <=, >=, <, >."""
+    """Parse ``field OP value`` with OP in =, !=, <=, >=, <, >; a value that
+    starts with an operator character, as in ``genus==1``, is refused."""
     for op in _FILTER_OPS:
         if op in expression:
             field, _, raw = expression.partition(op)
             field, raw = field.strip(), raw.strip()
-            if not field or not raw:
+            if not field or not raw or raw[0] in "=<>!":
                 raise ValidationError(f"cannot parse filter {expression!r}")
             try:
                 return field, op, _parse_filter_value(raw)

@@ -366,6 +366,13 @@ def _divide_by_one_minus_t_squared(numerator: list[int]) -> list[int]:
     return sums[:-2]
 
 
+def _integer_text(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:  # over Python's int-to-str digit limit: name its bit length
+        return f"at least 2^{value.bit_length() - 1}"
+
+
 def jones_torus(p: int, q: int) -> LaurentPoly:
     """Closed-form Jones polynomial of the (p, q) torus knot.
 
@@ -378,11 +385,12 @@ def jones_torus(p: int, q: int) -> LaurentPoly:
     """
     if p < 2 or q < 2:
         raise ValidationError("torus parameters must both be >= 2")
+    pair = f"({_integer_text(p)}, {_integer_text(q)})"
     if math.gcd(p, q) != 1:
-        raise ValidationError(f"({p}, {q}) is a torus link, not a knot")
+        raise ValidationError(f"{pair} is a torus link, not a knot")
     if p + q > MAX_LETTERS:
         raise ResourceCapError(
-            f"torus knot ({p}, {q}) needs p + q strands, over the cap of {MAX_LETTERS}"
+            f"torus knot {pair} needs p + q strands, over the cap of {MAX_LETTERS}"
         )
     # the four exponents differ, since p != q and both are >= 2
     numerator = [0] * (p + q + 1)

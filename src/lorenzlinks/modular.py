@@ -169,8 +169,9 @@ def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
 
         Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}),
 
-    seeded with Q_{-1} = (D - P_0^2) / Q_0: one small-by-large product per
-    step instead of a square and a long division.  The states become
+    seeded with Q_{-1} = (D - P_0^2) / Q_0 = 2b, as P_0 = a - d, Q_0 = 2c and,
+    by det 1, D - P_0^2 = (a + d)^2 - 4 - (a - d)^2 = 4bc: one small-by-large
+    product per step instead of a square and a long division.  The states become
     periodic exactly at the first reduced one, 0 < P <= isqrt(D) < P + Q and
     Q - P <= isqrt(D) (Galois), so only that state is kept to close the
     cycle.  The cycle's quotients are alternating run lengths, with
@@ -187,10 +188,7 @@ def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
     if t <= 2:
         raise ValidationError(f"trace {t} <= 2 carries no closed geodesic")
     disc = t * t - 4
-    p, q = m.a - m.d, 2 * m.c  # c != 0: det 1 with c = 0 forces |trace| = 2
-    if (disc - p * p) % q:
-        scale = abs(q)
-        p, disc, q = p * scale, disc * scale * scale, q * scale
+    p, q, q_prev = m.a - m.d, 2 * m.c, 2 * m.b  # c != 0: det 1 with c = 0 forces |trace| = 2
     root = isqrt(disc)
     if root * root == disc:
         raise InternalInconsistencyError("trace^2 - 4 cannot be a perfect square")
@@ -198,7 +196,6 @@ def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
     quotients: list[int] = []
     start = cycle = None
     letters = 0
-    q_prev = (disc - p * p) // q
     while start is None or (p, q) != cycle:
         if start is None and 0 < p <= root < p + q and q - p <= root:
             start, cycle = len(quotients), (p, q)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import LorenzBraid, permutation_cycles
+from .braid import LorenzBraid
 from .errors import InternalInconsistencyError, ResourceCapError, ValidationError
 from .words import MAX_LETTERS
 
@@ -89,9 +89,10 @@ def to_lorenz(params: TLinkParams) -> LorenzBraid:
     targets in increasing order, the unique order-preserving completion.
     The braid has n = sum q_i + p_k strands, one per letter of its words;
     above words.MAX_LETTERS it raises ResourceCapError before building anything.
+    Its components are its cycles, numbered by least strand as in words_of_braid.
     """
     if not params.pairs:
-        return LorenzBraid(1, (1,), ("L",), (0,))
+        return LorenzBraid(1, (1,), ("L",))
     m = sum(q for _, q in params.pairs)
     n = m + params.pairs[-1][0]
     if n > MAX_LETTERS:
@@ -105,12 +106,7 @@ def to_lorenz(params: TLinkParams) -> LorenzBraid:
     under_targets = sorted(set(range(1, n + 1)) - set(over_targets))
     targets = tuple(over_targets + under_targets)
     letters = ("L",) * m + ("R",) * (n - m)
-
-    components = [0] * n
-    for label, cycle in enumerate(permutation_cycles(targets)):
-        for pos in cycle:
-            components[pos - 1] = label
-    braid = LorenzBraid(n, targets, letters, tuple(components))
+    braid = LorenzBraid(n, targets, letters)
     if braid.trip != params.pairs:
         raise InternalInconsistencyError("constructed braid does not reproduce the parameters")
     return braid

@@ -40,11 +40,11 @@ def trip_oracle(targets):
     return tuple(sorted(groups.items()))
 
 
-def lorenz_braid_oracle(n, targets, letters, components):
+def lorenz_braid_oracle(n, targets, letters):
     """The checks LorenzBraid's constructor made one at a time, with their
     messages, and its fields computed the way it computed them: returns
     (crossings, ear_counts, trip, cycles) or raises InternalInconsistencyError."""
-    if n < 1 or len(targets) != n or len(letters) != n or len(components) != n:
+    if n < 1 or len(targets) != n or len(letters) != n:
         raise InternalInconsistencyError("field lengths disagree with strand count")
     if sorted(targets) != list(range(1, n + 1)):
         raise InternalInconsistencyError("targets is not a permutation of 1..n")
@@ -76,19 +76,7 @@ def lorenz_braid_oracle(n, targets, letters, components):
         raise InternalInconsistencyError(
             f"inversion count {inversions} but sum q_i p_i = {trip_sum}"
         )
-    labels = set(components)
-    if labels != set(range(len(labels))):
-        raise InternalInconsistencyError("component labels must be 0..mu-1")
     cycles = permutation_cycles(targets)
-    cycle_labels = set()
-    for cycle in cycles:
-        comp = {components[i - 1] for i in cycle}
-        if len(comp) != 1:
-            raise InternalInconsistencyError("a cycle mixes component labels")
-        label = comp.pop()
-        if label in cycle_labels:
-            raise InternalInconsistencyError("two cycles share a component label")
-        cycle_labels.add(label)
     return inversions, (ll, l_count - ll, rl, n - l_count - rl), trip, cycles
 
 
@@ -135,8 +123,7 @@ def braid_oracle(link):
     rank = {(ci, k): pos for pos, (_, ci, k) in enumerate(rotations, start=1)}
     targets = tuple(rank[ci, (k + 1) % len(link.words[ci])] for _, ci, k in rotations)
     letters = tuple(spelling[0] for spelling, _, _ in rotations)
-    components = tuple(ci for _, ci, _ in rotations)
-    return LorenzBraid(len(rotations), targets, letters, components)
+    return LorenzBraid(len(rotations), targets, letters)
 
 
 def word_sets_up_to(total):
@@ -222,6 +209,14 @@ class TestBraidOfWords:
         assert fixed.ear_type(1) == "LL" and fixed.over_positions == ()
         assert fixed.targets[0] - 1 == 0
 
+    def test_components_are_numbered_by_least_strand(self):
+        # LR is named first, but the cycle of LLLRR holds strand 1: it is
+        # component 0, word 0 of words_of_braid and row 0 of the linking matrix
+        braid = braid_of_words(validate_link(["LR", "LLR", "LLLRR"]))
+        assert braid.components == (0, 1, 0, 1, 2, 0, 0, 1, 2, 0)
+        assert [w.letters for w in words_of_braid(braid)] == ["LLLRR", "LLR", "LR"]
+        assert linking_matrix(braid) == [[0, 3, 2], [3, 0, 1], [2, 1, 0]]
+
 
 def seeded_links(count, seed=1729):
     rng = random.Random(seed)
@@ -286,25 +281,34 @@ class TestLongWords:
 
 
 class TestPositionSequences:
-    """The braid's cycles, walked from its targets and taken in component
-    order, are the components' rotation ranks in rotation order."""
+    """Each word's rotation ranks, in rotation order, are one of the braid's
+    cycles, and component k, walked along the targets from its least strand,
+    spells word k of words_of_braid."""
 
     @staticmethod
-    def cycles_by_component(link):
+    def check(link):
         braid = braid_of_words(link)
-        return sorted(braid.cycles(), key=lambda cycle: braid.components[cycle[0] - 1])
+        # a rank sequence starts at the least rotation, the least strand of
+        # its cycle, so sorting orders the sequences as cycles() does
+        assert sorted(position_sequences_oracle(link)) == braid.cycles(), link
+        components = braid.components
+        for k, word in enumerate(words_of_braid(braid)):
+            start = pos = components.index(k)
+            spelled, walked = [], set()
+            while not spelled or pos != start:
+                spelled.append(braid.letters[pos])
+                walked.add(pos)
+                pos = braid.targets[pos] - 1
+            assert "".join(spelled) == word.letters, link
+            assert walked == {i for i, label in enumerate(components) if label == k}
 
-    def test_equal_the_sort_oracle_on_every_word_to_length_12(self):
-        for word in enumerate_words(12):
-            link = LinkWords((word,))
-            assert self.cycles_by_component(link) == position_sequences_oracle(link)
+    def test_equal_the_sort_oracle_on_every_word_set_to_12_letters(self):
+        for words in word_sets_up_to(12):
+            self.check(LinkWords(words))
 
     def test_equal_the_sort_oracle_on_seeded_links(self):
-        rng = random.Random(1729)
-        pool = enumerate_words(9)
-        for _ in range(3000):
-            link = LinkWords(tuple(rng.sample(pool, rng.randint(2, 4))))
-            assert self.cycles_by_component(link) == position_sequences_oracle(link)
+        for link in seeded_links(3000):
+            self.check(link)
 
 
 class TestStrandProfile:
@@ -345,43 +349,20 @@ class TestStrandProfile:
             assert braid.trip == trip_oracle(braid.targets)
 
 
-# one hand-built braid (n, targets, letters, components) per malformation,
+# one hand-built braid (n, targets, letters) per malformation,
 # named for it, and the refusal it meets; one merge into 1..n refuses every
 # permutation that is not two increasing lobe blocks
 NOT_MERGED = "targets are not two increasing lobe blocks merging into 1..n"
 BAD_BRAIDS = [
-    ("field lengths disagree", (2, (1, 2), ("L",), (0, 1)), "field lengths disagree"),
-    ("field lengths disagree", (0, (), (), ()), "field lengths disagree"),
-    ("not a permutation", (2, (1, 1), ("L", "R"), (0, 1)), NOT_MERGED),
-    ("letters must be L or R", (1, (1,), ("X",), (0,)), "letters must be L or R"),
-    ("must form an initial block", (2, (1, 2), ("R", "L"), (0, 1)), "must form an initial block"),
-    ("left-lobe strand 2 moves left", (3, (2, 1, 3), ("L", "L", "R"), (0, 0, 1)), NOT_MERGED),
-    ("right-lobe strand 2 moves right", (3, (1, 3, 2), ("L", "R", "R"), (0, 1, 1)), NOT_MERGED),
-    ("must increase", (4, (4, 3, 1, 2), ("L", "L", "R", "R"), (0, 0, 0, 0)), NOT_MERGED),
-    ("labels must be 0..mu-1", (1, (1,), ("L",), (1,)), "labels must be 0..mu-1"),
-    (
-        "a cycle mixes component labels",
-        (2, (2, 1), ("L", "R"), (0, 1)),
-        "a cycle mixes component labels",
-    ),
-    (
-        "two cycles share a component label",
-        (2, (1, 2), ("L", "R"), (0, 0)),
-        "labels must be 0..mu-1",
-    ),
+    ("field lengths disagree", (2, (1, 2), ("L",)), "field lengths disagree"),
+    ("field lengths disagree", (0, (), ()), "field lengths disagree"),
+    ("not a permutation", (2, (1, 1), ("L", "R")), NOT_MERGED),
+    ("letters must be L or R", (1, (1,), ("X",)), "letters must be L or R"),
+    ("must form an initial block", (2, (1, 2), ("R", "L")), "must form an initial block"),
+    ("left-lobe strand 2 moves left", (3, (2, 1, 3), ("L", "L", "R")), NOT_MERGED),
+    ("right-lobe strand 2 moves right", (3, (1, 3, 2), ("L", "R", "R")), NOT_MERGED),
+    ("must increase", (4, (4, 3, 1, 2), ("L", "L", "R", "R")), NOT_MERGED),
 ]
-
-
-def labelings(targets):
-    """Component labels for a permutation's strands: by cycle, all 0, by
-    cycle read in reverse strand order and by cycle shifted by 1, without
-    repeats."""
-    by_cycle = [0] * len(targets)
-    for label, cycle in enumerate(permutation_cycles(targets)):
-        for pos in cycle:
-            by_cycle[pos - 1] = label
-    by_cycle = tuple(by_cycle)
-    return {by_cycle, (0,) * len(targets), by_cycle[::-1], tuple(x + 1 for x in by_cycle)}
 
 
 class TestLorenzBraidRejections:
@@ -399,26 +380,24 @@ class TestLorenzBraidRejections:
             lorenz_braid_oracle(*fields)
 
     def test_merge_accepts_exactly_what_the_oracle_accepts(self):
-        # every permutation of n <= 6 strands, every lobe split, every labeling
+        # every permutation of n <= 6 strands, every lobe split
         cases = accepted = 0
         for n in range(1, 7):
             for targets in itertools.permutations(range(1, n + 1)):
                 for l_count in range(n + 1):
-                    letters = ("L",) * l_count + ("R",) * (n - l_count)
-                    for components in labelings(targets):
-                        cases += 1
-                        fields = (n, targets, letters, components)
-                        try:
-                            expected = lorenz_braid_oracle(*fields)
-                        except InternalInconsistencyError:
-                            with pytest.raises(InternalInconsistencyError):
-                                LorenzBraid(*fields)
-                            continue
-                        braid = LorenzBraid(*fields)
-                        read = (braid.crossings, braid.ear_counts, braid.trip, braid.cycles())
-                        assert read == expected, fields
-                        accepted += 1
-        assert (cases, accepted) == (21_386, 164)
+                    cases += 1
+                    fields = (n, targets, ("L",) * l_count + ("R",) * (n - l_count))
+                    try:
+                        expected = lorenz_braid_oracle(*fields)
+                    except InternalInconsistencyError:
+                        with pytest.raises(InternalInconsistencyError):
+                            LorenzBraid(*fields)
+                        continue
+                    braid = LorenzBraid(*fields)
+                    read = (braid.crossings, braid.ear_counts, braid.trip, braid.cycles())
+                    assert read == expected, fields
+                    accepted += 1
+        assert (cases, accepted) == (5_912, 126)
 
 
 LINK_WORD_POOL = enumerate_words(12)
@@ -501,6 +480,7 @@ class TestSerialization:
         # the wire form carries the whole braid: each type's first letter is
         # its strand's letter
         letters = tuple(t[0] for t in data["types"])
-        rebuilt = LorenzBraid(data["n"], tuple(data["targets"]), letters, tuple(data["components"]))
+        rebuilt = LorenzBraid(data["n"], tuple(data["targets"]), letters)
         assert rebuilt == braid
+        assert list(rebuilt.components) == data["components"]
         assert data["trip"] == [list(pq) for pq in braid.trip]

@@ -607,6 +607,15 @@ class TestAtlas:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("where", ["genus==1", "genus=>1", "c_min=<3", "genus=!1"])
+    def test_doubled_operator_is_refused(self, capsys, tmp_path, where):
+        # split at the first "=", each would compare against a string such
+        # as "=1" and match no record
+        out_path = tmp_path / "atlas.jsonl"
+        run(capsys, "atlas", "build", "--max-len", "6", "--out", str(out_path))
+        code, out, err = run(capsys, "atlas", "query", str(out_path), "--where", where)
+        assert (code, out, err) == (2, "", f"error: cannot parse filter {where!r}\n")
+
     def test_torus_field_audit_at_length_twelve(self, capsys, tmp_path):
         out_path = tmp_path / "atlas.jsonl"
         run(capsys, "atlas", "build", "--max-len", "12", "--out", str(out_path))

@@ -3,6 +3,7 @@ and the torus closed form."""
 
 import math
 import random
+import sys
 
 import pytest
 from bracket_oracle import state_sum_bracket
@@ -400,6 +401,22 @@ class TestJonesTorus:
         p = 10**30
         with pytest.raises(ResourceCapError, match="over the cap of 100000"):
             jones_torus(p, p + 1)
+
+    @pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+        reason="this interpreter converts integers of any length",
+    )
+    def test_integers_past_the_digit_limit_are_named_by_bit_length(self):
+        # the first integer of each pair is too long to format as digits
+        with pytest.raises(
+            ValidationError, match=r"^\(at least 2\^16610, 4\) is a torus link, not a knot$"
+        ):
+            jones_torus(2 * 10**5000, 4)
+        with pytest.raises(ResourceCapError) as caught:
+            jones_torus(10**5000 + 1, 3)
+        assert str(caught.value) == (
+            "torus knot (at least 2^16609, 3) needs p + q strands, over the cap of 100000"
+        )
 
     def test_alternative_numerator_is_not_divisible(self):
         # 1 - t^(p-1) - t^(q-1) - t^(p+q) at (p, q) = (2, 3) fails the guard
