@@ -298,10 +298,6 @@ def _parse_pairs(text: str) -> tlink_mod.TLinkParams:
         data = json.loads(text)
     except ValueError as exc:  # malformed JSON, or an integer beyond the digit limit
         raise ValidationError(f"cannot parse parameter list {text!r}: {exc}") from exc
-    if not isinstance(data, list) or not all(
-        isinstance(pq, list) and len(pq) == 2 for pq in data
-    ):
-        raise ValidationError("parameters must be a JSON array of [p, q] pairs")
     return tlink_mod.TLinkParams.from_pairs(data)
 
 

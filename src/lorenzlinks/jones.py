@@ -11,10 +11,11 @@ Before it runs, the word is Markov-destabilized: while the highest or the
 lowest generator index occurs once, that crossing and one strand go, a
 positive Reidemeister I move that divides the bracket by -A^3, so the
 evaluator sees k fewer crossings and strands and the result is multiplied
-back by (-A^3)^k.  On the reduced braid, each diagram's polynomial in
-u = A^-2 is packed into one integer, one slot of W = c + n + 1 bits per
-power of u, and every strand position but one, untouched ones included, is
-closed inside that integer; see `kauffman_bracket`.
+back by (-A^3)^k.  Strands that no crossing touches then leave too, each a
+split unknot whose factor d is put back once on the result.  On the touched
+strands, each diagram's polynomial in u = A^-2 is packed into one integer,
+one slot of W = c + n + 1 bits per power of u, and every strand position but
+one is closed inside that integer; see `kauffman_bracket`.
 
 Multiplying by (-A)^(-3w) (writhe w = c, every crossing positive) and
 substituting t = A^-4 gives the Jones polynomial under the dynamics
@@ -45,9 +46,6 @@ from .errors import InternalInconsistencyError, ResourceCapError, ValidationErro
 from .words import MAX_LETTERS
 
 DEFAULT_MAX_CROSSINGS = 20
-
-# slots that _peel decodes one digit at a time; wider values are split in two
-_LEAF_SLOTS = 64
 
 
 class LaurentPoly:
@@ -137,37 +135,41 @@ def kauffman_bracket(
     1 + u e_i into the scalar 1 + u d = -u^2, where d = -A^2 - A^-2 =
     -u^-1 - u.
 
+    Strands that no generator of the reduced word touches are split unknots,
+    a factor d each; the m of them leave before the evaluation (all but one
+    strand when no crossing is left, since that loop is the one the
+    normalization <unknot> = 1 removes), the touched positions are ranked
+    0..n-1, n from here on counting them, and d^m is put back on the decoded
+    result.  Knots have no loose strands, so their word is never renumbered.
+
     Positions are closed early: right after the last generator that touches
     position q, top q is joined to bottom q (the braid closure, applied as a
     partial trace) and both points leave the diagram.  A closure that closes
     a loop multiplies by d = u^-1 * -(1 + u^2); one that does not multiplies
     by 1 = u^-1 * u.  The factor u^-1 is pulled out once per closure, so
-    every factor applied to a polynomial is a polynomial in u.  The m
-    positions that no generator touches are one loop each, closed before the
-    first crossing: the state starts at (-(1 + u^2))^m instead of 1.  The
-    last touched position closed (the last position, when none is touched)
-    is never joined: its loop is the one the normalization <unknot> = 1
-    removes.  So closures = n - 1 for every reduced braid.  The cost is c
-    times the number of live partial diagrams, which early closure bounds by
-    the matchings of the positions that are open at once.
+    every factor applied to a polynomial is a polynomial in u.  The last
+    position closed is never joined: its loop is the one <unknot> = 1
+    removes.  So closures = n - 1.  The cost is c times the number of live
+    partial diagrams, which early closure bounds by the matchings of the
+    positions that are open at once.
 
     Each polynomial is packed into one integer, sum_k a_k 2^(W k) for
     sum_k a_k u^k (Kronecker substitution u = 2^W), so multiplying by u is a
     shift by W bits and every accumulation is one integer addition.  Packing
     is a ring map from Z[u] to Z, so the integer arithmetic is exact whatever
     W is; W only has to make the final value decode uniquely into balanced
-    digits in [-2^(W-1), 2^(W-1)).  The start (-(1 + u^2))^m is written slot
-    by slot, (-1)^m C(m, j) in slot 2j, since no C(m, j) <= 2^m < 2^W
-    overlaps the next; raising the packed 1 + u^2 to the m-th power would
-    cost multiplications of the full width.  Every
-    factor applied (-(1 + u^2) per untouched position; 1 + u, -u^2 at a
-    crossing; -(1 + u^2), u at a closure) has absolute coefficient sum at
-    most 2, and adding the polynomials of merged diagrams does not increase
-    the total, so the absolute coefficient sum over the whole state at most
-    doubles per crossing and per closure.  Every final coefficient therefore
-    has |a_k| <= 2^(c + n - 1) < 2^(W-1) for W = c + n + 1.  Each factor
-    raises the degree in u by at most 2, so the result has at most
-    2 (c + n - 1) + 1 slots.
+    digits in [-2^(W-1), 2^(W-1)).  The state starts at 1, and every factor
+    applied (1 + u, -u^2 at a crossing; -(1 + u^2), u at a closure) has
+    absolute coefficient sum at most 2; adding the polynomials of merged
+    diagrams does not increase the total, so the absolute coefficient sum
+    over the whole state at most doubles per crossing and per closure.
+    Every final coefficient therefore has |a_k| <= 2^(c + n - 1) < 2^(W-1)
+    for W = c + n + 1.  Each factor raises the degree in u by at most 2, so
+    the result has at most 2 (c + n - 1) + 1 slots.  Each crossing touches
+    two positions, so n <= max(2c, 1), and W and the slot count are bounded
+    by the crossing count alone.  The loose factor d^m = (-u^-1)^m
+    (1 + u^2)^m is applied to the decoded digits, as one binomial row spread
+    over every second power of u.
     """
     if max_crossings < 0:
         raise ValidationError(f"max_crossings must be >= 0, got {max_crossings}")
@@ -185,23 +187,23 @@ def kauffman_bracket(
     last_use: dict[int, int] = {}
     for j, p in enumerate(positions):
         last_use[p - 1] = last_use[p] = j
+    loose = n - (len(last_use) or 1)  # with no crossings, one loop stays open
+    if loose:
+        # generator p's positions p - 1 and p stay adjacent when ranked
+        rank = {q: i for i, q in enumerate(sorted(last_use))}
+        positions = [rank[p] for p in positions]
+        last_use = {rank[q]: j for q, j in last_use.items()}
+        n -= loose
     closing: list[list[int]] = [[] for _ in positions]
     for q, j in last_use.items():
         closing[j].append(q)
     if closing:
         closing[-1].pop()  # stays open: its loop is the one <unknot> = 1 removes
-    untouched = n - max(len(last_use), 1)  # with no crossings, one loop stays open
     width = c + n + 1
     two_slots = 2 * width
 
-    start = 1
-    if untouched:
-        row = [1]
-        for j in range(untouched):
-            row.append(row[-1] * (untouched - j) // (j + 1))
-        start = (-1) ** untouched * _pack(row, two_slots)
     # point 2q is the bottom of position q, 2q + 1 its top; closed points hold -1
-    state: dict[tuple[int, ...], int] = {tuple(i ^ 1 for i in range(2 * n)): start}
+    state: dict[tuple[int, ...], int] = {tuple(i ^ 1 for i in range(2 * n)): 1}
     for j, p in enumerate(positions):
         a, b = 2 * p - 1, 2 * p + 1  # the tops of positions p - 1 and p
         # 1 maps each diagram to itself; where tops p - 1 and p are joined,
@@ -239,10 +241,21 @@ def kauffman_bracket(
 
     (packed,) = state.values()
     digits = _unpack(packed, width, 2 * (c + n - 1) + 1)
-    # a_k u^k * A^c u^-(n - 1) * (-A^3)^removed is
-    # (-1)^removed a_k A^(c + 2 (n - 1) + 3 removed - 2k)
-    top_exponent = 4 * (c + 2 * (n - 1)) + 12 * removed
-    sign = -1 if removed % 2 else 1
+    if loose:
+        # times (1 + u^2)^loose; its sign and u^-loose go into the exponents below
+        row = [1]
+        for j in range(loose):
+            row.append(row[-1] * (loose - j) // (j + 1))
+        spread = [0] * (len(digits) + 2 * loose)
+        for k, digit in enumerate(digits):
+            if digit:
+                for j, binomial in enumerate(row):
+                    spread[k + 2 * j] += digit * binomial
+        digits = spread
+    # a_k u^k * A^c u^-(n - 1) * (-u^-1)^loose * (-A^3)^removed is
+    # (-1)^(loose + removed) a_k A^(c + 2 (n + loose - 1) + 3 removed - 2k)
+    top_exponent = 4 * (c + 2 * (n + loose - 1)) + 12 * removed
+    sign = -1 if (loose + removed) % 2 else 1
     return LaurentPoly({top_exponent - 8 * k: sign * digit for k, digit in enumerate(digits)})
 
 
@@ -258,7 +271,8 @@ def _destabilize(positions: list[int], n: int) -> tuple[list[int], int, int]:
     the crossing and strand h + 1 go, leaving B A, whose closure is that of
     A B.  The lowest index used, l, goes the same way with strand l, and
     every index above it moves down by one.  Strands no crossing touches
-    stay, to be closed as loops by the caller.  Each removal costs O(c).
+    stay; the caller takes them out as split unknots.  Each removal costs
+    O(c).
     """
     counts = Counter(positions)
     removed = 0
@@ -276,55 +290,21 @@ def _destabilize(positions: list[int], n: int) -> tuple[list[int], int, int]:
     return positions, n - removed, removed
 
 
-def _pack(digits: list[int], width: int) -> int:
-    """sum_k digits[k] 2^(width k) for digits in [0, 2^width); `_unpack`
-    reads back digits below 2^(width - 1).  Divide and conquer, like `_peel`:
-    only leaves of at most _LEAF_SLOTS digits are shifted in one at a time,
-    so the cost is O(b log b) bit operations for b bits."""
-    if len(digits) > _LEAF_SLOTS:
-        half = len(digits) // 2
-        return _pack(digits[:half], width) | _pack(digits[half:], width) << (width * half)
-    packed = 0
-    for digit in reversed(digits):
-        packed = packed << width | digit
-    return packed
-
-
 def _unpack(packed: int, width: int, slots: int) -> list[int]:
     """The ``slots`` lowest balanced base-2^width digits of ``packed``, lowest
     first, each in [-2^(width - 1), 2^(width - 1)); a value with digits
     beyond them raises."""
-    digits, rest = _peel(packed, width, slots)
-    if rest:
-        raise InternalInconsistencyError(f"packed polynomial has more than {slots} slots")
-    return digits
-
-
-def _peel(value: int, width: int, slots: int) -> tuple[list[int], int]:
-    """The ``slots`` lowest balanced base-2^width digits of ``value`` and
-    the rest, (value - sum_k d_k 2^(width k)) >> (width slots).
-
-    Divide and conquer: the low half of the slots is masked off, so it is
-    nonnegative and its balanced digits leave a rest of 0 or 1, the borrow
-    that the high half takes on.  Only leaves of at most _LEAF_SLOTS slots
-    are peeled one digit at a time, each peel a shift of the whole leaf, so
-    the decode costs O(b log b) bit operations for b bits, not O(b^2 / width).
-    """
-    if slots > _LEAF_SLOTS:
-        low_slots = slots // 2
-        low_bits = width * low_slots
-        low, borrow = _peel(value & ((1 << low_bits) - 1), width, low_slots)
-        high, rest = _peel((value >> low_bits) + borrow, width, slots - low_slots)
-        return low + high, rest
     half, modulus = 1 << (width - 1), 1 << width
     digits = []
     for _ in range(slots):
-        digit = value & (modulus - 1)
+        digit = packed & (modulus - 1)
         if digit >= half:
             digit -= modulus
         digits.append(digit)
-        value = (value - digit) >> width
-    return digits, value
+        packed = (packed - digit) >> width
+    if packed:
+        raise InternalInconsistencyError(f"packed polynomial has more than {slots} slots")
+    return digits
 
 
 def jones_of_braid(

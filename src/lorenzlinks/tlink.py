@@ -62,8 +62,13 @@ class TLinkParams:
 
     @classmethod
     def from_pairs(cls, pairs) -> "TLinkParams":
-        """Parameters from [p, q] pairs of ints; bools and other numbers are
-        rejected rather than converted."""
+        """Parameters from a list or tuple of [p, q] pairs of ints, each pair
+        a 2-element list or tuple; bools and other numbers are rejected
+        rather than converted."""
+        if not isinstance(pairs, (list, tuple)) or not all(
+            isinstance(pq, (list, tuple)) and len(pq) == 2 for pq in pairs
+        ):
+            raise ValidationError("parameters must be a JSON array of [p, q] pairs")
         blocks = tuple(tuple(pair) for pair in pairs)
         for block in blocks:
             if not all(type(value) is int for value in block):

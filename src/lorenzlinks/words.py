@@ -118,8 +118,9 @@ def enumerate_words(max_len: int) -> list[CyclicWord]:
     """All canonical aperiodic cyclic words of length <= max_len.
 
     The least rotation of an aperiodic cyclic word is precisely a Lyndon
-    word, so Duval's generator produces every canonical form directly; the
-    result is sorted by (length, spelling).  The count at exact length n is
+    word, so Duval's generator produces every canonical form directly, in
+    spelling order; a stable sort by length alone then orders the result by
+    (length, spelling).  The count at exact length n is
     the aperiodic binary necklace number (1/n) sum_{d | n} mobius(d) 2^(n/d).
     """
     if max_len < 1:
@@ -134,7 +135,7 @@ def enumerate_words(max_len: int) -> list[CyclicWord]:
             buf.append(buf[-m])
         while buf and buf[-1] == len(ALPHABET) - 1:
             buf.pop()
-    out.sort(key=lambda s: (len(s), s))
+    out.sort(key=len)
     return [CyclicWord(s) for s in out]
 
 

@@ -2,7 +2,6 @@
 and the torus closed form."""
 
 import math
-import random
 import sys
 
 import pytest
@@ -14,11 +13,9 @@ from lorenzlinks import jones as jones_mod
 from lorenzlinks.braid import braid_generators, braid_of_words
 from lorenzlinks.errors import InternalInconsistencyError, ResourceCapError, ValidationError
 from lorenzlinks.jones import (
-    _LEAF_SLOTS,
     LaurentPoly,
     _destabilize,
     _divide_by_one_minus_t_squared,
-    _pack,
     _unpack,
     jones_of_braid,
     jones_torus,
@@ -214,9 +211,10 @@ MOSTLY_UNTOUCHED = [
 
 class TestPackedSlots:
     """Edge cases of the packed evaluation: a slot of W = c + n + 1 bits per
-    power of u = A^-2, negative digits that borrow from the slot above,
-    untouched positions closed in the starting power (-(1 + u^2))^m, and the
-    n - 1 closure offsets that move every exponent."""
+    power of u = A^-2 over the touched strands only, negative digits that
+    borrow from the slot above, loose strands taken out and put back as
+    d^m on the decoded digits, and the n - 1 closure offsets that move
+    every exponent."""
 
     @pytest.mark.parametrize("width", [2, 3, 9, 64])
     def test_unpack_digits_at_the_slot_edges(self, width):
@@ -228,24 +226,13 @@ class TestPackedSlots:
 
     @pytest.mark.parametrize("width", [2, 3, 9, 64])
     def test_unpack_digits_at_the_slot_edges_across_leaves(self, width):
-        # more slots than one leaf holds: the value is split before it is
-        # peeled, and the negative digits borrow across the splits
+        # 197 slots, each negative digit borrowing from the slot above it
         half = 1 << (width - 1)
         edges = [-half, half - 1, 0, -1, 1, -half, half - 1, -half]
-        digits = (edges * _LEAF_SLOTS)[:3 * _LEAF_SLOTS + 5]
+        digits = (edges * 25)[:197]
         packed = sum(digit << (width * k) for k, digit in enumerate(digits))
         assert _unpack(packed, width, len(digits)) == digits
         assert _unpack(packed, width, len(digits) + 2) == digits + [0, 0]
-
-    @pytest.mark.parametrize("width", [2, 3, 9, 64])
-    @pytest.mark.parametrize("slots", [1, _LEAF_SLOTS, 3 * _LEAF_SLOTS + 5])
-    def test_pack_inverts_unpack_on_nonnegative_digits(self, width, slots):
-        rng = random.Random(f"{width}:{slots}")
-        digits = [rng.randrange(1 << (width - 1)) for _ in range(slots)]
-        digits[-1] = (1 << (width - 1)) - 1  # the largest digit, in the top slot
-        packed = _pack(digits, width)
-        assert packed == sum(digit << (width * k) for k, digit in enumerate(digits))
-        assert _unpack(packed, width, slots) == digits
 
     @pytest.mark.parametrize("width", [2, 9])
     def test_unpack_refuses_digits_beyond_its_slots(self, width):
@@ -257,13 +244,13 @@ class TestPackedSlots:
 
     @pytest.mark.parametrize("width", [2, 9])
     def test_unpack_refuses_digits_beyond_its_slots_across_leaves(self, width):
-        slots = 3 * _LEAF_SLOTS + 5
+        slots = 197
         with pytest.raises(InternalInconsistencyError):
             _unpack(1 << (slots * width), width, slots)
         with pytest.raises(InternalInconsistencyError):
             _unpack(1 << (slots * width - 1), width, slots)
         # +2^(W-1) in the lowest slot under the top digit 2^(W-1) - 1 in
-        # every slot above it: the borrow crosses every split and leaves
+        # every slot above it: the borrow runs through every slot and leaves
         top = sum(((1 << (width - 1)) - 1) << (width * k) for k in range(1, slots))
         with pytest.raises(InternalInconsistencyError):
             _unpack(top + (1 << (width - 1)), width, slots)
@@ -285,12 +272,32 @@ class TestPackedSlots:
         assert kauffman_bracket(word, n) == state_sum_bracket(word, n)
 
     def test_one_crossing_on_six_hundred_strands(self):
-        # a kinked unknot and 598 loose ones: (-A^3) d^598, d = -A^2 - A^-2,
-        # expanded as (-1)^(m + 1) sum_k C(m, k) A^(2m - 4k + 3) for m = 598
-        m = 598
-        sign = (-1) ** (m + 1)
-        expected = {4 * (2 * m - 4 * k + 3): sign * math.comb(m, k) for k in range(m + 1)}
-        assert kauffman_bracket([1], m + 2) == LaurentPoly(expected)
+        # a kinked unknot and m loose ones: (-A^3) d^m, d = -A^2 - A^-2,
+        # expanded as (-1)^(m + 1) sum_k C(m, k) A^(2m - 4k + 3)
+        for m in (598, 4998):
+            sign = (-1) ** (m + 1)
+            expected = {4 * (2 * m - 4 * k + 3): sign * math.comb(m, k) for k in range(m + 1)}
+            assert kauffman_bracket([1], m + 2) == LaurentPoly(expected), m
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_loose_strands_multiply_by_d(self, data):
+        # k strands that no generator crosses, added at either end or in a
+        # gap of the word, are k split unknots: the bracket times d^k
+        n = data.draw(st.integers(1, 12))
+        word = data.draw(st.lists(st.integers(1, n - 1), max_size=20)) if n > 1 else []
+        k = data.draw(st.integers(1, 60 - n))
+        # gap g lies between positions g - 1 and g, and generator g crosses it
+        gaps = [g for g in range(n + 1) if g not in word]
+        added = data.draw(st.lists(st.sampled_from(gaps), min_size=k, max_size=k))
+        longer = [p + sum(g < p for g in added) for p in word]
+        expected: dict[int, int] = {}
+        for e, a in kauffman_bracket(word, n).pairs():
+            # d^k = (-1)^k sum_j C(k, j) A^(2k - 4j)
+            for j in range(k + 1):
+                key = e + 4 * (2 * k - 4 * j)
+                expected[key] = expected.get(key, 0) + (-1) ** k * math.comb(k, j) * a
+        assert kauffman_bracket(longer, n + k) == LaurentPoly(expected)
 
 
 class TestJonesOfBraid:

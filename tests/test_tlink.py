@@ -28,6 +28,16 @@ class TestParams:
 
     def test_from_pairs(self):
         assert TLinkParams.from_pairs([[2, 3], [4, 1]]).pairs == ((2, 3), (4, 1))
+        assert TLinkParams.from_pairs(((2, 3), [4, 1])).pairs == ((2, 3), (4, 1))
+        assert TLinkParams.from_pairs([]).pairs == ()
+
+    @pytest.mark.parametrize(
+        "pairs", [[[1, 2, 3]], [[1]], [[]], [5], "ab", [[2, 3], "ab"], {(2, 3): 1}, None, 7]
+    )
+    def test_from_pairs_checks_the_shape(self, pairs):
+        shape = r"^parameters must be a JSON array of \[p, q\] pairs$"
+        with pytest.raises(ValidationError, match=shape):
+            TLinkParams.from_pairs(pairs)
 
     def test_normalization_flag(self):
         assert TLinkParams(((2, 3),)).is_normalized
