@@ -232,7 +232,11 @@ def braid_of_words(link: LinkWords) -> LorenzBraid:
     the one cap on a word's size.  Components are numbered by least strand,
     as in words_of_braid, not in the order of ``link``.
     """
-    texts = [word.letters for word in link.words]
+    return _braid_of_texts([word.letters for word in link.words])
+
+
+def _braid_of_texts(texts: list[str]) -> LorenzBraid:
+    """braid_of_words on canonical spellings the caller vouches for, as the census's are."""
     n = sum(len(text) for text in texts)
     targets, letters = [0] * n, [""] * n
     for text, block in zip(texts, _rotation_ranks(texts)):

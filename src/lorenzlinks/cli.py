@@ -3,9 +3,9 @@
 The atlas is a JSON-lines file, one record per canonical word in
 (length, spelling) order, every field recomputable from the word alone.
 Records are emitted compactly with a fixed key order, so rebuilding an atlas
-with the same arguments is byte-identical.  Generation is embarrassingly
-parallel by word length (the merge would be a sorted concatenation), but the
-built-in builder is sequential.
+with the same arguments is byte-identical.  Words stream from
+``words.lyndon_words``, canonical by construction, each straight to its braid
+and record, so no word list is held and memory is flat in ``--max-len``.
 
 One compact JSON encoder writes every atlas line and every json row, so an
 unfiltered json ``atlas query`` reproduces a built atlas byte for byte: its
@@ -63,14 +63,12 @@ _decode = json.JSONDecoder().raw_decode
 # atlas records
 
 
-def word_record(
-    word: words_mod.CyclicWord, braid: braid_mod.LorenzBraid, jones_max_crossings: int = 0
-) -> dict:
-    """The full atlas record of one canonical word and its Lorenz braid;
-    every field derives from the word.  The invariant fields, their keys and
-    their order come from ``compute_record``, so this and it are the one
-    place the record's key names and order are written.  A negative Jones
-    crossing cap raises ValidationError."""
+def word_record(word: str, braid: braid_mod.LorenzBraid, jones_max_crossings: int = 0) -> dict:
+    """The full atlas record of one canonical word's spelling and its Lorenz
+    braid; every field derives from the word.  The invariant fields, their
+    keys and their order come from ``compute_record``, so this and it are the
+    one place the record's key names and order are written.  A negative
+    Jones crossing cap raises ValidationError."""
     _check_jones_cap(jones_max_crossings)
     record = inv_mod.compute_record(braid)
     jones_pairs = None
@@ -78,7 +76,7 @@ def word_record(
         gens = braid_mod.braid_generators(braid)
         poly = jones_mod.jones_of_braid(gens, braid.n, max_crossings=jones_max_crossings)
         jones_pairs = poly.pairs()
-    return {"word": str(word), "length": len(word), **record, "jones": jones_pairs}
+    return {"word": word, "length": len(word), **record, "jones": jones_pairs}
 
 
 def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
@@ -87,9 +85,8 @@ def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
     and ValidationError for a negative Jones crossing cap."""
     _check_atlas_cap(max_len)
     _check_jones_cap(jones_max_crossings)
-    for word in words_mod.enumerate_words(max_len):
-        braid = braid_mod.braid_of_words(words_mod.LinkWords((word,)))
-        yield _encode(word_record(word, braid, jones_max_crossings))
+    for text in words_mod.lyndon_words(max_len):
+        yield _encode(word_record(text, braid_mod._braid_of_texts([text]), jones_max_crossings))
 
 
 def _check_atlas_cap(max_len: int) -> None:
@@ -275,7 +272,7 @@ def _csv_cell(value: object) -> str:
 def _cmd_word_info(args: argparse.Namespace) -> int:
     word = words_mod.canonicalize(args.word)
     braid = braid_mod.braid_of_words(words_mod.LinkWords((word,)))
-    record = word_record(word, braid)
+    record = word_record(word.letters, braid)
     payload = {
         "word": record["word"],
         "length": record["length"],

@@ -271,23 +271,21 @@ def _destabilize(positions: list[int], n: int) -> tuple[list[int], int, int]:
     the crossing and strand h + 1 go, leaving B A, whose closure is that of
     A B.  The lowest index used, l, goes the same way with strand l, and
     every index above it moves down by one.  Strands no crossing touches
-    stay; the caller takes them out as split unknots.  Each removal costs
-    O(c).
+    stay; the caller takes them out as split unknots.  No removal changes
+    another index's count, so one pass trims the runs of once-used indices
+    off both ends of the sorted distinct indices, and every kept index moves
+    down by the length of the low run.
     """
     counts = Counter(positions)
-    removed = 0
-    while counts:
-        high, low = max(counts), min(counts)
-        if counts[high] == 1:
-            positions = [p for p in positions if p != high]
-            del counts[high]
-        elif counts[low] == 1:
-            positions = [p - (p > low) for p in positions if p != low]
-            counts = {p - (p > low): k for p, k in counts.items() if p != low}
-        else:
-            break
-        removed += 1
-    return positions, n - removed, removed
+    used = sorted(counts)
+    low, high = 0, len(used)
+    while high and counts[used[high - 1]] == 1:
+        high -= 1
+    while low < high and counts[used[low]] == 1:
+        low += 1
+    kept = set(used[low:high])
+    removed = len(used) - len(kept)
+    return [p - low for p in positions if p in kept], n - removed, removed
 
 
 def _unpack(packed: int, width: int, slots: int) -> list[int]:

@@ -17,7 +17,7 @@ comparison never ties, which is what makes the braid construction in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ResourceCapError, ValidationError
 
@@ -114,29 +114,30 @@ def validate_link(words: Iterable[str | CyclicWord]) -> LinkWords:
     return LinkWords(tuple(canonicalize(w) for w in words))
 
 
-def enumerate_words(max_len: int) -> list[CyclicWord]:
-    """All canonical aperiodic cyclic words of length <= max_len.
+def lyndon_words(max_len: int) -> Iterator[str]:
+    """Every canonical aperiodic cyclic word of length <= max_len as a plain
+    string, in (length, spelling) order, holding nothing but the current one.
 
-    The least rotation of an aperiodic cyclic word is precisely a Lyndon
-    word, so Duval's generator produces every canonical form directly, in
-    spelling order; a stable sort by length alone then orders the result by
-    (length, spelling).  The count at exact length n is
-    the aperiodic binary necklace number (1/n) sum_{d | n} mobius(d) 2^(n/d).
+    Canonical forms are Lyndon words, and each length n is one walk of
+    Duval's successor over the Lyndon words of length <= n, keeping those of
+    length n (FKM; Ruskey, Savage and Wang 1992): repeat the word out to n
+    letters, drop the trailing R's and turn the last L into R.  The words
+    are canonical by construction, so none is re-checked.
     """
     if max_len < 1:
         raise ValidationError("max_len must be >= 1")
-    out: list[str] = []
-    buf = [-1]
-    while buf:
-        buf[-1] += 1
-        out.append("".join(ALPHABET[i] for i in buf))
-        m = len(buf)
-        while len(buf) < max_len:
-            buf.append(buf[-m])
-        while buf and buf[-1] == len(ALPHABET) - 1:
-            buf.pop()
-    out.sort(key=len)
-    return [CyclicWord(s) for s in out]
+    for n in range(1, max_len + 1):
+        head = "L"
+        while head:
+            if len(head) == n:
+                yield head
+            prefix = (head * (n // len(head) + 1))[:n].rstrip("R")
+            head = prefix and prefix[:-1] + "R"
+
+
+def enumerate_words(max_len: int) -> list[CyclicWord]:
+    """The words of :func:`lyndon_words` as CyclicWords, aperiodic_count(n) of each length n."""
+    return [CyclicWord(text) for text in lyndon_words(max_len)]
 
 
 def _mobius(n: int) -> int:

@@ -1116,10 +1116,25 @@ class TestHelpers:
         lines = list(cli.build_atlas(6))
         assert len(lines) == sum(aperiodic_count(n) for n in range(1, 7))
 
+    def test_build_streams_words_as_it_writes(self, monkeypatch):
+        drawn = []
+        generate = cli.words_mod.lyndon_words
+
+        def counted(max_len):
+            for text in generate(max_len):
+                drawn.append(text)
+                yield text
+
+        monkeypatch.setattr(cli.words_mod, "lyndon_words", counted)
+        lines = cli.build_atlas(18)
+        assert json.loads(next(lines))["word"] == "L"
+        assert json.loads(next(lines))["word"] == "R"
+        assert drawn == ["L", "R"]  # the first records wait for no other word
+
     @pytest.mark.parametrize("cap", [-1, -20])
     def test_library_refuses_a_negative_jones_cap(self, monkeypatch, cap):
         with monkeypatch.context() as patch:  # build_atlas refuses before any word
-            patch.setattr(cli.words_mod, "enumerate_words", None)
+            patch.setattr(cli.words_mod, "lyndon_words", None)
             lines = cli.build_atlas(3, jones_max_crossings=cap)
             with pytest.raises(ValidationError, match=f"must be >= 0, got {cap}$"):
                 next(lines)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 from bracket_oracle import state_sum_bracket
+from destabilize_oracle import loop_destabilize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -55,8 +56,8 @@ def knot_braids(max_crossings: int):
 
 
 @st.composite
-def positive_braids(draw):
-    n = draw(st.integers(1, 7))
+def positive_braids(draw, max_strands=7):
+    n = draw(st.integers(1, max_strands))
     if n == 1:
         return [], 1
     return draw(st.lists(st.integers(1, n - 1), max_size=12)), n
@@ -161,6 +162,14 @@ class TestKauffmanBracket:
         positions = braid_generators(braid)
         assert (braid.n, len(positions)) == (12, 13)
         assert _destabilize(positions, braid.n) == ([2, 1, 2, 1], 3, 9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(positive_braids(max_strands=10))
+    @destabilizing_examples
+    @example(([3, 1, 2, 4, 6, 5, 8, 7, 9], 10))  # every index used once: the whole word goes
+    def test_destabilize_agrees_with_the_removal_loop(self, braid):
+        positions, n = braid
+        assert _destabilize(positions, n) == loop_destabilize(positions, n)
 
 
 class TestBracketAgainstStateSum:

@@ -12,6 +12,8 @@ from lorenzlinks.words import (
     enumerate_words,
     involute,
     least_rotation,
+    lyndon_words,
+    smallest_period,
     validate_link,
 )
 
@@ -193,6 +195,44 @@ class TestEnumerate:
     def test_max_len_validation(self):
         with pytest.raises(ValidationError):
             enumerate_words(0)
+
+
+def duval_and_sort(max_len: int) -> list[str]:
+    """The census word list as it was built before lyndon_words streamed it:
+    Duval's generator over every length up to max_len at once, then a
+    stable sort by length."""
+    out: list[str] = []
+    buf = [-1]
+    while buf:
+        buf[-1] += 1
+        out.append("".join("LR"[i] for i in buf))
+        m = len(buf)
+        while len(buf) < max_len:
+            buf.append(buf[-m])
+        while buf and buf[-1] == 1:
+            buf.pop()
+    out.sort(key=len)
+    return out
+
+
+class TestLyndonWords:
+    """The census words are canonical by construction, so nothing re-checks
+    them on the way into the atlas; these tests are that check."""
+
+    def test_each_length_is_its_canonical_words_in_spelling_order(self):
+        by_length: dict[int, list[str]] = {}
+        for text in lyndon_words(16):
+            by_length.setdefault(len(text), []).append(text)
+        assert sorted(by_length) == list(range(1, 17))
+        for n, texts in by_length.items():
+            assert len(texts) == aperiodic_count(n)
+            for text in texts:
+                assert least_rotation(text) == text
+                assert smallest_period(text) == n
+            assert all(a < b for a, b in zip(texts, texts[1:])), n
+
+    def test_enumerate_words_is_the_old_word_list(self):
+        assert [w.letters for w in enumerate_words(14)] == duval_and_sort(14)
 
 
 class TestInvolute:
