@@ -26,9 +26,10 @@ where s(h, k) is the classical Dedekind sum.  Psi is a conjugacy invariant
 and must equal the letter count on every mixed word.  The entry c grows
 exponentially with word length, so s(h, k) is not summed over its k - 1
 sawtooth terms: Dedekind reciprocity reduces it along the Euclidean algorithm
-on (h, k), in exact integer arithmetic and O(log k) steps.  Phi is then
-assembled from the numerator and denominator of s(d, |c|) as one
-``Fraction``, and Psi is read off its integer numerator.
+on (h, k), in exact integer arithmetic and O(log k) steps.  That loop is an
+integer core returning 12 s(h, k) as N / k; det 1 makes d and c coprime, so
+Phi = (a + d - N) / c and Psi is read by integer division, with no
+``Fraction`` built on the way.
 """
 
 from __future__ import annotations
@@ -147,15 +148,23 @@ def _letter_cap_error(letters: int) -> ResourceCapError:
     )
 
 
-def _spell_runs(period: list[int], start: int) -> str:
+def _spell_runs(period: list[int], start: int) -> tuple[str, int]:
     """The letters of alternating runs whose first length is quotient number
-    ``start`` of the expansion: L runs at even positions, R at odd ones."""
+    ``start`` of the expansion, L runs at even positions and R at odd ones, and
+    the trace of their product: an L-run of length n adds n times column 1 to
+    column 2, an R-run n times column 2 to column 1."""
     runs: list[str] = []
+    a, b, c, d = 1, 0, 0, 1
     for offset, count in enumerate(period, start=start):
         if count < 1:
             raise InternalInconsistencyError("periodic quotient < 1")
-        runs.append(("L" if offset % 2 == 0 else "R") * count)
-    return "".join(runs)
+        if offset % 2 == 0:
+            runs.append("L" * count)
+            b, d = b + count * a, d + count * c
+        else:
+            runs.append("R" * count)
+            a, c = a + count * b, c + count * d
+    return "".join(runs), a + d
 
 
 def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
@@ -171,17 +180,19 @@ def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
 
     seeded with Q_{-1} = (D - P_0^2) / Q_0 = 2b, as P_0 = a - d, Q_0 = 2c and,
     by det 1, D - P_0^2 = (a + d)^2 - 4 - (a - d)^2 = 4bc: one small-by-large
-    product per step instead of a square and a long division.  The states become
-    periodic exactly at the first reduced one, 0 < P <= isqrt(D) < P + Q and
-    Q - P <= isqrt(D) (Galois), so only that state is kept to close the
-    cycle.  The cycle's quotients are alternating run lengths, with
-    the letter of each run decided by the parity of its position in the full
-    expansion (L at even positions).  A proper power of a shorter class has
-    the same fixed points, so it decodes to the primitive word and is
-    reported as an error via the trace check.  The period's letters are
-    counted as its quotients arrive, and again once it is doubled; over
-    MAX_LETTERS they raise ResourceCapError before any run is built.  The
-    pre-period quotients, however large, name no letter and are not counted.
+    product per step instead of a square and a long division.  A first loop
+    walks the pre-period to the first reduced state, 0 < P <= isqrt(D) < P + Q
+    and Q - P <= isqrt(D) (Galois), keeping only the number of its quotients:
+    however large, they name no letter and are not counted.  A second
+    loop walks the period from there, Q > 0 making each floor a plain
+    division, until that state, the only one kept, comes back.  Its quotients
+    are alternating run lengths, the letter of each run fixed by the parity of
+    its position in the full expansion (L at even positions).  They are
+    counted as they arrive, and again once the period is doubled; over
+    MAX_LETTERS they raise ResourceCapError before any run is built.  A proper
+    power of a shorter class has the same fixed points, so it decodes to the
+    primitive word, and is refused when the product of the period's runs has
+    another trace.
     """
     m = matrix.normalized()
     t = m.trace
@@ -193,36 +204,41 @@ def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
     if root * root == disc:
         raise InternalInconsistencyError("trace^2 - 4 cannot be a perfect square")
 
-    quotients: list[int] = []
-    start = cycle = None
-    letters = 0
-    while start is None or (p, q) != cycle:
-        if start is None and 0 < p <= root < p + q and q - p <= root:
-            start, cycle = len(quotients), (p, q)
+    start = 0
+    while not (0 < p <= root < p + q and q - p <= root):
         digit = _floor_surd(p, root, q)
-        quotients.append(digit)
-        if start is not None:
-            letters += digit
-            if letters > MAX_LETTERS:
-                raise _letter_cap_error(letters)
         p_next = digit * q - p
         p, q, q_prev = p_next, q_prev + digit * (p - p_next), q
-    period = quotients[start:]
+        start += 1
+    cycle_p, cycle_q = p, q
+    period: list[int] = []
+    letters = 0
+    while True:
+        digit = (p + root) // q  # q > 0 on reduced states
+        period.append(digit)
+        letters += digit
+        if letters > MAX_LETTERS:
+            raise _letter_cap_error(letters)
+        p_next = digit * q - p
+        p, q, q_prev = p_next, q_prev + digit * (p - p_next), q
+        if p == cycle_p and q == cycle_q:
+            break
     if len(period) % 2:
         period, letters = period + period, 2 * letters
         if letters > MAX_LETTERS:
             raise _letter_cap_error(letters)
 
-    word = canonicalize(_spell_runs(period, start))
-    if matrix_of_word(word).trace != t:
+    spelled, trace = _spell_runs(period, start)
+    word = canonicalize(spelled)
+    if trace != t:
         raise ValidationError(
             f"trace {t} is a proper power of the class of {word.letters!r}"
         )
     return word
 
 
-def dedekind_sum(h: int, k: int) -> Fraction:
-    """s(h, k) = sum_{i=1}^{k-1} ((i/k)) ((h i / k)) with the sawtooth ((x)).
+def _dedekind_twelfths(h: int, k: int) -> tuple[int, int]:
+    """(N, k') with 12 s(h, k) = N / k', for k' = k / gcd(h, k).
 
     Evaluated by Dedekind reciprocity (Rademacher-Grosswald, *Dedekind Sums*,
     1972) in O(log k) integer steps.  s depends only on h mod k and
@@ -240,7 +256,8 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 
         12 s(h, k) = sum_i (-1)^{i+1} q_i + (h + v_n) / k - 3 [n odd],
 
-    so the loop runs on integers and one ``Fraction`` is built at the end.
+    so the loop runs on integers, and N = k (sum_i (-1)^{i+1} q_i - 3 [n odd])
+    + h + v_n.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -248,7 +265,7 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     k //= g
     h = (h // g) % k
     if h == 0:
-        return Fraction(0)
+        return 0, k
     r_prev, r, v_prev, v, sign, alternating_q = k, h, 0, 1, 1, 0
     while True:
         q, r_next = divmod(r_prev, r)
@@ -256,37 +273,46 @@ def dedekind_sum(h: int, k: int) -> Fraction:
         if r_next == 0:  # r == 1: this was step n, and sign is (-1)^{n+1}
             break
         r_prev, r, v_prev, v, sign = r, r_next, v, v_prev - q * v, -sign
-    return Fraction(k * (alternating_q - 3 * (sign > 0)) + h + v, 12 * k)
+    return k * (alternating_q - 3 * (sign > 0)) + h + v, k
+
+
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) = sum_{i=1}^{k-1} ((i/k)) ((h i / k)) with the sawtooth ((x)),
+    built as one ``Fraction`` from the integer reciprocity core."""
+    n, k = _dedekind_twelfths(h, k)
+    return Fraction(n, 12 * k)
 
 
 def _sign(value: int) -> int:
     return (value > 0) - (value < 0)
 
 
+def _phi_terms(m: Mat2Z) -> tuple[int, int]:
+    """Phi of the trace-positive representative m as (numerator, denominator)."""
+    if m.c == 0:
+        return m.b, m.d
+    # det 1 makes d and |c| coprime: 12 s(d, |c|) = N / |c|, so Phi = (a + d - N) / c
+    n, _ = _dedekind_twelfths(m.d, abs(m.c))
+    return m.a + m.d - n, m.c
+
+
 def rademacher_phi(matrix: Mat2Z) -> Fraction:
     """Phi on the trace-positive representative; (a+d)/c - 12 sign(c) s(d, |c|),
-    or b/d for upper-triangular matrices.
-
-    With s(d, |c|) = N / S in lowest terms this is the single fraction
-    ((a + d) S - 12 |c| N) / (c S), reduced once.
-    """
-    m = matrix.normalized()
-    if m.c == 0:
-        return Fraction(m.b, m.d)
-    s = dedekind_sum(m.d, abs(m.c))
-    return Fraction(
-        (m.a + m.d) * s.denominator - 12 * abs(m.c) * s.numerator, m.c * s.denominator
-    )
+    or b/d for upper-triangular matrices."""
+    return Fraction(*_phi_terms(matrix.normalized()))
 
 
 def rademacher_psi(matrix: Mat2Z) -> int:
     """The conjugacy-invariant Psi = Phi - 3 sign(c (a + d)); always an integer."""
     m = matrix.normalized()
-    phi = rademacher_phi(m)
+    numerator, denominator = _phi_terms(m)
     shift = 3 * _sign(m.c * (m.a + m.d))
-    if phi.denominator != 1:
-        raise InternalInconsistencyError(f"Psi came out non-integral: {phi - shift}")
-    return phi.numerator - shift
+    phi, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise InternalInconsistencyError(
+            f"Psi came out non-integral: {Fraction(numerator, denominator) - shift}"
+        )
+    return phi - shift
 
 
 def rademacher(word: CyclicWord | str) -> int:

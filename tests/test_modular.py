@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lorenzlinks import modular as modular_mod
 from lorenzlinks import words as words_mod
-from lorenzlinks.errors import ResourceCapError, ValidationError
+from lorenzlinks.errors import InternalInconsistencyError, ResourceCapError, ValidationError
 from lorenzlinks.modular import (
     L_MATRIX,
     R_MATRIX,
@@ -188,6 +188,48 @@ class TestWordOfMatrix:
             ValidationError, match="^trace 7 is a proper power of the class of 'LR'$"
         ):
             word_of_matrix(square)
+
+    def test_proper_powers_name_the_canonical_word(self):
+        # the trace check reads the product of the period's runs; the oracle
+        # here is the word itself, its powers and its conjugates
+        rng = random.Random(1836)
+        for word in mixed_words(8):
+            matrix = matrix_of_word(word)
+            p = random_conjugator(rng)
+            assert word_of_matrix(p * matrix * p.inverse()) == word
+            power = matrix
+            for _ in (2, 3):
+                power = power * matrix
+                for conjugated in (power, p * power * p.inverse()):
+                    with pytest.raises(ValidationError) as caught:
+                        word_of_matrix(conjugated)
+                    assert str(caught.value) == (
+                        f"trace {power.trace} is a proper power of the class of {word.letters!r}"
+                    )
+
+    def test_decoded_word_has_the_given_trace(self):
+        rng = random.Random(3571)
+        decoded = 0
+        for _ in range(3000):
+            m = random_sl2z(rng)
+            try:
+                word = word_of_matrix(m)
+            except ValidationError:
+                continue
+            assert product_oracle(word.letters).trace == m.normalized().trace, m
+            decoded += 1
+        assert decoded >= 500, decoded
+
+    def test_decode_does_not_multiply_the_word_out(self, monkeypatch):
+        def refuse(word):
+            raise AssertionError("matrix_of_word was called")
+
+        word = canonicalize("LLRLRRLR")
+        matrix = matrix_of_word(word)
+        monkeypatch.setattr(modular_mod, "matrix_of_word", refuse)
+        assert word_of_matrix(matrix) == word
+        with pytest.raises(ValidationError, match="proper power of the class of 'LLRLRRLR'"):
+            word_of_matrix(matrix * matrix)
 
     def test_roundtrip_on_long_words(self):
         # c has 340 to 860 digits, so every surd state is a large integer
@@ -397,8 +439,30 @@ class TestRademacher:
             seen["trace<0"] += m.trace < 0
             phi = phi_oracle(m)
             assert rademacher_phi(m) == phi, m
-            assert rademacher_psi(m) == phi - 3 * _sign(n.c * (n.a + n.d)), m
+            psi = rademacher_psi(m)
+            assert type(psi) is int, m
+            assert psi == phi - 3 * _sign(n.c * (n.a + n.d)), m
         assert min(seen.values()) >= 20, seen
+
+    def test_psi_is_the_composition_on_benchmark_sized_matrices(self):
+        for word in benchmark_style_words(random.Random(6053)):
+            m = matrix_of_word(word)
+            psi = rademacher_psi(m)
+            assert type(psi) is int
+            assert psi == phi_oracle(m) - 3 == rademacher(word), word
+
+    def test_non_integral_psi_is_refused(self, monkeypatch):
+        # with N off by one, Phi = (a + d - N - 1) / c misses an integer by 1/c
+        core = modular_mod._dedekind_twelfths
+        monkeypatch.setattr(
+            modular_mod, "_dedekind_twelfths", lambda h, k: (core(h, k)[0] + 1, core(h, k)[1])
+        )
+        m = matrix_of_word("LLRLR")
+        assert m.c > 1
+        expected = rademacher("LLRLR") - Fraction(1, m.c)
+        with pytest.raises(InternalInconsistencyError) as caught:
+            rademacher_psi(m)
+        assert str(caught.value) == f"Psi came out non-integral: {expected}"
 
     def test_parabolic_rejected(self):
         with pytest.raises(ValidationError, match="^'R' uses one letter only$"):
