@@ -9,9 +9,13 @@ positive, the dynamics sign convention used throughout this package.
 Construction from words: every rotation of every component word is one
 strand.  Rotations are ranked by their infinite periodic extensions (a
 tie-free order for valid word families), and the strand starting at the rank
-of rotation r ends at the rank of r shifted by one letter.  Bounded prefixes
-of the extensions are sorted, then ranks double until no two tie, so no
-rotation is spelled and memory is linear in the letter count.
+of rotation r ends at the rank of r shifted by one letter.  A single
+canonical word of at most SEED letters, as every census word is, is a Lyndon
+word, so its rotations rank as its suffixes do: one sort of the suffixes
+orders them, and the word sorting first among them certifies it canonical.
+Links and longer words sort bounded prefixes of the extensions, then ranks
+double until no two tie, so no rotation is spelled and memory is linear in
+the letter count.
 
 A braid's crossing count, ear-type counts and trip are computed once, when
 it is built.  The trip groups the rightward strands into (displacement p,
@@ -33,8 +37,9 @@ from .words import CyclicWord, LinkWords, canonicalize
 EAR_TYPES = ("LL", "LR", "RL", "RR")
 
 # letters in each rotation's first sort key: the keys hold N * SEED letters
-# for N letters in all, and every atlas word (at most 18 letters, so keys of
-# at most 36) is ordered by this first sort alone, as by a full-key sort
+# for N letters in all.  A single word of at most SEED letters, every atlas
+# word among them, is ranked by its suffixes instead, whose n(n + 1)/2
+# letters stay inside the same N * SEED bound
 SEED = 64
 
 
@@ -227,16 +232,25 @@ def braid_of_words(link: LinkWords) -> LorenzBraid:
 
     The strand at the rank of a rotation ends at the rank of the rotation
     one letter on, and is overcrossing exactly when the rotation begins with
-    L (fixed strands of the degenerate one-letter words excepted).  The
-    ranks take memory linear in the letter count, so words.MAX_LETTERS is
-    the one cap on a word's size.  Components are numbered by least strand,
-    as in words_of_braid, not in the order of ``link``.
+    L (fixed strands of the degenerate one-letter words excepted).  A knot of
+    at most SEED letters is ranked by one sort of its suffixes, anything
+    else by prefix doubling; either way the ranks take memory linear in the
+    letter count, so words.MAX_LETTERS is the one cap on a word's size.
+    Components are numbered by least strand, as in words_of_braid, not in
+    the order of ``link``.
     """
     return _braid_of_texts([word.letters for word in link.words])
 
 
 def _braid_of_texts(texts: list[str]) -> LorenzBraid:
-    """braid_of_words on canonical spellings the caller vouches for, as the census's are."""
+    """braid_of_words on canonical spellings, as the census's are.
+
+    A single text of at most SEED letters goes to _suffix_braid, which
+    refuses it unless it is its own aperiodic least rotation; links and
+    longer words are ranked by _rotation_ranks, which refuses tied rotations.
+    """
+    if len(texts) == 1 and len(texts[0]) <= SEED:
+        return _suffix_braid(texts[0])
     n = sum(len(text) for text in texts)
     targets, letters = [0] * n, [""] * n
     for text, block in zip(texts, _rotation_ranks(texts)):
@@ -244,6 +258,31 @@ def _braid_of_texts(texts: list[str]) -> LorenzBraid:
             targets[pos] = next_pos + 1
             letters[pos] = letter
     return LorenzBraid(n, tuple(targets), tuple(letters))
+
+
+def _suffix_braid(text: str) -> LorenzBraid:
+    """The braid of one word, its rotations ranked by one sort of its suffixes.
+
+    A word is its own aperiodic least rotation, a Lyndon word, exactly when
+    it is less than each of its proper suffixes (Duval), so it must sort
+    first; the suffixes differ in length, so they never tie.  A Lyndon
+    word's rotations sort as its suffixes do: where a shorter suffix is a
+    prefix of a longer one, its rotation goes on with the word itself, which
+    is less than every proper suffix and differs from each within its length.
+    """
+    n = len(text)
+    suffixes = sorted([text[k:] for k in range(n)])
+    if len(suffixes[0]) != n:
+        raise InternalInconsistencyError(f"{text!r} is not its own aperiodic least rotation")
+    # a suffix's length names its offset, and the next rotation's suffix is
+    # one letter shorter; the empty one wraps round to the word, at position 1
+    position_of_length = [1] * (n + 1)
+    for pos, suffix in enumerate(suffixes, 1):
+        position_of_length[len(suffix)] = pos
+    targets = tuple([position_of_length[len(suffix) - 1] for suffix in suffixes])
+    # sorted suffixes put every one that begins with L first
+    l_count = text.count("L")
+    return LorenzBraid(n, targets, ("L",) * l_count + ("R",) * (n - l_count))
 
 
 def words_of_braid(braid: LorenzBraid) -> list[CyclicWord]:

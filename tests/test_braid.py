@@ -225,8 +225,10 @@ def seeded_links(count, seed=1729):
 
 
 class TestRotationRanks:
-    """The prefix-doubling order against the key sort, with the doubling
-    forced by a one- or two-letter seed."""
+    """The braid's rotation order against the key sort.  At the default seed
+    single words take the suffix sort and links the prefix doubling; a one-
+    or two-letter seed forces the doubling on every word longer than it, so
+    single words exercise it too."""
 
     @pytest.fixture(params=[None, 1, 2], ids=["seed-default", "seed-1", "seed-2"])
     def seed(self, request, monkeypatch):
@@ -253,6 +255,49 @@ class TestRotationRanks:
         object.__setattr__(link, "words", tuple(validate_link(["LLR"]).words) * 2)
         with pytest.raises(InternalInconsistencyError, match="rotation order tied on 'LLR'"):
             braid_of_words(link)
+
+
+class TestSuffixOrder:
+    """A single word of at most SEED letters is ranked by one sort of its
+    suffixes, which refuses any text that is not its own aperiodic least
+    rotation."""
+
+    def test_every_word_to_length_16(self):
+        for word in enumerate_words(16):
+            link = LinkWords((word,))
+            assert braid_of_words(link) == braid_oracle(link), word
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["seed-minus-1", "seed", "seed-plus-1"])
+    def test_seeded_words_on_both_sides_of_the_seed(self, offset, monkeypatch):
+        ranked = []
+        rotation_ranks = braid_mod._rotation_ranks
+        monkeypatch.setattr(
+            braid_mod, "_rotation_ranks", lambda texts: ranked.append(texts) or rotation_ranks(texts)
+        )
+        length = braid_mod.SEED + offset
+        rng = random.Random(length)
+        for _ in range(300):
+            link = validate_link(["".join(rng.choices("LR", k=length))])
+            assert braid_of_words(link) == braid_oracle(link), link
+        # words of at most SEED letters never reach the prefix doubling
+        assert len(ranked) == (300 if offset > 0 else 0)
+
+    @pytest.mark.parametrize("text", ["RL", "RLL", "LRL", "LRLR"])
+    def test_refuses_a_text_that_is_not_canonical(self, text):
+        with pytest.raises(InternalInconsistencyError, match=re.escape(repr(text))):
+            braid_mod._braid_of_texts([text])
+
+    def test_refuses_exactly_the_non_canonical_strings_to_12_letters(self):
+        for length in range(1, 13):
+            for letters in itertools.product("LR", repeat=length):
+                text = "".join(letters)
+                canonical = all(text < text[k:] + text[:k] for k in range(1, length))
+                try:
+                    braid_mod._braid_of_texts([text])
+                except InternalInconsistencyError as exc:
+                    assert not canonical and repr(text) in str(exc), text
+                else:
+                    assert canonical, text
 
 
 class TestLongWords:
