@@ -31,22 +31,12 @@ from .modular import (
 )
 from .flow import Trajectory, equilibria, integrate, itinerary, vector_field
 from .tlink import TLinkParams, from_lorenz, t_braid_word, to_lorenz
-from .words import (
-    CyclicWord,
-    LinkWords,
-    aperiodic_count,
-    canonicalize,
-    enumerate_words,
-    involute,
-    validate_link,
-)
+from .words import aperiodic_count, canonicalize, involute, lyndon_words, validate_link
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CyclicWord",
     "LaurentPoly",
-    "LinkWords",
     "LorenzBraid",
     "Mat2Z",
     "TLinkParams",
@@ -57,7 +47,6 @@ __all__ = [
     "canonicalize",
     "compute_record",
     "dedekind_sum",
-    "enumerate_words",
     "equilibria",
     "from_lorenz",
     "integrate",
@@ -67,6 +56,7 @@ __all__ = [
     "jones_torus",
     "kauffman_bracket",
     "linking_matrix",
+    "lyndon_words",
     "matrix_of_word",
     "rademacher",
     "rademacher_phi",

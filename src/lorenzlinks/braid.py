@@ -30,9 +30,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Sequence
 
-from .errors import InternalInconsistencyError
-from .words import CyclicWord, LinkWords, canonicalize
+from .errors import InternalInconsistencyError, ValidationError
+from .words import ALPHABET, MAX_LETTERS, _check_word, canonicalize
 
 EAR_TYPES = ("LL", "LR", "RL", "RR")
 
@@ -179,7 +180,7 @@ def permutation_cycles(targets: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def _rotation_ranks(texts: list[str]) -> list[list[int]]:
+def _rotation_ranks(texts: Sequence[str]) -> list[list[int]]:
     """Per word, the 0-based rank of each rotation among all rotations of
     all the words, by periodic extension.
 
@@ -227,28 +228,28 @@ def _rotation_ranks(texts: list[str]) -> list[list[int]]:
     return [rank[start : start + len(text)] for text, start in zip(texts, starts)]
 
 
-def braid_of_words(link: LinkWords) -> LorenzBraid:
-    """The Lorenz braid whose closure is the link named by ``link``.
+def braid_of_words(texts: Sequence[str]) -> LorenzBraid:
+    """The Lorenz braid whose closure is the link named by ``texts``, the
+    canonical spellings validate_link returns and lyndon_words yields, which
+    are not rotated again.  An empty family, an empty word, another letter
+    or an over-cap word is refused, by string checks alone, as canonicalize
+    refuses it.  A single text of at most SEED letters goes to _suffix_braid,
+    which refuses it unless it is its own aperiodic least rotation; links and
+    longer words go to _rotation_ranks, which refuses tied rotations.
 
     The strand at the rank of a rotation ends at the rank of the rotation
     one letter on, and is overcrossing exactly when the rotation begins with
-    L (fixed strands of the degenerate one-letter words excepted).  A knot of
-    at most SEED letters is ranked by one sort of its suffixes, anything
-    else by prefix doubling; either way the ranks take memory linear in the
-    letter count, so words.MAX_LETTERS is the one cap on a word's size.
-    Components are numbered by least strand, as in words_of_braid, not in
-    the order of ``link``.
+    L (fixed strands of the degenerate one-letter words excepted).  Either
+    way the ranks take memory linear in the letter count, so
+    words.MAX_LETTERS is the one cap on a word's size.  Components are
+    numbered by least strand, as in words_of_braid, not in the order of
+    ``texts``.
     """
-    return _braid_of_texts([word.letters for word in link.words])
-
-
-def _braid_of_texts(texts: list[str]) -> LorenzBraid:
-    """braid_of_words on canonical spellings, as the census's are.
-
-    A single text of at most SEED letters goes to _suffix_braid, which
-    refuses it unless it is its own aperiodic least rotation; links and
-    longer words are ranked by _rotation_ranks, which refuses tied rotations.
-    """
+    if not texts:
+        raise ValidationError("a link needs at least one component word")
+    for text in texts:
+        if not text or len(text) > MAX_LETTERS or text.strip(ALPHABET):
+            _check_word(text)  # refuses it with canonicalize's message
     if len(texts) == 1 and len(texts[0]) <= SEED:
         return _suffix_braid(texts[0])
     n = sum(len(text) for text in texts)
@@ -285,11 +286,11 @@ def _suffix_braid(text: str) -> LorenzBraid:
     return LorenzBraid(n, targets, ("L",) * l_count + ("R",) * (n - l_count))
 
 
-def words_of_braid(braid: LorenzBraid) -> list[CyclicWord]:
+def words_of_braid(braid: LorenzBraid) -> list[str]:
     """The canonical word of each cycle, by least strand: word k is component k.
 
     Components built by :func:`lorenzlinks.tlink.to_lorenz` may repeat a word
-    (parallel orbits), so the result is a list, not a LinkWords.
+    (parallel orbits), so the result is a list, not a validated link.
     """
     return [
         canonicalize("".join(braid.letters[i - 1] for i in cycle)) for cycle in braid.cycles()

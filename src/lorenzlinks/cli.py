@@ -86,7 +86,7 @@ def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
     _check_atlas_cap(max_len)
     _check_jones_cap(jones_max_crossings)
     for text in words_mod.lyndon_words(max_len):
-        yield _encode(word_record(text, braid_mod._braid_of_texts([text]), jones_max_crossings))
+        yield _encode(word_record(text, braid_mod.braid_of_words([text]), jones_max_crossings))
 
 
 def _check_atlas_cap(max_len: int) -> None:
@@ -271,8 +271,8 @@ def _csv_cell(value: object) -> str:
 
 def _cmd_word_info(args: argparse.Namespace) -> int:
     word = words_mod.canonicalize(args.word)
-    braid = braid_mod.braid_of_words(words_mod.LinkWords((word,)))
-    record = word_record(word.letters, braid)
+    braid = braid_mod.braid_of_words([word])
+    record = word_record(word, braid)
     payload = {
         "word": record["word"],
         "length": record["length"],
@@ -311,7 +311,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     elif args.to == "tlink":
         payload = {"pairs": tlink_mod.from_lorenz(braid).to_json_list()}
     else:  # word
-        payload = {"words": [str(w) for w in braid_mod.words_of_braid(braid)]}
+        payload = {"words": braid_mod.words_of_braid(braid)}
     _emit([payload], args.format, sys.stdout)
     return 0
 
@@ -333,7 +333,7 @@ def _cmd_jones(args: argparse.Namespace) -> int:
         jones_mod._check_crossings(braid.crossings, cap)  # before one crossing is built
         gens = braid_mod.braid_generators(braid)
         poly = jones_mod.jones_of_braid(gens, braid.n, max_crossings=cap)
-        source = ",".join(str(w) for w in link.words)
+        source = ",".join(link)
     payload = {
         "source": source,
         "jones": poly.format(),
@@ -353,13 +353,13 @@ def _cmd_modular(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ValidationError(f"cannot parse matrix {args.value!r}: {exc}") from exc
         word = mod_mod.word_of_matrix(mod_mod.Mat2Z.from_rows(rows))
-        _emit([{"word": str(word)}], args.format, sys.stdout)
+        _emit([{"word": word}], args.format, sys.stdout)
     else:  # rademacher
         word = words_mod.canonicalize(args.value)
         value = mod_mod.rademacher(word)
-        matrix = mod_mod.matrix_of_word(word)
+        matrix = mod_mod._word_product(word)  # canonical: not rotated again
         payload = {
-            "word": str(word),
+            "word": word,
             "rademacher": value,
             "phi": str(mod_mod.rademacher_phi(matrix)),
             "psi": mod_mod.rademacher_psi(matrix),

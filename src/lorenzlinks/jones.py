@@ -46,6 +46,9 @@ from .errors import InternalInconsistencyError, ResourceCapError, ValidationErro
 from .words import MAX_LETTERS
 
 DEFAULT_MAX_CROSSINGS = 20
+# d^m for m loose strands takes m^2 bits: under tracemalloc, one crossing and
+# m loose strands peaked at 8.6 MB at m = 5,000 and 121 MB at 20,000
+MAX_LOOSE_STRANDS = 5_000
 
 
 class LaurentPoly:
@@ -141,6 +144,7 @@ def kauffman_bracket(
     normalization <unknot> = 1 removes), the touched positions are ranked
     0..n-1, n from here on counting them, and d^m is put back on the decoded
     result.  Knots have no loose strands, so their word is never renumbered.
+    More than MAX_LOOSE_STRANDS of them raise ResourceCapError first.
 
     Positions are closed early: right after the last generator that touches
     position q, top q is joined to bottom q (the braid closure, applied as a
@@ -188,6 +192,8 @@ def kauffman_bracket(
     for j, p in enumerate(positions):
         last_use[p - 1] = last_use[p] = j
     loose = n - (len(last_use) or 1)  # with no crossings, one loop stays open
+    if loose > MAX_LOOSE_STRANDS:
+        raise ResourceCapError(f"{loose} loose strands are over the cap of {MAX_LOOSE_STRANDS}")
     if loose:
         # generator p's positions p - 1 and p stay adjacent when ranked
         rank = {q: i for i, q in enumerate(sorted(last_use))}

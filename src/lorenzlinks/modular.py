@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import InternalInconsistencyError, ResourceCapError, ValidationError
-from .words import MAX_LETTERS, CyclicWord, canonicalize
+from .words import MAX_LETTERS, _check_word, canonicalize
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,9 @@ L_MATRIX = Mat2Z(1, 1, 0, 1)
 R_MATRIX = Mat2Z(1, 0, 1, 1)
 
 
-def matrix_of_word(word: CyclicWord | str) -> Mat2Z:
-    """Product of the generator matrices in word order.
+def matrix_of_word(word: str) -> Mat2Z:
+    """Product of the generator matrices in the order of the word's
+    canonical spelling; any rotation goes in.
 
     Requires both letters (a single-letter word is parabolic).  The result is
     hyperbolic with non-negative entries; its trace, hence its conjugacy
@@ -118,11 +119,15 @@ def matrix_of_word(word: CyclicWord | str) -> Mat2Z:
     determinant, which covers every step: each generator has determinant 1
     and the determinant is multiplicative.
     """
-    w = canonicalize(word)
-    if len(set(w.letters)) < 2:
-        raise ValidationError(f"{w.letters!r} uses one letter only")
+    return _word_product(canonicalize(word))
+
+
+def _word_product(text: str) -> Mat2Z:
+    """matrix_of_word of a canonical spelling, which is not rotated again."""
+    if len(set(text)) < 2:
+        raise ValidationError(f"{text!r} uses one letter only")
     a, b, c, d = 1, 0, 0, 1
-    for letter in w.letters:
+    for letter in text:
         if letter == "L":
             b, d = a + b, c + d
         else:
@@ -167,8 +172,8 @@ def _spell_runs(period: list[int], start: int) -> tuple[str, int]:
     return "".join(runs), a + d
 
 
-def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
-    """The canonical cyclic word whose matrix is conjugate to ``matrix``.
+def word_of_matrix(matrix: Mat2Z) -> str:
+    """The canonical word whose matrix is conjugate to ``matrix``.
 
     Runs the integer continued-fraction expansion of the attracting fixed
     point ((a - d) + sqrt(trace^2 - 4)) / (2c).  A surd state
@@ -232,7 +237,7 @@ def word_of_matrix(matrix: Mat2Z) -> CyclicWord:
     word = canonicalize(spelled)
     if trace != t:
         raise ValidationError(
-            f"trace {t} is a proper power of the class of {word.letters!r}"
+            f"trace {t} is a proper power of the class of {word!r}"
         )
     return word
 
@@ -315,14 +320,15 @@ def rademacher_psi(matrix: Mat2Z) -> int:
     return phi - shift
 
 
-def rademacher(word: CyclicWord | str) -> int:
+def rademacher(word: str) -> int:
     """Rademacher value of a mixed word: #L - #R.
 
     Agrees with the Dedekind-sum invariant of the word's matrix under this
     module's generator realization; that equality is enforced by the test
-    suite rather than recomputed here.
+    suite rather than recomputed here.  The counts need no rotation, so the
+    word is checked as canonicalize checks it but not rotated.
     """
-    w = canonicalize(word)
-    if len(set(w.letters)) < 2:
-        raise ValidationError(f"{w.letters!r} uses one letter only")
-    return w.letters.count("L") - w.letters.count("R")
+    _check_word(word)
+    if len(set(word)) < 2:
+        raise ValidationError(f"{word!r} uses one letter only")
+    return word.count("L") - word.count("R")

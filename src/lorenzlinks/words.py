@@ -2,11 +2,13 @@
 
 A closed orbit on the Lorenz template is named by the cyclic sequence of its
 passes around the left and right lobes.  An orbit has no preferred starting
-point, so the name is a cyclic word.  ``CyclicWord`` accepts any rotation and
-stores the lexicographically least one under L < R, the canonical spelling
-and the wire form.  Periodic words are rejected (a proper power retraces the
-same orbit), words over MAX_LETTERS letters are refused before any work, and
-a multi-component link is a family of pairwise-distinct canonical words.
+point, so the name is a cyclic word.  A word is its canonical string, the
+lexicographically least rotation under L < R.  ``canonicalize`` takes any
+rotation, checks it and returns that spelling: periodic words are rejected
+(a proper power retraces the same orbit) and words over MAX_LETTERS letters
+are refused before any work.  A multi-component link is
+a tuple of pairwise-distinct canonical words, and a string these functions
+return is passed on, never rotated again.
 
 Rotations of different words are compared through their infinite periodic
 extensions.  For aperiodic words that are not rotations of one another this
@@ -16,7 +18,6 @@ comparison never ties, which is what makes the braid construction in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ResourceCapError, ValidationError
@@ -43,75 +44,57 @@ def least_rotation(letters: str) -> str:
     return min(doubled[i : i + n] for i in range(n))
 
 
-@dataclass(frozen=True)
-class CyclicWord:
-    """An aperiodic cyclic word over {L, R}.  Any rotation goes in, and its
-    least rotation is stored, so ``letters`` is always canonical."""
-
-    letters: str
-
-    def __post_init__(self) -> None:
-        raw = self.letters
-        if len(raw) > MAX_LETTERS:
-            raise ResourceCapError(
-                f"a word of {len(raw)} letters is over the cap of {MAX_LETTERS}"
-            )
-        if not raw:
-            raise ValidationError("a cyclic word needs at least one letter")
-        bad = set(raw) - set(ALPHABET)
-        if bad:
-            raise ValidationError(f"letters outside {{L, R}}: {sorted(bad)}")
-        if smallest_period(raw) != len(raw):
-            raise ValidationError(f"{raw!r} is a proper power")
-        object.__setattr__(self, "letters", least_rotation(raw))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return self.letters
+def _check_word(raw: str) -> None:
+    """Refuse a spelling, in any rotation, that names no aperiodic cyclic
+    word over {L, R}: over MAX_LETTERS letters (before a letter is read),
+    empty, with another letter, or a proper power.  Each check is invariant
+    under rotation and under the lobe swap, and none rotates the word."""
+    if len(raw) > MAX_LETTERS:
+        raise ResourceCapError(f"a word of {len(raw)} letters is over the cap of {MAX_LETTERS}")
+    if not raw:
+        raise ValidationError("a cyclic word needs at least one letter")
+    bad = set(raw) - set(ALPHABET)
+    if bad:
+        raise ValidationError(f"letters outside {{L, R}}: {sorted(bad)}")
+    if smallest_period(raw) != len(raw):
+        raise ValidationError(f"{raw!r} is a proper power")
 
 
-def canonicalize(raw: str | CyclicWord) -> CyclicWord:
-    """Canonical form of a cyclic word; rejects empty and periodic input."""
-    return raw if isinstance(raw, CyclicWord) else CyclicWord(raw)
+def canonicalize(raw: str) -> str:
+    """The canonical spelling of the aperiodic cyclic word ``raw`` spells in
+    any rotation: its least rotation, once ``raw`` passes the checks above."""
+    _check_word(raw)
+    return least_rotation(raw)
 
 
-def involute(word: CyclicWord | str) -> CyclicWord:
-    """Swap the two template lobes: exchange L with R, then re-canonicalize.
+def involute(word: str) -> str:
+    """Swap the two template lobes: exchange L with R, then canonicalize.
 
-    Applying it twice is the identity, and it is a bijection on the set of
-    canonical words of each length.
+    Any rotation goes in, checked as given, and one least rotation is taken.
+    Applying it twice is the identity on canonical words, and it is a
+    bijection on the set of canonical words of each length.
     """
-    return CyclicWord(canonicalize(word).letters.translate(_SWAP))
+    _check_word(word)
+    return least_rotation(word.translate(_SWAP))
 
 
-@dataclass(frozen=True)
-class LinkWords:
-    """An ordered family of pairwise-distinct cyclic words, one per component.
+def validate_link(words: Iterable[str]) -> tuple[str, ...]:
+    """Canonicalize every entry, one word per component, and refuse an empty
+    family or two entries naming one cyclic word.
 
     Distinctness of canonical aperiodic words is exactly the condition under
     which the family names a realizable link of template orbits (no word may
     be a power of another, and none may be periodic).
     """
-
-    words: tuple[CyclicWord, ...]
-
-    def __post_init__(self) -> None:
-        if not self.words:
-            raise ValidationError("a link needs at least one component word")
-        seen: dict[str, int] = {}
-        for idx, w in enumerate(self.words):
-            if w.letters in seen:
-                raise ValidationError(
-                    f"components {seen[w.letters]} and {idx} share the word {w.letters!r}"
-                )
-            seen[w.letters] = idx
-
-
-def validate_link(words: Iterable[str | CyclicWord]) -> LinkWords:
-    """Canonicalize every entry and reject duplicates."""
-    return LinkWords(tuple(canonicalize(w) for w in words))
+    link = tuple(map(canonicalize, words))
+    if not link:
+        raise ValidationError("a link needs at least one component word")
+    seen: dict[str, int] = {}
+    for idx, text in enumerate(link):
+        if text in seen:
+            raise ValidationError(f"components {seen[text]} and {idx} share the word {text!r}")
+        seen[text] = idx
+    return link
 
 
 def lyndon_words(max_len: int) -> Iterator[str]:
@@ -133,11 +116,6 @@ def lyndon_words(max_len: int) -> Iterator[str]:
                 yield head
             prefix = (head * (n // len(head) + 1))[:n].rstrip("R")
             head = prefix and prefix[:-1] + "R"
-
-
-def enumerate_words(max_len: int) -> list[CyclicWord]:
-    """The words of :func:`lyndon_words` as CyclicWords, aperiodic_count(n) of each length n."""
-    return [CyclicWord(text) for text in lyndon_words(max_len)]
 
 
 def _mobius(n: int) -> int:

@@ -30,7 +30,7 @@ from lorenzlinks.modular import (
     word_of_matrix,
 )
 from lorenzlinks.tlink import TLinkParams, from_lorenz, t_braid_word, to_lorenz
-from lorenzlinks.words import LinkWords, aperiodic_count, enumerate_words, involute
+from lorenzlinks.words import aperiodic_count, involute, lyndon_words
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -40,7 +40,7 @@ def report(number: int, passed: bool, detail: str) -> None:
 
 
 def word_braid(word):
-    return braid_of_words(LinkWords((word,)))
+    return braid_of_words([word])
 
 
 def final_state(trajectory):
@@ -119,7 +119,7 @@ def test_criterion_06_parametrization_equivalence():
     start = time.perf_counter()
     checked = 0
     ok = True
-    for word in enumerate_words(12):
+    for word in lyndon_words(12):
         braid = word_braid(word)
         if braid.crossings > 16:
             continue
@@ -137,7 +137,7 @@ def test_criterion_06_parametrization_equivalence():
 def test_criterion_07_involution_symmetry():
     ok = True
     checked = 0
-    for word in enumerate_words(12):
+    for word in lyndon_words(12):
         braid = word_braid(word)
         mirror = word_braid(involute(word))
         record, mirrored = compute_record(braid), compute_record(mirror)
@@ -151,8 +151,8 @@ def test_criterion_07_involution_symmetry():
 def test_criterion_08_modular_roundtrip_and_rademacher():
     ok = True
     checked = 0
-    for word in enumerate_words(10):
-        if len(set(word.letters)) < 2:
+    for word in lyndon_words(10):
+        if len(set(word)) < 2:
             continue
         matrix = matrix_of_word(word)
         ok = ok and word_of_matrix(matrix) == word
@@ -161,8 +161,8 @@ def test_criterion_08_modular_roundtrip_and_rademacher():
     rng = random.Random(2011)
     gens = [L_MATRIX, R_MATRIX, L_MATRIX.inverse(), R_MATRIX.inverse()]
     spot_checks = 0
-    for word in enumerate_words(6):
-        if len(set(word.letters)) < 2:
+    for word in lyndon_words(6):
+        if len(set(word)) < 2:
             continue
         matrix = matrix_of_word(word)
         for _ in range(3):

@@ -6,7 +6,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lorenzlinks import braid as braid_mod
@@ -19,9 +19,14 @@ from lorenzlinks.braid import (
     permutation_cycles,
     words_of_braid,
 )
-from lorenzlinks.errors import InternalInconsistencyError
+from lorenzlinks.errors import (
+    InternalInconsistencyError,
+    LorenzError,
+    ResourceCapError,
+    ValidationError,
+)
 from lorenzlinks.tlink import TLinkParams, to_lorenz
-from lorenzlinks.words import LinkWords, enumerate_words, validate_link
+from lorenzlinks.words import MAX_LETTERS, lyndon_words, validate_link
 
 
 def inversion_oracle(targets):
@@ -98,10 +103,9 @@ def sorted_rotations_oracle(link):
     """Every rotation as (spelling, component, offset), sorted by its periodic
     extension to twice the longest word: the key sort braid_of_words ran
     before it ranked rotations by prefix doubling."""
-    key_len = 2 * max(len(w) for w in link.words)
+    key_len = 2 * max(len(w) for w in link)
     keyed = []
-    for ci, word in enumerate(link.words):
-        text = word.letters
+    for ci, text in enumerate(link):
         for k in range(len(text)):
             spelling = text[k:] + text[:k]
             keyed.append(((spelling * key_len)[:key_len], spelling, ci, k))
@@ -114,21 +118,21 @@ def position_sequences_oracle(link):
     """Each word's rotation ranks in rotation order, read off the key sort:
     the cycle the braid's strands make through each component."""
     rank = {(ci, k): pos for pos, (_, ci, k) in enumerate(sorted_rotations_oracle(link), start=1)}
-    return [tuple(rank[ci, k] for k in range(len(word))) for ci, word in enumerate(link.words)]
+    return [tuple(rank[ci, k] for k in range(len(word))) for ci, word in enumerate(link)]
 
 
 def braid_oracle(link):
     """The whole braid built from the key sort, as braid_of_words built it."""
     rotations = sorted_rotations_oracle(link)
     rank = {(ci, k): pos for pos, (_, ci, k) in enumerate(rotations, start=1)}
-    targets = tuple(rank[ci, (k + 1) % len(link.words[ci])] for _, ci, k in rotations)
+    targets = tuple(rank[ci, (k + 1) % len(link[ci])] for _, ci, k in rotations)
     letters = tuple(spelling[0] for spelling, _, _ in rotations)
     return LorenzBraid(len(rotations), targets, letters)
 
 
 def word_sets_up_to(total):
     """Every set of distinct canonical words with combined length <= total."""
-    pool = [w for w in enumerate_words(total) if len(w) <= total]
+    pool = list(lyndon_words(total))
     sets = []
 
     def extend(start, remaining, chosen):
@@ -169,15 +173,13 @@ class TestBraidOfWords:
 
     def test_full_roundtrip_over_word_sets(self):
         for words in word_sets_up_to(12):
-            link = LinkWords(words)
-            braid = braid_of_words(link)
-            recovered = sorted(w.letters for w in words_of_braid(braid))
-            assert recovered == sorted(w.letters for w in words)
+            braid = braid_of_words(words)
+            assert sorted(words_of_braid(braid)) == sorted(words)
             assert len(braid.cycles()) == len(words)
 
     def test_over_strand_criterion(self):
-        for word in enumerate_words(12):
-            braid = braid_of_words(LinkWords((word,)))
+        for word in lyndon_words(12):
+            braid = braid_of_words([word])
             for i in range(1, braid.n + 1):
                 starts_left = braid.letters[i - 1] == "L"
                 if len(word) == 1:
@@ -186,8 +188,8 @@ class TestBraidOfWords:
                     assert starts_left == (braid.targets[i - 1] > i)
 
     def test_lr_equals_rl_everywhere(self):
-        for word in enumerate_words(10):
-            _, lr, rl, _ = braid_of_words(LinkWords((word,))).ear_counts
+        for word in lyndon_words(10):
+            _, lr, rl, _ = braid_of_words([word]).ear_counts
             assert lr == rl
 
     def test_position_sequences_chain_through_targets(self):
@@ -214,14 +216,55 @@ class TestBraidOfWords:
         # component 0, word 0 of words_of_braid and row 0 of the linking matrix
         braid = braid_of_words(validate_link(["LR", "LLR", "LLLRR"]))
         assert braid.components == (0, 1, 0, 1, 2, 0, 0, 1, 2, 0)
-        assert [w.letters for w in words_of_braid(braid)] == ["LLLRR", "LLR", "LR"]
+        assert words_of_braid(braid) == ["LLLRR", "LLR", "LR"]
         assert linking_matrix(braid) == [[0, 3, 2], [3, 0, 1], [2, 1, 0]]
+
+
+class TestEntryPointGuards:
+    """braid_of_words takes strings from any caller.  It does not
+    canonicalize them again, but refuses what no canonical family holds."""
+
+    @pytest.mark.parametrize(
+        "texts, error, message",
+        [
+            ([], ValidationError, "a link needs at least one component word"),
+            ([""], ValidationError, "a cyclic word needs at least one letter"),
+            (["LR", ""], ValidationError, "a cyclic word needs at least one letter"),
+            (["LX"], ValidationError, "letters outside {L, R}: ['X']"),
+            (["LR", "lr"], ValidationError, "letters outside {L, R}: ['l', 'r']"),
+            (
+                ["L" * (MAX_LETTERS + 1)],
+                ResourceCapError,
+                f"a word of {MAX_LETTERS + 1} letters is over the cap of {MAX_LETTERS}",
+            ),
+        ],
+    )
+    def test_refuses_as_canonicalize_does(self, texts, error, message):
+        with pytest.raises(error) as caught:
+            braid_of_words(texts)
+        assert str(caught.value) == message
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.text(alphabet="LRX", max_size=6), max_size=4))
+    @example([])
+    @example([""])
+    @example(["LX"])
+    @example(["RL"])
+    @example(["LL"])
+    @example(["LR", "RL"])
+    @example(["RLL", "LR"])
+    def test_any_strings_give_the_braid_of_their_link_or_an_error(self, texts):
+        try:
+            braid = braid_of_words(texts)
+        except LorenzError:
+            return
+        assert braid == braid_of_words(validate_link(texts)), texts
 
 
 def seeded_links(count, seed=1729):
     rng = random.Random(seed)
-    pool = enumerate_words(12)
-    return [LinkWords(tuple(rng.sample(pool, rng.randint(2, 5)))) for _ in range(count)]
+    pool = list(lyndon_words(12))
+    return [tuple(rng.sample(pool, rng.randint(2, 5))) for _ in range(count)]
 
 
 class TestRotationRanks:
@@ -236,23 +279,21 @@ class TestRotationRanks:
             monkeypatch.setattr(braid_mod, "SEED", request.param)
 
     def test_every_word_to_length_12(self, seed):
-        for word in enumerate_words(12):
-            link = LinkWords((word,))
+        for word in lyndon_words(12):
+            link = (word,)
             assert braid_of_words(link) == braid_oracle(link), word
 
     def test_every_word_set_to_12_letters(self, seed):
         for words in word_sets_up_to(12):
-            link = LinkWords(words)
-            assert braid_of_words(link) == braid_oracle(link), words
+            assert braid_of_words(words) == braid_oracle(words), words
 
     def test_seeded_links(self, seed):
         for link in seeded_links(3000):
             assert braid_of_words(link) == braid_oracle(link), link
 
     def test_forged_equal_words_tie(self):
-        # LinkWords refuses two equal words; bypass its check
-        link = object.__new__(LinkWords)
-        object.__setattr__(link, "words", tuple(validate_link(["LLR"]).words) * 2)
+        # validate_link refuses two equal words; a plain tuple bypasses it
+        link = validate_link(["LLR"]) * 2
         with pytest.raises(InternalInconsistencyError, match="rotation order tied on 'LLR'"):
             braid_of_words(link)
 
@@ -263,8 +304,8 @@ class TestSuffixOrder:
     rotation."""
 
     def test_every_word_to_length_16(self):
-        for word in enumerate_words(16):
-            link = LinkWords((word,))
+        for word in lyndon_words(16):
+            link = (word,)
             assert braid_of_words(link) == braid_oracle(link), word
 
     @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["seed-minus-1", "seed", "seed-plus-1"])
@@ -285,7 +326,7 @@ class TestSuffixOrder:
     @pytest.mark.parametrize("text", ["RL", "RLL", "LRL", "LRLR"])
     def test_refuses_a_text_that_is_not_canonical(self, text):
         with pytest.raises(InternalInconsistencyError, match=re.escape(repr(text))):
-            braid_mod._braid_of_texts([text])
+            braid_of_words([text])
 
     def test_refuses_exactly_the_non_canonical_strings_to_12_letters(self):
         for length in range(1, 13):
@@ -293,7 +334,7 @@ class TestSuffixOrder:
                 text = "".join(letters)
                 canonical = all(text < text[k:] + text[:k] for k in range(1, length))
                 try:
-                    braid_mod._braid_of_texts([text])
+                    braid_of_words([text])
                 except InternalInconsistencyError as exc:
                     assert not canonical and repr(text) in str(exc), text
                 else:
@@ -314,7 +355,7 @@ class TestLongWords:
         # distinct rotations of one aperiodic word differ within their length,
         # so their order as plain strings is their periodic-extension order
         link = validate_link([self.WORDS[name]])
-        text = link.words[0].letters
+        (text,) = link
         offset_at = [0] * len(text)
         for k, pos in enumerate(braid_of_words(link).cycles()[0]):
             offset_at[pos - 1] = k
@@ -344,12 +385,12 @@ class TestPositionSequences:
                 spelled.append(braid.letters[pos])
                 walked.add(pos)
                 pos = braid.targets[pos] - 1
-            assert "".join(spelled) == word.letters, link
+            assert "".join(spelled) == word, link
             assert walked == {i for i, label in enumerate(components) if label == k}
 
     def test_equal_the_sort_oracle_on_every_word_set_to_12_letters(self):
         for words in word_sets_up_to(12):
-            self.check(LinkWords(words))
+            self.check(words)
 
     def test_equal_the_sort_oracle_on_seeded_links(self):
         for link in seeded_links(3000):
@@ -384,13 +425,13 @@ class TestStrandProfile:
             assert braid.crossings == 0
 
     def test_crossings_equal_inversions(self):
-        for word in enumerate_words(11):
-            braid = braid_of_words(LinkWords((word,)))
+        for word in lyndon_words(11):
+            braid = braid_of_words([word])
             assert braid.crossings == inversion_oracle(braid.targets)
 
     def test_trip_equals_the_oracle_on_every_word_to_length_12(self):
-        for word in enumerate_words(12):
-            braid = braid_of_words(LinkWords((word,)))
+        for word in lyndon_words(12):
+            braid = braid_of_words([word])
             assert braid.trip == trip_oracle(braid.targets)
 
 
@@ -445,14 +486,14 @@ class TestLorenzBraidRejections:
         assert (cases, accepted) == (5_912, 126)
 
 
-LINK_WORD_POOL = enumerate_words(12)
+LINK_WORD_POOL = list(lyndon_words(12))
 
 
 class TestDerivedFields:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(LINK_WORD_POOL), min_size=1, max_size=3, unique=True))
     def test_against_oracles_on_link_families(self, words):
-        braid = braid_of_words(LinkWords(tuple(words)))
+        braid = braid_of_words(words)
         assert braid.crossings == inversion_oracle(braid.targets)
         counter = Counter(braid.ear_type(i) for i in range(1, braid.n + 1))
         assert braid.ear_counts == tuple(counter[t] for t in EAR_TYPES)
@@ -482,8 +523,8 @@ class TestBraidGenerators:
         assert len(braid_generators(braid)) == 19
 
     def test_each_pair_crosses_at_most_once(self):
-        for word in enumerate_words(9):
-            braid = braid_of_words(LinkWords((word,)))
+        for word in lyndon_words(9):
+            braid = braid_of_words([word])
             # replay the word: generator i takes the strand at position i
             # over the one at position i + 1, and the two swap
             arrangement = list(range(1, braid.n + 1))
@@ -512,9 +553,9 @@ class TestLinkingMatrix:
         assert linking_matrix(braid) == linking_oracle(braid)
 
     def test_various_links_against_oracle(self):
-        pool = [w for w in enumerate_words(5)]
+        pool = list(lyndon_words(5))
         for pair in itertools.combinations(pool, 2):
-            braid = braid_of_words(LinkWords(pair))
+            braid = braid_of_words(pair)
             assert linking_matrix(braid) == linking_oracle(braid)
 
 

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 from lorenzlinks import braid as braid_mod
 from lorenzlinks import cli
 from lorenzlinks import modular as mod_mod
+from lorenzlinks import words as words_mod
 from lorenzlinks.braid import braid_of_words
 from lorenzlinks.errors import ResourceCapError, ValidationError
-from lorenzlinks.words import MAX_LETTERS, aperiodic_count, enumerate_words, validate_link
+from lorenzlinks.words import MAX_LETTERS, aperiodic_count, lyndon_words, validate_link
 
 
 # Python 3.11 (and the security releases of older lines) refuses to convert
@@ -182,6 +183,42 @@ class TestLongWord:
         assert (code, err) == (0, "")
         assert json.loads(out)["n"] == MAX_LETTERS
         assert peak < 64 * 2**20
+
+
+class TestCanonicalizeOnce:
+    """A plain string carries no proof that it is canonical, so each command
+    rotates a word only where the spelling came from outside: once per typed
+    word and once per word read off a braid.  The census words are canonical
+    by construction and are never rotated."""
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["word", "info", "RLL"], 1),
+            (["convert", "LRL", "--to", "braid"], 1),
+            (["convert", "LRL", "--to", "word"], 2),
+            (["convert", "[[2,3]]", "--to", "word"], 1),
+            (["jones", "LRLRL"], 1),
+            (["jones", "LR,LLR"], 2),
+            (["modular", "encode", "RLL"], 1),
+            (["modular", "decode", "[[2,1],[1,1]]"], 1),
+            (["modular", "rademacher", "RLL"], 1),
+            (["atlas", "build", "--max-len", "6", "--out", os.devnull], 0),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+    )
+    def test_least_rotation_calls(self, capsys, monkeypatch, argv, calls):
+        counted = []
+        least_rotation = words_mod.least_rotation
+
+        def counting(letters):
+            counted.append(letters)
+            return least_rotation(letters)
+
+        monkeypatch.setattr(words_mod, "least_rotation", counting)
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(counted) == calls, counted
 
 
 class TestJones:
@@ -1011,10 +1048,10 @@ def transcript_digest(capsys, argvs) -> str:
     return digest.hexdigest()
 
 
-CONVERT_SOURCES = [str(w) for w in enumerate_words(8)] + [
+CONVERT_SOURCES = list(lyndon_words(8)) + [
     "[]", "[[1,1]]", "[[2,3]]", "[[2,4]]", "[[1,2],[3,4]]", "[[2,1],[3,5]]", "[[2,2],[4,6],[5,3]]",
 ]
-JONES_TARGETS = [str(w) for w in enumerate_words(8)] + [
+JONES_TARGETS = list(lyndon_words(8)) + [
     "L,R", "L,LR", "LR,LLR", "LLR,LRR", "LR,LLRR", "LLR,LRLRR", "L,LLR,LRR",
     "2,3", "3,2", "2,5", "3,4", "3,5", "2,7", "4,5", "5,7", "2,4",
 ]
@@ -1038,7 +1075,7 @@ class TestOutputBytes:
         ],
     )
     def test_word_info_up_to_length_ten(self, capsys, fmt, digest):
-        argvs = [["word", "info", str(w), "--format", fmt] for w in enumerate_words(10)]
+        argvs = [["word", "info", w, "--format", fmt] for w in lyndon_words(10)]
         assert transcript_digest(capsys, argvs) == digest
 
     @pytest.mark.parametrize(
@@ -1140,7 +1177,7 @@ class TestHelpers:
                 next(lines)
         link = validate_link(["LRR"])
         with pytest.raises(ValidationError, match=f"must be >= 0, got {cap}$"):
-            cli.word_record(link.words[0], braid_of_words(link), jones_max_crossings=cap)
+            cli.word_record(link[0], braid_of_words(link), jones_max_crossings=cap)
 
 
 class TestParserReuse:

@@ -7,7 +7,7 @@ from lorenzlinks import cli
 from lorenzlinks.braid import braid_of_words
 from lorenzlinks.invariants import compute_record
 from lorenzlinks.tlink import TLinkParams, to_lorenz
-from lorenzlinks.words import LinkWords, enumerate_words, involute, validate_link
+from lorenzlinks.words import involute, lyndon_words, validate_link
 
 
 def braid_of(word: str):
@@ -47,8 +47,8 @@ class TestGenus:
         assert compute_record(braid)["genus"] is None
 
     def test_parity_holds_up_to_length_14(self):
-        for word in enumerate_words(14):
-            braid = braid_of_words(LinkWords((word,)))
+        for word in lyndon_words(14):
+            braid = braid_of_words([word])
             assert (braid.crossings - braid.n + 1) % 2 == 0
 
 
@@ -75,8 +75,8 @@ class TestTorusDetection:
         assert record_of("LRLRLRL")["torus"] == (3, 4)
 
     def test_torus_records_have_torus_genus(self):
-        for word in enumerate_words(10):
-            record = compute_record(braid_of_words(LinkWords((word,))))
+        for word in lyndon_words(10):
+            record = compute_record(braid_of_words([word]))
             if record["torus"] is not None:
                 p, q = record["torus"]
                 assert record["genus"] == (p - 1) * (q - 1) // 2
@@ -94,9 +94,9 @@ class TestTorusSweep:
 
 class TestSymmetry:
     def test_invariants_stable_under_involution(self):
-        for word in enumerate_words(12):
-            braid = braid_of_words(LinkWords((word,)))
-            mirror = braid_of_words(LinkWords((involute(word),)))
+        for word in lyndon_words(12):
+            braid = braid_of_words([word])
+            mirror = braid_of_words([involute(word)])
             record, mirrored = compute_record(braid), compute_record(mirror)
             for key in ("genus", "braid_index", "c_min"):
                 assert record[key] == mirrored[key]
@@ -107,16 +107,16 @@ class TestSymmetry:
 class TestFormulaAudit:
     def test_trip_formula_agrees_with_crossing_count(self):
         # sum q_i (p_i - 1) - |R| + 1 == c - n + 1 whenever both lobes are used
-        for word in enumerate_words(12):
-            if len(set(word.letters)) < 2:
+        for word in lyndon_words(12):
+            if len(set(word)) < 2:
                 continue
-            braid = braid_of_words(LinkWords((word,)))
+            braid = braid_of_words([word])
             lhs = sum(q * (p - 1) for p, q in braid.trip) - braid.letters.count("R") + 1
             assert lhs == braid.crossings - braid.n + 1
 
     def test_record_relations(self):
-        for word in enumerate_words(9):
-            braid = braid_of_words(LinkWords((word,)))
+        for word in lyndon_words(9):
+            braid = braid_of_words([word])
             record = compute_record(braid)
             assert record["chi"] == record["n"] - record["c"]
             assert 2 * record["genus"] == record["c"] - record["n"] + 1

@@ -3,6 +3,7 @@ and the torus closed form."""
 
 import math
 import sys
+import tracemalloc
 
 import pytest
 from bracket_oracle import state_sum_bracket
@@ -23,7 +24,7 @@ from lorenzlinks.jones import (
     kauffman_bracket,
 )
 from lorenzlinks.tlink import TLinkParams, from_lorenz, t_braid_word
-from lorenzlinks.words import LinkWords, enumerate_words, involute, validate_link
+from lorenzlinks.words import involute, lyndon_words, validate_link
 
 
 def poly(pairs) -> LaurentPoly:
@@ -49,8 +50,8 @@ def jones_by_definition(word, n) -> LaurentPoly:
 def knot_braids(max_crossings: int):
     """Lorenz braids of every knot word of length <= 12 with at most
     ``max_crossings`` crossings, with their words."""
-    for word in enumerate_words(12):
-        braid = braid_of_words(LinkWords((word,)))
+    for word in lyndon_words(12):
+        braid = braid_of_words([word])
         if braid.crossings <= max_crossings:
             yield word, braid
 
@@ -146,6 +147,29 @@ class TestKauffmanBracket:
         # refused before the word is read: an out-of-range index is not reached
         with pytest.raises(ValidationError, match="max_crossings"):
             kauffman_bracket([99], 2, max_crossings=cap)
+
+    def test_loose_strand_cap_refuses_before_allocating(self):
+        cap = jones_mod.MAX_LOOSE_STRANDS
+        # one crossing on cap + 3 strands: the kink goes, cap + 1 strands stay loose
+        for n in (cap + 3, 10**12):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceCapError) as caught:
+                    kauffman_bracket([1], n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            loose = n - 2
+            assert str(caught.value) == f"{loose} loose strands are over the cap of {cap}"
+            assert peak < 64 * 1024, peak
+        with pytest.raises(ResourceCapError, match=f"^{cap + 1} loose strands are over"):
+            kauffman_bracket([], cap + 2)
+
+    def test_loose_strand_cap_is_inclusive(self):
+        # cap + 1 split unknots: d^cap = (-1)^cap sum_j C(cap, j) A^(2 cap - 4 j)
+        cap = jones_mod.MAX_LOOSE_STRANDS
+        expected = {4 * (2 * cap - 4 * j): (-1) ** cap * math.comb(cap, j) for j in range(cap + 1)}
+        assert kauffman_bracket([], cap + 1) == LaurentPoly(expected)
 
     def test_crossing_cap_counts_the_word_as_given(self):
         # every crossing would be destabilized away, but the cap comes first
@@ -344,7 +368,7 @@ class TestJonesOfBraid:
     def test_unchanged_under_involute(self):
         checked = 0
         for word, braid in knot_braids(20):
-            mirror = braid_of_words(LinkWords((involute(word),)))
+            mirror = braid_of_words([involute(word)])
             assert jones_of_braid(braid_generators(braid), braid.n) == jones_of_braid(
                 braid_generators(mirror), mirror.n
             ), word

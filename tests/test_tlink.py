@@ -6,7 +6,7 @@ from lorenzlinks.braid import braid_generators, braid_of_words, words_of_braid
 from lorenzlinks.errors import ResourceCapError, ValidationError
 from lorenzlinks.jones import jones_of_braid
 from lorenzlinks.tlink import TLinkParams, from_lorenz, t_braid_word, to_lorenz
-from lorenzlinks.words import MAX_LETTERS, LinkWords, enumerate_words, validate_link
+from lorenzlinks.words import MAX_LETTERS, lyndon_words, validate_link
 
 
 class TestParams:
@@ -112,8 +112,8 @@ class TestFromLorenz:
         assert from_lorenz(braid).pairs == ((5, 1), (7, 2))
 
     def test_roundtrip_on_trip_parameters(self):
-        for word in enumerate_words(12):
-            braid = braid_of_words(LinkWords((word,)))
+        for word in lyndon_words(12):
+            braid = braid_of_words([word])
             params = from_lorenz(braid)
             assert to_lorenz(params).trip == params.pairs
 
@@ -121,16 +121,16 @@ class TestFromLorenz:
 class TestCrossParametrization:
     def test_genus_agrees_between_presentations(self):
         # same fiber surface count from either braid: c - n + 1 must match
-        for word in enumerate_words(12):
-            braid = braid_of_words(LinkWords((word,)))
+        for word in lyndon_words(12):
+            braid = braid_of_words([word])
             params = from_lorenz(braid)
             t_crossings = len(t_braid_word(params))
             assert t_crossings - params.strands + 1 == braid.crossings - braid.n + 1
 
     def test_jones_agrees_on_small_words(self):
         # the decisive correspondence check; the full sweep runs in acceptance
-        for word in enumerate_words(9):
-            braid = braid_of_words(LinkWords((word,)))
+        for word in lyndon_words(9):
+            braid = braid_of_words([word])
             if braid.crossings > 12:
                 continue
             params = from_lorenz(braid)

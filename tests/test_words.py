@@ -6,10 +6,8 @@ from lorenzlinks import words as words_mod
 from lorenzlinks.errors import ResourceCapError, ValidationError
 from lorenzlinks.modular import matrix_of_word, rademacher_psi, word_of_matrix
 from lorenzlinks.words import (
-    CyclicWord,
     aperiodic_count,
     canonicalize,
-    enumerate_words,
     involute,
     least_rotation,
     lyndon_words,
@@ -40,11 +38,11 @@ class TestCanonicalize:
     def test_example_rlrll(self):
         # oracle: least of the 5 rotations
         assert brute_least_rotation("RLRLL") == "LLRLR"
-        assert canonicalize("RLRLL").letters == "LLRLR"
+        assert canonicalize("RLRLL") == "LLRLR"
 
     def test_single_letter(self):
-        assert canonicalize("L").letters == "L"
-        assert canonicalize("R").letters == "R"
+        assert canonicalize("L") == "L"
+        assert canonicalize("R") == "R"
 
     def test_periodic_rejected(self):
         with pytest.raises(ValidationError, match="^'LRLR' is a proper power$"):
@@ -61,34 +59,21 @@ class TestCanonicalize:
             canonicalize("LRX")
 
     def test_idempotent_and_rotation_invariant(self):
-        for word in enumerate_words(7):
-            s = word.letters
-            for k in range(len(s)):
-                rotated = s[k:] + s[:k]
+        for word in lyndon_words(7):
+            for k in range(len(word)):
+                rotated = word[k:] + word[:k]
                 assert canonicalize(rotated) == word
-            assert canonicalize(word) is word
+            assert canonicalize(word) == word
 
     def test_matches_brute_force_on_all_strings(self):
         for n in range(1, 9):
             for bits in range(2**n):
                 s = "".join("LR"[(bits >> i) & 1] for i in range(n))
                 if brute_is_aperiodic(s):
-                    assert canonicalize(s).letters == brute_least_rotation(s)
-                else:
-                    with pytest.raises(ValidationError, match=f"^{s!r} is a proper power$"):
-                        canonicalize(s)
-
-    def test_direct_construction_canonicalizes(self):
-        assert CyclicWord("RL").letters == "LR"
-        for n in range(1, 9):
-            for bits in range(2**n):
-                s = "".join("LR"[(bits >> i) & 1] for i in range(n))
-                if brute_is_aperiodic(s):
-                    assert CyclicWord(s) == canonicalize(s)
-                    assert CyclicWord(s).letters == brute_least_rotation(s)
+                    assert canonicalize(s) == brute_least_rotation(s)
                 else:
                     with pytest.raises(ValidationError) as caught:
-                        CyclicWord(s)
+                        canonicalize(s)
                     assert str(caught.value) == f"{s!r} is a proper power"
 
 
@@ -107,20 +92,20 @@ class TestLeastRotationOnce:
         return counted
 
     def test_canonicalize_a_string(self, calls):
-        assert canonicalize("RLRLL").letters == "LLRLR"
+        assert canonicalize("RLRLL") == "LLRLR"
         assert calls == ["RLRLL"]
 
     def test_involute_a_word(self, calls):
         word = canonicalize("LLRLR")
         calls.clear()
-        assert involute(word).letters == "LRLRR"
+        assert involute(word) == "LRLRR"
         assert calls == ["RRLRL"]
 
     def test_modular_unit(self, calls):
         matrix = matrix_of_word("RLRLLRRL")
         decoded = word_of_matrix(matrix)
         assert rademacher_psi(matrix) == 0
-        assert decoded.letters == "LLRRLRLR"
+        assert decoded == "LLRRLRLR"
         assert len(calls) == 2
 
 
@@ -131,9 +116,9 @@ class TestLetterCap:
         return 12
 
     def test_cap_is_inclusive(self, cap):
-        assert len(CyclicWord("R" + "L" * (cap - 1))) == cap
+        assert len(canonicalize("R" + "L" * (cap - 1))) == cap
         with pytest.raises(ResourceCapError) as caught:
-            CyclicWord("R" + "L" * cap)
+            canonicalize("R" + "L" * cap)
         assert str(caught.value) == f"a word of {cap + 1} letters is over the cap of {cap}"
 
     def test_cap_is_checked_before_the_letters(self, cap, monkeypatch):
@@ -143,7 +128,7 @@ class TestLetterCap:
         monkeypatch.setattr(words_mod, "smallest_period", refuse)
         monkeypatch.setattr(words_mod, "least_rotation", refuse)
         with pytest.raises(ResourceCapError, match=f"^a word of {cap + 1} letters is over"):
-            CyclicWord("X" * (cap + 1))
+            canonicalize("X" * (cap + 1))
         with pytest.raises(ResourceCapError, match=f"^a word of {2 * cap} letters is over"):
             canonicalize("LR" * cap)
 
@@ -151,8 +136,8 @@ class TestLetterCap:
 class TestValidateLink:
     def test_three_component_example(self):
         link = validate_link(["LRLRL", "LRLRLRL", "LRLRRRLRRR"])
-        assert len(link.words) == 3
-        assert sum(len(w) for w in link.words) == 22
+        assert link == ("LLRLR", "LLRLRLR", "LRLRRRLRRR")
+        assert sum(len(w) for w in link) == 22
 
     def test_duplicate_cyclic_words(self):
         with pytest.raises(ValidationError, match="^components 0 and 1 share the word 'LR'$"):
@@ -169,11 +154,11 @@ class TestValidateLink:
 
 class TestEnumerate:
     def test_small_cases(self):
-        assert [w.letters for w in enumerate_words(2)] == ["L", "R", "LR"]
-        assert [w.letters for w in enumerate_words(1)] == ["L", "R"]
+        assert list(lyndon_words(2)) == ["L", "R", "LR"]
+        assert list(lyndon_words(1)) == ["L", "R"]
 
     def test_counts_match_necklace_formula(self):
-        words = enumerate_words(20)
+        words = lyndon_words(20)
         by_length = {}
         for w in words:
             by_length[len(w)] = by_length.get(len(w), 0) + 1
@@ -182,19 +167,18 @@ class TestEnumerate:
         assert aperiodic_count(5) == 6  # (2^5 - 2) / 5
 
     def test_matches_brute_force(self):
-        words = enumerate_words(12)
+        words = list(lyndon_words(12))
         for n in range(1, 13):
-            ours = {w.letters for w in words if len(w) == n}
+            ours = {w for w in words if len(w) == n}
             assert ours == brute_canonical_words(n)
 
     def test_sorted_by_length_then_spelling(self):
-        words = enumerate_words(9)
-        keys = [(len(w), w.letters) for w in words]
+        keys = [(len(w), w) for w in lyndon_words(9)]
         assert keys == sorted(keys)
 
     def test_max_len_validation(self):
         with pytest.raises(ValidationError):
-            enumerate_words(0)
+            next(lyndon_words(0))
 
 
 def duval_and_sort(max_len: int) -> list[str]:
@@ -231,34 +215,33 @@ class TestLyndonWords:
                 assert smallest_period(text) == n
             assert all(a < b for a, b in zip(texts, texts[1:])), n
 
-    def test_enumerate_words_is_the_old_word_list(self):
-        assert [w.letters for w in enumerate_words(14)] == duval_and_sort(14)
+    def test_lyndon_words_is_the_old_word_list(self):
+        assert list(lyndon_words(14)) == duval_and_sort(14)
 
 
 class TestInvolute:
     def test_examples(self):
         # canonical trefoil spelling is LLRLR; its lobe swap canonicalizes to LRLRR
-        assert involute("LRLRL").letters == "LRLRR"
-        assert involute("LR").letters == "LR"
+        assert involute("LRLRL") == "LRLRR"
+        assert involute("LR") == "LR"
 
     def test_involution_property(self):
-        for w in enumerate_words(10):
+        for w in lyndon_words(10):
             assert involute(involute(w)) == w
 
     def test_bijection_per_length(self):
         for n in range(1, 11):
-            words = [w for w in enumerate_words(n) if len(w) == n]
+            words = [w for w in lyndon_words(n) if len(w) == n]
             images = {involute(w) for w in words}
             assert images == set(words)
 
 
 class TestExtensionOrder:
     def test_rotation_comparisons_never_tie(self):
-        words = enumerate_words(8)
         keys = set()
-        for w in words:
+        for w in lyndon_words(8):
             for k in range(len(w)):
-                key = ((w.letters[k:] + w.letters[:k]) * 16)[:16]
+                key = ((w[k:] + w[:k]) * 16)[:16]
                 assert key not in keys
                 keys.add(key)
 
