@@ -13,16 +13,20 @@ of rotation r ends at the rank of r shifted by one letter.  A single
 canonical word of at most SEED letters, as every census word is, is a Lyndon
 word, so its rotations rank as its suffixes do: one sort of the suffixes
 orders them, and the word sorting first among them certifies it canonical.
-Links and longer words sort bounded prefixes of the extensions, then ranks
-double until no two tie, so no rotation is spelled and memory is linear in
-the letter count.
+Links, longer words and any other rotation sort bounded prefixes of the
+extensions, then ranks double until no two tie, so no rotation is spelled
+and memory is linear in the letter count.  A tie left at the end names a
+proper power or a repeated word, refused as caller input (ValidationError).
 
-A braid's crossing count, ear-type counts and trip are computed once, when
-it is built.  The trip groups the rightward strands into (displacement p,
-multiplicity q) blocks; these are the T-link parameters of the closure.  One
-merge of the two lobe blocks into 1..n checks the braid and reads the trip
-and crossings: a left strand's displacement is the number of right targets
-merged before it, and the crossings are the trip sum, sum p * q.
+A braid is its permutation and its left-strand count: the first ``left``
+strands round the left lobe.  Left strand i passes over the right strands
+left + 1 .. left + (t_i - i), its displacement being the number of right
+targets merged before its own, and no other strands cross (Birman-Williams
+1983; Birman-Kofman 2009), so generators, linking numbers and words are
+read off the targets.  One merge of the two lobe blocks into 1..n, when the
+braid is built, checks it and reads its crossings and trip: the
+(displacement p, multiplicity q) blocks of the rightward strands, which are
+the T-link parameters of the closure, summing to sum p * q crossings.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import InternalInconsistencyError, ValidationError
-from .words import ALPHABET, MAX_LETTERS, _check_word, canonicalize
+from .words import ALPHABET, MAX_LETTERS, _check_word
 
 EAR_TYPES = ("LL", "LR", "RL", "RR")
 
@@ -46,30 +50,27 @@ SEED = 64
 
 @dataclass(frozen=True)
 class LorenzBraid:
-    """A positive permutation braid with a lobe letter per strand.
+    """A positive permutation braid whose first ``left`` strands round the
+    left lobe and the rest the right lobe.
 
     ``targets[i - 1]`` is the end position of the strand starting at position
-    i (1-based), and ``letters[i - 1]`` records which lobe the strand rounds.
-    Left-lobe strands occupy an initial block of start positions and have
-    strictly increasing targets; right-lobe strands fill the rest, also with
-    increasing targets.  Fixed strands (target == start) occur only for the
-    two degenerate lobe-boundary unknots named by the words L and R.  The
-    components are its cycles, numbered by least strand as in words_of_braid.
+    i (1-based), and ``n`` is their count.  Each lobe block of start
+    positions has strictly increasing targets.  Fixed strands (target ==
+    start) occur only for the two degenerate lobe-boundary unknots named by
+    the words L and R.  The components are its cycles, numbered by least
+    strand as in words_of_braid.
     """
 
-    n: int
     targets: tuple[int, ...]
-    letters: tuple[str, ...]
+    left: int
 
     def __post_init__(self) -> None:
-        n, targets, letters = self.n, self.targets, self.letters
-        if n < 1 or len(targets) != n or len(letters) != n:
-            raise InternalInconsistencyError("field lengths disagree with strand count")
-        l_count = letters.count("L")
-        if l_count + letters.count("R") != n:
-            raise InternalInconsistencyError("strand letters must be L or R")
-        if "R" in letters[:l_count]:
-            raise InternalInconsistencyError("left-lobe strands must form an initial block")
+        targets, l_count = self.targets, self.left
+        n = len(targets)
+        if not n or not 0 <= l_count <= n:
+            raise InternalInconsistencyError(
+                f"a braid needs at least one strand and 0..n left strands, not {l_count} of {n}"
+            )
         # merge the two lobe blocks into 1..n; a left strand's displacement is
         # the number of right targets merged before it, so runs of equal
         # displacement are the trip blocks and their sum is the crossing count
@@ -101,6 +102,11 @@ class LorenzBraid:
         object.__setattr__(self, "_crossings", crossings)
         object.__setattr__(self, "_cycles", tuple(permutation_cycles(targets)))
 
+    @property
+    def n(self) -> int:
+        """Strand count: one strand per letter of the closure's words."""
+        return len(self.targets)
+
     # -- derived structure ------------------------------------------------
 
     @property
@@ -124,7 +130,7 @@ class LorenzBraid:
 
     def ear_type(self, start: int) -> str:
         """Lobe pair (this pass, next pass) of the strand starting at ``start``."""
-        return self.letters[start - 1] + self.letters[self.targets[start - 1] - 1]
+        return "LR"[start > self.left] + "LR"[self.targets[start - 1] > self.left]
 
     @property
     def ear_counts(self) -> tuple[int, int, int, int]:
@@ -186,9 +192,11 @@ def _rotation_ranks(texts: Sequence[str]) -> list[list[int]]:
 
     Prefixes of min(SEED, 2 * max|w|) letters are sorted first.  Then ranks
     double: the 2s-prefix from rotation k is the s-prefix from k followed by
-    the s-prefix from k + s, so the pair of their ranks orders it.  Rotations
-    still tied at 2 * max|w| letters have equal extensions, which no valid
-    word family has.
+    the s-prefix from k + s, so the pair of their ranks orders it.  Any
+    rotation of each word may be given.  Rotations still tied at 2 * max|w|
+    letters have equal extensions, so the word family is not valid: one word
+    is a proper power, or two are powers of one word, and ValidationError
+    names them.
     """
     key_len = 2 * max(len(text) for text in texts)
     span = min(key_len, SEED)
@@ -207,7 +215,7 @@ def _rotation_ranks(texts: Sequence[str]) -> list[list[int]]:
             if pos and first[at] == first[prev] and second[at] == second[prev]:
                 rank[at] = rank[prev]
                 if tied < 0:
-                    tied = prev
+                    tied, tied_with = prev, at
             else:
                 rank[at] = pos
             prev = at
@@ -222,28 +230,31 @@ def _rotation_ranks(texts: Sequence[str]) -> list[list[int]]:
         order.sort(key=first.__getitem__)
         span *= 2
     if tied >= 0:
-        i = bisect_right(starts, tied) - 1
-        k, text = tied - starts[i], texts[i]
-        raise InternalInconsistencyError(f"rotation order tied on {text[k:] + text[:k]!r}")
+        i, j = (bisect_right(starts, at) - 1 for at in (tied, tied_with))
+        if i == j:
+            raise ValidationError(f"{texts[i]!r} is a proper power")
+        raise ValidationError(f"{texts[i]!r} and {texts[j]!r} are powers of one word")
     return [rank[start : start + len(text)] for text, start in zip(texts, starts)]
 
 
 def braid_of_words(texts: Sequence[str]) -> LorenzBraid:
-    """The Lorenz braid whose closure is the link named by ``texts``, the
-    canonical spellings validate_link returns and lyndon_words yields, which
-    are not rotated again.  An empty family, an empty word, another letter
-    or an over-cap word is refused, by string checks alone, as canonicalize
-    refuses it.  A single text of at most SEED letters goes to _suffix_braid,
-    which refuses it unless it is its own aperiodic least rotation; links and
-    longer words go to _rotation_ranks, which refuses tied rotations.
+    """The Lorenz braid whose closure is the link named by ``texts``, in any
+    rotations: it accepts exactly the families validate_link accepts and
+    gives the braid of their canonical spellings, without rotating a word.
+    An empty family, an empty word, another letter or an over-cap word is
+    refused by string checks alone, with canonicalize's message.  A single
+    text of at most SEED letters goes to _suffix_braid, which takes it when
+    it is its own aperiodic least rotation, as every census word is.  Any
+    other text and every link go to _rotation_ranks, where a tie refuses a
+    proper power or a repeated word with ValidationError.
 
     The strand at the rank of a rotation ends at the rank of the rotation
-    one letter on, and is overcrossing exactly when the rotation begins with
-    L (fixed strands of the degenerate one-letter words excepted).  Either
-    way the ranks take memory linear in the letter count, so
-    words.MAX_LETTERS is the one cap on a word's size.  Components are
-    numbered by least strand, as in words_of_braid, not in the order of
-    ``texts``.
+    one letter on, and rounds the left lobe exactly when the rotation begins
+    with L; those rotations rank first, so the braid's left-strand count is
+    the family's count of L.  Either way the ranks take memory linear in the
+    letter count, so words.MAX_LETTERS is the one cap on a word's size.
+    Components are numbered by least strand, as in words_of_braid, not in
+    the order of ``texts``.
     """
     if not texts:
         raise ValidationError("a link needs at least one component word")
@@ -251,18 +262,19 @@ def braid_of_words(texts: Sequence[str]) -> LorenzBraid:
         if not text or len(text) > MAX_LETTERS or text.strip(ALPHABET):
             _check_word(text)  # refuses it with canonicalize's message
     if len(texts) == 1 and len(texts[0]) <= SEED:
-        return _suffix_braid(texts[0])
-    n = sum(len(text) for text in texts)
-    targets, letters = [0] * n, [""] * n
-    for text, block in zip(texts, _rotation_ranks(texts)):
-        for pos, next_pos, letter in zip(block, block[1:] + block[:1], text):
+        braid = _suffix_braid(texts[0])
+        if braid is not None:
+            return braid
+    targets = [0] * sum(len(text) for text in texts)
+    for block in _rotation_ranks(texts):
+        for pos, next_pos in zip(block, block[1:] + block[:1]):
             targets[pos] = next_pos + 1
-            letters[pos] = letter
-    return LorenzBraid(n, tuple(targets), tuple(letters))
+    return LorenzBraid(tuple(targets), sum(text.count("L") for text in texts))
 
 
-def _suffix_braid(text: str) -> LorenzBraid:
-    """The braid of one word, its rotations ranked by one sort of its suffixes.
+def _suffix_braid(text: str) -> LorenzBraid | None:
+    """The braid of one word, its rotations ranked by one sort of its
+    suffixes, or None when ``text`` is not its own aperiodic least rotation.
 
     A word is its own aperiodic least rotation, a Lyndon word, exactly when
     it is less than each of its proper suffixes (Duval), so it must sort
@@ -274,7 +286,7 @@ def _suffix_braid(text: str) -> LorenzBraid:
     n = len(text)
     suffixes = sorted([text[k:] for k in range(n)])
     if len(suffixes[0]) != n:
-        raise InternalInconsistencyError(f"{text!r} is not its own aperiodic least rotation")
+        return None
     # a suffix's length names its offset, and the next rotation's suffix is
     # one letter shorter; the empty one wraps round to the word, at position 1
     position_of_length = [1] * (n + 1)
@@ -282,81 +294,61 @@ def _suffix_braid(text: str) -> LorenzBraid:
         position_of_length[len(suffix)] = pos
     targets = tuple([position_of_length[len(suffix) - 1] for suffix in suffixes])
     # sorted suffixes put every one that begins with L first
-    l_count = text.count("L")
-    return LorenzBraid(n, targets, ("L",) * l_count + ("R",) * (n - l_count))
+    return LorenzBraid(targets, text.count("L"))
 
 
 def words_of_braid(braid: LorenzBraid) -> list[str]:
     """The canonical word of each cycle, by least strand: word k is component k.
 
-    Components built by :func:`lorenzlinks.tlink.to_lorenz` may repeat a word
-    (parallel orbits), so the result is a list, not a validated link.
+    Targets increase within each lobe block, so strand order is itinerary
+    order: two strands with the same letter keep their order one step on.
+    A strand and a later one on its own cycle can then never share an
+    itinerary, so each cycle, read from its least strand, spells its own
+    aperiodic least rotation.  Components built by
+    :func:`lorenzlinks.tlink.to_lorenz` may repeat a word (parallel orbits),
+    so the result is a list, not a validated link.
     """
-    return [
-        canonicalize("".join(braid.letters[i - 1] for i in cycle)) for cycle in braid.cycles()
-    ]
+    left = braid.left
+    return ["".join(["LR"[pos > left] for pos in cycle]) for cycle in braid.cycles()]
 
 
 def braid_generators(braid: LorenzBraid) -> list[int]:
     """A positive braid word realizing the permutation, one crossing per pair,
     as 1-based generator indices: i crosses positions i and i + 1.
 
-    Rightward strands are slid to their targets one at a time, rightmost
-    first, so each slide passes only leftward strands.  The word length is
-    the inversion count of the permutation.  Any other single-crossing
+    Left strands are slid to their targets one at a time, rightmost first,
+    so strand s passes over the right strands between position s and its
+    target and emits s, s + 1, ..., t_s - 1.  The word length is the
+    inversion count of the permutation.  Any other single-crossing
     realization presents the same braid element, so downstream consumers may
     treat the result as a crossing multiset.
     """
-    arrangement = list(range(1, braid.n + 1))
-    out: list[int] = []
-    for over in reversed(braid.over_positions):
-        target = braid.targets[over - 1]
-        if arrangement[over - 1] != over:
-            raise InternalInconsistencyError("slide order corrupted the prefix")
-        for idx in range(over - 1, target - 1):
-            under = arrangement[idx + 1]
-            if braid.letters[under - 1] != "R":
-                raise InternalInconsistencyError("two left-lobe strands crossed")
-            out.append(idx + 1)
-            arrangement[idx], arrangement[idx + 1] = arrangement[idx + 1], arrangement[idx]
-    inverse = [0] * braid.n
-    for start, target in enumerate(braid.targets, start=1):
-        inverse[target - 1] = start
-    if arrangement != inverse:
-        raise InternalInconsistencyError("generator sweep does not realize the permutation")
-    if len(out) != braid.crossings:
-        raise InternalInconsistencyError("generator count differs from inversion count")
-    return out
+    targets = braid.targets
+    return [i for s in range(braid.left, 0, -1) for i in range(s, targets[s - 1])]
 
 
 def linking_matrix(braid: LorenzBraid) -> list[list[int]]:
     """Pairwise linking numbers of the closure's components.
 
     With every crossing positive, the linking number of components A and B is
-    half their total crossing count, equivalently the number of crossings
-    with the overstrand in A; both counts are computed and must agree.  The
-    generator word is replayed on the strands' arrangement: at generator i
-    the strand at position i passes over the one at position i + 1, and the
-    two swap.  The diagonal is left zero; row k is component k of words_of_braid.
+    the number of crossings with the overstrand in A, and equally the number
+    with it in B; both counts are taken and must agree.  Left strand i
+    passes over the right strands left + 1 .. left + (t_i - i), so the
+    counts are read off the targets.  The diagonal is left zero; row k is
+    component k of words_of_braid.
     """
-    mu = braid.component_count
-    over_counts = [[0] * mu for _ in range(mu)]
-    arrangement = list(braid.components)
-    for i in braid_generators(braid):
-        a, b = arrangement[i - 1], arrangement[i]
-        over_counts[a][b] += 1
-        arrangement[i - 1], arrangement[i] = b, a
+    mu, left, targets = braid.component_count, braid.left, braid.targets
+    components = braid.components
     matrix = [[0] * mu for _ in range(mu)]
+    for s in range(1, left + 1):
+        row = matrix[components[s - 1]]
+        for b in components[left : left + targets[s - 1] - s]:
+            row[b] += 1
     for a in range(mu):
-        for b in range(a + 1, mu):
-            total = over_counts[a][b] + over_counts[b][a]
-            if total % 2:
+        matrix[a][a] = 0
+        for b in range(a):
+            if matrix[a][b] != matrix[b][a]:
                 raise InternalInconsistencyError(
-                    f"components {a} and {b} cross {total} times"
+                    f"asymmetric over-counts for components {b} and {a}"
                 )
-            if over_counts[a][b] != over_counts[b][a]:
-                raise InternalInconsistencyError(
-                    f"asymmetric over-counts for components {a} and {b}"
-                )
-            matrix[a][b] = matrix[b][a] = total // 2
     return matrix

@@ -31,6 +31,7 @@ import json
 import operator
 import os
 import sys
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from . import braid as braid_mod
@@ -357,12 +358,13 @@ def _cmd_modular(args: argparse.Namespace) -> int:
     else:  # rademacher
         word = words_mod.canonicalize(args.value)
         value = mod_mod.rademacher(word)
-        matrix = mod_mod._word_product(word)  # canonical: not rotated again
+        matrix = mod_mod._word_product(word).normalized()  # canonical: not rotated again
+        phi_terms = mod_mod._phi_terms(matrix)  # one reciprocity walk for Phi and Psi
         payload = {
             "word": word,
             "rademacher": value,
-            "phi": str(mod_mod.rademacher_phi(matrix)),
-            "psi": mod_mod.rademacher_psi(matrix),
+            "phi": str(Fraction(*phi_terms)),
+            "psi": mod_mod._psi(matrix, *phi_terms),
         }
         _emit([payload], args.format, sys.stdout)
     return 0

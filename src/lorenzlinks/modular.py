@@ -310,7 +310,12 @@ def rademacher_phi(matrix: Mat2Z) -> Fraction:
 def rademacher_psi(matrix: Mat2Z) -> int:
     """The conjugacy-invariant Psi = Phi - 3 sign(c (a + d)); always an integer."""
     m = matrix.normalized()
-    numerator, denominator = _phi_terms(m)
+    return _psi(m, *_phi_terms(m))
+
+
+def _psi(m: Mat2Z, numerator: int, denominator: int) -> int:
+    """Psi of the trace-positive representative m from the terms of its Phi,
+    so one reciprocity walk serves a caller that prints both."""
     shift = 3 * _sign(m.c * (m.a + m.d))
     phi, remainder = divmod(numerator, denominator)
     if remainder:

@@ -97,7 +97,7 @@ def to_lorenz(params: TLinkParams) -> LorenzBraid:
     Its components are its cycles, numbered by least strand as in words_of_braid.
     """
     if not params.pairs:
-        return LorenzBraid(1, (1,), ("L",))
+        return LorenzBraid((1,), 1)
     m = sum(q for _, q in params.pairs)
     n = m + params.pairs[-1][0]
     if n > MAX_LETTERS:
@@ -109,9 +109,7 @@ def to_lorenz(params: TLinkParams) -> LorenzBraid:
     displacements = [p for p, q in params.pairs for _ in range(q)]
     over_targets = [j + displacements[j - 1] for j in range(1, m + 1)]
     under_targets = sorted(set(range(1, n + 1)) - set(over_targets))
-    targets = tuple(over_targets + under_targets)
-    letters = ("L",) * m + ("R",) * (n - m)
-    braid = LorenzBraid(n, targets, letters)
+    braid = LorenzBraid(tuple(over_targets + under_targets), m)
     if braid.trip != params.pairs:
         raise InternalInconsistencyError("constructed braid does not reproduce the parameters")
     return braid

@@ -1,5 +1,6 @@
 """Braid construction, strand classification and the linking matrix."""
 
+import dataclasses
 import itertools
 import random
 import re
@@ -26,7 +27,12 @@ from lorenzlinks.errors import (
     ValidationError,
 )
 from lorenzlinks.tlink import TLinkParams, to_lorenz
-from lorenzlinks.words import MAX_LETTERS, lyndon_words, validate_link
+from lorenzlinks.words import MAX_LETTERS, least_rotation, lyndon_words, validate_link
+
+
+def strand_letters(braid):
+    """The lobe letter of each strand, the first ``left`` of them L."""
+    return "L" * braid.left + "R" * (braid.n - braid.left)
 
 
 def inversion_oracle(targets):
@@ -46,8 +52,9 @@ def trip_oracle(targets):
 
 
 def lorenz_braid_oracle(n, targets, letters):
-    """The checks LorenzBraid's constructor made one at a time, with their
-    messages, and its fields computed the way it computed them: returns
+    """A Lorenz braid given by its strand count, targets and a lobe letter
+    per strand, checked one condition at a time with its own message, and
+    its fields computed from the letters: returns
     (crossings, ear_counts, trip, cycles) or raises InternalInconsistencyError."""
     if n < 1 or len(targets) != n or len(letters) != n:
         raise InternalInconsistencyError("field lengths disagree with strand count")
@@ -85,14 +92,44 @@ def lorenz_braid_oracle(n, targets, letters):
     return inversions, (ll, l_count - ll, rl, n - l_count - rl), trip, cycles
 
 
+def slide_generators_oracle(braid):
+    """The generator word of a slide: each rightward strand, rightmost
+    first, is swapped along a replayed arrangement of the strands to its
+    target, and the slide checks that it passes only right-lobe strands,
+    realizes the permutation and emits one generator per inversion."""
+    letters = strand_letters(braid)
+    arrangement = list(range(1, braid.n + 1))
+    out = []
+    overs = [i for i, target in enumerate(braid.targets, start=1) if target > i]
+    for over in reversed(overs):
+        assert arrangement[over - 1] == over, "slide order corrupted the prefix"
+        for idx in range(over - 1, braid.targets[over - 1] - 1):
+            under = arrangement[idx + 1]
+            assert letters[under - 1] == "R", "two left-lobe strands crossed"
+            out.append(idx + 1)
+            arrangement[idx], arrangement[idx + 1] = arrangement[idx + 1], arrangement[idx]
+    inverse = [0] * braid.n
+    for start, target in enumerate(braid.targets, start=1):
+        inverse[target - 1] = start
+    assert arrangement == inverse, "generator sweep does not realize the permutation"
+    assert len(out) == inversion_oracle(braid.targets), "generator count is not the inversions"
+    return out
+
+
+def words_oracle(braid):
+    """Each cycle's lobe letters, rotated to their least rotation."""
+    letters = strand_letters(braid)
+    return [least_rotation("".join(letters[i - 1] for i in cycle)) for cycle in braid.cycles()]
+
+
 def linking_oracle(braid):
     """Inter-component inverted pairs, halved: no generator emission involved."""
-    mu = braid.component_count
+    mu, components = braid.component_count, braid.components
     counts = [[0] * mu for _ in range(mu)]
     for i in range(braid.n):
         for j in range(i + 1, braid.n):
             if braid.targets[i] > braid.targets[j]:
-                a, b = braid.components[i], braid.components[j]
+                a, b = components[i], components[j]
                 if a != b:
                     counts[a][b] += 1
                     counts[b][a] += 1
@@ -126,8 +163,10 @@ def braid_oracle(link):
     rotations = sorted_rotations_oracle(link)
     rank = {(ci, k): pos for pos, (_, ci, k) in enumerate(rotations, start=1)}
     targets = tuple(rank[ci, (k + 1) % len(link[ci])] for _, ci, k in rotations)
-    letters = tuple(spelling[0] for spelling, _, _ in rotations)
-    return LorenzBraid(len(rotations), targets, letters)
+    letters = "".join(spelling[0] for spelling, _, _ in rotations)
+    left = letters.count("L")
+    assert letters == "L" * left + "R" * (len(letters) - left)  # L rotations rank first
+    return LorenzBraid(targets, left)
 
 
 def word_sets_up_to(total):
@@ -181,7 +220,7 @@ class TestBraidOfWords:
         for word in lyndon_words(12):
             braid = braid_of_words([word])
             for i in range(1, braid.n + 1):
-                starts_left = braid.letters[i - 1] == "L"
+                starts_left = i <= braid.left
                 if len(word) == 1:
                     assert braid.targets[i - 1] == i
                 else:
@@ -251,19 +290,27 @@ class TestEntryPointGuards:
     @example(["LX"])
     @example(["RL"])
     @example(["LL"])
+    @example(["LRLR"])
     @example(["LR", "RL"])
     @example(["RLL", "LR"])
+    @example(["L", "LL"])
     def test_any_strings_give_the_braid_of_their_link_or_an_error(self, texts):
+        # braid_of_words accepts exactly what validate_link accepts, gives
+        # the braid of the canonical spellings, and refuses the rest as
+        # caller input, never as a failed internal check
         try:
-            braid = braid_of_words(texts)
-        except LorenzError:
+            link = validate_link(texts)
+        except LorenzError as exc:
+            assert isinstance(exc, (ValidationError, ResourceCapError)), texts
+            with pytest.raises((ValidationError, ResourceCapError)):
+                braid_of_words(texts)
             return
-        assert braid == braid_of_words(validate_link(texts)), texts
+        assert braid_of_words(texts) == braid_oracle(link), texts
 
 
-def seeded_links(count, seed=1729):
+def seeded_links(count, seed=1729, max_len=12):
     rng = random.Random(seed)
-    pool = list(lyndon_words(12))
+    pool = list(lyndon_words(max_len))
     return [tuple(rng.sample(pool, rng.randint(2, 5))) for _ in range(count)]
 
 
@@ -292,16 +339,31 @@ class TestRotationRanks:
             assert braid_of_words(link) == braid_oracle(link), link
 
     def test_forged_equal_words_tie(self):
-        # validate_link refuses two equal words; a plain tuple bypasses it
-        link = validate_link(["LLR"]) * 2
-        with pytest.raises(InternalInconsistencyError, match="rotation order tied on 'LLR'"):
-            braid_of_words(link)
+        # validate_link refuses two equal words; a plain tuple bypasses it,
+        # and the tie refuses it as caller input, naming the word
+        with pytest.raises(ValidationError, match="^'LLR' and 'LLR' are powers of one word$"):
+            braid_of_words(validate_link(["LLR"]) * 2)
+        for length in range(1, 13):
+            for letters in itertools.product("LR", repeat=length):
+                text = "".join(letters)
+                with pytest.raises(ValidationError, match=re.escape(repr(text))):
+                    braid_of_words([text, text])
 
 
 class TestSuffixOrder:
     """A single word of at most SEED letters is ranked by one sort of its
     suffixes, which refuses any text that is not its own aperiodic least
-    rotation."""
+    rotation and hands it to the prefix doubling; that gives the braid of
+    its canonical spelling, or refuses a proper power as caller input."""
+
+    @pytest.fixture
+    def ranked(self, monkeypatch):
+        ranked = []
+        rotation_ranks = braid_mod._rotation_ranks
+        monkeypatch.setattr(
+            braid_mod, "_rotation_ranks", lambda texts: ranked.append(texts) or rotation_ranks(texts)
+        )
+        return ranked
 
     def test_every_word_to_length_16(self):
         for word in lyndon_words(16):
@@ -309,12 +371,7 @@ class TestSuffixOrder:
             assert braid_of_words(link) == braid_oracle(link), word
 
     @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["seed-minus-1", "seed", "seed-plus-1"])
-    def test_seeded_words_on_both_sides_of_the_seed(self, offset, monkeypatch):
-        ranked = []
-        rotation_ranks = braid_mod._rotation_ranks
-        monkeypatch.setattr(
-            braid_mod, "_rotation_ranks", lambda texts: ranked.append(texts) or rotation_ranks(texts)
-        )
+    def test_seeded_words_on_both_sides_of_the_seed(self, offset, ranked):
         length = braid_mod.SEED + offset
         rng = random.Random(length)
         for _ in range(300):
@@ -324,21 +381,30 @@ class TestSuffixOrder:
         assert len(ranked) == (300 if offset > 0 else 0)
 
     @pytest.mark.parametrize("text", ["RL", "RLL", "LRL", "LRLR"])
-    def test_refuses_a_text_that_is_not_canonical(self, text):
-        with pytest.raises(InternalInconsistencyError, match=re.escape(repr(text))):
-            braid_of_words([text])
+    def test_refuses_a_text_that_is_not_canonical(self, text, ranked):
+        assert braid_mod._suffix_braid(text) is None
+        if text == "LRLR":
+            with pytest.raises(ValidationError, match="^'LRLR' is a proper power$"):
+                braid_of_words([text])
+        else:
+            assert braid_of_words([text]) == braid_oracle(validate_link([text]))
+        assert ranked == [[text]]
 
-    def test_refuses_exactly_the_non_canonical_strings_to_12_letters(self):
+    def test_refuses_exactly_the_non_canonical_strings_to_12_letters(self, ranked):
         for length in range(1, 13):
             for letters in itertools.product("LR", repeat=length):
                 text = "".join(letters)
                 canonical = all(text < text[k:] + text[:k] for k in range(1, length))
+                ranked.clear()
                 try:
-                    braid_of_words([text])
-                except InternalInconsistencyError as exc:
-                    assert not canonical and repr(text) in str(exc), text
+                    braid = braid_of_words([text])
+                except ValidationError as exc:
+                    assert not canonical and str(exc) == f"{text!r} is a proper power", text
+                    assert (text + text).find(text, 1) < length, text
                 else:
-                    assert canonical, text
+                    assert braid == braid_oracle(validate_link([text])), text
+                # the suffix sort takes exactly the canonical texts
+                assert ranked == ([] if canonical else [[text]]), text
 
 
 class TestLongWords:
@@ -377,12 +443,12 @@ class TestPositionSequences:
         # a rank sequence starts at the least rotation, the least strand of
         # its cycle, so sorting orders the sequences as cycles() does
         assert sorted(position_sequences_oracle(link)) == braid.cycles(), link
-        components = braid.components
+        components, letters = braid.components, strand_letters(braid)
         for k, word in enumerate(words_of_braid(braid)):
             start = pos = components.index(k)
             spelled, walked = [], set()
             while not spelled or pos != start:
-                spelled.append(braid.letters[pos])
+                spelled.append(letters[pos])
                 walked.add(pos)
                 pos = braid.targets[pos] - 1
             assert "".join(spelled) == word, link
@@ -435,53 +501,73 @@ class TestStrandProfile:
             assert braid.trip == trip_oracle(braid.targets)
 
 
-# one hand-built braid (n, targets, letters) per malformation,
-# named for it, and the refusal it meets; one merge into 1..n refuses every
-# permutation that is not two increasing lobe blocks
-NOT_MERGED = "targets are not two increasing lobe blocks merging into 1..n"
+# one hand-built lettered braid (n, targets, letters) per malformation,
+# named for the check of lorenz_braid_oracle that refuses it
 BAD_BRAIDS = [
-    ("field lengths disagree", (2, (1, 2), ("L",)), "field lengths disagree"),
-    ("field lengths disagree", (0, (), ()), "field lengths disagree"),
-    ("not a permutation", (2, (1, 1), ("L", "R")), NOT_MERGED),
-    ("letters must be L or R", (1, (1,), ("X",)), "letters must be L or R"),
-    ("must form an initial block", (2, (1, 2), ("R", "L")), "must form an initial block"),
-    ("left-lobe strand 2 moves left", (3, (2, 1, 3), ("L", "L", "R")), NOT_MERGED),
-    ("right-lobe strand 2 moves right", (3, (1, 3, 2), ("L", "R", "R")), NOT_MERGED),
-    ("must increase", (4, (4, 3, 1, 2), ("L", "L", "R", "R")), NOT_MERGED),
+    ("field lengths disagree", (2, (1, 2), ("L",))),
+    ("field lengths disagree", (0, (), ())),
+    ("not a permutation", (2, (1, 1), ("L", "R"))),
+    ("letters must be L or R", (1, (1,), ("X",))),
+    ("must form an initial block", (2, (1, 2), ("R", "L"))),
+    ("left-lobe strand 2 moves left", (3, (2, 1, 3), ("L", "L", "R"))),
+    ("right-lobe strand 2 moves right", (3, (1, 3, 2), ("L", "R", "R"))),
+    ("must increase", (4, (4, 3, 1, 2), ("L", "L", "R", "R"))),
+]
+# the malformations a (targets, left) pair can still spell, and the
+# constructor's refusal: one merge into 1..n refuses every permutation that
+# is not two increasing lobe blocks
+NOT_MERGED = "targets are not two increasing lobe blocks merging into 1..n"
+BAD_FIELDS = [
+    ("no strands", ((), 0), "at least one strand and 0..n left strands, not 0 of 0"),
+    ("left past n", ((1,), 2), "at least one strand and 0..n left strands, not 2 of 1"),
+    ("left negative", ((1,), -1), "at least one strand and 0..n left strands, not -1 of 1"),
+    ("not a permutation", ((1, 1), 1), NOT_MERGED),
+    ("left-lobe strand 2 moves left", ((2, 1, 3), 2), NOT_MERGED),
+    ("right-lobe strand 2 moves right", ((1, 3, 2), 1), NOT_MERGED),
+    ("must increase", ((4, 3, 1, 2), 2), NOT_MERGED),
 ]
 
 
 class TestLorenzBraidRejections:
     @pytest.mark.parametrize(
-        "fields, message", [row[1:] for row in BAD_BRAIDS], ids=[row[0] for row in BAD_BRAIDS]
+        "fields, message", [row[1:] for row in BAD_FIELDS], ids=[row[0] for row in BAD_FIELDS]
     )
     def test_refused(self, fields, message):
         with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
             LorenzBraid(*fields)
 
-    @pytest.mark.parametrize("name, fields", [row[:2] for row in BAD_BRAIDS])
+    @pytest.mark.parametrize("name, fields", BAD_BRAIDS)
     def test_oracle_refuses_with_the_name(self, name, fields):
-        # each row is named for the message the constructor gave before the merge
         with pytest.raises(InternalInconsistencyError, match=re.escape(name)):
             lorenz_braid_oracle(*fields)
 
+    def test_two_fields(self):
+        # a braid is its permutation and its left-strand count; n is read off
+        braid = LorenzBraid((3, 4, 5, 1, 2), 3)
+        assert [field.name for field in dataclasses.fields(braid)] == ["targets", "left"]
+        assert braid.n == 5 and braid == braid_of_words(["LRLRL"])
+
     def test_merge_accepts_exactly_what_the_oracle_accepts(self):
-        # every permutation of n <= 6 strands, every lobe split
+        # every permutation of n <= 6 strands, every lobe split; the reads
+        # off the targets of each accepted braid are held to the replays
         cases = accepted = 0
         for n in range(1, 7):
             for targets in itertools.permutations(range(1, n + 1)):
                 for l_count in range(n + 1):
                     cases += 1
-                    fields = (n, targets, ("L",) * l_count + ("R",) * (n - l_count))
+                    letters = ("L",) * l_count + ("R",) * (n - l_count)
                     try:
-                        expected = lorenz_braid_oracle(*fields)
+                        expected = lorenz_braid_oracle(n, targets, letters)
                     except InternalInconsistencyError:
                         with pytest.raises(InternalInconsistencyError):
-                            LorenzBraid(*fields)
+                            LorenzBraid(targets, l_count)
                         continue
-                    braid = LorenzBraid(*fields)
+                    braid = LorenzBraid(targets, l_count)
                     read = (braid.crossings, braid.ear_counts, braid.trip, braid.cycles())
-                    assert read == expected, fields
+                    assert read == expected, (targets, l_count)
+                    assert braid_generators(braid) == slide_generators_oracle(braid), braid
+                    assert linking_matrix(braid) == linking_oracle(braid), braid
+                    assert words_of_braid(braid) == words_oracle(braid), braid
                     accepted += 1
         assert (cases, accepted) == (5_912, 126)
 
@@ -532,8 +618,7 @@ class TestBraidGenerators:
             for i in braid_generators(braid):
                 assert 1 <= i <= braid.n - 1
                 over, under = arrangement[i - 1], arrangement[i]
-                assert braid.letters[over - 1] == "L"
-                assert braid.letters[under - 1] == "R"
+                assert over <= braid.left < under
                 pairs.append((over, under))
                 arrangement[i - 1], arrangement[i] = under, over
             assert len(pairs) == len(set(pairs))
@@ -559,14 +644,64 @@ class TestLinkingMatrix:
             assert linking_matrix(braid) == linking_oracle(braid)
 
 
+def t_link_params_up_to(budget):
+    """Every T-link parameter list, the empty one included, with
+    p_k + sum q <= budget: the strand count of its Lorenz braid."""
+    out = [()]
+
+    def extend(prev_p, q_sum, chosen):
+        for p in range(prev_p + 1, budget):
+            for q in range(1, budget - p - q_sum + 1):
+                chosen.append((p, q))
+                out.append(tuple(chosen))
+                extend(p, q_sum + q, chosen)
+                chosen.pop()
+
+    extend(0, 0, [])
+    return out
+
+
+class TestReadOffThePermutation:
+    """Left strand i passes over right strands left + 1 .. left + (t_i - i)
+    and no other strands cross, so the generators, the linking numbers and
+    the words are read off the targets.  Each read is held to an oracle that
+    replays the strands instead; every braid of at most six strands is held
+    to them in test_merge_accepts_exactly_what_the_oracle_accepts."""
+
+    def test_generators_and_linking_on_seeded_links(self):
+        for link in seeded_links(1500, seed=11, max_len=11):
+            braid = braid_of_words(link)
+            assert braid_generators(braid) == slide_generators_oracle(braid), link
+            assert linking_matrix(braid) == linking_oracle(braid), link
+
+    def test_words_on_every_small_t_link(self):
+        params = t_link_params_up_to(14)
+        assert len(params) == 8_192
+        repeated = 0
+        for pairs in params:
+            braid = to_lorenz(TLinkParams(pairs))
+            words = words_of_braid(braid)
+            assert words == words_oracle(braid), pairs
+            repeated += len(set(words)) < len(words)
+        assert repeated  # parallel orbits repeat a word
+
+    def test_words_on_seeded_links(self):
+        for link in seeded_links(4000, seed=12):
+            braid = braid_of_words(link)
+            words = words_of_braid(braid)
+            assert words == words_oracle(braid), link
+            assert sorted(words) == sorted(link), link
+
+
 class TestSerialization:
     def test_json_roundtrip(self):
         braid = braid_of_words(validate_link(["LRLRRRLRRR", "LR"]))
         data = braid.to_json_dict()
         # the wire form carries the whole braid: each type's first letter is
-        # its strand's letter
-        letters = tuple(t[0] for t in data["types"])
-        rebuilt = LorenzBraid(data["n"], tuple(data["targets"]), letters)
-        assert rebuilt == braid
+        # its strand's letter, and the L's are the left strands
+        letters = "".join(t[0] for t in data["types"])
+        rebuilt = LorenzBraid(tuple(data["targets"]), letters.count("L"))
+        assert rebuilt == braid and data["n"] == rebuilt.n
+        assert letters == strand_letters(rebuilt)
         assert list(rebuilt.components) == data["components"]
         assert data["trip"] == [list(pq) for pq in braid.trip]

@@ -188,16 +188,16 @@ class TestLongWord:
 class TestCanonicalizeOnce:
     """A plain string carries no proof that it is canonical, so each command
     rotates a word only where the spelling came from outside: once per typed
-    word and once per word read off a braid.  The census words are canonical
-    by construction and are never rotated."""
+    word.  A word read off a braid, from its cycle's least strand, is
+    canonical already, and so are the census words; neither is rotated."""
 
     @pytest.mark.parametrize(
         "argv, calls",
         [
             (["word", "info", "RLL"], 1),
             (["convert", "LRL", "--to", "braid"], 1),
-            (["convert", "LRL", "--to", "word"], 2),
-            (["convert", "[[2,3]]", "--to", "word"], 1),
+            (["convert", "LRL", "--to", "word"], 1),
+            (["convert", "[[2,3]]", "--to", "word"], 0),
             (["jones", "LRLRL"], 1),
             (["jones", "LR,LLR"], 2),
             (["modular", "encode", "RLL"], 1),
@@ -219,6 +219,25 @@ class TestCanonicalizeOnce:
         code, _, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert len(counted) == calls, counted
+
+
+class TestReciprocityOnce:
+    """modular rademacher prints Phi and Psi from one walk of the Dedekind
+    reciprocity, not one walk each."""
+
+    @pytest.mark.parametrize("word", ["LLR", "LRLRRLR"])
+    def test_dedekind_twelfths_calls(self, capsys, monkeypatch, word):
+        counted = []
+        core = mod_mod._dedekind_twelfths
+
+        def counting(h, k):
+            counted.append((h, k))
+            return core(h, k)
+
+        monkeypatch.setattr(mod_mod, "_dedekind_twelfths", counting)
+        payload = run_json(capsys, "modular", "rademacher", word)
+        assert payload["psi"] == payload["rademacher"] == word.count("L") - word.count("R")
+        assert len(counted) == 1, counted
 
 
 class TestJones:

@@ -111,7 +111,7 @@ class TestFormulaAudit:
             if len(set(word)) < 2:
                 continue
             braid = braid_of_words([word])
-            lhs = sum(q * (p - 1) for p, q in braid.trip) - braid.letters.count("R") + 1
+            lhs = sum(q * (p - 1) for p, q in braid.trip) - word.count("R") + 1
             assert lhs == braid.crossings - braid.n + 1
 
     def test_record_relations(self):
