@@ -15,14 +15,15 @@ back by (-A^3)^k.  Strands that no crossing touches then leave too, each a
 split unknot whose factor d is put back once on the result.  On the touched
 strands, each diagram's polynomial in u = A^-2 is packed into one integer,
 one slot of W = c + n + 1 bits per power of u, and every strand position but
-one is closed inside that integer; see `kauffman_bracket`.
+one is closed inside that integer, from the rotation of the word that keeps
+strand positions open the fewest steps (an isotopy; see `kauffman_bracket`).
 
 Multiplying by (-A)^(-3w) (writhe w = c, every crossing positive) and
 substituting t = A^-4 gives the Jones polynomial under the dynamics
 chirality convention, which fixes V(trefoil) = t + t^3 - t^4; the mirror is
 t -> 1/t and is never applied implicitly.  Both steps together map each
 bracket term to one Jones term, so `jones_of_braid` reads every coefficient
-once.
+straight off the bracket's packed digits.
 
 Torus knots additionally have the closed form
 
@@ -39,7 +40,7 @@ arithmetic.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .errors import InternalInconsistencyError, ResourceCapError, ValidationError
@@ -155,7 +156,11 @@ def kauffman_bracket(
     position closed is never joined: its loop is the one <unknot> = 1
     removes.  So closures = n - 1.  The cost is c times the number of live
     partial diagrams, which early closure bounds by the matchings of the
-    positions that are open at once.
+    positions that are open at once.  So the word is rotated to the least
+    of the starts that keep its positions open the fewest steps in all, a
+    planar isotopy of the closed diagram that leaves the bracket unchanged.
+    From a start in a cyclic gap of g steps between two uses, a position is
+    open c - g steps; `_cheapest_start` adds each gap over its starts, O(c + n).
 
     Each polynomial is packed into one integer, sum_k a_k 2^(W k) for
     sum_k a_k u^k (Kronecker substitution u = 2^W), so multiplying by u is a
@@ -175,17 +180,25 @@ def kauffman_bracket(
     (1 + u^2)^m is applied to the decoded digits, as one binomial row spread
     over every second power of u.
     """
-    if max_crossings < 0:
-        raise ValidationError(f"max_crossings must be >= 0, got {max_crossings}")
+    digits, top, sign = _bracket_digits(crossings, n, max_crossings)
+    return LaurentPoly({top - 8 * k: sign * digit for k, digit in enumerate(digits) if digit})
+
+
+def _bracket_digits(crossings: Sequence[int], n: int, cap: int) -> tuple[list[int], int, int]:
+    """`kauffman_bracket` as (digits, top, sign): sign * digits[k] A^((top - 8k) / 4)."""
+    if cap < 0:
+        raise ValidationError(f"max_crossings must be >= 0, got {cap}")
     if n < 1:
         raise ValidationError("strand count must be >= 1")
     positions = list(crossings)
-    for p in positions:
-        if not 1 <= p <= n - 1:
-            raise ValidationError(f"generator index {p} outside 1..{n - 1}")
-    _check_crossings(len(positions), max_crossings)
+    if positions and not 1 <= min(positions) <= max(positions) < n:
+        bad = next(p for p in positions if not 1 <= p < n)
+        raise ValidationError(f"generator index {bad} outside 1..{n - 1}")
+    _check_crossings(len(positions), cap)
     positions, n, removed = _destabilize(positions, n)
     c = len(positions)
+    start = _cheapest_start(positions)
+    positions = positions[start:] + positions[:start]
 
     # strand positions are 0-based: generator p acts on positions p - 1 and p
     last_use: dict[int, int] = {}
@@ -200,34 +213,32 @@ def kauffman_bracket(
         positions = [rank[p] for p in positions]
         last_use = {rank[q]: j for q, j in last_use.items()}
         n -= loose
-    closing: list[list[int]] = [[] for _ in positions]
+    closing: list[tuple[int, ...]] = [()] * c
     for q, j in last_use.items():
-        closing[j].append(q)
+        closing[j] += (q,)
     if closing:
-        closing[-1].pop()  # stays open: its loop is the one <unknot> = 1 removes
+        closing[-1] = closing[-1][:-1]  # stays open: its loop is the one <unknot> = 1 removes
     width = c + n + 1
     two_slots = 2 * width
 
     # point 2q is the bottom of position q, 2q + 1 its top; closed points hold -1
     state: dict[tuple[int, ...], int] = {tuple(i ^ 1 for i in range(2 * n)): 1}
-    for j, p in enumerate(positions):
+    for p, closes in zip(positions, closing):
         a, b = 2 * p - 1, 2 * p + 1  # the tops of positions p - 1 and p
         # 1 maps each diagram to itself; where tops p - 1 and p are joined,
         # e_i closes a loop and 1 + u e_i is the scalar -u^2
-        after = {
-            key: -(poly << two_slots) if key[a] == b else poly
-            for key, poly in state.items()
-        }
+        after = state.copy()
         for key, poly in state.items():
             x = key[a]
             if x == b:
+                after[key] -= poly + (poly << two_slots)
                 continue
             y = key[b]
             joined = list(key)
             joined[x], joined[y], joined[a], joined[b] = y, x, b, a
             joined_key = tuple(joined)
             after[joined_key] = after.get(joined_key, 0) + (poly << width)
-        for q in closing[j]:
+        for q in closes:
             bottom, top = 2 * q, 2 * q + 1
             closed: dict[tuple[int, ...], int] = {}
             for key, poly in after.items():
@@ -261,8 +272,24 @@ def kauffman_bracket(
     # a_k u^k * A^c u^-(n - 1) * (-u^-1)^loose * (-A^3)^removed is
     # (-1)^(loose + removed) a_k A^(c + 2 (n + loose - 1) + 3 removed - 2k)
     top_exponent = 4 * (c + 2 * (n + loose - 1)) + 12 * removed
-    sign = -1 if (loose + removed) % 2 else 1
-    return LaurentPoly({top_exponent - 8 * k: sign * digit for k, digit in enumerate(digits)})
+    return digits, top_exponent, -1 if (loose + removed) % 2 else 1
+
+
+def _cheapest_start(positions: list[int]) -> int:
+    """The least of the cheapest starts of ``positions``; see `kauffman_bracket`."""
+    c = len(positions)
+    last: dict[int, int] = {}
+    for j, p in enumerate(positions):
+        last[p - 1] = last[p] = j - c  # each position's last use, one lap back
+    cover = [0] * c  # the scores are its prefix sums, up to a constant; index -m is c - m
+    for j, p in enumerate(positions):
+        i, k = last[p - 1], last[p]  # the gaps from i and k cover starts i + 1 .. j, k + 1 .. j
+        cover[i + 1] += j - i
+        cover[k + 1] += j - k
+        cover[j + 1 - c] -= 2 * j - i - k
+        last[p - 1] = last[p] = j
+    scores = list(accumulate(cover))
+    return scores.index(max(scores)) if scores else 0
 
 
 def _destabilize(positions: list[int], n: int) -> tuple[list[int], int, int]:
@@ -282,13 +309,17 @@ def _destabilize(positions: list[int], n: int) -> tuple[list[int], int, int]:
     off both ends of the sorted distinct indices, and every kept index moves
     down by the length of the low run.
     """
-    counts = Counter(positions)
+    counts: dict[int, int] = {}
+    for p in positions:
+        counts[p] = counts.get(p, 0) + 1
     used = sorted(counts)
     low, high = 0, len(used)
     while high and counts[used[high - 1]] == 1:
         high -= 1
     while low < high and counts[used[low]] == 1:
         low += 1
+    if high - low == len(used):
+        return positions, n, 0
     kept = set(used[low:high])
     removed = len(used) - len(kept)
     return [p - low for p in positions if p in kept], n - removed, removed
@@ -321,17 +352,11 @@ def jones_of_braid(
     Normalizes the bracket by (-A)^(-3w) with writhe w equal to the crossing
     count c (all crossings positive), then substitutes t = A^-4: the bracket
     term a A^(e/4) becomes (-1)^c a t^((12c - e)/16), stored at quarter
-    exponent (12c - e)/4.
+    exponent (12c - e)/4, read straight off the packed bracket digits.
     """
-    bracket = kauffman_bracket(crossings, n, max_crossings=max_crossings)
-    c = len(crossings)
-    sign = -1 if c % 2 else 1
-    coeffs: dict[int, int] = {}
-    for e, coefficient in bracket.pairs():
-        if e % 4:
-            raise InternalInconsistencyError("bracket exponent not a multiple of 4")
-        coeffs[(12 * c - e) // 4] = sign * coefficient
-    return LaurentPoly(coeffs)
+    digits, top, sign = _bracket_digits(crossings, n, max_crossings)
+    low, sign = 3 * len(crossings) - top // 4, sign * (-1) ** len(crossings)
+    return LaurentPoly({low + 2 * k: sign * digit for k, digit in enumerate(digits) if digit})
 
 
 def _divide_by_one_minus_t_squared(numerator: list[int]) -> list[int]:

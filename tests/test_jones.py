@@ -1,7 +1,9 @@
 """Temperley-Lieb bracket against the state-sum oracle, Jones normalization,
 and the torus closed form."""
 
+import itertools
 import math
+import random
 import sys
 import tracemalloc
 
@@ -16,6 +18,7 @@ from lorenzlinks.braid import braid_generators, braid_of_words
 from lorenzlinks.errors import InternalInconsistencyError, ResourceCapError, ValidationError
 from lorenzlinks.jones import (
     LaurentPoly,
+    _cheapest_start,
     _destabilize,
     _divide_by_one_minus_t_squared,
     _unpack,
@@ -25,6 +28,7 @@ from lorenzlinks.jones import (
 )
 from lorenzlinks.tlink import TLinkParams, from_lorenz, t_braid_word
 from lorenzlinks.words import involute, lyndon_words, validate_link
+from test_braid import seeded_links, t_link_params_up_to
 
 
 def poly(pairs) -> LaurentPoly:
@@ -34,17 +38,51 @@ def poly(pairs) -> LaurentPoly:
 ONE = LaurentPoly({0: 1})
 
 
-def jones_by_definition(word, n) -> LaurentPoly:
-    """V(t) = (-A)^(-3c) <K> at t = A^-4, from the state-sum bracket."""
-    c = len(word)
+def jones_of_bracket(bracket: LaurentPoly, c: int) -> LaurentPoly:
+    """V(t) = (-A)^(-3c) <K> at t = A^-4, read off the bracket term by term:
+    (-A)^(-3c) a A^(e/4) = (-1)^c a A^((e - 12c)/4), and A^(k/4) = t^(-k/16)
+    is quarter exponent -k/4 in t, so the term lands at (12c - e)/4.  A
+    bracket exponent that is not a whole power of A raises."""
     out = {}
-    for e, a in state_sum_bracket(word, n).pairs():
-        # (-A)^(-3c) a A^(e/4) = (-1)^c a A^((e - 12c)/4)
-        a_quarters = e - 12 * c
-        assert a_quarters % 4 == 0
-        # A = t^(-1/4), so A^(k/4) = t^(-k/16): quarter exponent -k/4 in t
-        out[-a_quarters // 4] = (-1) ** c * a
+    for e, a in bracket.pairs():
+        if e % 4:
+            raise InternalInconsistencyError("bracket exponent not a multiple of 4")
+        out[(12 * c - e) // 4] = (-1) ** c * a
     return LaurentPoly(out)
+
+
+def jones_by_definition(word, n) -> LaurentPoly:
+    """Jones from the state-sum bracket."""
+    return jones_of_bracket(state_sum_bracket(word, n), len(word))
+
+
+def least_open_start(word) -> int:
+    """The start of the rotation of ``word`` whose strand positions stay open
+    for the fewest steps in all, each position from its first use to its
+    last, generator p using positions p - 1 and p; the least start on ties.
+    Every rotation is scored afresh, O(c^2)."""
+    spans = []
+    for start in range(len(word) or 1):
+        first, last = {}, {}
+        for j, p in enumerate(word[start:] + word[:start]):
+            for q in (p - 1, p):
+                first.setdefault(q, j)
+                last[q] = j
+        spans.append(sum(last[q] - first[q] for q in first))
+    return spans.index(min(spans))
+
+
+def seeded_braids(count, seed, max_strands=12, max_crossings=14):
+    """Positive braid words with their strand counts; sparse index draws
+    leave strands no crossing touches."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_strands)
+        used = rng.sample(range(1, n), rng.randint(1, n - 1)) if n > 1 else []
+        c = rng.randint(0, max_crossings) if used else 0
+        out.append(([rng.choice(used) for _ in range(c)], n))
+    return out
 
 
 def knot_braids(max_crossings: int):
@@ -139,6 +177,11 @@ class TestKauffmanBracket:
     def test_generator_positions_validated(self):
         with pytest.raises(ValidationError):
             kauffman_bracket([2], 2)
+        # the first bad index in word order is named, low or high
+        with pytest.raises(ValidationError, match=r"^generator index 5 outside 1\.\.2$"):
+            kauffman_bracket([5, 0], 3)
+        with pytest.raises(ValidationError, match=r"^generator index 0 outside 1\.\.2$"):
+            jones_of_braid([1, 2, 0, 5], 3)
 
     @pytest.mark.parametrize("cap", [-1, -20])
     def test_negative_cap_is_refused_before_any_work(self, cap):
@@ -231,6 +274,53 @@ class TestBracketAgainstStateSum:
         n = 300
         word = [1, 299, 150, 151, 150, 1, 299, 2, 151]
         assert kauffman_bracket(word, n) == state_sum_bracket(word, n)
+
+
+class TestCheapestStart:
+    """The kernel starts the closure at the rotation `_cheapest_start` picks,
+    held here to the O(c^2) scorer `least_open_start`."""
+
+    def test_every_word_on_five_strands_to_seven_crossings(self):
+        # the start does not depend on n, so words over 1..4 cover n <= 5
+        checked = 0
+        for c in range(8):
+            for word in itertools.product(range(1, 5), repeat=c):
+                word = list(word)
+                assert _cheapest_start(word) == least_open_start(word), word
+                checked += 1
+        assert checked == sum(4**c for c in range(8))
+
+    def test_seeded_words(self):
+        rng = random.Random(28)
+        for _ in range(2_000):
+            n = rng.randint(2, 12)
+            word = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 30))]
+            assert _cheapest_start(word) == least_open_start(word), word
+
+    def test_t_braids_keep_their_start(self):
+        for pairs in t_link_params_up_to(14):
+            params = TLinkParams(pairs)
+            word = t_braid_word(params)
+            assert _cheapest_start(word) == 0, pairs
+            assert _cheapest_start(_destabilize(word, params.strands)[0]) == 0, pairs
+
+    def test_every_rotation_has_the_state_sum_bracket(self):
+        # rotating a closed braid word is a planar isotopy of its closure
+        braids = seeded_braids(120, seed=29, max_strands=9, max_crossings=10)
+        braids += DESTABILIZING
+        components = []
+        for link in seeded_links(300, seed=30, max_len=5):
+            link = link[: 2 + len(link) % 2]
+            braid = braid_of_words(link)
+            if braid.crossings <= 10:
+                braids.append((braid_generators(braid), braid.n))
+                components.append(len(link))
+        assert components.count(2) > 20 and components.count(3) > 20
+        for word, n in braids:
+            expected = state_sum_bracket(word, n)
+            for start in range(len(word)):
+                rotated = word[start:] + word[:start]
+                assert kauffman_bracket(rotated, n) == expected, (rotated, n)
 
 
 MOSTLY_UNTOUCHED = [
@@ -351,6 +441,21 @@ class TestJonesOfBraid:
     @pytest.mark.parametrize("word, n", MOSTLY_UNTOUCHED)
     def test_mostly_untouched_strands_against_the_state_sum(self, word, n):
         assert jones_of_braid(word, n) == jones_by_definition(word, n)
+
+    def test_read_off_the_bracket_term_by_term(self):
+        # jones_of_braid reads Jones off the packed digits; the conversion
+        # from the finished bracket is kept here as its oracle
+        half_integer = loose = 0
+        for word, n in seeded_braids(5_000, seed=31):
+            jones = jones_of_braid(word, n)
+            assert jones == jones_of_bracket(kauffman_bracket(word, n), len(word)), (word, n)
+            half_integer += any(e % 4 for e, _ in jones.pairs())
+            loose += len(set(word) | {p + 1 for p in word}) < n
+        assert half_integer > 1_000 and loose > 1_000
+
+    def test_bracket_conversion_refuses_a_fractional_power(self):
+        with pytest.raises(InternalInconsistencyError, match="not a multiple of 4"):
+            jones_of_bracket(poly({2: 1}), 1)
 
     def test_trefoil_value(self):
         expected = poly({4: 1, 12: 1, 16: -1})  # t + t^3 - t^4
