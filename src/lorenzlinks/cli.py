@@ -55,6 +55,8 @@ _FILTER_OPS = {
     ">": operator.gt,
 }
 _T = TypeVar("_T")
+# exit code by refusal; any other error, InternalInconsistencyError too, propagates
+_EXIT_CODES = {ValidationError: 2, ResourceCapError: 3, OSError: 4}
 # one codec for every atlas line and json row, with json's default settings
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 _decode = json.JSONDecoder().raw_decode
@@ -74,10 +76,15 @@ def word_record(word: str, braid: braid_mod.LorenzBraid, jones_max_crossings: in
     record = inv_mod.compute_record(braid)
     jones_pairs = None
     if jones_max_crossings and record["c"] <= jones_max_crossings:
-        gens = braid_mod.braid_generators(braid)
-        poly = jones_mod.jones_of_braid(gens, braid.n, max_crossings=jones_max_crossings)
-        jones_pairs = poly.pairs()
+        jones_pairs = _lorenz_jones(braid, jones_max_crossings).pairs()
     return {"word": word, "length": len(word), **record, "jones": jones_pairs}
+
+
+def _lorenz_jones(braid: braid_mod.LorenzBraid, cap: int) -> jones_mod.LaurentPoly:
+    """Jones of the closure, refused over ``cap`` crossings before a generator is built."""
+    jones_mod._check_crossings(braid.crossings, cap)
+    gens = braid_mod.braid_generators(braid)
+    return jones_mod.jones_of_braid(gens, braid.n, max_crossings=cap)
 
 
 def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
@@ -177,12 +184,21 @@ def _parse_filter_value(raw: str) -> object:
     except ValueError:
         pass
     try:
-        return json.loads(raw)
+        value = json.loads(raw)
     except json.JSONDecodeError:
         pass
+    else:
+        if _holds_bool(value):  # True == 1, so genus=true would match genus 1
+            raise ValueError("no atlas field holds true or false")
+        return value
     if "," in raw and all(part.strip().isdigit() for part in raw.split(",")):
         return [int(part) for part in raw.split(",")]
     return raw
+
+
+def _holds_bool(value: object) -> bool:
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return isinstance(value, bool) or any(map(_holds_bool, items))
 
 
 def record_matches(record: dict, filters: Iterable[tuple[str, str, object]]) -> bool:
@@ -273,10 +289,10 @@ def _csv_cell(value: object) -> str:
 def _cmd_word_info(args: argparse.Namespace) -> int:
     word = words_mod.canonicalize(args.word)
     braid = braid_mod.braid_of_words([word])
-    record = word_record(word, braid)
+    record = inv_mod.compute_record(braid)
     payload = {
-        "word": record["word"],
-        "length": record["length"],
+        "word": word,
+        "length": len(word),
         # the rank of each successive rotation: the braid's cycle through strand 1
         "new_positions": list(braid.cycles()[0]),
         "targets": list(braid.targets),
@@ -291,22 +307,19 @@ def _cmd_word_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_pairs(text: str) -> tlink_mod.TLinkParams:
+def _parse_json(text: str, what: str) -> object:
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:  # malformed JSON, or an integer beyond the digit limit
-        raise ValidationError(f"cannot parse parameter list {text!r}: {exc}") from exc
-    return tlink_mod.TLinkParams.from_pairs(data)
-
-
-def _braid_from_source(source: str) -> braid_mod.LorenzBraid:
-    if source.lstrip().startswith("["):
-        return tlink_mod.to_lorenz(_parse_pairs(source))
-    return braid_mod.braid_of_words(words_mod.validate_link([source]))
+        raise ValidationError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    braid = _braid_from_source(args.source)
+    if args.source.lstrip().startswith("["):
+        pairs = _parse_json(args.source, "parameter list")
+        braid = tlink_mod.to_lorenz(tlink_mod.TLinkParams.from_pairs(pairs))
+    else:  # the typed rotation: words_of_braid prints each word's canonical spelling
+        braid = braid_mod.braid_of_words([args.source])
     if args.to == "braid":
         payload = braid.to_json_dict()
     elif args.to == "tlink":
@@ -329,11 +342,7 @@ def _cmd_jones(args: argparse.Namespace) -> int:
         source = f"torus({p},{q})"
     else:
         link = words_mod.validate_link(tokens)
-        braid = braid_mod.braid_of_words(link)
-        cap = args.jones_max_crossings
-        jones_mod._check_crossings(braid.crossings, cap)  # before one crossing is built
-        gens = braid_mod.braid_generators(braid)
-        poly = jones_mod.jones_of_braid(gens, braid.n, max_crossings=cap)
+        poly = _lorenz_jones(braid_mod.braid_of_words(link), args.jones_max_crossings)
         source = ",".join(link)
     payload = {
         "source": source,
@@ -349,11 +358,7 @@ def _cmd_modular(args: argparse.Namespace) -> int:
         matrix = mod_mod.matrix_of_word(args.value)
         _emit([{"matrix": matrix.to_rows(), "trace": matrix.trace}], args.format, sys.stdout)
     elif args.action == "decode":
-        try:
-            rows = json.loads(args.value)
-        except ValueError as exc:
-            raise ValidationError(f"cannot parse matrix {args.value!r}: {exc}") from exc
-        word = mod_mod.word_of_matrix(mod_mod.Mat2Z.from_rows(rows))
+        word = mod_mod.word_of_matrix(mod_mod.Mat2Z.from_rows(_parse_json(args.value, "matrix")))
         _emit([{"word": word}], args.format, sys.stdout)
     else:  # rademacher
         word = words_mod.canonicalize(args.value)
@@ -532,15 +537,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def run() -> None:

@@ -23,7 +23,7 @@ are best-effort symbol prefixes, not certified orbit names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import inf, isnan, sqrt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceCapError, ValidationError
@@ -120,8 +120,10 @@ def itinerary(samples: Iterable[Sequence[float]], skip_transient: float = 0.0) -
     ``skip_transient`` is measured in time units from the first sample, so
     the result is invariant under dropping whole leading steps (with the
     transient reduced to match).  A section event with |x| < 1e-6 raises
-    ValidationError rather than guessing the lobe.
+    ValidationError rather than guessing the lobe, as does a NaN transient.
     """
+    if isnan(skip_transient):  # before a sample is read: none is past a NaN cutoff
+        raise ValidationError("skip_transient is NaN")
     rows = iter(samples)
     first = next(rows, None)
     if first is None:

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -16,10 +17,11 @@ from hypothesis import strategies as st
 
 from lorenzlinks import braid as braid_mod
 from lorenzlinks import cli
+from lorenzlinks import invariants as inv_mod
 from lorenzlinks import modular as mod_mod
 from lorenzlinks import words as words_mod
 from lorenzlinks.braid import braid_of_words
-from lorenzlinks.errors import ResourceCapError, ValidationError
+from lorenzlinks.errors import InternalInconsistencyError, ResourceCapError, ValidationError
 from lorenzlinks.words import MAX_LETTERS, aperiodic_count, lyndon_words, validate_link
 
 
@@ -186,17 +188,19 @@ class TestLongWord:
 
 
 class TestCanonicalizeOnce:
-    """A plain string carries no proof that it is canonical, so each command
-    rotates a word only where the spelling came from outside: once per typed
-    word.  A word read off a braid, from its cycle's least strand, is
-    canonical already, and so are the census words; neither is rotated."""
+    """A plain string carries no proof that it is canonical, so a command
+    rotates a typed word once, and only where its output is read off the
+    canonical spelling.  `convert` builds the braid from the typed rotation,
+    and a word read off a braid, from its cycle's least strand, is canonical
+    already, as are the census words; none of them is rotated."""
 
     @pytest.mark.parametrize(
         "argv, calls",
         [
             (["word", "info", "RLL"], 1),
-            (["convert", "LRL", "--to", "braid"], 1),
-            (["convert", "LRL", "--to", "word"], 1),
+            (["convert", "LRL", "--to", "braid"], 0),
+            (["convert", "LRL", "--to", "word"], 0),
+            (["convert", "RLL", "--to", "word"], 0),
             (["convert", "[[2,3]]", "--to", "word"], 0),
             (["jones", "LRLRL"], 1),
             (["jones", "LR,LLR"], 2),
@@ -219,6 +223,27 @@ class TestCanonicalizeOnce:
         code, _, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert len(counted) == calls, counted
+
+    def test_convert_prints_the_canonical_spelling_of_a_typed_rotation(self, capsys):
+        assert run_json(capsys, "convert", "RLL", "--to", "word") == {"words": ["LLR"]}
+
+
+def test_convert_builds_the_braid_of_the_typed_spelling():
+    """`convert <word>` hands the typed text straight to braid_of_words: on
+    every string of at most 7 characters over {L, R, X, space} it gives the
+    braid, or the exception type and message, of the canonicalized word."""
+
+    def outcome(build):
+        try:
+            return build()
+        except (ValidationError, ResourceCapError) as exc:
+            return type(exc), str(exc)
+
+    for length in range(8):
+        for letters in itertools.product("LRX ", repeat=length):
+            text = "".join(letters)
+            typed = outcome(lambda: braid_of_words([text]))
+            assert typed == outcome(lambda: braid_of_words(validate_link([text]))), text
 
 
 class TestReciprocityOnce:
@@ -913,6 +938,21 @@ REFUSALS = [
         ["atlas", "query", "{atlas}", "--where", "word<3"], 2, "cannot order 'word' against 3",
         id="filter-order",
     ),
+    # True == 1 in Python, so genus=true would match every genus-1 record
+    pytest.param(
+        ["atlas", "query", "{atlas}", "--where", "genus=true"], 2,
+        "cannot read the value of filter 'genus=true': no atlas field holds true or false",
+        id="filter-boolean",
+    ),
+    pytest.param(
+        ["atlas", "query", "{atlas}", "--where", "trip=[[false,2]]"], 2,
+        "cannot read the value of filter 'trip=[[false,2]]': no atlas field holds true or false",
+        id="filter-nested-boolean",
+    ),
+    pytest.param(
+        ["flow", "itinerary", "--skip-transient", "nan"], 2, "skip_transient is NaN",
+        id="nan-transient",
+    ),
     pytest.param(
         ["atlas", "build", "--max-len", "19", "--out", "{atlas}"], 3,
         "max_len 19 exceeds the cap of 18", id="atlas-cap",
@@ -948,6 +988,18 @@ def test_refusal_exit_code_and_message(capsys, tmp_path, argv, code, message):
     atlas.write_text("".join(line + "\n" for line in cli.build_atlas(3)))
     argv = [arg.replace("{atlas}", str(atlas)) for arg in argv]
     assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
+def test_main_lets_an_internal_inconsistency_propagate(capsys, monkeypatch):
+    """A failed structural check is a bug, not a refusal: no exit code hides it."""
+
+    def broken(braid):
+        raise InternalInconsistencyError("broken")
+
+    monkeypatch.setattr(inv_mod, "compute_record", broken)
+    with pytest.raises(InternalInconsistencyError, match="^broken$"):
+        cli.main(["word", "info", "LR"])
+    assert capsys.readouterr() == ("", "")
 
 
 class TestAtomicBuild:

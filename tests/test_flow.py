@@ -179,6 +179,14 @@ class TestItinerary:
         with pytest.raises(ValidationError, match="^no section events after the transient$"):
             itinerary(traj, skip_transient=10.0)
 
+    def test_nan_transient_is_refused_before_a_sample_is_read(self):
+        def unread():  # a trajectory that fails the test if a sample is read
+            raise AssertionError("a sample was read")
+            yield
+
+        with pytest.raises(ValidationError, match="^skip_transient is NaN$"):
+            itinerary(unread(), skip_transient=math.nan)
+
     def test_time_translation_invariance(self):
         traj = integrate((1.0, 1.0, 1.0), dt=1e-3, steps=30000)
         offset = 5000
