@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import os
 import sys
@@ -188,17 +189,25 @@ def _parse_filter_value(raw: str) -> object:
     except json.JSONDecodeError:
         pass
     else:
-        if _holds_bool(value):  # True == 1, so genus=true would match genus 1
-            raise ValueError("no atlas field holds true or false")
+        _refuse_unmatchable(value)
         return value
     if "," in raw and all(part.strip().isdigit() for part in raw.split(",")):
         return [int(part) for part in raw.split(",")]
     return raw
 
 
-def _holds_bool(value: object) -> bool:
+def _refuse_unmatchable(value: object) -> None:
+    """Refuse, at any depth, a JSON value no atlas field holds that would
+    compare as if it matched: true or false (True == 1, so genus=true would
+    match genus 1), and NaN or an infinity (NaN equals nothing, so genus!=NaN
+    would match every record)."""
+    if isinstance(value, bool):
+        raise ValueError("no atlas field holds true or false")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError("no atlas field holds NaN or an infinity")
     items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
-    return isinstance(value, bool) or any(map(_holds_bool, items))
+    for item in items:
+        _refuse_unmatchable(item)
 
 
 def record_matches(record: dict, filters: Iterable[tuple[str, str, object]]) -> bool:
@@ -333,7 +342,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_jones(args: argparse.Namespace) -> int:
     _check_jones_cap(args.jones_max_crossings)
     tokens = [tok.strip() for tok in args.target.split(",")]
-    if all(tok.isdigit() for tok in tokens) and len(tokens) == 2:
+    if all(tok.isdigit() for tok in tokens):
+        if len(tokens) != 2:
+            raise ValidationError(
+                f"a torus knot target is two integers p,q: {args.target!r} gives {len(tokens)}"
+            )
         try:
             p, q = (int(tok) for tok in tokens)
         except ValueError as exc:  # an integer beyond the interpreter's digit limit

@@ -14,6 +14,8 @@ the surd denominators: the expansion is eventually periodic, the periodic
 part (doubled when odd) gives alternating L/R run lengths, and the run
 letter is fixed by the global parity of the quotient's position, since each
 expansion step conjugates by a determinant -1 element that swaps the lobes.
+The canonical word is read off the period, rotated to open with its longest
+L run, and no spelling is rotated again.
 
 The Rademacher value of a word is its letter-count imbalance #L - #R.  The
 independent cross-check is Dedekind-sum arithmetic on the matrix: with
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt
 
 from .errors import InternalInconsistencyError, ResourceCapError, ValidationError
@@ -153,14 +156,13 @@ def _letter_cap_error(letters: int) -> ResourceCapError:
     )
 
 
-def _spell_runs(period: list[int], start: int) -> tuple[str, int]:
-    """The letters of alternating runs whose first length is quotient number
-    ``start`` of the expansion, L runs at even positions and R at odd ones, and
-    the trace of their product: an L-run of length n adds n times column 1 to
-    column 2, an R-run n times column 2 to column 1."""
+def _spell_runs(period: list[int]) -> tuple[str, int]:
+    """The letters of alternating runs, L runs at even positions and R at odd
+    ones, and the trace of their product: an L-run of length n adds n times
+    column 1 to column 2, an R-run n times column 2 to column 1."""
     runs: list[str] = []
     a, b, c, d = 1, 0, 0, 1
-    for offset, count in enumerate(period, start=start):
+    for offset, count in enumerate(period):
         if count < 1:
             raise InternalInconsistencyError("periodic quotient < 1")
         if offset % 2 == 0:
@@ -194,10 +196,17 @@ def word_of_matrix(matrix: Mat2Z) -> str:
     are alternating run lengths, the letter of each run fixed by the parity of
     its position in the full expansion (L at even positions).  They are
     counted as they arrive, and again once the period is doubled; over
-    MAX_LETTERS they raise ResourceCapError before any run is built.  A proper
-    power of a shorter class has the same fixed points, so it decodes to the
-    primitive word, and is refused when the product of the period's runs has
-    another trace.
+    MAX_LETTERS they raise ResourceCapError before any run is built.
+
+    The least rotation of the word starts one of its longest L runs (see
+    ``words.least_rotation``), so the period is rotated to open with its
+    longest L run and spelled once: that spelling is the canonical word, and
+    nothing is rotated after it.  When several L runs share the greatest
+    length, only their starts are compared, as slices of the doubled
+    spelling; two equal ones would make the word a proper power, which a
+    minimal period rules out.  A proper power of a shorter class has the
+    same fixed points, so it decodes to the primitive word, and is refused
+    when the product of the period's runs has another trace.
     """
     m = matrix.normalized()
     t = m.trace
@@ -233,8 +242,21 @@ def word_of_matrix(matrix: Mat2Z) -> str:
         if letters > MAX_LETTERS:
             raise _letter_cap_error(letters)
 
-    spelled, trace = _spell_runs(period, start)
-    word = canonicalize(spelled)
+    lead = start % 2  # L runs sit at even positions of the full expansion
+    longest = max(period[lead::2])
+    ties = [j for j in range(lead, len(period), 2) if period[j] == longest]
+    runs = period[ties[0] :] + period[: ties[0]]
+    word, trace = _spell_runs(runs)
+    if len(ties) > 1:
+        n = len(word)
+        doubled = word + word
+        offsets = list(accumulate(runs, initial=0))
+        for j in ties[1:]:
+            offset = offsets[j - ties[0]]
+            rotation = doubled[offset : offset + n]
+            if rotation == word:
+                raise InternalInconsistencyError("two longest L runs open the same rotation")
+            word = min(word, rotation)
     if trace != t:
         raise ValidationError(
             f"trace {t} is a proper power of the class of {word!r}"

@@ -25,8 +25,10 @@ from .errors import ResourceCapError, ValidationError
 ALPHABET = "LR"
 _SWAP = str.maketrans("LR", "RL")
 # the one cap on a word's length (the braid's rotation ranks take memory
-# linear in it); at the cap the O(n^2) least rotation takes about 1 s (2-vCPU
-# VM, Python 3.11); a braid strand is a letter, so it also caps the strands
+# linear in it); at the cap the least rotation of a random word takes about
+# 0.006 s, and of the worst shapes, tens of thousands of tied longest L runs
+# as in (LR)^49999 RR, about 0.3 s (2-vCPU VM, Python 3.11); a braid
+# strand is a letter, so it also caps the strands
 # tlink.to_lorenz builds, where the slowest parameter shapes take about 1 s
 # at the cap in `convert --to word` and 57 s at a million
 MAX_LETTERS = 100_000
@@ -38,10 +40,30 @@ def smallest_period(letters: str) -> int:
 
 
 def least_rotation(letters: str) -> str:
-    """Lexicographically least rotation under L < R."""
-    doubled = letters + letters
+    """Lexicographically least rotation under L < R.
+
+    A rotation that opens with a longer run of L's is the smaller, so the
+    least rotation of a mixed word starts one of its longest L runs, and only
+    those starts are compared.  Rotated to begin just after an R, the word
+    opens an L run and ends in R, so no run is cut at its ends: one ``split``
+    reads the longest length m, and ``find`` of R L^m in the doubled rotation,
+    from the first copy's closing R on, meets each longest run once.  The n
+    letters ending at that R are, by periodicity, the rotation the run opens.
+    A string with no "RL" is L^a R^b, its own least rotation.
+    """
+    start = letters.find("RL") + 1
+    if not start:
+        return letters
     n = len(letters)
-    return min(doubled[i : i + n] for i in range(n))
+    doubled = letters[start:] + letters + letters[:start]
+    run = "R" + "L" * max(map(len, doubled[:n].split("R")))
+    at = doubled.find(run, n - 1)
+    least = doubled[at + 1 - n : at + 1]
+    at = doubled.find(run, at + len(run))
+    while at >= 0:
+        least = min(least, doubled[at + 1 - n : at + 1])
+        at = doubled.find(run, at + len(run))
+    return least
 
 
 def _check_word(raw: str) -> None:

@@ -192,7 +192,8 @@ class TestCanonicalizeOnce:
     rotates a typed word once, and only where its output is read off the
     canonical spelling.  `convert` builds the braid from the typed rotation,
     and a word read off a braid, from its cycle's least strand, is canonical
-    already, as are the census words; none of them is rotated."""
+    already, as are the census words and the word `modular decode` reads off
+    its run period; none of them is rotated."""
 
     @pytest.mark.parametrize(
         "argv, calls",
@@ -205,7 +206,7 @@ class TestCanonicalizeOnce:
             (["jones", "LRLRL"], 1),
             (["jones", "LR,LLR"], 2),
             (["modular", "encode", "RLL"], 1),
-            (["modular", "decode", "[[2,1],[1,1]]"], 1),
+            (["modular", "decode", "[[2,1],[1,1]]"], 0),
             (["modular", "rademacher", "RLL"], 1),
             (["atlas", "build", "--max-len", "6", "--out", os.devnull], 0),
         ],
@@ -359,7 +360,7 @@ class TestModular:
         assert shown in err
 
     def test_decode_huge_run_exits_3_before_any_run(self, capsys, monkeypatch):
-        def refuse(period, start):
+        def refuse(period):
             raise AssertionError("runs were built")
 
         monkeypatch.setattr(mod_mod, "_spell_runs", refuse)
@@ -948,6 +949,37 @@ REFUSALS = [
         ["atlas", "query", "{atlas}", "--where", "trip=[[false,2]]"], 2,
         "cannot read the value of filter 'trip=[[false,2]]': no atlas field holds true or false",
         id="filter-nested-boolean",
+    ),
+    # NaN equals nothing, so genus=NaN would match no record and genus!=NaN every one
+    pytest.param(
+        ["atlas", "query", "{atlas}", "--where", "genus=NaN"], 2,
+        "cannot read the value of filter 'genus=NaN': no atlas field holds NaN or an infinity",
+        id="filter-nan",
+    ),
+    pytest.param(
+        ["atlas", "query", "{atlas}", "--where", "genus!=NaN"], 2,
+        "cannot read the value of filter 'genus!=NaN': no atlas field holds NaN or an infinity",
+        id="filter-not-nan",
+    ),
+    pytest.param(
+        ["atlas", "query", "{atlas}", "--where", "c_min<1e999"], 2,
+        "cannot read the value of filter 'c_min<1e999': no atlas field holds NaN or an infinity",
+        id="filter-overflow-infinity",
+    ),
+    pytest.param(
+        ["atlas", "query", "{atlas}", "--where", "trip=[[2,-Infinity]]"], 2,
+        "cannot read the value of filter 'trip=[[2,-Infinity]]': "
+        "no atlas field holds NaN or an infinity",
+        id="filter-nested-infinity",
+    ),
+    # a target of integers only is a torus knot, and names exactly two
+    pytest.param(
+        ["jones", "2,3,4"], 2, "a torus knot target is two integers p,q: '2,3,4' gives 3",
+        id="jones-three-integers",
+    ),
+    pytest.param(
+        ["jones", "7"], 2, "a torus knot target is two integers p,q: '7' gives 1",
+        id="jones-one-integer",
     ),
     pytest.param(
         ["flow", "itinerary", "--skip-transient", "nan"], 2, "skip_transient is NaN",

@@ -106,7 +106,9 @@ class TestLeastRotationOnce:
         decoded = word_of_matrix(matrix)
         assert rademacher_psi(matrix) == 0
         assert decoded == "LLRRLRLR"
-        assert len(calls) == 2
+        # encoding rotates the typed word once; decoding reads its rotation
+        # off the run period and rotates nothing
+        assert calls == ["RLRLLRRL"]
 
 
 class TestLetterCap:
@@ -248,3 +250,55 @@ class TestExtensionOrder:
     def test_least_rotation_agrees_with_brute_force(self):
         for s in ("LRRLRL", "RRRL", "LRLLRR"):
             assert least_rotation(s) == brute_least_rotation(s)
+
+
+class TestLeastRotation:
+    """least_rotation compares only the starts of the longest L runs; the
+    oracle is the min over every rotation."""
+
+    def test_every_string_of_at_most_14_letters(self):
+        # periodic strings, one-letter strings and the empty string included
+        assert least_rotation("") == ""
+        for n in range(1, 15):
+            for bits in range(2**n):
+                s = "".join("LR"[(bits >> i) & 1] for i in range(n))
+                assert least_rotation(s) == brute_least_rotation(s), s
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "LR" * 999 + "RR",
+            "L" + "LR" * 999 + "R",
+            "LLR" * 666 + "LR",
+            "LLR" * 665 + "LRLRLLR" + "R",
+            "LR" * 1000,
+            "LLR" * 666 + "LL",
+        ],
+        ids=[
+            "(LR)^999 RR",
+            "L (LR)^999 R",
+            "(LLR)^666 LR",
+            "(LLR)^665 LRLRLLR R",
+            "(LR)^1000",
+            "(LLR)^666 LL",
+        ],
+    )
+    def test_many_tied_longest_runs(self, shape):
+        n = len(shape)
+        for k in (0, 1, 2, 777, n - 2, n - 1):
+            s = shape[k:] + shape[:k]
+            assert least_rotation(s) == brute_least_rotation(s), k
+
+    @pytest.mark.parametrize(
+        "s, least",
+        [
+            ("LLRLRLLL", "LLLLLRLR"),
+            ("LRRLLRLL", "LLLRRLLR"),
+            ("LLRLRRLLL", "LLLLLRLRR"),
+            ("LRLLRLRRL", "LLRLLRLRR"),
+            ("L" * 40 + "R" + "L" * 60 + "RR" + "L" * 60, "L" * 100 + "R" + "L" * 60 + "RR"),
+        ],
+    )
+    def test_longest_run_wraps_around(self, s, least):
+        # the longest L run crosses the end of the spelling
+        assert least_rotation(s) == brute_least_rotation(s) == least
