@@ -9,7 +9,7 @@ positive, the dynamics sign convention used throughout this package.
 Construction from words: every rotation of every component word is one
 strand.  Rotations are ranked by their infinite periodic extensions (a
 tie-free order for valid word families), and the strand starting at the rank
-of rotation r ends at the rank of r shifted by one letter.  A single
+of rotation k ends at the rank of rotation k + 1, one letter on.  A single
 canonical word of at most SEED letters, as every census word is, is a Lyndon
 word, so its rotations rank as its suffixes do: one sort of the suffixes
 orders them, and the word sorting first among them certifies it canonical.
@@ -18,21 +18,25 @@ extensions, then ranks double until no two tie, so no rotation is spelled
 and memory is linear in the letter count.  A tie left at the end names a
 proper power or a repeated word, refused as caller input (ValidationError).
 
-A braid is its permutation and its left-strand count: the first ``left``
-strands round the left lobe.  Left strand i passes over the right strands
-left + 1 .. left + (t_i - i), its displacement being the number of right
-targets merged before its own, and no other strands cross (Birman-Williams
-1983; Birman-Kofman 2009), so generators, linking numbers and words are
-read off the targets.  One merge of the two lobe blocks into 1..n, when the
-braid is built, checks it and reads its crossings and trip: the
-(displacement p, multiplicity q) blocks of the rightward strands, which are
-the T-link parameters of the closure, summing to sum p * q crossings.
+A braid is the Burrows-Wheeler transform of its words: the strand ending at
+rank r comes from the rotation one letter back, so its lobe is the last
+letter of the r-th least rotation (for a link, the extended BWT of Mantaci,
+Restivo, Rosone and Sciortino 2007).  A LorenzBraid stores that string, and
+every string over {L, R} is one.  Targets increase within each lobe block,
+so the left strands end at its L's and the right strands at its R's; the
+cycles of that standard permutation, the components, invert the transform
+(Gessel-Reutenauer 1993).  Left strand i passes over the right strands
+left + 1 .. left + (t_i - i) and no other strands cross (Birman-Williams
+1983; Birman-Kofman 2009), so generators, linking numbers and words are read
+off the targets.  Its displacement t_i - i counts the R's before its L, so
+the run of L's after the p-th R is a trip block: q strands of displacement
+p, the T-link parameters of the closure, summing to sum p * q crossings.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -50,66 +54,65 @@ SEED = 64
 
 @dataclass(frozen=True)
 class LorenzBraid:
-    """A positive permutation braid whose first ``left`` strands round the
-    left lobe and the rest the right lobe.
+    """A positive permutation braid stored as its lobe string, the BWT of its
+    words: ``lobes[r - 1]`` is the lobe of the strand ending at position r.
 
-    ``targets[i - 1]`` is the end position of the strand starting at position
-    i (1-based), and ``n`` is their count.  Each lobe block of start
-    positions has strictly increasing targets.  Fixed strands (target ==
-    start) occur only for the two degenerate lobe-boundary unknots named by
-    the words L and R.  The components are its cycles, numbered by least
-    strand as in words_of_braid.
+    Its first ``left`` strands, one per L, round the left lobe and the rest
+    the right lobe.  ``targets[i - 1]``, the end of the strand starting at
+    position i, runs over the positions of the L's, then those of the R's.
+    Trip, crossings and ear counts are read when the braid is built;
+    ``targets`` and the cycles, its components numbered by least strand, on
+    first use, as the census reads neither.  ``crossings`` and
+    ``ear_counts`` stay plain properties: the benchmark tracer wraps their
+    ``fget`` on the class.
     """
 
-    targets: tuple[int, ...]
-    left: int
+    lobes: str
 
     def __post_init__(self) -> None:
-        targets, l_count = self.targets, self.left
-        n = len(targets)
-        if not n or not 0 <= l_count <= n:
-            raise InternalInconsistencyError(
-                f"a braid needs at least one strand and 0..n left strands, not {l_count} of {n}"
-            )
-        # merge the two lobe blocks into 1..n; a left strand's displacement is
-        # the number of right targets merged before it, so runs of equal
-        # displacement are the trip blocks and their sum is the crossing count
-        trip: list[list[int]] = []
-        crossings = left = 0
-        right = l_count
-        for value in range(1, n + 1):
-            if right < n and targets[right] == value:
-                right += 1
-            elif left < l_count and targets[left] == value:
-                left += 1
-                p = right - l_count
-                crossings += p
-                if trip and trip[-1][0] == p:
-                    trip[-1][1] += 1
-                elif p:
-                    trip.append([p, 1])
-            else:
-                raise InternalInconsistencyError(
-                    "targets are not two increasing lobe blocks merging into 1..n"
-                )
+        lobes = self.lobes
+        if not lobes:
+            raise ValidationError("a braid needs at least one strand")
+        if lobes.strip(ALPHABET):
+            bad = sorted(set(lobes) - set(ALPHABET))
+            raise ValidationError(f"lobe letters outside {{L, R}}: {bad}")
+        # runs[p] is the run of L's after the p-th R: q strands of displacement p
+        runs = lobes.split("R")
+        trip = tuple([(p, len(run)) for p, run in enumerate(runs) if p and run])
+        left = len(lobes) - len(runs) + 1
         # a strand's next pass rounds the left lobe exactly when it ends in the
-        # left block; the l_count targets there make LL + RL = l_count, so
-        # RL = l_count - LL equals LR
-        ll = bisect_right(targets, l_count, 0, l_count)
-        lr = l_count - ll
-        object.__setattr__(self, "_ear_counts", (ll, lr, lr, n - l_count - lr))
-        object.__setattr__(self, "_trip", tuple(map(tuple, trip)))
-        object.__setattr__(self, "_crossings", crossings)
-        object.__setattr__(self, "_cycles", tuple(permutation_cycles(targets)))
+        # left block; the left L's there make LL + RL = left, so RL = left - LL
+        # equals LR
+        ll = lobes.count("L", 0, left)
+        lr = left - ll
+        vars(self).update(
+            left=left,
+            _trip=trip,
+            _crossings=sum([p * q for p, q in trip]),
+            _ear_counts=(ll, lr, lr, len(lobes) - left - lr),
+        )
 
     @property
     def n(self) -> int:
         """Strand count: one strand per letter of the closure's words."""
-        return len(self.targets)
+        return len(self.lobes)
 
     # -- derived structure ------------------------------------------------
 
-    @property
+    @cached_property
+    def targets(self) -> tuple[int, ...]:
+        """End position of the strand starting at each position: the
+        string's standard permutation, derived on first use."""
+        ends = {"L": [], "R": []}
+        for r, lobe in enumerate(self.lobes, 1):
+            ends[lobe].append(r)
+        return tuple(ends["L"] + ends["R"])
+
+    @cached_property
+    def _cycles(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(permutation_cycles(self.targets))
+
+    @cached_property
     def component_count(self) -> int:
         return len(self._cycles)
 
@@ -118,15 +121,6 @@ class LorenzBraid:
         """Per strand, the index of its cycle in ``cycles()``."""
         label_of = {pos: k for k, cycle in enumerate(self._cycles) for pos in cycle}
         return tuple(label_of[i] for i in range(1, self.n + 1))
-
-    @property
-    def over_positions(self) -> tuple[int, ...]:
-        """Start positions of strands that move right (displacement > 0)."""
-        return tuple(i for i, target in enumerate(self.targets, start=1) if target > i)
-
-    @property
-    def under_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, target in enumerate(self.targets, start=1) if target < i)
 
     def ear_type(self, start: int) -> str:
         """Lobe pair (this pass, next pass) of the strand starting at ``start``."""
@@ -141,7 +135,7 @@ class LorenzBraid:
     @property
     def trip(self) -> tuple[tuple[int, int], ...]:
         """(displacement p_i, multiplicity q_i) over the rightward strands,
-        p_1 < p_2 < ...; grouped once, when the braid is built."""
+        p_1 < p_2 < ...; read once, when the braid is built."""
         return self._trip
 
     @property
@@ -152,7 +146,7 @@ class LorenzBraid:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Permutation cycles in orbit order, each from its least position,
-        in order of that position; walked once, when the braid is built."""
+        in order of that position; walked on first use."""
         return list(self._cycles)
 
     # -- wire form ---------------------------------------------------------
@@ -230,7 +224,8 @@ def _rotation_ranks(texts: Sequence[str]) -> list[list[int]]:
         order.sort(key=first.__getitem__)
         span *= 2
     if tied >= 0:
-        i, j = (bisect_right(starts, at) - 1 for at in (tied, tied_with))
+        # the word holding a rotation is the count of words ending at or before it
+        i, j = (sum(end <= at for end in starts[1:]) for at in (tied, tied_with))
         if i == j:
             raise ValidationError(f"{texts[i]!r} is a proper power")
         raise ValidationError(f"{texts[i]!r} and {texts[j]!r} are powers of one word")
@@ -248,33 +243,34 @@ def braid_of_words(texts: Sequence[str]) -> LorenzBraid:
     other text and every link go to _rotation_ranks, where a tie refuses a
     proper power or a repeated word with ValidationError.
 
-    The strand at the rank of a rotation ends at the rank of the rotation
-    one letter on, and rounds the left lobe exactly when the rotation begins
-    with L; those rotations rank first, so the braid's left-strand count is
-    the family's count of L.  Either way the ranks take memory linear in the
-    letter count, so words.MAX_LETTERS is the one cap on a word's size.
-    Components are numbered by least strand, as in words_of_braid, not in
-    the order of ``texts``.
+    The braid is the family's BWT: the letter at the rank of rotation k is
+    rotation k's last letter.  Either way the ranks take memory linear in the
+    letter count, so words.MAX_LETTERS is the one cap on a word's size.  Each
+    word's rotations make one cycle, so the braid records len(texts)
+    components without a walk, numbered by least strand as in words_of_braid,
+    not in the order of ``texts``.
     """
     if not texts:
         raise ValidationError("a link needs at least one component word")
     for text in texts:
         if not text or len(text) > MAX_LETTERS or text.strip(ALPHABET):
             _check_word(text)  # refuses it with canonicalize's message
-    if len(texts) == 1 and len(texts[0]) <= SEED:
-        braid = _suffix_braid(texts[0])
-        if braid is not None:
-            return braid
-    targets = [0] * sum(len(text) for text in texts)
-    for block in _rotation_ranks(texts):
-        for pos, next_pos in zip(block, block[1:] + block[:1]):
-            targets[pos] = next_pos + 1
-    return LorenzBraid(tuple(targets), sum(text.count("L") for text in texts))
+    lobes = _suffix_braid(texts[0]) if len(texts) == 1 and len(texts[0]) <= SEED else None
+    if lobes is None:
+        letters = [""] * sum(len(text) for text in texts)
+        for text, ranks in zip(texts, _rotation_ranks(texts)):
+            for rank, letter in zip(ranks, text[-1] + text[:-1]):
+                letters[rank] = letter
+        lobes = "".join(letters)
+    braid = LorenzBraid(lobes)
+    vars(braid)["component_count"] = len(texts)  # fills the cached_property
+    return braid
 
 
-def _suffix_braid(text: str) -> LorenzBraid | None:
-    """The braid of one word, its rotations ranked by one sort of its
-    suffixes, or None when ``text`` is not its own aperiodic least rotation.
+def _suffix_braid(text: str) -> str | None:
+    """The lobe string of one word's braid, its rotations ranked by one sort
+    of its suffixes, or None when ``text`` is not its own aperiodic least
+    rotation.
 
     A word is its own aperiodic least rotation, a Lyndon word, exactly when
     it is less than each of its proper suffixes (Duval), so it must sort
@@ -287,14 +283,8 @@ def _suffix_braid(text: str) -> LorenzBraid | None:
     suffixes = sorted([text[k:] for k in range(n)])
     if len(suffixes[0]) != n:
         return None
-    # a suffix's length names its offset, and the next rotation's suffix is
-    # one letter shorter; the empty one wraps round to the word, at position 1
-    position_of_length = [1] * (n + 1)
-    for pos, suffix in enumerate(suffixes, 1):
-        position_of_length[len(suffix)] = pos
-    targets = tuple([position_of_length[len(suffix) - 1] for suffix in suffixes])
-    # sorted suffixes put every one that begins with L first
-    return LorenzBraid(targets, text.count("L"))
+    # the letter before each suffix, the word itself wrapping round to its last
+    return "".join([text[n - len(suffix) - 1] for suffix in suffixes])
 
 
 def words_of_braid(braid: LorenzBraid) -> list[str]:

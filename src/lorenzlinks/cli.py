@@ -305,8 +305,10 @@ def _cmd_word_info(args: argparse.Namespace) -> int:
         # the rank of each successive rotation: the braid's cycle through strand 1
         "new_positions": list(braid.cycles()[0]),
         "targets": list(braid.targets),
-        "over_strands": len(braid.over_positions),
-        "under_strands": len(braid.under_positions),
+        # a left strand moves right when an R precedes its L, and a right
+        # strand moves left when an L follows its R
+        "over_strands": braid.lobes.lstrip("L").count("L"),
+        "under_strands": braid.lobes.rstrip("R").count("R"),
         **{k: record[k] for k in (
             "trip", "LL", "LR", "RL", "RR", "components", "n", "c",
             "genus", "chi", "braid_index", "c_min", "torus",

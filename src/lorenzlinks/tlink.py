@@ -88,16 +88,16 @@ def t_braid_word(params: TLinkParams) -> list[int]:
 def to_lorenz(params: TLinkParams) -> LorenzBraid:
     """The unique Lorenz braid whose trip parameters equal ``params``.
 
-    For each block (p_i, q_i) there are q_i rightward strands of displacement
-    p_i, packed at start positions 1..m in non-decreasing displacement order;
-    leftward strands fill the remaining start positions and take the unused
-    targets in increasing order, the unique order-preserving completion.
-    The braid has n = sum q_i + p_k strands, one per letter of its words;
-    above words.MAX_LETTERS it raises ResourceCapError before building anything.
-    Its components are its cycles, numbered by least strand as in words_of_braid.
+    For each block (p_i, q_i) there are q_i rightward strands of
+    displacement p_i, the number of R's before each one's L in the lobe
+    string, so the string is q_i L's after the p_i-th of p_k R's.  The braid
+    has n = sum q_i + p_k strands, one per letter of its words; above
+    words.MAX_LETTERS it raises ResourceCapError before building anything.
+    Its components are its cycles, numbered by least strand as in
+    words_of_braid.
     """
     if not params.pairs:
-        return LorenzBraid((1,), 1)
+        return LorenzBraid("L")
     m = sum(q for _, q in params.pairs)
     n = m + params.pairs[-1][0]
     if n > MAX_LETTERS:
@@ -106,10 +106,8 @@ def to_lorenz(params: TLinkParams) -> LorenzBraid:
         raise ResourceCapError(
             f"T-link parameters need {size} strands, over the cap of {MAX_LETTERS}"
         )
-    displacements = [p for p, q in params.pairs for _ in range(q)]
-    over_targets = [j + displacements[j - 1] for j in range(1, m + 1)]
-    under_targets = sorted(set(range(1, n + 1)) - set(over_targets))
-    braid = LorenzBraid(tuple(over_targets + under_targets), m)
+    runs = dict(params.pairs)
+    braid = LorenzBraid("R".join(["L" * runs.get(p, 0) for p in range(params.pairs[-1][0] + 1)]))
     if braid.trip != params.pairs:
         raise InternalInconsistencyError("constructed braid does not reproduce the parameters")
     return braid

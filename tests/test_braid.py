@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lorenzlinks import braid as braid_mod
+from lorenzlinks import cli
 from lorenzlinks.braid import (
     EAR_TYPES,
     LorenzBraid,
@@ -27,7 +28,13 @@ from lorenzlinks.errors import (
     ValidationError,
 )
 from lorenzlinks.tlink import TLinkParams, to_lorenz
-from lorenzlinks.words import MAX_LETTERS, least_rotation, lyndon_words, validate_link
+from lorenzlinks.words import (
+    MAX_LETTERS,
+    aperiodic_count,
+    least_rotation,
+    lyndon_words,
+    validate_link,
+)
 
 
 def strand_letters(braid):
@@ -40,6 +47,48 @@ def inversion_oracle(targets):
     return sum(
         1 for i in range(n) for j in range(i + 1, n) if targets[i] > targets[j]
     )
+
+
+def standard_permutation(lobes):
+    """Targets of a lobe string by a stable sort of its end positions by
+    lobe letter: the L's in order, then the R's."""
+    return tuple(sorted(range(1, len(lobes) + 1), key=lambda r: lobes[r - 1]))
+
+
+def merge_oracle(targets, l_count):
+    """(trip, crossings, ear_counts) of the braid whose first ``l_count``
+    strands round the left lobe, from one merge of the two lobe blocks into
+    1..n, or InternalInconsistencyError when they do not merge: the
+    constructor of a braid stored as its targets and left-strand count."""
+    n = len(targets)
+    if not n or not 0 <= l_count <= n:
+        raise InternalInconsistencyError(
+            f"a braid needs at least one strand and 0..n left strands, not {l_count} of {n}"
+        )
+    # a left strand's displacement is the number of right targets merged
+    # before it, so runs of equal displacement are the trip blocks and their
+    # sum is the crossing count
+    trip = []
+    crossings = left = 0
+    right = l_count
+    for value in range(1, n + 1):
+        if right < n and targets[right] == value:
+            right += 1
+        elif left < l_count and targets[left] == value:
+            left += 1
+            p = right - l_count
+            crossings += p
+            if trip and trip[-1][0] == p:
+                trip[-1][1] += 1
+            elif p:
+                trip.append([p, 1])
+        else:
+            raise InternalInconsistencyError(
+                "targets are not two increasing lobe blocks merging into 1..n"
+            )
+    ll = sum(1 for target in targets[:l_count] if target <= l_count)
+    lr = l_count - ll
+    return tuple(map(tuple, trip)), crossings, (ll, lr, lr, n - l_count - lr)
 
 
 def trip_oracle(targets):
@@ -159,14 +208,17 @@ def position_sequences_oracle(link):
 
 
 def braid_oracle(link):
-    """The whole braid built from the key sort, as braid_of_words built it."""
+    """The whole braid built from the key sort: the last letters of the
+    sorted rotations, whose targets are the ranks one rotation on."""
     rotations = sorted_rotations_oracle(link)
     rank = {(ci, k): pos for pos, (_, ci, k) in enumerate(rotations, start=1)}
     targets = tuple(rank[ci, (k + 1) % len(link[ci])] for _, ci, k in rotations)
     letters = "".join(spelling[0] for spelling, _, _ in rotations)
     left = letters.count("L")
     assert letters == "L" * left + "R" * (len(letters) - left)  # L rotations rank first
-    return LorenzBraid(targets, left)
+    braid = LorenzBraid("".join(spelling[-1] for spelling, _, _ in rotations))
+    assert braid.targets == targets and braid.left == left
+    return braid
 
 
 def word_sets_up_to(total):
@@ -195,13 +247,12 @@ class TestBraidOfWords:
         braid = braid_of_words(link)
         assert braid.cycles()[0] == (1, 6, 3, 10, 8, 5, 2, 9, 7, 4)
         assert braid.targets == (6, 9, 10, 1, 2, 3, 4, 5, 7, 8)
-        assert len(braid.over_positions) == 3
-        assert len(braid.under_positions) == 7
+        assert braid.lobes == "RRRRRLRRLL" and braid.left == 3
 
     def test_trefoil_word(self):
         braid = braid_of_words(validate_link(["LRLRL"]))
         assert braid.targets == (3, 4, 5, 1, 2)
-        assert braid.over_positions == (1, 2, 3)
+        assert braid.lobes == "RRLLL"
         assert all(braid.targets[i - 1] - i == 2 for i in (1, 2, 3))
 
     def test_degenerate_single_letter(self):
@@ -243,11 +294,10 @@ class TestBraidOfWords:
         braid = braid_of_words(validate_link(["LRLRRRLRRR"]))
         assert braid.components[0] == 0
         assert braid.ear_type(1) == "LR"
-        assert 1 in braid.over_positions and braid.targets[0] - 1 == 5
-        assert 10 not in braid.over_positions
+        assert braid.targets[0] - 1 == 5
         assert braid.targets[9] - 10 == -2 and braid.ear_type(10) == "RR"
         fixed = braid_of_words(validate_link(["L"]))
-        assert fixed.ear_type(1) == "LL" and fixed.over_positions == ()
+        assert fixed.ear_type(1) == "LL" and fixed.lobes == "L"
         assert fixed.targets[0] - 1 == 0
 
     def test_components_are_numbered_by_least_strand(self):
@@ -513,9 +563,9 @@ BAD_BRAIDS = [
     ("right-lobe strand 2 moves right", (3, (1, 3, 2), ("L", "R", "R"))),
     ("must increase", (4, (4, 3, 1, 2), ("L", "L", "R", "R"))),
 ]
-# the malformations a (targets, left) pair can still spell, and the
-# constructor's refusal: one merge into 1..n refuses every permutation that
-# is not two increasing lobe blocks
+# the malformations a (targets, left) pair can still spell, and the merge
+# oracle's refusal: one merge into 1..n refuses every permutation that is
+# not two increasing lobe blocks
 NOT_MERGED = "targets are not two increasing lobe blocks merging into 1..n"
 BAD_FIELDS = [
     ("no strands", ((), 0), "at least one strand and 0..n left strands, not 0 of 0"),
@@ -526,31 +576,60 @@ BAD_FIELDS = [
     ("right-lobe strand 2 moves right", ((1, 3, 2), 1), NOT_MERGED),
     ("must increase", ((4, 3, 1, 2), 2), NOT_MERGED),
 ]
+# the only strings LorenzBraid refuses, as caller input
+BAD_LOBES = [
+    ("", "a braid needs at least one strand"),
+    ("X", "lobe letters outside {L, R}: ['X']"),
+    ("LRx", "lobe letters outside {L, R}: ['x']"),
+    ("lr", "lobe letters outside {L, R}: ['l', 'r']"),
+    ("L R", "lobe letters outside {L, R}: [' ']"),
+]
+
+
+def every_lobe_string(max_len):
+    for length in range(1, max_len + 1):
+        for letters in itertools.product("LR", repeat=length):
+            yield "".join(letters)
 
 
 class TestLorenzBraidRejections:
+    @pytest.mark.parametrize("lobes, message", BAD_LOBES)
+    def test_lobes_refused(self, lobes, message):
+        with pytest.raises(ValidationError) as caught:
+            LorenzBraid(lobes)
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize(
         "fields, message", [row[1:] for row in BAD_FIELDS], ids=[row[0] for row in BAD_FIELDS]
     )
     def test_refused(self, fields, message):
+        # the merge that once built a braid from its targets, now the oracle
         with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
-            LorenzBraid(*fields)
+            merge_oracle(*fields)
 
     @pytest.mark.parametrize("name, fields", BAD_BRAIDS)
     def test_oracle_refuses_with_the_name(self, name, fields):
         with pytest.raises(InternalInconsistencyError, match=re.escape(name)):
             lorenz_braid_oracle(*fields)
 
-    def test_two_fields(self):
-        # a braid is its permutation and its left-strand count; n is read off
-        braid = LorenzBraid((3, 4, 5, 1, 2), 3)
-        assert [field.name for field in dataclasses.fields(braid)] == ["targets", "left"]
-        assert braid.n == 5 and braid == braid_of_words(["LRLRL"])
+    def test_one_field(self):
+        # a braid is its lobe string; targets, left and n are read off
+        braid = LorenzBraid("RRLLL")
+        assert [field.name for field in dataclasses.fields(braid)] == ["lobes"]
+        assert (braid.targets, braid.left, braid.n) == ((3, 4, 5, 1, 2), 3, 5)
+        assert braid == braid_of_words(["LRLRL"])
 
     def test_merge_accepts_exactly_what_the_oracle_accepts(self):
-        # every permutation of n <= 6 strands, every lobe split; the reads
-        # off the targets of each accepted braid are held to the replays
-        cases = accepted = 0
+        # every permutation of n <= 6 strands, every lobe split: the merge
+        # and the letter oracle accept the same pairs, exactly the standard
+        # permutations of the lobe strings, and the reads off each braid are
+        # held to the replays
+        lobe_braids = {}
+        for lobes in every_lobe_string(6):
+            braid = LorenzBraid(lobes)
+            lobe_braids[braid.targets, braid.left] = braid
+        cases = 0
+        accepted = {}
         for n in range(1, 7):
             for targets in itertools.permutations(range(1, n + 1)):
                 for l_count in range(n + 1):
@@ -560,16 +639,61 @@ class TestLorenzBraidRejections:
                         expected = lorenz_braid_oracle(n, targets, letters)
                     except InternalInconsistencyError:
                         with pytest.raises(InternalInconsistencyError):
-                            LorenzBraid(targets, l_count)
+                            merge_oracle(targets, l_count)
                         continue
-                    braid = LorenzBraid(targets, l_count)
-                    read = (braid.crossings, braid.ear_counts, braid.trip, braid.cycles())
-                    assert read == expected, (targets, l_count)
-                    assert braid_generators(braid) == slide_generators_oracle(braid), braid
-                    assert linking_matrix(braid) == linking_oracle(braid), braid
-                    assert words_of_braid(braid) == words_oracle(braid), braid
-                    accepted += 1
-        assert (cases, accepted) == (5_912, 126)
+                    trip, crossings, ear_counts = merge_oracle(targets, l_count)
+                    assert (crossings, ear_counts, trip) == expected[:3]
+                    accepted[targets, l_count] = expected
+        assert (cases, len(accepted)) == (5_912, 126)
+        assert accepted.keys() == lobe_braids.keys()
+        for key, expected in accepted.items():
+            braid = lobe_braids[key]
+            read = (braid.crossings, braid.ear_counts, braid.trip, braid.cycles())
+            assert read == expected, braid
+            assert braid_generators(braid) == slide_generators_oracle(braid), braid
+            assert linking_matrix(braid) == linking_oracle(braid), braid
+            assert words_of_braid(braid) == words_oracle(braid), braid
+
+
+class TestLobeString:
+    """A braid stored as its lobe string reads, off one split, what the merge
+    of its two lobe blocks read off its targets."""
+
+    def test_every_string_to_12_letters_against_the_merge(self):
+        count = 0
+        for lobes in every_lobe_string(12):
+            braid = LorenzBraid(lobes)
+            targets, left = standard_permutation(lobes), lobes.count("L")
+            assert (braid.targets, braid.left, braid.n) == (targets, left, len(lobes)), lobes
+            trip, crossings, ear_counts = merge_oracle(targets, left)
+            assert (braid.trip, braid.crossings, braid.ear_counts) == (trip, crossings, ear_counts)
+            cycles = permutation_cycles(targets)
+            assert braid.cycles() == cycles and braid.component_count == len(cycles), lobes
+            count += 1
+        assert count == 8_190
+
+    def test_targets_and_cycles_wait_for_first_use(self, monkeypatch):
+        # the census reads neither: a braid derives them when first asked, once
+        walks = []
+        cycles = braid_mod.permutation_cycles
+        monkeypatch.setattr(
+            braid_mod, "permutation_cycles", lambda targets: walks.append(targets) or cycles(targets)
+        )
+        braid = LorenzBraid("RRRRRLRRLL")
+        assert "targets" not in vars(braid) and walks == []
+        assert braid.component_count == 1 and braid.cycles() == braid.cycles()
+        assert walks == [braid.targets] and "targets" in vars(braid)
+
+    def test_the_census_builds_no_targets_and_walks_no_cycle(self, monkeypatch):
+        targets_read, walks = [], []
+        targets = vars(LorenzBraid)["targets"].func
+        monkeypatch.setattr(
+            LorenzBraid, "targets", property(lambda braid: targets_read.append(1) or targets(braid))
+        )
+        monkeypatch.setattr(braid_mod, "permutation_cycles", lambda targets: walks.append(1))
+        lines = list(cli.build_atlas(10))
+        assert len(lines) == sum(aperiodic_count(n) for n in range(1, 11))
+        assert (len(targets_read), len(walks)) == (0, 0)
 
 
 LINK_WORD_POOL = list(lyndon_words(12))
@@ -585,6 +709,8 @@ class TestDerivedFields:
         assert braid.ear_counts == tuple(counter[t] for t in EAR_TYPES)
         assert braid.trip == trip_oracle(braid.targets)
         assert sum(p * q for p, q in braid.trip) == braid.crossings
+        # recorded by braid_of_words, one per word, without a walk
+        assert braid.component_count == len(permutation_cycles(braid.targets)) == len(words)
 
     def test_fields_stay_plain_properties(self):
         # perfbench/tracer.py times these two by wrapping
@@ -700,8 +826,12 @@ class TestSerialization:
         # the wire form carries the whole braid: each type's first letter is
         # its strand's letter, and the L's are the left strands
         letters = "".join(t[0] for t in data["types"])
-        rebuilt = LorenzBraid(tuple(data["targets"]), letters.count("L"))
+        lobes = [""] * data["n"]
+        for letter, target in zip(letters, data["targets"]):
+            lobes[target - 1] = letter  # the strand ending there
+        rebuilt = LorenzBraid("".join(lobes))
         assert rebuilt == braid and data["n"] == rebuilt.n
+        assert list(rebuilt.targets) == data["targets"]
         assert letters == strand_letters(rebuilt)
         assert list(rebuilt.components) == data["components"]
         assert data["trip"] == [list(pq) for pq in braid.trip]

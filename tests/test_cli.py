@@ -1209,6 +1209,28 @@ class TestOutputBytes:
         argvs.append(["jones", "LRLRRRLRRR", "--jones-max-crossings", "10", "--format", fmt])
         assert transcript_digest(capsys, argvs) == digest
 
+    def test_every_short_string_through_every_word_command(self, capsys):
+        # digest taken before a braid was stored as its lobe string: every
+        # string of 1-6 letters over {L, R, X}, so every rotation, proper
+        # power and foreign letter, through each command that reads a word
+        commands = [
+            ("word info", ""),
+            ("convert", "--to word"),
+            ("convert", "--to braid"),
+            ("convert", "--to tlink"),
+            ("jones", ""),
+            ("modular encode", ""),
+            ("modular rademacher", ""),
+        ]
+        texts = ["".join(t) for n in range(1, 7) for t in itertools.product("LRX", repeat=n)]
+        argvs = [
+            [*head.split(), text, *tail.split()] for text in texts for head, tail in commands
+        ]
+        assert len(argvs) == 7_644
+        assert transcript_digest(capsys, argvs) == (
+            "75623de1d3982114eca5896bff26bda0aa6d75270e097834c10d96ac8024561b"
+        )
+
     @pytest.fixture(scope="class")
     def atlas_path(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("atlas") / "atlas.jsonl"
