@@ -17,6 +17,7 @@ from .invariants import compute_record
 from .jones import (
     LaurentPoly,
     jones_of_braid,
+    jones_of_lorenz_braid,
     jones_torus,
     kauffman_bracket,
 )
@@ -27,9 +28,10 @@ from .modular import (
     rademacher,
     rademacher_phi,
     rademacher_psi,
+    rademacher_record,
     word_of_matrix,
 )
-from .flow import Trajectory, equilibria, integrate, itinerary, vector_field
+from .flow import Trajectory, integrate, itinerary
 from .tlink import TLinkParams, from_lorenz, t_braid_word, to_lorenz
 from .words import aperiodic_count, canonicalize, involute, lyndon_words, validate_link
 
@@ -47,12 +49,12 @@ __all__ = [
     "canonicalize",
     "compute_record",
     "dedekind_sum",
-    "equilibria",
     "from_lorenz",
     "integrate",
     "involute",
     "itinerary",
     "jones_of_braid",
+    "jones_of_lorenz_braid",
     "jones_torus",
     "kauffman_bracket",
     "linking_matrix",
@@ -61,10 +63,10 @@ __all__ = [
     "rademacher",
     "rademacher_phi",
     "rademacher_psi",
+    "rademacher_record",
     "t_braid_word",
     "to_lorenz",
     "validate_link",
-    "vector_field",
     "word_of_matrix",
     "words_of_braid",
 ]

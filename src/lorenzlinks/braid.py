@@ -41,7 +41,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import InternalInconsistencyError, ValidationError
-from .words import ALPHABET, MAX_LETTERS, _check_word
+from .words import ALPHABET, MAX_LETTERS, check_word
 
 EAR_TYPES = ("LL", "LR", "RL", "RR")
 
@@ -254,7 +254,7 @@ def braid_of_words(texts: Sequence[str]) -> LorenzBraid:
         raise ValidationError("a link needs at least one component word")
     for text in texts:
         if not text or len(text) > MAX_LETTERS or text.strip(ALPHABET):
-            _check_word(text)  # refuses it with canonicalize's message
+            check_word(text)  # refuses it with canonicalize's message
     lobes = _suffix_braid(texts[0]) if len(texts) == 1 and len(texts[0]) <= SEED else None
     if lobes is None:
         letters = [""] * sum(len(text) for text in texts)

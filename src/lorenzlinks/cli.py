@@ -32,7 +32,6 @@ import math
 import operator
 import os
 import sys
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from . import braid as braid_mod
@@ -77,15 +76,8 @@ def word_record(word: str, braid: braid_mod.LorenzBraid, jones_max_crossings: in
     record = inv_mod.compute_record(braid)
     jones_pairs = None
     if jones_max_crossings and record["c"] <= jones_max_crossings:
-        jones_pairs = _lorenz_jones(braid, jones_max_crossings).pairs()
+        jones_pairs = jones_mod.jones_of_lorenz_braid(braid, jones_max_crossings).pairs()
     return {"word": word, "length": len(word), **record, "jones": jones_pairs}
-
-
-def _lorenz_jones(braid: braid_mod.LorenzBraid, cap: int) -> jones_mod.LaurentPoly:
-    """Jones of the closure, refused over ``cap`` crossings before a generator is built."""
-    jones_mod._check_crossings(braid.crossings, cap)
-    gens = braid_mod.braid_generators(braid)
-    return jones_mod.jones_of_braid(gens, braid.n, max_crossings=cap)
 
 
 def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
@@ -357,7 +349,9 @@ def _cmd_jones(args: argparse.Namespace) -> int:
         source = f"torus({p},{q})"
     else:
         link = words_mod.validate_link(tokens)
-        poly = _lorenz_jones(braid_mod.braid_of_words(link), args.jones_max_crossings)
+        poly = jones_mod.jones_of_lorenz_braid(
+            braid_mod.braid_of_words(link), args.jones_max_crossings
+        )
         source = ",".join(link)
     payload = {
         "source": source,
@@ -376,17 +370,7 @@ def _cmd_modular(args: argparse.Namespace) -> int:
         word = mod_mod.word_of_matrix(mod_mod.Mat2Z.from_rows(_parse_json(args.value, "matrix")))
         _emit([{"word": word}], args.format, sys.stdout)
     else:  # rademacher
-        word = words_mod.canonicalize(args.value)
-        value = mod_mod.rademacher(word)
-        matrix = mod_mod._word_product(word).normalized()  # canonical: not rotated again
-        phi_terms = mod_mod._phi_terms(matrix)  # one reciprocity walk for Phi and Psi
-        payload = {
-            "word": word,
-            "rademacher": value,
-            "phi": str(Fraction(*phi_terms)),
-            "psi": mod_mod._psi(matrix, *phi_terms),
-        }
-        _emit([payload], args.format, sys.stdout)
+        _emit([mod_mod.rademacher_record(args.value)], args.format, sys.stdout)
     return 0
 
 

@@ -23,7 +23,7 @@ are best-effort symbol prefixes, not certified orbit names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isnan, sqrt
+from math import inf, isnan
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceCapError, ValidationError
@@ -79,19 +79,6 @@ class Trajectory:
             if not (-bound < x < bound and -bound < y < bound and -bound < z < bound):
                 raise ValidationError(f"trajectory diverged at step {i}")
             yield (i * dt, x, y, z)
-
-
-def equilibria() -> tuple[tuple[float, float, float], ...]:
-    """The three rest points: the origin and the two lobe centers."""
-    r = sqrt(BETA * (RHO - 1.0))
-    height = RHO - 1.0
-    return ((0.0, 0.0, 0.0), (r, r, height), (-r, -r, height))
-
-
-def vector_field(state: Sequence[float]) -> tuple[float, float, float]:
-    """Time derivative (dx, dy, dz) at ``state``."""
-    x, y, z = (float(v) for v in state)
-    return (SIGMA * (y - x), RHO * x - y - x * z, x * y - BETA * z)
 
 
 def integrate(start: Sequence[float], dt: float = DT, steps: int = 1) -> Trajectory:

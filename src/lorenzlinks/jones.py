@@ -33,6 +33,8 @@ whose division is performed exactly and guarded: a numerator not divisible by
 1 - t^2 raises instead of rounding.  Jones polynomials for multi-component
 links are only available through the bracket.
 
+A Lorenz braid's Jones polynomial goes through `jones_of_lorenz_braid`,
+which checks the crossing cap on the braid before its word is built.
 `LaurentPoly` is the read-only value both evaluators return; it carries no
 arithmetic.
 """
@@ -43,6 +45,7 @@ import math
 from itertools import accumulate
 from typing import Mapping, Sequence
 
+from . import braid as braid_mod  # a substitute set on braid.braid_generators is seen here
 from .errors import InternalInconsistencyError, ResourceCapError, ValidationError
 from .words import MAX_LETTERS
 
@@ -357,6 +360,18 @@ def jones_of_braid(
     digits, top, sign = _bracket_digits(crossings, n, max_crossings)
     low, sign = 3 * len(crossings) - top // 4, sign * (-1) ** len(crossings)
     return LaurentPoly({low + 2 * k: sign * digit for k, digit in enumerate(digits) if digit})
+
+
+def jones_of_lorenz_braid(
+    braid: braid_mod.LorenzBraid,
+    max_crossings: int = DEFAULT_MAX_CROSSINGS,
+) -> LaurentPoly:
+    """Jones polynomial of the closure of a Lorenz braid.  Over
+    ``max_crossings`` crossings it raises ResourceCapError from the braid's
+    crossing count, before a generator is built."""
+    _check_crossings(braid.crossings, max_crossings)
+    generators = braid_mod.braid_generators(braid)
+    return jones_of_braid(generators, braid.n, max_crossings=max_crossings)
 
 
 def _divide_by_one_minus_t_squared(numerator: list[int]) -> list[int]:

@@ -42,7 +42,7 @@ from itertools import accumulate
 from math import gcd, isqrt
 
 from .errors import InternalInconsistencyError, ResourceCapError, ValidationError
-from .words import MAX_LETTERS, _check_word, canonicalize
+from .words import MAX_LETTERS, canonicalize, check_word
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,6 @@ class Mat2Z:
             raise ValidationError(
                 f"determinant {self.a * self.d - self.b * self.c} != 1"
             )
-
-    @classmethod
-    def identity(cls) -> "Mat2Z":
-        return cls(1, 0, 0, 1)
 
     @classmethod
     def from_rows(cls, rows) -> "Mat2Z":
@@ -91,9 +87,6 @@ class Mat2Z:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def inverse(self) -> "Mat2Z":
-        return Mat2Z(self.d, -self.b, -self.c, self.a)
 
     def normalized(self) -> "Mat2Z":
         """The projective representative with trace > 0 (sign of (c, b) breaks
@@ -337,7 +330,7 @@ def rademacher_psi(matrix: Mat2Z) -> int:
 
 def _psi(m: Mat2Z, numerator: int, denominator: int) -> int:
     """Psi of the trace-positive representative m from the terms of its Phi,
-    so one reciprocity walk serves a caller that prints both."""
+    so one reciprocity walk serves `rademacher_record`, which reads both."""
     shift = 3 * _sign(m.c * (m.a + m.d))
     phi, remainder = divmod(numerator, denominator)
     if remainder:
@@ -355,7 +348,23 @@ def rademacher(word: str) -> int:
     suite rather than recomputed here.  The counts need no rotation, so the
     word is checked as canonicalize checks it but not rotated.
     """
-    _check_word(word)
+    check_word(word)
     if len(set(word)) < 2:
         raise ValidationError(f"{word!r} uses one letter only")
     return word.count("L") - word.count("R")
+
+
+def rademacher_record(word: str) -> dict:
+    """The row `modular rademacher` prints for a mixed word in any rotation:
+    its canonical spelling, ``rademacher``, Phi as a ``Fraction`` string and
+    Psi of its matrix.  The word is canonicalized once, multiplied out once
+    and not rotated again, and Phi and Psi come from one reciprocity walk."""
+    text = canonicalize(word)
+    matrix = _word_product(text).normalized()
+    numerator, denominator = _phi_terms(matrix)
+    return {
+        "word": text,
+        "rademacher": rademacher(text),
+        "phi": str(Fraction(numerator, denominator)),
+        "psi": _psi(matrix, numerator, denominator),
+    }

@@ -14,8 +14,7 @@ rather than by isotopy.
 Blocks with p_i = 1 contribute no letters to the braid word (a full twist on
 one strand).  They still arise as trip parameters of Lorenz braids whose
 words contain consecutive L's, so parameter lists admit p_1 = 1 and an empty
-list (the degenerate unknot); `TLinkParams.is_normalized` reports whether the
-stricter normalization p_1 >= 2, q_k >= 2 holds.
+list (the degenerate unknot).
 """
 
 from __future__ import annotations
@@ -41,16 +40,6 @@ class TLinkParams:
             if p <= previous:
                 raise ValidationError("block widths p_i must strictly increase")
             previous = p
-
-    @property
-    def is_normalized(self) -> bool:
-        """Whether the trivial-case-free normalization holds: p_1 >= 2, q_k >= 2
-        (the last condition waived for a single block)."""
-        if not self.pairs:
-            return False
-        if self.pairs[0][0] < 2:
-            return False
-        return len(self.pairs) == 1 or self.pairs[-1][1] >= 2
 
     @property
     def strands(self) -> int:

@@ -66,7 +66,7 @@ def least_rotation(letters: str) -> str:
     return least
 
 
-def _check_word(raw: str) -> None:
+def check_word(raw: str) -> None:
     """Refuse a spelling, in any rotation, that names no aperiodic cyclic
     word over {L, R}: over MAX_LETTERS letters (before a letter is read),
     empty, with another letter, or a proper power.  Each check is invariant
@@ -85,7 +85,7 @@ def _check_word(raw: str) -> None:
 def canonicalize(raw: str) -> str:
     """The canonical spelling of the aperiodic cyclic word ``raw`` spells in
     any rotation: its least rotation, once ``raw`` passes the checks above."""
-    _check_word(raw)
+    check_word(raw)
     return least_rotation(raw)
 
 
@@ -96,7 +96,7 @@ def involute(word: str) -> str:
     Applying it twice is the identity on canonical words, and it is a
     bijection on the set of canonical words of each length.
     """
-    _check_word(word)
+    check_word(word)
     return least_rotation(word.translate(_SWAP))
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from lorenzlinks import braid as braid_mod
 from lorenzlinks import cli
 from lorenzlinks import invariants as inv_mod
+from lorenzlinks import jones as jones_mod
 from lorenzlinks import modular as mod_mod
 from lorenzlinks import words as words_mod
 from lorenzlinks.braid import braid_of_words
@@ -171,6 +172,17 @@ class TestLongWord:
         code, out, err = run(capsys, "jones", self.WORD)
         assert (code, out) == (3, "")
         assert err == f"error: {crossings} crossings exceeds the limit of 20\n"
+
+    def test_jones_of_lorenz_braid_refuses_before_any_crossing_is_built(self, monkeypatch):
+        braid = braid_of_words(validate_link([self.WORD]))
+
+        def refuse(braid):
+            raise AssertionError("crossings were built")
+
+        monkeypatch.setattr(braid_mod, "braid_generators", refuse)
+        with pytest.raises(ResourceCapError) as caught:
+            jones_mod.jones_of_lorenz_braid(braid)
+        assert str(caught.value) == f"{braid.crossings} crossings exceeds the limit of 20"
 
     def test_word_info_at_the_letter_cap_has_bounded_memory(self, capsys):
         # one R among L's: its rotations share the longest prefixes, so the
@@ -330,6 +342,21 @@ class TestModular:
     def test_rademacher(self, capsys):
         payload = run_json(capsys, "modular", "rademacher", "LLR")
         assert payload["rademacher"] == payload["psi"] == 1
+
+    def test_rademacher_record_is_the_printed_row(self, capsys):
+        words = [word for word in lyndon_words(12) if len(word) >= 2]
+        rotated = random.Random(12).sample(words, 20)
+        spellings = words + [word[k:] + word[:k] for word in rotated for k in range(1, len(word))]
+        for spelling in spellings:
+            row = json.dumps(mod_mod.rademacher_record(spelling), separators=(",", ":"))
+            assert run(capsys, "modular", "rademacher", spelling) == (0, row + "\n", ""), spelling
+
+    @pytest.mark.parametrize("spelling", ["L", "R", "LL", "LRLR", "RLRLRL"])
+    def test_rademacher_record_refuses_as_the_cli_does(self, capsys, spelling):
+        with pytest.raises(ValidationError) as caught:
+            mod_mod.rademacher_record(spelling)
+        assert type(caught.value) is ValidationError
+        assert run(capsys, "modular", "rademacher", spelling) == (2, "", f"error: {caught.value}\n")
 
     def test_decode_not_hyperbolic(self, capsys):
         code, _, _ = run(capsys, "modular", "decode", "[[1,1],[0,1]]")

@@ -14,13 +14,19 @@ import pytest
 import lorenzlinks
 from lorenzlinks import cli, flow
 from lorenzlinks.errors import ResourceCapError, ValidationError
-from lorenzlinks.flow import (
-    MAX_STEPS,
-    equilibria,
-    integrate,
-    itinerary,
-    vector_field,
-)
+from lorenzlinks.flow import BETA, MAX_STEPS, RHO, SIGMA, integrate, itinerary
+
+
+def vector_field(state):
+    """Oracle: the time derivative (dx, dy, dz) of the Lorenz system at ``state``."""
+    x, y, z = state
+    return (SIGMA * (y - x), RHO * x - y - x * z, x * y - BETA * z)
+
+
+def equilibria():
+    """Oracle: the three rest points, the origin and the two lobe centers."""
+    r = math.sqrt(BETA * (RHO - 1.0))
+    return ((0.0, 0.0, 0.0), (r, r, RHO - 1.0), (-r, -r, RHO - 1.0))
 
 
 def residual(state):
@@ -61,6 +67,25 @@ class TestVectorField:
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("start", [(1.0, 1.0, 1.0), (-3.5, 2.0, 30.0), (12.0, -7.0, 5.0)])
+    def test_one_step_is_classical_rk4_of_the_field(self, start):
+        # the integrator inlines the field; one step must be the textbook
+        # RK4 step of the oracle field
+        dt = 1e-2
+
+        def shifted(state, slope, h):
+            return tuple(v + h * k for v, k in zip(state, slope))
+
+        k1 = vector_field(start)
+        k2 = vector_field(shifted(start, k1, dt / 2))
+        k3 = vector_field(shifted(start, k2, dt / 2))
+        k4 = vector_field(shifted(start, k3, dt))
+        expected = tuple(
+            v + dt / 6 * (a + 2 * b + 2 * c + d) for v, a, b, c, d in zip(start, k1, k2, k3, k4)
+        )
+        _, *stepped = list(integrate(start, dt=dt, steps=1))[1]
+        assert stepped == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
     def test_equilibrium_stays_put(self):
         point = equilibria()[1]
         traj = integrate(point, dt=1e-3, steps=1000)

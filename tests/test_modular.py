@@ -27,6 +27,13 @@ from lorenzlinks.modular import (
 from lorenzlinks.words import canonicalize, involute, lyndon_words, smallest_period
 
 
+IDENTITY = Mat2Z(1, 0, 0, 1)
+
+
+def inverse(m):
+    return Mat2Z(m.d, -m.b, -m.c, m.a)
+
+
 def mixed_words(max_len):
     return [w for w in lyndon_words(max_len) if len(set(w)) == 2]
 
@@ -58,9 +65,9 @@ def benchmark_style_words(rng, count=50, c_low=64, c_high=8192, band=1.05):
 
 def random_conjugator(rng, max_entry=50):
     """A random SL(2, Z) element with entries bounded by max_entry."""
-    gens = [L_MATRIX, R_MATRIX, L_MATRIX.inverse(), R_MATRIX.inverse()]
+    gens = [L_MATRIX, R_MATRIX, inverse(L_MATRIX), inverse(R_MATRIX)]
     while True:
-        m = Mat2Z.identity()
+        m = IDENTITY
         for _ in range(rng.randrange(1, 9)):
             m = m * rng.choice(gens)
         if max(abs(v) for v in (m.a, m.b, m.c, m.d)) <= max_entry:
@@ -69,7 +76,7 @@ def random_conjugator(rng, max_entry=50):
 
 def product_oracle(letters):
     """The word's matrix as the per-letter product of generator ``Mat2Z``s."""
-    product = Mat2Z.identity()
+    product = IDENTITY
     for letter in letters:
         product = product * (L_MATRIX if letter == "L" else R_MATRIX)
     return product
@@ -103,8 +110,8 @@ def phi_oracle(matrix):
 
 def random_sl2z(rng):
     """A random SL(2, Z) element, either global sign, entries up to about 10^6."""
-    gens = [L_MATRIX, R_MATRIX, L_MATRIX.inverse(), R_MATRIX.inverse()]
-    m = Mat2Z.identity()
+    gens = [L_MATRIX, R_MATRIX, inverse(L_MATRIX), inverse(R_MATRIX)]
+    m = IDENTITY
     for _ in range(rng.randrange(1, 30)):
         m = m * rng.choice(gens) if rng.random() < 0.5 else m * Mat2Z(0, -1, 1, 0)
     if rng.random() < 0.5:
@@ -128,7 +135,7 @@ class TestMat2Z:
 
     def test_inverse(self):
         m = Mat2Z(2, 1, 1, 1)
-        assert m * m.inverse() == Mat2Z.identity()
+        assert m * inverse(m) == inverse(m) * m == IDENTITY
 
 
 class TestMatrixOfWord:
@@ -179,7 +186,7 @@ class TestWordOfMatrix:
             matrix = matrix_of_word(word)
             for _ in range(3):
                 p = random_conjugator(rng)
-                assert word_of_matrix(p * matrix * p.inverse()) == word
+                assert word_of_matrix(p * matrix * inverse(p)) == word
 
     def test_tied_longest_l_runs_decode_to_the_least_rotation(self):
         # a word with two or more longest L runs takes the tie branch, which
@@ -219,11 +226,11 @@ class TestWordOfMatrix:
         for word in mixed_words(8):
             matrix = matrix_of_word(word)
             p = random_conjugator(rng)
-            assert word_of_matrix(p * matrix * p.inverse()) == word
+            assert word_of_matrix(p * matrix * inverse(p)) == word
             power = matrix
             for _ in (2, 3):
                 power = power * matrix
-                for conjugated in (power, p * power * p.inverse()):
+                for conjugated in (power, p * power * inverse(p)):
                     with pytest.raises(ValidationError) as caught:
                         word_of_matrix(conjugated)
                     assert str(caught.value) == (
@@ -326,7 +333,7 @@ class TestDecodeLetterCap:
         word = canonicalize("LLRLRRLR")
         k = 10**50
         for conjugator in (Mat2Z(1, k, 0, 1), Mat2Z(1, 0, k, 1)):
-            conjugated = conjugator * matrix_of_word(word) * conjugator.inverse()
+            conjugated = conjugator * matrix_of_word(word) * inverse(conjugator)
             assert word_of_matrix(conjugated) == word
 
 
@@ -428,7 +435,7 @@ class TestRademacher:
             expected = rademacher_psi(matrix)
             for _ in range(4):
                 p = random_conjugator(rng)
-                assert rademacher_psi(p * matrix * p.inverse()) == expected
+                assert rademacher_psi(p * matrix * inverse(p)) == expected
 
     def test_long_words_letter_count_and_conjugation_invariance(self):
         # Words of 100-400 letters put c between about 10^17 and 10^70, far
@@ -442,7 +449,7 @@ class TestRademacher:
             assert rademacher_psi(matrix) == expected == rademacher(word), word
             for _ in range(3):
                 p = random_conjugator(rng)
-                assert rademacher_psi(p * matrix * p.inverse()) == expected
+                assert rademacher_psi(p * matrix * inverse(p)) == expected
 
     def test_phi_equals_term_by_term_composition_on_word_matrices(self):
         for word in mixed_words(12):

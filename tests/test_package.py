@@ -1,7 +1,12 @@
 """The package's public surface."""
 
+import ast
+from pathlib import Path
+
 import lorenzlinks
 from lorenzlinks import errors
+
+PACKAGE_DIR = Path(lorenzlinks.__file__).parent
 
 
 def test_every_export_resolves():
@@ -24,12 +29,12 @@ def test_public_names_are_pinned():
         "canonicalize",
         "compute_record",
         "dedekind_sum",
-        "equilibria",
         "from_lorenz",
         "integrate",
         "involute",
         "itinerary",
         "jones_of_braid",
+        "jones_of_lorenz_braid",
         "jones_torus",
         "kauffman_bracket",
         "linking_matrix",
@@ -38,10 +43,10 @@ def test_public_names_are_pinned():
         "rademacher",
         "rademacher_phi",
         "rademacher_psi",
+        "rademacher_record",
         "t_braid_word",
         "to_lorenz",
         "validate_link",
-        "vector_field",
         "word_of_matrix",
         "words_of_braid",
     ]
@@ -60,3 +65,53 @@ def test_error_classes_are_pinned():
         "ResourceCapError": (errors.LorenzError,),
         "InternalInconsistencyError": (errors.LorenzError,),
     }
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reach_ins(path):
+    """``module.name`` for each ``_``-prefixed name of a sibling module that
+    the module at ``path`` imports or reads as an attribute of that module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    siblings = {module.stem for module in PACKAGE_DIR.glob("*.py")} - {path.stem}
+    aliases = {}  # local name -> sibling module it binds
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:  # an absolute import counts only inside the package
+                if module != "lorenzlinks" and not module.startswith("lorenzlinks."):
+                    continue
+                module = module.removeprefix("lorenzlinks").removeprefix(".")
+            for alias in node.names:
+                if module in siblings and _is_private(alias.name):
+                    found.append(f"{module}.{alias.name}")
+                elif not module and alias.name in siblings:
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                short = alias.name.removeprefix("lorenzlinks.")
+                if short in siblings and alias.asname:
+                    aliases[alias.asname] = short
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and _is_private(node.attr)
+        ):
+            found.append(f"{aliases[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_module_uses_another_modules_private_names():
+    # each module's private names are its own; another module goes through
+    # the public entry point
+    reach_ins = {
+        path.name: names
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (names := _private_reach_ins(path))
+    }
+    assert reach_ins == {}

@@ -39,13 +39,6 @@ class TestParams:
         with pytest.raises(ValidationError, match=shape):
             TLinkParams.from_pairs(pairs)
 
-    def test_normalization_flag(self):
-        assert TLinkParams(((2, 3),)).is_normalized
-        assert TLinkParams(((2, 1),)).is_normalized  # single block is exempt
-        assert not TLinkParams(((1, 2),)).is_normalized
-        assert not TLinkParams(((2, 3), (4, 1))).is_normalized
-        assert TLinkParams(((2, 3), (4, 2))).is_normalized
-
     def test_strand_count(self):
         assert TLinkParams(((2, 3), (4, 4), (5, 3))).strands == 5
         assert TLinkParams(()).strands == 1
