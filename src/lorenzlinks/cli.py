@@ -82,17 +82,16 @@ def word_record(word: str, braid: braid_mod.LorenzBraid, jones_max_crossings: in
 
 def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
     """JSON lines for every canonical word of length <= max_len, in
-    (length, spelling) order.  Raises ResourceCapError above MAX_ATLAS_LEN
-    and ValidationError for a negative Jones crossing cap."""
-    _check_atlas_cap(max_len)
-    _check_jones_cap(jones_max_crossings)
-    for text in words_mod.lyndon_words(max_len):
-        yield _encode(word_record(text, braid_mod.braid_of_words([text]), jones_max_crossings))
-
-
-def _check_atlas_cap(max_len: int) -> None:
+    (length, spelling) order, drawn one word at a time.  Raises, when called
+    and before any word, ResourceCapError above MAX_ATLAS_LEN and
+    ValidationError for a negative Jones crossing cap."""
     if max_len > MAX_ATLAS_LEN:
         raise ResourceCapError(f"max_len {max_len} exceeds the cap of {MAX_ATLAS_LEN}")
+    _check_jones_cap(jones_max_crossings)
+    return (
+        _encode(word_record(text, braid_mod.braid_of_words([text]), jones_max_crossings))
+        for text in words_mod.lyndon_words(max_len)
+    )
 
 
 def _check_jones_cap(cap: int) -> None:
@@ -438,8 +437,6 @@ def _write_atomically(path: str, write: Callable[[TextIO], _T]) -> _T:
 
 
 def _cmd_atlas_build(args: argparse.Namespace) -> int:
-    _check_atlas_cap(args.max_len)
-    _check_jones_cap(args.jones_max_crossings)
     lines = build_atlas(args.max_len, jones_max_crossings=args.jones_max_crossings)
     count = _write_atomically(args.out, lambda handle: _write_lines(handle, lines))
     print(f"wrote {count} records to {args.out}")

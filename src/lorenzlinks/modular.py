@@ -14,8 +14,7 @@ the surd denominators: the expansion is eventually periodic, the periodic
 part (doubled when odd) gives alternating L/R run lengths, and the run
 letter is fixed by the global parity of the quotient's position, since each
 expansion step conjugates by a determinant -1 element that swaps the lobes.
-The canonical word is read off the period, rotated to open with its longest
-L run, and no spelling is rotated again.
+The period is spelled once and its least rotation is the canonical word.
 
 The Rademacher value of a word is its letter-count imbalance #L - #R.  The
 independent cross-check is Dedekind-sum arithmetic on the matrix: with
@@ -38,11 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, isqrt
 
 from .errors import InternalInconsistencyError, ResourceCapError, ValidationError
-from .words import MAX_LETTERS, canonicalize, check_word
+from .words import MAX_LETTERS, canonicalize, check_word, least_rotation
 
 
 @dataclass(frozen=True)
@@ -134,13 +132,6 @@ def _word_product(text: str) -> Mat2Z:
     return result
 
 
-def _floor_surd(p: int, root: int, q: int) -> int:
-    """floor((p + sqrt(disc)) / q) given root = isqrt(disc), disc irrational."""
-    if q > 0:
-        return (p + root) // q
-    return -((p + root) // -q) - 1
-
-
 def _letter_cap_error(letters: int) -> ResourceCapError:
     # a count over Python's int-to-str digit limit is named by its bit length
     size = letters if letters.bit_length() <= 64 else f"2^{letters.bit_length() - 1}"
@@ -183,23 +174,21 @@ def word_of_matrix(matrix: Mat2Z) -> str:
     product per step instead of a square and a long division.  A first loop
     walks the pre-period to the first reduced state, 0 < P <= isqrt(D) < P + Q
     and Q - P <= isqrt(D) (Galois), keeping only the number of its quotients:
-    however large, they name no letter and are not counted.  A second
-    loop walks the period from there, Q > 0 making each floor a plain
-    division, until that state, the only one kept, comes back.  Its quotients
-    are alternating run lengths, the letter of each run fixed by the parity of
-    its position in the full expansion (L at even positions).  They are
-    counted as they arrive, and again once the period is doubled; over
-    MAX_LETTERS they raise ResourceCapError before any run is built.
+    however large, they name no letter and are not counted.  A second loop
+    walks the period from there until that state, the only one kept, comes
+    back.  Both loops take the floor (P + isqrt(D) + [Q < 0]) // Q, which is
+    floor((P + sqrt(D)) / Q) for either sign of Q as sqrt(D) is irrational.
+    The period's quotients are alternating run lengths, the letter of each
+    run fixed by the parity of its position in the full expansion (L at even
+    positions).  They are counted as they arrive, and again once the period
+    is doubled; over MAX_LETTERS they raise ResourceCapError before any run
+    is built.
 
-    The least rotation of the word starts one of its longest L runs (see
-    ``words.least_rotation``), so the period is rotated to open with its
-    longest L run and spelled once: that spelling is the canonical word, and
-    nothing is rotated after it.  When several L runs share the greatest
-    length, only their starts are compared, as slices of the doubled
-    spelling; two equal ones would make the word a proper power, which a
-    minimal period rules out.  A proper power of a shorter class has the
-    same fixed points, so it decodes to the primitive word, and is refused
-    when the product of the period's runs has another trace.
+    The period, rotated to open with an L run, is spelled once, and
+    ``words.least_rotation`` of that spelling is the canonical word.  A proper
+    power of a shorter class has the same fixed points, so it decodes to the
+    primitive word, and is refused when the product of the period's runs has
+    another trace.
     """
     m = matrix.normalized()
     t = m.trace
@@ -213,7 +202,7 @@ def word_of_matrix(matrix: Mat2Z) -> str:
 
     start = 0
     while not (0 < p <= root < p + q and q - p <= root):
-        digit = _floor_surd(p, root, q)
+        digit = (p + root + (q < 0)) // q
         p_next = digit * q - p
         p, q, q_prev = p_next, q_prev + digit * (p - p_next), q
         start += 1
@@ -221,7 +210,7 @@ def word_of_matrix(matrix: Mat2Z) -> str:
     period: list[int] = []
     letters = 0
     while True:
-        digit = (p + root) // q  # q > 0 on reduced states
+        digit = (p + root + (q < 0)) // q
         period.append(digit)
         letters += digit
         if letters > MAX_LETTERS:
@@ -235,21 +224,10 @@ def word_of_matrix(matrix: Mat2Z) -> str:
         if letters > MAX_LETTERS:
             raise _letter_cap_error(letters)
 
-    lead = start % 2  # L runs sit at even positions of the full expansion
-    longest = max(period[lead::2])
-    ties = [j for j in range(lead, len(period), 2) if period[j] == longest]
-    runs = period[ties[0] :] + period[: ties[0]]
-    word, trace = _spell_runs(runs)
-    if len(ties) > 1:
-        n = len(word)
-        doubled = word + word
-        offsets = list(accumulate(runs, initial=0))
-        for j in ties[1:]:
-            offset = offsets[j - ties[0]]
-            rotation = doubled[offset : offset + n]
-            if rotation == word:
-                raise InternalInconsistencyError("two longest L runs open the same rotation")
-            word = min(word, rotation)
+    if start % 2:  # L runs sit at even positions of the full expansion
+        period = period[1:] + period[:1]
+    spelled, trace = _spell_runs(period)
+    word = least_rotation(spelled)
     if trace != t:
         raise ValidationError(
             f"trace {t} is a proper power of the class of {word!r}"
@@ -357,14 +335,14 @@ def rademacher(word: str) -> int:
 def rademacher_record(word: str) -> dict:
     """The row `modular rademacher` prints for a mixed word in any rotation:
     its canonical spelling, ``rademacher``, Phi as a ``Fraction`` string and
-    Psi of its matrix.  The word is canonicalized once, multiplied out once
-    and not rotated again, and Phi and Psi come from one reciprocity walk."""
+    Psi of its matrix.  The word is checked and canonicalized once,
+    multiplied out once, and Phi and Psi come from one reciprocity walk."""
     text = canonicalize(word)
-    matrix = _word_product(text).normalized()
+    matrix = _word_product(text).normalized()  # refuses a one-letter word
     numerator, denominator = _phi_terms(matrix)
     return {
         "word": text,
-        "rademacher": rademacher(text),
+        "rademacher": text.count("L") - text.count("R"),
         "phi": str(Fraction(numerator, denominator)),
         "psi": _psi(matrix, numerator, denominator),
     }

@@ -204,8 +204,8 @@ class TestCanonicalizeOnce:
     rotates a typed word once, and only where its output is read off the
     canonical spelling.  `convert` builds the braid from the typed rotation,
     and a word read off a braid, from its cycle's least strand, is canonical
-    already, as are the census words and the word `modular decode` reads off
-    its run period; none of them is rotated."""
+    already, as are the census words; none of them is rotated.  `modular
+    decode` spells its run period once and takes one least rotation of it."""
 
     @pytest.mark.parametrize(
         "argv, calls",
@@ -218,7 +218,7 @@ class TestCanonicalizeOnce:
             (["jones", "LRLRL"], 1),
             (["jones", "LR,LLR"], 2),
             (["modular", "encode", "RLL"], 1),
-            (["modular", "decode", "[[2,1],[1,1]]"], 0),
+            (["modular", "decode", "[[2,1],[1,1]]"], 1),
             (["modular", "rademacher", "RLL"], 1),
             (["atlas", "build", "--max-len", "6", "--out", os.devnull], 0),
         ],
@@ -233,6 +233,7 @@ class TestCanonicalizeOnce:
             return least_rotation(letters)
 
         monkeypatch.setattr(words_mod, "least_rotation", counting)
+        monkeypatch.setattr(mod_mod, "least_rotation", counting)
         code, _, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert len(counted) == calls, counted
@@ -350,6 +351,18 @@ class TestModular:
         for spelling in spellings:
             row = json.dumps(mod_mod.rademacher_record(spelling), separators=(",", ":"))
             assert run(capsys, "modular", "rademacher", spelling) == (0, row + "\n", ""), spelling
+
+    def test_rademacher_checks_the_word_once(self, capsys, monkeypatch):
+        counted = []
+        smallest_period = words_mod.smallest_period
+
+        def counting(letters):
+            counted.append(letters)
+            return smallest_period(letters)
+
+        monkeypatch.setattr(words_mod, "smallest_period", counting)
+        assert run_json(capsys, "modular", "rademacher", "RLLRLRR")["word"] == "LLRLRRR"
+        assert counted == ["RLLRLRR"]
 
     @pytest.mark.parametrize("spelling", ["L", "R", "LL", "LRLR", "RLRLRL"])
     def test_rademacher_record_refuses_as_the_cli_does(self, capsys, spelling):
@@ -593,10 +606,11 @@ class TestAtlas:
         assert a.read_bytes() == b.read_bytes()
 
     def test_cap_exit_code(self, capsys, tmp_path):
-        code, _, _ = run(
+        code, out, err = run(
             capsys, "atlas", "build", "--max-len", "19", "--out", str(tmp_path / "x")
         )
-        assert code == 3
+        assert (code, out, err) == (3, "", "error: max_len 19 exceeds the cap of 18\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("cap", [-1, -20])
     @pytest.mark.parametrize("previous", [None, b"previous contents\n"])
@@ -1258,6 +1272,40 @@ class TestOutputBytes:
             "75623de1d3982114eca5896bff26bda0aa6d75270e097834c10d96ac8024561b"
         )
 
+    def test_modular_decode(self, capsys):
+        # digest taken before decode handed its spelled period to
+        # least_rotation: the product of every mixed string of 2-10 letters
+        # (every rotation and proper power), two seeded conjugates of each,
+        # some with c < 0 once normalized so the pre-period floor divides by
+        # a negative Q, and the trace <= 2 refusals
+        letter_matrix = {"L": mod_mod.L_MATRIX, "R": mod_mod.R_MATRIX}
+        steps = [*letter_matrix.values(), mod_mod.Mat2Z(1, -1, 0, 1), mod_mod.Mat2Z(1, 0, -1, 1)]
+        rng = random.Random(2007)
+        matrices = []
+        for n in range(2, 11):
+            for letters in itertools.product("LR", repeat=n):
+                if len(set(letters)) < 2:
+                    continue
+                product = mod_mod.Mat2Z(1, 0, 0, 1)
+                for letter in letters:
+                    product = product * letter_matrix[letter]
+                matrices.append(product)
+                for _ in range(2):
+                    p = mod_mod.Mat2Z(1, 0, 0, 1)
+                    for _ in range(rng.randrange(1, 9)):
+                        p = p * rng.choice(steps)
+                    matrices.append(p * product * mod_mod.Mat2Z(p.d, -p.b, -p.c, p.a))
+        assert len(matrices) == 3 * 2_026
+        assert sum(m.normalized().c < 0 for m in matrices) == 1_731
+        rows = [json.dumps(m.to_rows(), separators=(",", ":")) for m in matrices] + [
+            "[[1,0],[0,1]]", "[[-1,0],[0,-1]]", "[[1,1],[0,1]]", "[[0,-1],[1,0]]",
+            "[[1,-1],[1,0]]", "[[2,-1],[1,0]]", "[[-2,1],[-1,0]]", "[[3,-1],[7,-2]]",
+        ]
+        argvs = [["modular", "decode", text] for text in rows]
+        assert transcript_digest(capsys, argvs) == (
+            "33c6fca25e35ea5e045f17cc7fe140a08ec7b6673f147244e840e1237b35ac7f"
+        )
+
     @pytest.fixture(scope="class")
     def atlas_path(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("atlas") / "atlas.jsonl"
@@ -1299,7 +1347,7 @@ class TestHelpers:
 
     def test_build_atlas_cap(self):
         with pytest.raises(ResourceCapError, match="^max_len 25 exceeds the cap of 18$"):
-            list(cli.build_atlas(25))
+            cli.build_atlas(25)
 
     def test_necklace_counts_drive_build(self):
         lines = list(cli.build_atlas(6))
@@ -1324,9 +1372,8 @@ class TestHelpers:
     def test_library_refuses_a_negative_jones_cap(self, monkeypatch, cap):
         with monkeypatch.context() as patch:  # build_atlas refuses before any word
             patch.setattr(cli.words_mod, "lyndon_words", None)
-            lines = cli.build_atlas(3, jones_max_crossings=cap)
             with pytest.raises(ValidationError, match=f"must be >= 0, got {cap}$"):
-                next(lines)
+                cli.build_atlas(3, jones_max_crossings=cap)
         link = validate_link(["LRR"])
         with pytest.raises(ValidationError, match=f"must be >= 0, got {cap}$"):
             cli.word_record(link[0], braid_of_words(link), jones_max_crossings=cap)

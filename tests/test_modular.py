@@ -189,8 +189,8 @@ class TestWordOfMatrix:
                 assert word_of_matrix(p * matrix * inverse(p)) == word
 
     def test_tied_longest_l_runs_decode_to_the_least_rotation(self):
-        # a word with two or more longest L runs takes the tie branch, which
-        # compares only their starts; each rotation's own product goes in
+        # a word with two or more longest L runs leaves least_rotation more
+        # than one start to compare; each rotation's own product goes in
         tied = 0
         for word in mixed_words(12):
             runs = list(map(len, word.split("R")))  # canonical: opens in L, ends in R
@@ -201,16 +201,6 @@ class TestWordOfMatrix:
                 rotation = word[k:] + word[:k]
                 assert word_of_matrix(product_oracle(rotation)) == word, rotation
         assert tied == 172, tied
-
-    def test_tied_runs_opening_one_rotation_are_refused(self, monkeypatch):
-        # a minimal period cannot spell a proper power; were it to, two tied
-        # starts would open the same rotation
-        spell = modular_mod._spell_runs
-        monkeypatch.setattr(
-            modular_mod, "_spell_runs", lambda runs: ("LR" * 3, spell(runs)[1])
-        )
-        with pytest.raises(InternalInconsistencyError, match="open the same rotation"):
-            word_of_matrix(matrix_of_word("LRLRRR"))
 
     def test_proper_powers_are_detected(self):
         square = matrix_of_word("LR") * matrix_of_word("LR")

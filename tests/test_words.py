@@ -2,6 +2,7 @@
 
 import pytest
 
+from lorenzlinks import modular as modular_mod
 from lorenzlinks import words as words_mod
 from lorenzlinks.errors import ResourceCapError, ValidationError
 from lorenzlinks.modular import matrix_of_word, rademacher_psi, word_of_matrix
@@ -89,6 +90,7 @@ class TestLeastRotationOnce:
             return least_rotation(letters)
 
         monkeypatch.setattr(words_mod, "least_rotation", counting)
+        monkeypatch.setattr(modular_mod, "least_rotation", counting)
         return counted
 
     def test_canonicalize_a_string(self, calls):
@@ -106,9 +108,9 @@ class TestLeastRotationOnce:
         decoded = word_of_matrix(matrix)
         assert rademacher_psi(matrix) == 0
         assert decoded == "LLRRLRLR"
-        # encoding rotates the typed word once; decoding reads its rotation
-        # off the run period and rotates nothing
-        assert calls == ["RLRLLRRL"]
+        # encoding rotates the typed word once; decoding rotates the spelling
+        # of its run period once
+        assert calls == ["RLRLLRRL", "LLRRLRLR"]
 
 
 class TestLetterCap:
