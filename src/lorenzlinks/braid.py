@@ -10,13 +10,11 @@ Construction from words: every rotation of every component word is one
 strand.  Rotations are ranked by their infinite periodic extensions (a
 tie-free order for valid word families), and the strand starting at the rank
 of rotation k ends at the rank of rotation k + 1, one letter on.  A single
-canonical word of at most SEED letters, as every census word is, is a Lyndon
-word, so its rotations rank as its suffixes do: one sort of the suffixes
-orders them, and the word sorting first among them certifies it canonical.
-Links, longer words and any other rotation sort bounded prefixes of the
-extensions, then ranks double until no two tie, so no rotation is spelled
-and memory is linear in the letter count.  A tie left at the end names a
-proper power or a repeated word, refused as caller input (ValidationError).
+word of at most SEED letters, as every census word is, sorts its rotations,
+slices of the doubled word.  Links and longer words sort bounded prefixes of the extensions,
+then ranks double until no two tie, so no rotation is spelled and memory is
+linear in the letter count.  A tie names a family validate_link refuses, and
+its message is validate_link's.
 
 A braid is the Burrows-Wheeler transform of its words: the strand ending at
 rank r comes from the rotation one letter back, so its lobe is the last
@@ -41,14 +39,13 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import InternalInconsistencyError, ValidationError
-from .words import ALPHABET, MAX_LETTERS, check_word
+from .words import ALPHABET, MAX_LETTERS, validate_link
 
 EAR_TYPES = ("LL", "LR", "RL", "RR")
 
 # letters in each rotation's first sort key: the keys hold N * SEED letters
 # for N letters in all.  A single word of at most SEED letters, every atlas
-# word among them, is ranked by its suffixes instead, whose n(n + 1)/2
-# letters stay inside the same N * SEED bound
+# word among them, sorts its n rotations of n letters, inside the same bound
 SEED = 64
 
 
@@ -180,17 +177,17 @@ def permutation_cycles(targets: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def _rotation_ranks(texts: Sequence[str]) -> list[list[int]]:
-    """Per word, the 0-based rank of each rotation among all rotations of
-    all the words, by periodic extension.
+def _rotation_order(texts: Sequence[str]) -> list[int] | None:
+    """The rotations of all the words in order of their periodic extensions,
+    each as the index where it starts in the concatenation of ``texts``, or
+    None when two tie.
 
     Prefixes of min(SEED, 2 * max|w|) letters are sorted first.  Then ranks
     double: the 2s-prefix from rotation k is the s-prefix from k followed by
     the s-prefix from k + s, so the pair of their ranks orders it.  Any
     rotation of each word may be given.  Rotations still tied at 2 * max|w|
-    letters have equal extensions, so the word family is not valid: one word
-    is a proper power, or two are powers of one word, and ValidationError
-    names them.
+    letters have equal extensions, so one word is a proper power or two are
+    rotations of one word.
     """
     key_len = 2 * max(len(text) for text in texts)
     span = min(key_len, SEED)
@@ -204,17 +201,18 @@ def _rotation_ranks(texts: Sequence[str]) -> list[list[int]]:
     order = sorted(indices, key=first.__getitem__)
     while True:
         rank = [0] * len(order)
-        tied = prev = -1
+        tied, prev = False, -1
         for pos, at in zip(indices, order):
             if pos and first[at] == first[prev] and second[at] == second[prev]:
                 rank[at] = rank[prev]
-                if tied < 0:
-                    tied, tied_with = prev, at
+                tied = True
             else:
                 rank[at] = pos
             prev = at
-        if tied < 0 or span >= key_len:
-            break
+        if not tied:
+            return order
+        if span >= key_len:
+            return None
         first, second = rank, []
         for text, start in zip(texts, starts):
             mid = start + span % len(text)
@@ -223,68 +221,43 @@ def _rotation_ranks(texts: Sequence[str]) -> list[list[int]]:
         order = sorted(indices, key=second.__getitem__)
         order.sort(key=first.__getitem__)
         span *= 2
-    if tied >= 0:
-        # the word holding a rotation is the count of words ending at or before it
-        i, j = (sum(end <= at for end in starts[1:]) for at in (tied, tied_with))
-        if i == j:
-            raise ValidationError(f"{texts[i]!r} is a proper power")
-        raise ValidationError(f"{texts[i]!r} and {texts[j]!r} are powers of one word")
-    return [rank[start : start + len(text)] for text, start in zip(texts, starts)]
 
 
 def braid_of_words(texts: Sequence[str]) -> LorenzBraid:
     """The Lorenz braid whose closure is the link named by ``texts``, in any
-    rotations: it accepts exactly the families validate_link accepts and
-    gives the braid of their canonical spellings, without rotating a word.
-    An empty family, an empty word, another letter or an over-cap word is
-    refused by string checks alone, with canonicalize's message.  A single
-    text of at most SEED letters goes to _suffix_braid, which takes it when
-    it is its own aperiodic least rotation, as every census word is.  Any
-    other text and every link go to _rotation_ranks, where a tie refuses a
-    proper power or a repeated word with ValidationError.
+    rotations: the family's BWT, the last letters of its rotations in sorted
+    order, without rotating a word to its canonical spelling.
 
-    The braid is the family's BWT: the letter at the rank of rotation k is
-    rotation k's last letter.  Either way the ranks take memory linear in the
-    letter count, so words.MAX_LETTERS is the one cap on a word's size.  Each
+    A single text of at most SEED letters sorts its rotations, slices of the
+    doubled text; a proper power repeats its least rotation, so the first
+    two tie.  Links and longer words are ordered by _rotation_order, in
+    memory linear in the letter count, so words.MAX_LETTERS is the one cap
+    on a word's size.  An empty family, a bad or over-cap string and a tie
+    are handed to validate_link, so braid_of_words accepts exactly the
+    families validate_link accepts and refuses the rest as it does.  Each
     word's rotations make one cycle, so the braid records len(texts)
-    components without a walk, numbered by least strand as in words_of_braid,
-    not in the order of ``texts``.
+    components without a walk, numbered by least strand as in
+    words_of_braid, not in the order of ``texts``.
     """
-    if not texts:
-        raise ValidationError("a link needs at least one component word")
-    for text in texts:
-        if not text or len(text) > MAX_LETTERS or text.strip(ALPHABET):
-            check_word(text)  # refuses it with canonicalize's message
-    lobes = _suffix_braid(texts[0]) if len(texts) == 1 and len(texts[0]) <= SEED else None
+    lobes = None
+    if texts and all(0 < len(text) <= MAX_LETTERS and not text.strip(ALPHABET) for text in texts):
+        if len(texts) == 1 and len(texts[0]) <= SEED:
+            text = texts[0]
+            n, doubled = len(text), text + text
+            rotations = sorted([doubled[k : k + n] for k in range(n)])
+            if n == 1 or rotations[0] != rotations[1]:
+                lobes = "".join([rotation[-1] for rotation in rotations])
+        else:
+            order = _rotation_order(texts)
+            if order is not None:
+                last = "".join([text[-1] + text[:-1] for text in texts])
+                lobes = "".join([last[i] for i in order])
     if lobes is None:
-        letters = [""] * sum(len(text) for text in texts)
-        for text, ranks in zip(texts, _rotation_ranks(texts)):
-            for rank, letter in zip(ranks, text[-1] + text[:-1]):
-                letters[rank] = letter
-        lobes = "".join(letters)
+        validate_link(texts)  # refuses the family with its own message
+        raise InternalInconsistencyError("rotations of a valid word family tie")
     braid = LorenzBraid(lobes)
     vars(braid)["component_count"] = len(texts)  # fills the cached_property
     return braid
-
-
-def _suffix_braid(text: str) -> str | None:
-    """The lobe string of one word's braid, its rotations ranked by one sort
-    of its suffixes, or None when ``text`` is not its own aperiodic least
-    rotation.
-
-    A word is its own aperiodic least rotation, a Lyndon word, exactly when
-    it is less than each of its proper suffixes (Duval), so it must sort
-    first; the suffixes differ in length, so they never tie.  A Lyndon
-    word's rotations sort as its suffixes do: where a shorter suffix is a
-    prefix of a longer one, its rotation goes on with the word itself, which
-    is less than every proper suffix and differs from each within its length.
-    """
-    n = len(text)
-    suffixes = sorted([text[k:] for k in range(n)])
-    if len(suffixes[0]) != n:
-        return None
-    # the letter before each suffix, the word itself wrapping round to its last
-    return "".join([text[n - len(suffix) - 1] for suffix in suffixes])
 
 
 def words_of_braid(braid: LorenzBraid) -> list[str]:

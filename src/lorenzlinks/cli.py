@@ -287,8 +287,8 @@ def _csv_cell(value: object) -> str:
 
 
 def _cmd_word_info(args: argparse.Namespace) -> int:
-    word = words_mod.canonicalize(args.word)
-    braid = braid_mod.braid_of_words([word])
+    braid = braid_mod.braid_of_words([args.word])
+    (word,) = braid_mod.words_of_braid(braid)  # the canonical spelling, read off its cycle
     record = inv_mod.compute_record(braid)
     payload = {
         "word": word,

@@ -357,6 +357,24 @@ class TestEntryPointGuards:
             return
         assert braid_of_words(texts) == braid_oracle(link), texts
 
+    def test_refuses_what_validate_link_refuses_with_its_message(self):
+        # every family of 1-3 strings of 0-3 characters over {L, R, X}, the
+        # empty family and an over-cap text: built as the braid of the
+        # validated family, or refused as validate_link refuses it
+        def outcome(build):
+            try:
+                return build()
+            except LorenzError as exc:
+                return type(exc), str(exc)
+
+        texts = ["".join(p) for n in range(4) for p in itertools.product("LRX", repeat=n)]
+        families = [[], ["L" * (MAX_LETTERS + 1)], ["LR", "L" * (MAX_LETTERS + 1)]]
+        for size in range(1, 4):
+            families.extend(map(list, itertools.product(texts, repeat=size)))
+        for family in families:
+            expected = outcome(lambda: braid_of_words(validate_link(family)))
+            assert outcome(lambda: braid_of_words(family)) == expected, family
+
 
 def seeded_links(count, seed=1729, max_len=12):
     rng = random.Random(seed)
@@ -366,7 +384,7 @@ def seeded_links(count, seed=1729, max_len=12):
 
 class TestRotationRanks:
     """The braid's rotation order against the key sort.  At the default seed
-    single words take the suffix sort and links the prefix doubling; a one-
+    single words take the rotation sort and links the prefix doubling; a one-
     or two-letter seed forces the doubling on every word longer than it, so
     single words exercise it too."""
 
@@ -390,30 +408,38 @@ class TestRotationRanks:
 
     def test_forged_equal_words_tie(self):
         # validate_link refuses two equal words; a plain tuple bypasses it,
-        # and the tie refuses it as caller input, naming the word
-        with pytest.raises(ValidationError, match="^'LLR' and 'LLR' are powers of one word$"):
+        # and the tie refuses it as caller input, with validate_link's message
+        with pytest.raises(ValidationError, match="^components 0 and 1 share the word 'LLR'$"):
             braid_of_words(validate_link(["LLR"]) * 2)
         for length in range(1, 13):
             for letters in itertools.product("LR", repeat=length):
                 text = "".join(letters)
-                with pytest.raises(ValidationError, match=re.escape(repr(text))):
+                with pytest.raises(ValidationError) as refused:
+                    validate_link([text, text])
+                with pytest.raises(ValidationError, match=f"^{re.escape(str(refused.value))}$"):
                     braid_of_words([text, text])
 
 
-class TestSuffixOrder:
-    """A single word of at most SEED letters is ranked by one sort of its
-    suffixes, which refuses any text that is not its own aperiodic least
-    rotation and hands it to the prefix doubling; that gives the braid of
-    its canonical spelling, or refuses a proper power as caller input."""
+class TestRotationSort:
+    """A single word of at most SEED letters, in any rotation, is built by one
+    sort of its rotations, or refused as validate_link refuses it, without
+    reaching the prefix doubling; longer words and links reach it."""
 
     @pytest.fixture
-    def ranked(self, monkeypatch):
-        ranked = []
-        rotation_ranks = braid_mod._rotation_ranks
+    def ordered(self, monkeypatch):
+        ordered = []
+        rotation_order = braid_mod._rotation_order
         monkeypatch.setattr(
-            braid_mod, "_rotation_ranks", lambda texts: ranked.append(texts) or rotation_ranks(texts)
+            braid_mod, "_rotation_order", lambda texts: ordered.append(texts) or rotation_order(texts)
         )
-        return ranked
+        return ordered
+
+    @pytest.fixture
+    def no_doubling(self, monkeypatch):
+        def refuse(texts):
+            raise AssertionError(f"{texts} reached the prefix doubling")
+
+        monkeypatch.setattr(braid_mod, "_rotation_order", refuse)
 
     def test_every_word_to_length_16(self):
         for word in lyndon_words(16):
@@ -421,40 +447,35 @@ class TestSuffixOrder:
             assert braid_of_words(link) == braid_oracle(link), word
 
     @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["seed-minus-1", "seed", "seed-plus-1"])
-    def test_seeded_words_on_both_sides_of_the_seed(self, offset, ranked):
+    def test_seeded_words_on_both_sides_of_the_seed(self, offset, ordered):
         length = braid_mod.SEED + offset
         rng = random.Random(length)
         for _ in range(300):
-            link = validate_link(["".join(rng.choices("LR", k=length))])
-            assert braid_of_words(link) == braid_oracle(link), link
+            text = "".join(rng.choices("LR", k=length))
+            assert braid_of_words([text]) == braid_oracle(validate_link([text])), text
         # words of at most SEED letters never reach the prefix doubling
-        assert len(ranked) == (300 if offset > 0 else 0)
+        assert len(ordered) == (300 if offset > 0 else 0)
 
     @pytest.mark.parametrize("text", ["RL", "RLL", "LRL", "LRLR"])
-    def test_refuses_a_text_that_is_not_canonical(self, text, ranked):
-        assert braid_mod._suffix_braid(text) is None
+    def test_sorts_a_text_that_is_not_canonical(self, text, no_doubling):
         if text == "LRLR":
             with pytest.raises(ValidationError, match="^'LRLR' is a proper power$"):
                 braid_of_words([text])
         else:
             assert braid_of_words([text]) == braid_oracle(validate_link([text]))
-        assert ranked == [[text]]
 
-    def test_refuses_exactly_the_non_canonical_strings_to_12_letters(self, ranked):
+    def test_every_string_to_12_letters_without_the_doubling(self, no_doubling):
+        # every rotation of every word, and every proper power
         for length in range(1, 13):
             for letters in itertools.product("LR", repeat=length):
                 text = "".join(letters)
-                canonical = all(text < text[k:] + text[:k] for k in range(1, length))
-                ranked.clear()
                 try:
                     braid = braid_of_words([text])
                 except ValidationError as exc:
-                    assert not canonical and str(exc) == f"{text!r} is a proper power", text
+                    assert str(exc) == f"{text!r} is a proper power", text
                     assert (text + text).find(text, 1) < length, text
                 else:
                     assert braid == braid_oracle(validate_link([text])), text
-                # the suffix sort takes exactly the canonical texts
-                assert ranked == ([] if canonical else [[text]]), text
 
 
 class TestLongWords:

@@ -202,15 +202,16 @@ class TestLongWord:
 class TestCanonicalizeOnce:
     """A plain string carries no proof that it is canonical, so a command
     rotates a typed word once, and only where its output is read off the
-    canonical spelling.  `convert` builds the braid from the typed rotation,
-    and a word read off a braid, from its cycle's least strand, is canonical
-    already, as are the census words; none of them is rotated.  `modular
-    decode` spells its run period once and takes one least rotation of it."""
+    canonical spelling.  `word info` and `convert` build the braid from the
+    typed rotation, and a word read off a braid, from its cycle's least
+    strand, is canonical already, as are the census words; none of them is
+    rotated.  `modular decode` spells its run period once and takes one
+    least rotation of it."""
 
     @pytest.mark.parametrize(
         "argv, calls",
         [
-            (["word", "info", "RLL"], 1),
+            (["word", "info", "RLL"], 0),
             (["convert", "LRL", "--to", "braid"], 0),
             (["convert", "LRL", "--to", "word"], 0),
             (["convert", "RLL", "--to", "word"], 0),
@@ -784,6 +785,13 @@ class TestAtlas:
         [
             ({"length": 77}, "length, |word| and n differ"),
             ({"trip": [[9, 9]]}, "sum p * q over trip != c"),
+            # LLRLR has chi -1, ears (LL, LR, RL, RR) = (1, 2, 2, 0), c_min 3
+            # and torus [2, 3]: each edit below breaks one relation only
+            ({"chi": 0}, "chi != n - c"),
+            ({"LL": 2}, "ear counts != n"),
+            ({"LR": 3, "RL": 1}, "|LR| != |RL|"),
+            ({"c_min": 4}, "c_min relation"),
+            ({"torus": [2, 5]}, "torus genus"),
         ],
     )
     def test_length_and_trip_rechecked_on_load(self, capsys, tmp_path, edit, message):
@@ -917,6 +925,19 @@ class TestAtlas:
         lines = out.strip().splitlines()
         assert lines[0].startswith("word,length,")
         assert len(lines) == 3  # header + LLR + LRR
+
+    @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+    def test_query_skips_blank_lines(self, capsys, tmp_path, fmt):
+        clean, spaced = tmp_path / "clean.jsonl", tmp_path / "spaced.jsonl"
+        lines = list(cli.build_atlas(5))
+        clean.write_text("".join(line + "\n" for line in lines))
+        gaps = ["\n", "  \n", "\t \n", "\n\n"]
+        spaced.write_text(
+            "\n" + "".join(line + "\n" + gaps[k % 4] for k, line in enumerate(lines)) + " "
+        )
+        expected = run(capsys, "atlas", "query", str(clean), "--format", fmt)
+        assert expected[0] == 0 and expected[1].count("\n") >= len(lines)
+        assert run(capsys, "atlas", "query", str(spaced), "--format", fmt) == expected
 
 
 # One row per kind of refusal; the message is what tells them apart, and

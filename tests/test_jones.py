@@ -428,6 +428,11 @@ class TestJonesOfBraid:
         assert jones_of_braid([], 1) == ONE
         assert jones_of_braid([1], 2) == ONE
 
+    @pytest.mark.parametrize("evaluate", [jones_of_braid, kauffman_bracket])
+    def test_refuses_a_braid_without_strands(self, evaluate):
+        with pytest.raises(ValidationError, match="^strand count must be >= 1$"):
+            evaluate([], 0)
+
     @settings(max_examples=200, deadline=None)
     @given(positive_braids())
     @example(([], 1))

@@ -170,6 +170,10 @@ class TestEnumerate:
             assert by_length[n] == aperiodic_count(n)
         assert aperiodic_count(5) == 6  # (2^5 - 2) / 5
 
+    def test_count_refuses_an_empty_length(self):
+        with pytest.raises(ValidationError, match="^length must be >= 1$"):
+            aperiodic_count(0)
+
     def test_matches_brute_force(self):
         words = list(lyndon_words(12))
         for n in range(1, 13):
