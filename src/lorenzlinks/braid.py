@@ -41,8 +41,6 @@ from typing import Sequence
 from .errors import InternalInconsistencyError, ValidationError
 from .words import ALPHABET, MAX_LETTERS, validate_link
 
-EAR_TYPES = ("LL", "LR", "RL", "RR")
-
 # letters in each rotation's first sort key: the keys hold N * SEED letters
 # for N letters in all.  A single word of at most SEED letters, every atlas
 # word among them, sorts its n rotations of n letters, inside the same bound
@@ -54,14 +52,13 @@ class LorenzBraid:
     """A positive permutation braid stored as its lobe string, the BWT of its
     words: ``lobes[r - 1]`` is the lobe of the strand ending at position r.
 
-    Its first ``left`` strands, one per L, round the left lobe and the rest
-    the right lobe.  ``targets[i - 1]``, the end of the strand starting at
-    position i, runs over the positions of the L's, then those of the R's.
-    Trip, crossings and ear counts are read when the braid is built;
-    ``targets`` and the cycles, its components numbered by least strand, on
-    first use, as the census reads neither.  ``crossings`` and
-    ``ear_counts`` stay plain properties: the benchmark tracer wraps their
-    ``fget`` on the class.
+    Its first ``left`` of its ``n`` strands, one per L, round the left lobe
+    and the rest the right lobe.  ``targets[i - 1]``, the end of the strand
+    starting at position i, runs over the positions of the L's, then those
+    of the R's.  ``n``, ``left``, ``trip``, the crossings and the ear counts
+    are set when the braid is built; ``targets``, its ``cycles`` and the
+    ``components`` they label on first use, each once, as the census reads
+    none of them.
     """
 
     lobes: str
@@ -83,98 +80,79 @@ class LorenzBraid:
         ll = lobes.count("L", 0, left)
         lr = left - ll
         vars(self).update(
+            n=len(lobes),  # one strand per letter of the closure's words
             left=left,
-            _trip=trip,
+            trip=trip,  # (displacement p_i, multiplicity q_i), p_1 < p_2 < ...
             _crossings=sum([p * q for p, q in trip]),
             _ear_counts=(ll, lr, lr, len(lobes) - left - lr),
         )
-
-    @property
-    def n(self) -> int:
-        """Strand count: one strand per letter of the closure's words."""
-        return len(self.lobes)
 
     # -- derived structure ------------------------------------------------
 
     @cached_property
     def targets(self) -> tuple[int, ...]:
         """End position of the strand starting at each position: the
-        string's standard permutation, derived on first use."""
+        string's standard permutation."""
         ends = {"L": [], "R": []}
         for r, lobe in enumerate(self.lobes, 1):
             ends[lobe].append(r)
         return tuple(ends["L"] + ends["R"])
 
     @cached_property
-    def _cycles(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(permutation_cycles(self.targets))
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """The permutation's cycles in orbit order, each from its least
+        position, in order of that position: the closure's components."""
+        targets, seen, cycles = self.targets, [False] * (self.n + 1), []
+        for start in range(1, self.n + 1):
+            if not seen[start]:
+                cycle, pos = [], start
+                while not seen[pos]:
+                    seen[pos] = True
+                    cycle.append(pos)
+                    pos = targets[pos - 1]
+                cycles.append(tuple(cycle))
+        return tuple(cycles)
 
     @cached_property
     def component_count(self) -> int:
-        return len(self._cycles)
+        return len(self.cycles)
 
-    @property
+    @cached_property
     def components(self) -> tuple[int, ...]:
-        """Per strand, the index of its cycle in ``cycles()``."""
-        label_of = {pos: k for k, cycle in enumerate(self._cycles) for pos in cycle}
-        return tuple(label_of[i] for i in range(1, self.n + 1))
+        """Per strand, the index of its cycle in ``cycles``."""
+        labels = [0] * self.n
+        for k, cycle in enumerate(self.cycles):
+            for pos in cycle:
+                labels[pos - 1] = k
+        return tuple(labels)
 
-    def ear_type(self, start: int) -> str:
-        """Lobe pair (this pass, next pass) of the strand starting at ``start``."""
-        return "LR"[start > self.left] + "LR"[self.targets[start - 1] > self.left]
+    # plain properties over values set when the braid is built, not cached
+    # ones: the benchmark tracer times these two by wrapping their ``fget``
 
     @property
     def ear_counts(self) -> tuple[int, int, int, int]:
-        """Strand counts by ear type, ordered (LL, LR, RL, RR); counted once,
-        when the braid is built."""
+        """Strand counts by ear type, the lobe pair (this pass, next pass),
+        ordered (LL, LR, RL, RR)."""
         return self._ear_counts
-
-    @property
-    def trip(self) -> tuple[tuple[int, int], ...]:
-        """(displacement p_i, multiplicity q_i) over the rightward strands,
-        p_1 < p_2 < ...; read once, when the braid is built."""
-        return self._trip
 
     @property
     def crossings(self) -> int:
         """Crossing count of the diagram, the inversion number of the
-        permutation; summed once, as sum p * q, when the braid is built."""
+        permutation, summed as sum p * q over the trip."""
         return self._crossings
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Permutation cycles in orbit order, each from its least position,
-        in order of that position; walked on first use."""
-        return list(self._cycles)
 
     # -- wire form ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        left, targets = self.left, self.targets
         return {
             "n": self.n,
-            "targets": list(self.targets),
+            "targets": list(targets),
             "components": list(self.components),
-            "types": [self.ear_type(i) for i in range(1, self.n + 1)],
+            # each strand's ear type: the lobe pair (this pass, next pass)
+            "types": ["LR"[i > left] + "LR"[t > left] for i, t in enumerate(targets, 1)],
             "trip": [list(pq) for pq in self.trip],
         }
-
-
-def permutation_cycles(targets: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Cycles of the permutation i -> targets[i - 1] of 1..n, in orbit order,
-    each starting at its least position, ordered by that position."""
-    seen = [False] * (len(targets) + 1)
-    out: list[tuple[int, ...]] = []
-    for start in range(1, len(targets) + 1):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        pos = targets[start - 1]
-        while pos != start:
-            cycle.append(pos)
-            seen[pos] = True
-            pos = targets[pos - 1]
-        out.append(tuple(cycle))
-    return out
 
 
 def _rotation_order(texts: Sequence[str]) -> list[int] | None:
@@ -272,7 +250,7 @@ def words_of_braid(braid: LorenzBraid) -> list[str]:
     so the result is a list, not a validated link.
     """
     left = braid.left
-    return ["".join(["LR"[pos > left] for pos in cycle]) for cycle in braid.cycles()]
+    return ["".join(["LR"[pos > left] for pos in cycle]) for cycle in braid.cycles]
 
 
 def braid_generators(braid: LorenzBraid) -> list[int]:

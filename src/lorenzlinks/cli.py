@@ -27,6 +27,7 @@ so a redirected stream is still honoured on every call.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import operator
@@ -294,7 +295,7 @@ def _cmd_word_info(args: argparse.Namespace) -> int:
         "word": word,
         "length": len(word),
         # the rank of each successive rotation: the braid's cycle through strand 1
-        "new_positions": list(braid.cycles()[0]),
+        "new_positions": list(braid.cycles[0]),
         "targets": list(braid.targets),
         # a left strand moves right when an R precedes its L, and a right
         # strand moves left when an L follows its R
@@ -384,7 +385,7 @@ def _cmd_flow_itinerary(args: argparse.Namespace) -> int:
         samples = trajectory if handle is None else _csv_rows(trajectory, handle)
         return flow_mod.itinerary(samples, skip_transient=args.skip_transient)
 
-    print(_write_atomically(args.csv, read) if args.csv else read())
+    print(read() if args.csv is None else _write_atomically(args.csv, read))
     return 0
 
 
@@ -412,8 +413,14 @@ def _write_atomically(path: str, write: Callable[[TextIO], _T]) -> _T:
     partial file and an existing one as it was.  A symbolic link is
     followed, so the file it names is replaced and the link kept.  A pipe or
     device, such as ``/dev/stdout``, cannot be replaced and is written
-    directly.
+    directly.  An empty path, or one ending in a separator, names no file
+    (``realpath`` would turn either into a file in another directory), so
+    it is refused as ``open`` refuses it, before anything is created.
     """
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if path.endswith((os.sep, os.altsep or os.sep)):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", newline="") as handle:
             return write(handle)

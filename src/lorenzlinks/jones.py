@@ -112,6 +112,12 @@ class LaurentPoly:
         return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
 
 
+def _check_cap(cap: int) -> None:
+    """The one refusal of a negative crossing cap, before any other check."""
+    if cap < 0:
+        raise ValidationError(f"max_crossings must be >= 0, got {cap}")
+
+
 def _check_crossings(c: int, cap: int) -> None:
     """The one wording of the crossing-cap refusal."""
     if c > cap:
@@ -189,8 +195,7 @@ def kauffman_bracket(
 
 def _bracket_digits(crossings: Sequence[int], n: int, cap: int) -> tuple[list[int], int, int]:
     """`kauffman_bracket` as (digits, top, sign): sign * digits[k] A^((top - 8k) / 4)."""
-    if cap < 0:
-        raise ValidationError(f"max_crossings must be >= 0, got {cap}")
+    _check_cap(cap)
     if n < 1:
         raise ValidationError("strand count must be >= 1")
     positions = list(crossings)
@@ -368,7 +373,9 @@ def jones_of_lorenz_braid(
 ) -> LaurentPoly:
     """Jones polynomial of the closure of a Lorenz braid.  Over
     ``max_crossings`` crossings it raises ResourceCapError from the braid's
-    crossing count, before a generator is built."""
+    crossing count, before a generator is built; a negative cap raises
+    ValidationError first, as in `jones_of_braid`."""
+    _check_cap(max_crossings)
     _check_crossings(braid.crossings, max_crossings)
     generators = braid_mod.braid_generators(braid)
     return jones_of_braid(generators, braid.n, max_crossings=max_crossings)

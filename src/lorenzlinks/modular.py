@@ -29,8 +29,8 @@ exponentially with word length, so s(h, k) is not summed over its k - 1
 sawtooth terms: Dedekind reciprocity reduces it along the Euclidean algorithm
 on (h, k), in exact integer arithmetic and O(log k) steps.  That loop is an
 integer core returning 12 s(h, k) as N / k; det 1 makes d and c coprime, so
-Phi = (a + d - N) / c and Psi is read by integer division, with no
-``Fraction`` built on the way.
+Phi = (a + d - N) / c, an integer on SL(2, Z) (Rademacher-Grosswald), and
+Phi and Psi are read by integer division, with no ``Fraction`` built.
 """
 
 from __future__ import annotations
@@ -285,37 +285,35 @@ def _sign(value: int) -> int:
     return (value > 0) - (value < 0)
 
 
-def _phi_terms(m: Mat2Z) -> tuple[int, int]:
-    """Phi of the trace-positive representative m as (numerator, denominator)."""
+def _phi_psi(m: Mat2Z) -> tuple[int, int]:
+    """(Phi, Psi) of the trace-positive representative m, both integers on
+    SL(2, Z) (Rademacher-Grosswald), from one reciprocity walk.  det 1 makes
+    d and |c| coprime: 12 s(d, |c|) = N / |c|, so Phi = (a + d - N) / c; an
+    upper-triangular m has Phi = b / d."""
     if m.c == 0:
-        return m.b, m.d
-    # det 1 makes d and |c| coprime: 12 s(d, |c|) = N / |c|, so Phi = (a + d - N) / c
-    n, _ = _dedekind_twelfths(m.d, abs(m.c))
-    return m.a + m.d - n, m.c
+        numerator, denominator = m.b, m.d
+    else:
+        numerator, denominator = m.a + m.d - _dedekind_twelfths(m.d, abs(m.c))[0], m.c
+    phi, remainder = divmod(numerator, denominator)
+    psi = phi - 3 * _sign(m.c * (m.a + m.d))
+    if remainder:  # Psi + remainder / denominator, in lowest terms
+        g = gcd(remainder, denominator)
+        den = abs(denominator) // g
+        raise InternalInconsistencyError(
+            f"Psi came out non-integral: {psi * den + abs(remainder) // g}/{den}"
+        )
+    return phi, psi
 
 
-def rademacher_phi(matrix: Mat2Z) -> Fraction:
+def rademacher_phi(matrix: Mat2Z) -> int:
     """Phi on the trace-positive representative; (a+d)/c - 12 sign(c) s(d, |c|),
     or b/d for upper-triangular matrices."""
-    return Fraction(*_phi_terms(matrix.normalized()))
+    return _phi_psi(matrix.normalized())[0]
 
 
 def rademacher_psi(matrix: Mat2Z) -> int:
-    """The conjugacy-invariant Psi = Phi - 3 sign(c (a + d)); always an integer."""
-    m = matrix.normalized()
-    return _psi(m, *_phi_terms(m))
-
-
-def _psi(m: Mat2Z, numerator: int, denominator: int) -> int:
-    """Psi of the trace-positive representative m from the terms of its Phi,
-    so one reciprocity walk serves `rademacher_record`, which reads both."""
-    shift = 3 * _sign(m.c * (m.a + m.d))
-    phi, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise InternalInconsistencyError(
-            f"Psi came out non-integral: {Fraction(numerator, denominator) - shift}"
-        )
-    return phi - shift
+    """The conjugacy-invariant Psi = Phi - 3 sign(c (a + d))."""
+    return _phi_psi(matrix.normalized())[1]
 
 
 def rademacher(word: str) -> int:
@@ -334,15 +332,15 @@ def rademacher(word: str) -> int:
 
 def rademacher_record(word: str) -> dict:
     """The row `modular rademacher` prints for a mixed word in any rotation:
-    its canonical spelling, ``rademacher``, Phi as a ``Fraction`` string and
-    Psi of its matrix.  The word is checked and canonicalized once,
-    multiplied out once, and Phi and Psi come from one reciprocity walk."""
+    its canonical spelling, ``rademacher``, Phi as a string and Psi of its
+    matrix.  The word is checked and canonicalized once, multiplied out
+    once, and Phi and Psi come from one reciprocity walk.  A mixed word's
+    product has positive trace, so it is its own representative."""
     text = canonicalize(word)
-    matrix = _word_product(text).normalized()  # refuses a one-letter word
-    numerator, denominator = _phi_terms(matrix)
+    phi, psi = _phi_psi(_word_product(text))  # refuses a one-letter word
     return {
         "word": text,
         "rademacher": text.count("L") - text.count("R"),
-        "phi": str(Fraction(numerator, denominator)),
-        "psi": _psi(matrix, numerator, denominator),
+        "phi": str(phi),
+        "psi": psi,
     }

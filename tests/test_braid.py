@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 from lorenzlinks import braid as braid_mod
 from lorenzlinks import cli
 from lorenzlinks.braid import (
-    EAR_TYPES,
     LorenzBraid,
     braid_generators,
     braid_of_words,
     linking_matrix,
-    permutation_cycles,
     words_of_braid,
 )
 from lorenzlinks.errors import (
@@ -27,6 +25,7 @@ from lorenzlinks.errors import (
     ResourceCapError,
     ValidationError,
 )
+from lorenzlinks.invariants import compute_record
 from lorenzlinks.tlink import TLinkParams, to_lorenz
 from lorenzlinks.words import (
     MAX_LETTERS,
@@ -47,6 +46,25 @@ def inversion_oracle(targets):
     return sum(
         1 for i in range(n) for j in range(i + 1, n) if targets[i] > targets[j]
     )
+
+
+def cycles_oracle(targets):
+    """The cycles of i -> targets[i - 1], each walked from its least
+    position, in order of that position: a position starts a cycle exactly
+    when no position on its orbit is smaller."""
+    cycles = []
+    for start in range(1, len(targets) + 1):
+        orbit = [start]
+        while targets[orbit[-1] - 1] != start:
+            orbit.append(targets[orbit[-1] - 1])
+        if min(orbit) == start:
+            cycles.append(tuple(orbit))
+    return tuple(cycles)
+
+
+def ear_types(braid):
+    """Each strand's lobe pair (this pass, next pass), as the wire form writes it."""
+    return braid.to_json_dict()["types"]
 
 
 def standard_permutation(lobes):
@@ -137,7 +155,7 @@ def lorenz_braid_oracle(n, targets, letters):
         raise InternalInconsistencyError(
             f"inversion count {inversions} but sum q_i p_i = {trip_sum}"
         )
-    cycles = permutation_cycles(targets)
+    cycles = cycles_oracle(targets)
     return inversions, (ll, l_count - ll, rl, n - l_count - rl), trip, cycles
 
 
@@ -168,7 +186,7 @@ def slide_generators_oracle(braid):
 def words_oracle(braid):
     """Each cycle's lobe letters, rotated to their least rotation."""
     letters = strand_letters(braid)
-    return [least_rotation("".join(letters[i - 1] for i in cycle)) for cycle in braid.cycles()]
+    return [least_rotation("".join(letters[i - 1] for i in cycle)) for cycle in braid.cycles]
 
 
 def linking_oracle(braid):
@@ -245,7 +263,7 @@ class TestBraidOfWords:
     def test_ten_strand_word(self):
         link = validate_link(["LRLRRRLRRR"])
         braid = braid_of_words(link)
-        assert braid.cycles()[0] == (1, 6, 3, 10, 8, 5, 2, 9, 7, 4)
+        assert braid.cycles[0] == (1, 6, 3, 10, 8, 5, 2, 9, 7, 4)
         assert braid.targets == (6, 9, 10, 1, 2, 3, 4, 5, 7, 8)
         assert braid.lobes == "RRRRRLRRLL" and braid.left == 3
 
@@ -265,7 +283,7 @@ class TestBraidOfWords:
         for words in word_sets_up_to(12):
             braid = braid_of_words(words)
             assert sorted(words_of_braid(braid)) == sorted(words)
-            assert len(braid.cycles()) == len(words)
+            assert len(braid.cycles) == len(words)
 
     def test_over_strand_criterion(self):
         for word in lyndon_words(12):
@@ -293,11 +311,11 @@ class TestBraidOfWords:
         # the per-strand labels, read off the braid itself
         braid = braid_of_words(validate_link(["LRLRRRLRRR"]))
         assert braid.components[0] == 0
-        assert braid.ear_type(1) == "LR"
+        assert ear_types(braid)[0] == "LR"
         assert braid.targets[0] - 1 == 5
-        assert braid.targets[9] - 10 == -2 and braid.ear_type(10) == "RR"
+        assert braid.targets[9] - 10 == -2 and ear_types(braid)[9] == "RR"
         fixed = braid_of_words(validate_link(["L"]))
-        assert fixed.ear_type(1) == "LL" and fixed.lobes == "L"
+        assert ear_types(fixed) == ["LL"] and fixed.lobes == "L"
         assert fixed.targets[0] - 1 == 0
 
     def test_components_are_numbered_by_least_strand(self):
@@ -494,7 +512,7 @@ class TestLongWords:
         link = validate_link([self.WORDS[name]])
         (text,) = link
         offset_at = [0] * len(text)
-        for k, pos in enumerate(braid_of_words(link).cycles()[0]):
+        for k, pos in enumerate(braid_of_words(link).cycles[0]):
             offset_at[pos - 1] = k
         prev = None
         for k in offset_at:
@@ -512,8 +530,8 @@ class TestPositionSequences:
     def check(link):
         braid = braid_of_words(link)
         # a rank sequence starts at the least rotation, the least strand of
-        # its cycle, so sorting orders the sequences as cycles() does
-        assert sorted(position_sequences_oracle(link)) == braid.cycles(), link
+        # its cycle, so sorting orders the sequences as cycles does
+        assert sorted(position_sequences_oracle(link)) == list(braid.cycles), link
         components, letters = braid.components, strand_letters(braid)
         for k, word in enumerate(words_of_braid(braid)):
             start = pos = components.index(k)
@@ -669,7 +687,7 @@ class TestLorenzBraidRejections:
         assert accepted.keys() == lobe_braids.keys()
         for key, expected in accepted.items():
             braid = lobe_braids[key]
-            read = (braid.crossings, braid.ear_counts, braid.trip, braid.cycles())
+            read = (braid.crossings, braid.ear_counts, braid.trip, braid.cycles)
             assert read == expected, braid
             assert braid_generators(braid) == slide_generators_oracle(braid), braid
             assert linking_matrix(braid) == linking_oracle(braid), braid
@@ -688,33 +706,35 @@ class TestLobeString:
             assert (braid.targets, braid.left, braid.n) == (targets, left, len(lobes)), lobes
             trip, crossings, ear_counts = merge_oracle(targets, left)
             assert (braid.trip, braid.crossings, braid.ear_counts) == (trip, crossings, ear_counts)
-            cycles = permutation_cycles(targets)
-            assert braid.cycles() == cycles and braid.component_count == len(cycles), lobes
+            cycles = cycles_oracle(targets)
+            assert braid.cycles == cycles and braid.component_count == len(cycles), lobes
             count += 1
         assert count == 8_190
 
-    def test_targets_and_cycles_wait_for_first_use(self, monkeypatch):
-        # the census reads neither: a braid derives them when first asked, once
-        walks = []
-        cycles = braid_mod.permutation_cycles
-        monkeypatch.setattr(
-            braid_mod, "permutation_cycles", lambda targets: walks.append(targets) or cycles(targets)
-        )
+    def test_targets_and_cycles_wait_for_first_use(self):
+        # the census reads neither: a braid derives them when first asked,
+        # once, and every later read returns the same object
         braid = LorenzBraid("RRRRRLRRLL")
-        assert "targets" not in vars(braid) and walks == []
-        assert braid.component_count == 1 and braid.cycles() == braid.cycles()
-        assert walks == [braid.targets] and "targets" in vars(braid)
+        assert not {"targets", "cycles", "components"} & vars(braid).keys()
+        assert braid.component_count == 1 and "cycles" in vars(braid)
+        cycles, components = braid.cycles, braid.components
+        assert braid.cycles is cycles and braid.components is components
+        assert vars(braid)["targets"] is braid.targets
+        assert cycles == cycles_oracle(braid.targets)
 
     def test_the_census_builds_no_targets_and_walks_no_cycle(self, monkeypatch):
-        targets_read, walks = [], []
+        for word in lyndon_words(10):
+            braid = braid_of_words([word])
+            compute_record(braid)
+            assert not {"targets", "cycles"} & vars(braid).keys(), word
+        targets_read = []
         targets = vars(LorenzBraid)["targets"].func
         monkeypatch.setattr(
             LorenzBraid, "targets", property(lambda braid: targets_read.append(1) or targets(braid))
         )
-        monkeypatch.setattr(braid_mod, "permutation_cycles", lambda targets: walks.append(1))
         lines = list(cli.build_atlas(10))
         assert len(lines) == sum(aperiodic_count(n) for n in range(1, 11))
-        assert (len(targets_read), len(walks)) == (0, 0)
+        assert targets_read == []
 
 
 LINK_WORD_POOL = list(lyndon_words(12))
@@ -726,12 +746,12 @@ class TestDerivedFields:
     def test_against_oracles_on_link_families(self, words):
         braid = braid_of_words(words)
         assert braid.crossings == inversion_oracle(braid.targets)
-        counter = Counter(braid.ear_type(i) for i in range(1, braid.n + 1))
-        assert braid.ear_counts == tuple(counter[t] for t in EAR_TYPES)
+        counter = Counter(ear_types(braid))
+        assert braid.ear_counts == tuple(counter[t] for t in ("LL", "LR", "RL", "RR"))
         assert braid.trip == trip_oracle(braid.targets)
         assert sum(p * q for p, q in braid.trip) == braid.crossings
         # recorded by braid_of_words, one per word, without a walk
-        assert braid.component_count == len(permutation_cycles(braid.targets)) == len(words)
+        assert braid.component_count == len(cycles_oracle(braid.targets)) == len(words)
 
     def test_fields_stay_plain_properties(self):
         # perfbench/tracer.py times these two by wrapping
@@ -746,7 +766,7 @@ class TestBraidGenerators:
         braid = braid_of_words(validate_link(["LRLRL"]))
         gens = braid_generators(braid)
         assert len(gens) == 6
-        assert len(braid.cycles()) == 1
+        assert len(braid.cycles) == 1
 
     def test_identity_braid_is_empty(self):
         assert braid_generators(braid_of_words(validate_link(["L"]))) == []

@@ -548,6 +548,13 @@ class TestFlow:
         assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_csv_ending_in_a_separator_names_no_file(self, capsys, tmp_path):
+        path = str(tmp_path / "x") + os.sep
+        code, out, err = run(capsys, "flow", "itinerary", "--steps", "100", "--csv", path)
+        assert (code, out) == (4, "")
+        assert err == f"error: [Errno 21] Is a directory: {path!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("seed_state", ["a,b,c", "1,2", "1,2,3,4"])
     def test_bad_seed_state_exit_code(self, capsys, seed_state):
         code, out, err = run(capsys, "flow", "itinerary", "--seed-state", seed_state)
@@ -636,6 +643,35 @@ class TestAtlas:
         assert (code, out) == (4, "")
         assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [None, "dir", "file"])
+    def test_out_ending_in_a_separator_names_no_file(self, capsys, tmp_path, existing):
+        # realpath drops the separator: the atlas must not become a file "sub"
+        sub = tmp_path / "sub"
+        if existing == "dir":
+            sub.mkdir()
+        elif existing == "file":
+            sub.write_bytes(b"previous contents\n")
+        before = {path: path.is_dir() or path.read_bytes() for path in tmp_path.iterdir()}
+        path = str(sub) + os.sep
+        code, out, err = run(capsys, "atlas", "build", "--max-len", "3", "--out", path)
+        assert (code, out) == (4, "")
+        assert err == f"error: [Errno 21] Is a directory: {path!r}\n"
+        after = {path: path.is_dir() or path.read_bytes() for path in tmp_path.iterdir()}
+        assert after == before and (existing != "dir" or list(sub.iterdir()) == [])
+
+    @pytest.mark.parametrize("option", [["atlas", "build", "--max-len", "3", "--out"],
+                                        ["flow", "itinerary", "--steps", "100", "--csv"]])
+    def test_empty_path_is_refused_in_place(self, capsys, tmp_path, monkeypatch, option):
+        # an empty path resolves to the working directory: its temporary
+        # file would go to the parent, which a refusal must leave untouched
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, out, err = run(capsys, *option, "")
+        assert (code, out) == (4, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+        assert list(tmp_path.iterdir()) == [work] and list(work.iterdir()) == []
 
     def test_query_filters(self, capsys, tmp_path):
         out_path = tmp_path / "atlas.jsonl"

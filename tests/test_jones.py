@@ -23,6 +23,7 @@ from lorenzlinks.jones import (
     _divide_by_one_minus_t_squared,
     _unpack,
     jones_of_braid,
+    jones_of_lorenz_braid,
     jones_torus,
     kauffman_bracket,
 )
@@ -190,6 +191,11 @@ class TestKauffmanBracket:
         # refused before the word is read: an out-of-range index is not reached
         with pytest.raises(ValidationError, match="max_crossings"):
             kauffman_bracket([99], 2, max_crossings=cap)
+        # the Lorenz-braid entry point refuses it the same way, before the
+        # crossing count is compared with it
+        braid = braid_of_words(["LRLRL"])
+        with pytest.raises(ValidationError, match=f"^max_crossings must be >= 0, got {cap}$"):
+            jones_of_lorenz_braid(braid, cap)
 
     def test_loose_strand_cap_refuses_before_allocating(self):
         cap = jones_mod.MAX_LOOSE_STRANDS

@@ -458,7 +458,7 @@ class TestRademacher:
             seen["c=0"] += n.c == 0
             seen["trace<0"] += m.trace < 0
             phi = phi_oracle(m)
-            assert rademacher_phi(m) == phi, m
+            assert rademacher_phi(m) == phi and type(rademacher_phi(m)) is int, m
             psi = rademacher_psi(m)
             assert type(psi) is int, m
             assert psi == phi - 3 * _sign(n.c * (n.a + n.d)), m
