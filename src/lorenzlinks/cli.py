@@ -507,7 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
     flow = sub.add_parser("flow", help="integrate the ODE system")
     flow_sub = flow.add_subparsers(dest="action", required=True)
     itin = flow_sub.add_parser("itinerary", help="LR symbols of a trajectory")
-    itin.add_argument("--seed-state", default="1,1,1")
+    itin.add_argument(
+        "--seed-state", default="1,1,1",
+        help="start x,y,z; when x < 0 write it with '=', as --seed-state=-1,-1,20",
+    )
     itin.add_argument("--dt", type=float, default=flow_mod.DT)
     itin.add_argument("--steps", type=int, default=40000)
     itin.add_argument("--skip-transient", type=float, default=10.0)

@@ -78,14 +78,6 @@ class Mat2Z:
     def trace(self) -> int:
         return self.a + self.d
 
-    def __mul__(self, other: "Mat2Z") -> "Mat2Z":
-        return Mat2Z(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def normalized(self) -> "Mat2Z":
         """The projective representative with trace > 0 (sign of (c, b) breaks
         the tie for trace 0)."""
@@ -93,10 +85,6 @@ class Mat2Z:
         if t < 0 or (t == 0 and (self.c < 0 or (self.c == 0 and self.b < 0))):
             return Mat2Z(-self.a, -self.b, -self.c, -self.d)
         return self
-
-
-L_MATRIX = Mat2Z(1, 1, 0, 1)
-R_MATRIX = Mat2Z(1, 0, 1, 1)
 
 
 def matrix_of_word(word: str) -> Mat2Z:

@@ -8,12 +8,15 @@ import json
 import os
 import random
 import stat
+import subprocess
 import sys
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from matrix_oracle import L_MATRIX, R_MATRIX, conjugate, inverse, product
+from rotation_oracle import least_rotation_oracle
 
 from lorenzlinks import braid as braid_mod
 from lorenzlinks import cli
@@ -46,6 +49,11 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def fixed_word(length: int) -> str:
+    """A fixed string of L's and R's, seeded by its length."""
+    return "".join(random.Random(length).choices("LR", k=length))
 
 
 class TestWordInfo:
@@ -92,14 +100,29 @@ class TestConvert:
     def test_word_to_tlink(self, capsys):
         payload = run_json(capsys, "convert", "LRLRL", "--to", "tlink")
         assert payload["pairs"] == [[2, 3]]
+        payload = run_json(capsys, "convert", "LLLRLLRR", "--to", "tlink")
+        assert payload["pairs"] == [[1, 1], [2, 2], [3, 2]]
 
     def test_params_to_word(self, capsys):
         payload = run_json(capsys, "convert", "[[2,3]]", "--to", "word")
         assert payload["words"] == ["LLRLR"]
+        payload = run_json(capsys, "convert", "[[1,1],[2,2],[3,2]]", "--to", "word")
+        assert payload["words"] == ["LLLRLLRR"]
 
     def test_params_to_parallel_words(self, capsys):
         payload = run_json(capsys, "convert", "[[2,4]]", "--to", "word")
         assert payload["words"] == ["LLR", "LLR"]
+        # three components, numbered by least strand: component k, walked
+        # along the targets from its least strand, spells word k
+        assert run(capsys, "convert", "[[2,2],[3,3]]", "--to", "word") == (
+            0, '{"words":["LLR","LLR","LR"]}\n', ""
+        )
+        assert run(capsys, "convert", "[[2,2],[3,3]]", "--to", "braid") == (
+            0,
+            '{"n":8,"targets":[3,4,6,7,8,1,2,5],"components":[0,1,0,1,2,0,1,2],'
+            '"types":["LL","LL","LR","LR","LR","RL","RL","RL"],"trip":[[2,2],[3,3]]}\n',
+            "",
+        )
 
     def test_bad_params_exit_code(self, capsys):
         code, _, _ = run(capsys, "convert", "[[3,1],[2,2]]", "--to", "word")
@@ -241,6 +264,14 @@ class TestCanonicalizeOnce:
 
     def test_convert_prints_the_canonical_spelling_of_a_typed_rotation(self, capsys):
         assert run_json(capsys, "convert", "RLL", "--to", "word") == {"words": ["LLR"]}
+        assert run_json(capsys, "convert", "LRL", "--to", "word") == {"words": ["LLR"]}
+        assert run_json(capsys, "word", "info", "RLL")["word"] == "LLR"
+        # a word of SEED letters takes the one sort of its rotations
+        typed = fixed_word(braid_mod.SEED)
+        least = least_rotation_oracle(typed)
+        assert typed != least
+        assert run_json(capsys, "convert", typed, "--to", "word") == {"words": [least]}
+        assert run_json(capsys, "word", "info", typed)["word"] == least
 
 
 def test_convert_builds_the_braid_of_the_typed_spelling():
@@ -289,10 +320,20 @@ class TestJones:
     def test_word(self, capsys):
         payload = run_json(capsys, "jones", "LRLRL")
         assert payload["pairs"] == [[4, 1], [12, 1], [16, -1]]
+        # the kernel closes the braid from the rotation it scores cheapest;
+        # a rotation of a word and its involute are the same knot
+        spellings = ("LRLRRLRRR", "RRLRRRLRL", "LLLRLRLLR")
+        pairs = [run_json(capsys, "jones", spelling)["pairs"] for spelling in spellings]
+        assert pairs[0] == pairs[1] == pairs[2]
 
     def test_link_words(self, capsys):
         payload = run_json(capsys, "jones", "L,LR")
         assert payload["source"] == "L,LR"
+        # L and R are strands no crossing touches: the mu-component unlink
+        # has V = (-t^(-1/2) - t^(1/2))^(mu - 1)
+        for target in ("L,R", "L,LR", "R,LR"):
+            assert run_json(capsys, "jones", target)["pairs"] == [[-2, -1], [2, -1]], target
+        assert run_json(capsys, "jones", "L,R,LR")["pairs"] == [[-4, 1], [0, 2], [4, 1]]
 
     def test_crossing_cap_exit_code(self, capsys):
         code, _, _ = run(capsys, "jones", "LRLRRRLRRR", "--jones-max-crossings", "10")
@@ -340,10 +381,23 @@ class TestModular:
     def test_decode(self, capsys):
         payload = run_json(capsys, "modular", "decode", "[[3,2],[1,1]]")
         assert payload["word"] == "LLR"
+        # trace-positive with c = -8: the first surd floor divides by a
+        # negative Q; a conjugate of LLRLR's matrix
+        assert run_json(capsys, "modular", "decode", "[[13,5],[-8,-3]]") == {"word": "LLRLR"}
+        # encode then decode gives the least rotation: (LR)^999 RR has 999
+        # tied longest L runs, and the 2,000-letter word's entries run to
+        # hundreds of digits
+        for typed in ("LR" * 999 + "RR", fixed_word(2000)):
+            matrix = run_json(capsys, "modular", "encode", typed)["matrix"]
+            decoded = run_json(capsys, "modular", "decode", json.dumps(matrix))["word"]
+            assert decoded == least_rotation_oracle(typed)
 
     def test_rademacher(self, capsys):
         payload = run_json(capsys, "modular", "rademacher", "LLR")
         assert payload["rademacher"] == payload["psi"] == 1
+        typed = fixed_word(2000)
+        payload = run_json(capsys, "modular", "rademacher", typed)
+        assert payload["rademacher"] == payload["psi"] == typed.count("L") - typed.count("R")
 
     def test_rademacher_record_is_the_printed_row(self, capsys):
         words = [word for word in lyndon_words(12) if len(word) >= 2]
@@ -446,12 +500,22 @@ class TestFlow:
         assert csv_path.read_text().startswith("t,x,y,z")
 
     def test_default_itinerary_bytes(self, capsys):
-        # sha256 of the output from before the integrator kept plain-float columns
-        code, out, _ = run(capsys, "flow", "itinerary")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "56f71a9dce46c90970cfc549eae0c4c8f3a7abf680905d9dd7fcaca7a3648824"
-        )
+        # sha256 of the output from before the integrator kept plain-float
+        # columns; --dt defaults to flow.DT = 0.001, so naming it changes nothing
+        for dt in ([], ["--dt", "0.001"]):
+            code, out, _ = run(capsys, "flow", "itinerary", *dt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == (
+                "56f71a9dce46c90970cfc549eae0c4c8f3a7abf680905d9dd7fcaca7a3648824"
+            ), dt
+
+    def test_negative_x_start_in_the_equals_form(self, capsys):
+        # argparse reads "-1,-1,20" after a space as an option, so a start
+        # with x < 0 is typed as one argument
+        argv = ["flow", "itinerary", "--seed-state=-1,-1,20", "--steps", "20000"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.endswith("\n") and set(out.strip()) == {"L", "R"}
 
     def test_csv_bytes(self, capsys, tmp_path):
         csv_path = tmp_path / "traj.csv"
@@ -1335,23 +1399,19 @@ class TestOutputBytes:
         # (every rotation and proper power), two seeded conjugates of each,
         # some with c < 0 once normalized so the pre-period floor divides by
         # a negative Q, and the trace <= 2 refusals
-        letter_matrix = {"L": mod_mod.L_MATRIX, "R": mod_mod.R_MATRIX}
-        steps = [*letter_matrix.values(), mod_mod.Mat2Z(1, -1, 0, 1), mod_mod.Mat2Z(1, 0, -1, 1)]
+        letter_matrix = {"L": L_MATRIX, "R": R_MATRIX}
+        steps = [L_MATRIX, R_MATRIX, inverse(L_MATRIX), inverse(R_MATRIX)]
         rng = random.Random(2007)
         matrices = []
         for n in range(2, 11):
             for letters in itertools.product("LR", repeat=n):
                 if len(set(letters)) < 2:
                     continue
-                product = mod_mod.Mat2Z(1, 0, 0, 1)
-                for letter in letters:
-                    product = product * letter_matrix[letter]
-                matrices.append(product)
+                word = product(*(letter_matrix[letter] for letter in letters))
+                matrices.append(word)
                 for _ in range(2):
-                    p = mod_mod.Mat2Z(1, 0, 0, 1)
-                    for _ in range(rng.randrange(1, 9)):
-                        p = p * rng.choice(steps)
-                    matrices.append(p * product * mod_mod.Mat2Z(p.d, -p.b, -p.c, p.a))
+                    p = product(*(rng.choice(steps) for _ in range(rng.randrange(1, 9))))
+                    matrices.append(conjugate(p, word))
         assert len(matrices) == 3 * 2_026
         assert sum(m.normalized().c < 0 for m in matrices) == 1_731
         rows = [json.dumps(m.to_rows(), separators=(",", ":")) for m in matrices] + [
@@ -1501,6 +1561,50 @@ class TestParserReuse:
             cli.build_parser().parse_args(argv)
         assert texts == [capsys.readouterr().out] * 2
         assert len(fresh) == 2  # the shared parser and the one built here
+
+
+class TestSeparateProcess:
+    """`python -m lorenzlinks.cli` runs `run()`, which hands `main`'s return
+    value to `sys.exit`, in a process whose parser is built afresh.  Each
+    command line gives the same exit code, stdout and stderr there as
+    through `main`, called twice in this process on the one shared parser:
+    successes, an argparse refusal and one refusal for each of exit 2, 3
+    and 4."""
+
+    def test_a_child_process_and_main_agree(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+        atlas = str(tmp_path / "atlas6.jsonl")
+        commands = [
+            ["atlas", "build", "--max-len", "6", "--jones-max-crossings", "8", "--out", atlas],
+            ["word", "info", "LRLRRLR", "--format", "table"],
+            ["convert", "[[2,3]]", "--to", "word"],
+            ["jones", "LRLRL"],
+            ["modular", "rademacher", "LLRLR"],
+            ["atlas", "query", atlas, "--where", "genus>=1", "--where", "torus=null"],
+            ["atlas", "query", atlas],
+            ["convert", "LLR", "--to", "knot"],
+            ["word", "info", "LLLL"],
+            ["jones", "LLLRLRLRLRRLRRLR"],
+            ["atlas", "build", "--max-len", "3", "--out", str(tmp_path / "missing") + os.sep],
+        ]
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        children = [
+            subprocess.run(
+                [sys.executable, "-m", "lorenzlinks.cli", *argv],
+                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=package_root),
+            )
+            for argv in commands
+        ]
+        seen = [(child.returncode, child.stdout, child.stderr) for child in children]
+        assert [code for code, _, _ in seen] == [0] * 7 + [2, 2, 3, 4]
+        for _ in range(2):
+            for argv, child in zip(commands, seen):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse refused the command line
+                    code = exc.code
+                assert (code, *capsys.readouterr()) == child, argv
+        assert sorted(os.listdir(tmp_path)) == ["atlas6.jsonl"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,12 @@ import pytest
 from dedekind_oracle import direct_dedekind_sum
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from matrix_oracle import IDENTITY, L_MATRIX, R_MATRIX, conjugate, inverse, product
 
 from lorenzlinks import modular as modular_mod
 from lorenzlinks import words as words_mod
 from lorenzlinks.errors import InternalInconsistencyError, ResourceCapError, ValidationError
 from lorenzlinks.modular import (
-    L_MATRIX,
-    R_MATRIX,
     Mat2Z,
     dedekind_sum,
     matrix_of_word,
@@ -25,13 +24,6 @@ from lorenzlinks.modular import (
     word_of_matrix,
 )
 from lorenzlinks.words import canonicalize, involute, lyndon_words, smallest_period
-
-
-IDENTITY = Mat2Z(1, 0, 0, 1)
-
-
-def inverse(m):
-    return Mat2Z(m.d, -m.b, -m.c, m.a)
 
 
 def mixed_words(max_len):
@@ -69,17 +61,14 @@ def random_conjugator(rng, max_entry=50):
     while True:
         m = IDENTITY
         for _ in range(rng.randrange(1, 9)):
-            m = m * rng.choice(gens)
+            m = product(m, rng.choice(gens))
         if max(abs(v) for v in (m.a, m.b, m.c, m.d)) <= max_entry:
             return m
 
 
 def product_oracle(letters):
     """The word's matrix as the per-letter product of generator ``Mat2Z``s."""
-    product = IDENTITY
-    for letter in letters:
-        product = product * (L_MATRIX if letter == "L" else R_MATRIX)
-    return product
+    return product(*(L_MATRIX if letter == "L" else R_MATRIX for letter in letters))
 
 
 def _sawtooth(x):
@@ -113,7 +102,7 @@ def random_sl2z(rng):
     gens = [L_MATRIX, R_MATRIX, inverse(L_MATRIX), inverse(R_MATRIX)]
     m = IDENTITY
     for _ in range(rng.randrange(1, 30)):
-        m = m * rng.choice(gens) if rng.random() < 0.5 else m * Mat2Z(0, -1, 1, 0)
+        m = product(m, rng.choice(gens) if rng.random() < 0.5 else Mat2Z(0, -1, 1, 0))
     if rng.random() < 0.5:
         m = Mat2Z(-m.a, -m.b, -m.c, -m.d)
     return m
@@ -135,7 +124,7 @@ class TestMat2Z:
 
     def test_inverse(self):
         m = Mat2Z(2, 1, 1, 1)
-        assert m * inverse(m) == inverse(m) * m == IDENTITY
+        assert product(m, inverse(m)) == product(inverse(m), m) == IDENTITY
 
 
 class TestMatrixOfWord:
@@ -186,7 +175,7 @@ class TestWordOfMatrix:
             matrix = matrix_of_word(word)
             for _ in range(3):
                 p = random_conjugator(rng)
-                assert word_of_matrix(p * matrix * inverse(p)) == word
+                assert word_of_matrix(conjugate(p, matrix)) == word
 
     def test_tied_longest_l_runs_decode_to_the_least_rotation(self):
         # a word with two or more longest L runs leaves least_rotation more
@@ -203,7 +192,7 @@ class TestWordOfMatrix:
         assert tied == 172, tied
 
     def test_proper_powers_are_detected(self):
-        square = matrix_of_word("LR") * matrix_of_word("LR")
+        square = product(matrix_of_word("LR"), matrix_of_word("LR"))
         with pytest.raises(
             ValidationError, match="^trace 7 is a proper power of the class of 'LR'$"
         ):
@@ -216,11 +205,11 @@ class TestWordOfMatrix:
         for word in mixed_words(8):
             matrix = matrix_of_word(word)
             p = random_conjugator(rng)
-            assert word_of_matrix(p * matrix * inverse(p)) == word
+            assert word_of_matrix(conjugate(p, matrix)) == word
             power = matrix
             for _ in (2, 3):
-                power = power * matrix
-                for conjugated in (power, p * power * inverse(p)):
+                power = product(power, matrix)
+                for conjugated in (power, conjugate(p, power)):
                     with pytest.raises(ValidationError) as caught:
                         word_of_matrix(conjugated)
                     assert str(caught.value) == (
@@ -249,7 +238,7 @@ class TestWordOfMatrix:
         monkeypatch.setattr(modular_mod, "matrix_of_word", refuse)
         assert word_of_matrix(matrix) == word
         with pytest.raises(ValidationError, match="proper power of the class of 'LLRLRRLR'"):
-            word_of_matrix(matrix * matrix)
+            word_of_matrix(product(matrix, matrix))
 
     def test_roundtrip_on_long_words(self):
         # c has 340 to 860 digits, so every surd state is a large integer
@@ -323,7 +312,7 @@ class TestDecodeLetterCap:
         word = canonicalize("LLRLRRLR")
         k = 10**50
         for conjugator in (Mat2Z(1, k, 0, 1), Mat2Z(1, 0, k, 1)):
-            conjugated = conjugator * matrix_of_word(word) * inverse(conjugator)
+            conjugated = conjugate(conjugator, matrix_of_word(word))
             assert word_of_matrix(conjugated) == word
 
 
@@ -425,7 +414,7 @@ class TestRademacher:
             expected = rademacher_psi(matrix)
             for _ in range(4):
                 p = random_conjugator(rng)
-                assert rademacher_psi(p * matrix * inverse(p)) == expected
+                assert rademacher_psi(conjugate(p, matrix)) == expected
 
     def test_long_words_letter_count_and_conjugation_invariance(self):
         # Words of 100-400 letters put c between about 10^17 and 10^70, far
@@ -439,7 +428,7 @@ class TestRademacher:
             assert rademacher_psi(matrix) == expected == rademacher(word), word
             for _ in range(3):
                 p = random_conjugator(rng)
-                assert rademacher_psi(p * matrix * inverse(p)) == expected
+                assert rademacher_psi(conjugate(p, matrix)) == expected
 
     def test_phi_equals_term_by_term_composition_on_word_matrices(self):
         for word in mixed_words(12):

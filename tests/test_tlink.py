@@ -1,6 +1,7 @@
 """T-braid words and the Lorenz <-> T-link parameter correspondence."""
 
 import pytest
+from rotation_oracle import least_rotation_oracle
 
 from lorenzlinks.braid import braid_generators, braid_of_words, words_of_braid
 from lorenzlinks.errors import ResourceCapError, ValidationError
@@ -96,6 +97,11 @@ class TestToLorenz:
     def test_strand_cap_is_inclusive(self):
         braid = to_lorenz(TLinkParams(((2, 1), (3, MAX_LETTERS - 4))))
         assert braid.n == MAX_LETTERS
+        # each word is read off its cycle from the least strand, which is
+        # already its least rotation
+        words = words_of_braid(braid)
+        assert [len(word) for word in words] == [66_667, 33_333]
+        assert all(word == least_rotation_oracle(word) for word in words)
 
 
 class TestFromLorenz:

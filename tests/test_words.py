@@ -1,6 +1,7 @@
 """Canonical form, enumeration and symmetry of cyclic words."""
 
 import pytest
+from rotation_oracle import least_rotation_oracle
 
 from lorenzlinks import modular as modular_mod
 from lorenzlinks import words as words_mod
@@ -263,12 +264,13 @@ class TestLeastRotation:
     oracle is the min over every rotation."""
 
     def test_every_string_of_at_most_14_letters(self):
-        # periodic strings, one-letter strings and the empty string included
-        assert least_rotation("") == ""
+        # periodic strings, one-letter strings and the empty string included;
+        # the linear-time test oracle is held to the min over rotations too
+        assert least_rotation("") == least_rotation_oracle("") == ""
         for n in range(1, 15):
             for bits in range(2**n):
                 s = "".join("LR"[(bits >> i) & 1] for i in range(n))
-                assert least_rotation(s) == brute_least_rotation(s), s
+                assert least_rotation(s) == brute_least_rotation(s) == least_rotation_oracle(s), s
 
     @pytest.mark.parametrize(
         "shape",
