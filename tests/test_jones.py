@@ -12,6 +12,7 @@ from bracket_oracle import state_sum_bracket
 from destabilize_oracle import loop_destabilize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from link_families import seeded_links, t_link_params_up_to
 
 from lorenzlinks import jones as jones_mod
 from lorenzlinks.braid import braid_generators, braid_of_words
@@ -29,7 +30,6 @@ from lorenzlinks.jones import (
 )
 from lorenzlinks.tlink import TLinkParams, from_lorenz, t_braid_word
 from lorenzlinks.words import involute, lyndon_words, validate_link
-from test_braid import seeded_links, t_link_params_up_to
 
 
 def poly(pairs) -> LaurentPoly:

@@ -1,12 +1,15 @@
-"""The package's public surface."""
+"""The package's public surface, and what the test oracles may take from it."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import lorenzlinks
-from lorenzlinks import errors
+from lorenzlinks import LaurentPoly, Mat2Z, errors
 
 PACKAGE_DIR = Path(lorenzlinks.__file__).parent
+TESTS_DIR = Path(__file__).parent
 
 
 def test_every_export_resolves():
@@ -115,3 +118,53 @@ def test_no_module_uses_another_modules_private_names():
         if (names := _private_reach_ins(path))
     }
     assert reach_ins == {}
+
+
+def _package_bindings(path):
+    """Each name the oracle module at ``path`` binds from the package, by an
+    import anywhere in its source or as a module global, with its object."""
+    bound = {}
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "lorenzlinks":
+                    bound[alias.asname or alias.name] = importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "lorenzlinks":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                star = alias.name == "*"
+                bound[alias.asname or alias.name] = module if star else getattr(module, alias.name)
+    for name, value in vars(importlib.import_module(path.stem)).items():
+        owner = value.__name__ if isinstance(value, types.ModuleType) else getattr(value, "__module__", "")
+        if isinstance(owner, str) and owner.partition(".")[0] == "lorenzlinks":
+            bound.setdefault(name, value)
+    return bound
+
+
+def _oracle_may_use(value):
+    if isinstance(value, type):
+        return issubclass(value, Exception) or value in (LaurentPoly, Mat2Z)
+    return not callable(value) and not isinstance(value, types.ModuleType)
+
+
+def test_oracles_bind_no_code_they_check():
+    # an oracle is an independent method: from the package it takes only
+    # exception classes, constants and the value types LaurentPoly and Mat2Z,
+    # never a function, a module or LorenzBraid
+    paths = sorted(TESTS_DIR.glob("*_oracle.py"))
+    assert [path.stem for path in paths] == [
+        "bracket_oracle",
+        "bwt_oracle",
+        "dedekind_oracle",
+        "destabilize_oracle",
+        "lobe_oracle",
+        "matrix_oracle",
+        "rotation_oracle",
+    ]
+    found = [
+        f"{path.stem}.{name}"
+        for path in paths
+        for name, value in _package_bindings(path).items()
+        if not _oracle_may_use(value)
+    ]
+    assert found == []

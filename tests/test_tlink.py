@@ -81,8 +81,7 @@ class TestToLorenz:
         assert [str(w) for w in words_of_braid(braid)] == ["LLR", "LLR"]
 
     def test_structural_invariants_hold(self):
-        # the constructor's one merge refuses any permutation that is not
-        # two increasing lobe blocks, and to_lorenz checks the trip it reads
+        # the trip read off the built lobe string is the parameters given
         for pairs in [((2, 2),), ((1, 3), (4, 2)), ((2, 1), (3, 1), (5, 2))]:
             braid = to_lorenz(TLinkParams(pairs))
             assert braid.trip == pairs
