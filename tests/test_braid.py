@@ -2,13 +2,17 @@
 
 Two sweeps check the library, each quantity once.  The field sweep holds
 every field and read of a braid to ``lobe_oracle``, which computes each from
-the lobe string alone.  The construction sweep holds ``braid_of_words`` to
+the lobe string alone; its inputs, every lobe string of at most 12 letters,
+the T-links and the seeded links, are built once, and each test of it reads
+its own fields.  The construction sweep holds ``braid_of_words`` to
 ``bwt_oracle``, which sorts spelled rotations.  The other tests are worked
 examples, refusals and laziness checks.
 """
 
 import dataclasses
+import functools
 import itertools
+import operator
 import random
 import re
 from collections import Counter
@@ -46,6 +50,36 @@ FIELDS = (
     "components",
     "component_count",
 )
+# every field and read of a braid, keyed as lobe_oracle.lobe_reads keys it
+READS = {name: operator.attrgetter(name) for name in FIELDS}
+READS.update(
+    words=words_of_braid,
+    linking_matrix=linking_matrix,
+    to_json_dict=operator.methodcaller("to_json_dict"),
+)
+
+
+@functools.cache
+def lobe_string_sweep():
+    """The braid of every lobe string of at most 12 letters, each with the
+    lobe oracle's reads, built once for the tests that share them."""
+    return [(LorenzBraid(lobes), lobe_reads(lobes)) for lobes in every_lobe_string(12)]
+
+
+@functools.cache
+def seeded_link_sweep():
+    """3,000 seeded links, each with its braid and the lobe oracle's reads."""
+    out = []
+    for link in seeded_links(3000):
+        braid = braid_of_words(link)
+        out.append((link, braid, lobe_reads(braid.lobes)))
+    return out
+
+
+def assert_reads(braid, expected, names):
+    """The named reads of ``braid`` equal the lobe oracle's ``expected``."""
+    read = {name: READS[name](braid) for name in names}
+    assert read == {name: expected[name] for name in names}, braid.lobes
 
 
 class TestBraidOfWords:
@@ -67,6 +101,36 @@ class TestBraidOfWords:
         assert braid.n == 1
         assert braid.targets == (1,)
         assert braid.crossings == 0
+
+    def test_full_roundtrip_over_word_sets(self):
+        # with the Gessel-Reutenauer bijection: the strings whose words are
+        # pairwise distinct are the braids of the word sets, 2^(n - 1) of
+        # n >= 2 letters, and aperiodic_count(n) strings spell one word
+        word_sets, distinct, knots = set(), Counter(), Counter()
+        for braid, _ in lobe_string_sweep():
+            words = words_of_braid(braid)
+            if len(set(words)) == len(words):
+                distinct[braid.n] += 1
+                word_sets.add(tuple(sorted(words)))
+                assert braid_of_words(words) == braid, braid.lobes
+            knots[braid.n] += len(words) == 1
+        assert word_sets == {tuple(sorted(words)) for words in word_sets_up_to(12)}
+        for n in range(2, 13):
+            assert (distinct[n], knots[n]) == (2 ** (n - 1), aperiodic_count(n)), n
+
+    def test_over_strand_criterion(self):
+        # a left-lobe strand never ends left of its start, a right-lobe
+        # strand never right of it
+        for braid, _ in lobe_string_sweep():
+            moves = [t - s for s, t in enumerate(braid.targets, start=1)]
+            assert min(moves[: braid.left], default=0) >= 0, braid.lobes
+            assert max(moves[braid.left :], default=0) <= 0, braid.lobes
+
+    def test_lr_equals_rl_everywhere(self):
+        for braid, expected in lobe_string_sweep():
+            assert_reads(braid, expected, ["ear_counts"])
+            _, lr, rl, _ = braid.ear_counts
+            assert lr == rl, braid.lobes
 
     def test_position_sequences_chain_through_targets(self):
         # the strand starting at the rank of rotation k ends at the rank of
@@ -285,55 +349,18 @@ class TestLongWords:
             prev = rotation
 
 
-class TestFieldSweep:
-    """Every field of a braid, its generators, linking matrix, words and
-    wire form, against the lobe oracle."""
+class TestPositionSequences:
+    """The cycles, their component labels and the words they spell."""
 
-    @staticmethod
-    def check(braid):
-        expected = lobe_reads(braid.lobes)
-        read = {name: getattr(braid, name) for name in FIELDS}
-        read.update(
-            words=words_of_braid(braid),
-            linking_matrix=linking_matrix(braid),
-            to_json_dict=braid.to_json_dict(),
-        )
-        assert read == expected, braid.lobes
-        replay_generators(braid.lobes, braid_generators(braid))
-        return expected
+    def test_equal_the_sort_oracle_on_every_word_set_to_12_letters(self):
+        # every word set of at most 12 letters is the word set of one of
+        # these strings (test_full_roundtrip_over_word_sets)
+        for braid, expected in lobe_string_sweep():
+            assert_reads(braid, expected, ["cycles", "components", "component_count", "words"])
 
-    def test_every_lobe_string_to_12_letters(self):
-        # with the Gessel-Reutenauer bijection: the strings whose words are
-        # pairwise distinct are the braids of the word sets, 2^(n - 1) of
-        # n >= 2 letters, and aperiodic_count(n) strings spell one word
-        swept, word_sets, distinct, knots = 0, set(), Counter(), Counter()
-        for lobes in every_lobe_string(12):
-            braid = LorenzBraid(lobes)
-            words = self.check(braid)["words"]
-            if len(set(words)) == len(words):
-                distinct[len(lobes)] += 1
-                word_sets.add(tuple(sorted(words)))
-                assert braid_of_words(words) == braid, lobes
-            knots[len(lobes)] += len(words) == 1
-            swept += 1
-        assert swept == 8_190
-        assert word_sets == {tuple(sorted(words)) for words in word_sets_up_to(12)}
-        for n in range(2, 13):
-            assert (distinct[n], knots[n]) == (2 ** (n - 1), aperiodic_count(n)), n
-
-    def test_every_t_link_to_14_strands(self):
-        params = t_link_params_up_to(14)
-        assert len(params) == 8_192
-        repeated = 0
-        for pairs in params:
-            words = self.check(to_lorenz(TLinkParams(pairs)))["words"]
-            repeated += len(set(words)) < len(words)
-        assert repeated  # parallel orbits repeat a word
-
-    def test_seeded_links(self):
-        for link in seeded_links(3000):
-            words = self.check(braid_of_words(link))["words"]
-            assert sorted(words) == sorted(link), link
+    def test_equal_the_sort_oracle_on_seeded_links(self):
+        for _, braid, expected in seeded_link_sweep():
+            assert_reads(braid, expected, ["cycles", "components", "component_count"])
 
 
 class TestStrandProfile:
@@ -363,6 +390,14 @@ class TestStrandProfile:
             assert braid.trip == ()
             assert braid.crossings == 0
 
+    def test_crossings_equal_inversions(self):
+        for braid, expected in lobe_string_sweep():
+            assert_reads(braid, expected, ["crossings"])
+
+    def test_trip_equals_the_oracle_on_every_word_to_length_12(self):
+        for braid, expected in lobe_string_sweep():
+            assert_reads(braid, expected, ["trip"])
+
 
 # the only strings LorenzBraid refuses, as caller input
 BAD_LOBES = [
@@ -388,8 +423,32 @@ class TestLorenzBraidRejections:
         assert (braid.targets, braid.left, braid.n) == ((3, 4, 5, 1, 2), 3, 5)
         assert braid == braid_of_words(["LRLRL"])
 
+    def test_merge_accepts_exactly_what_the_oracle_accepts(self):
+        # every permutation of n <= 6 strands, every lobe split: the pairs
+        # whose left and right blocks of targets each increase, merging into
+        # 1..n, are exactly the (targets, left) of the 126 lobe strings
+        cases, merged = 0, set()
+        for n in range(1, 7):
+            for targets in itertools.permutations(range(1, n + 1)):
+                for left in range(n + 1):
+                    cases += 1
+                    blocks = targets[:left], targets[left:]
+                    if all(list(block) == sorted(block) for block in blocks):
+                        merged.add((targets, left))
+        assert (cases, len(merged)) == (5_912, 126)
+        braids = map(LorenzBraid, every_lobe_string(6))
+        assert {(braid.targets, braid.left) for braid in braids} == merged
+
 
 class TestLobeString:
+    def test_every_string_to_12_letters_against_the_merge(self):
+        # the targets are the merge of the L and R blocks of end positions:
+        # a stable sort of them by letter
+        sweep = lobe_string_sweep()
+        assert len(sweep) == 8_190
+        for braid, expected in sweep:
+            assert_reads(braid, expected, ["n", "left", "targets", "to_json_dict"])
+
     def test_targets_and_cycles_wait_for_first_use(self):
         # the census reads neither: a braid derives them when first asked,
         # once, and every later read returns the same object
@@ -416,6 +475,11 @@ class TestLobeString:
 
 
 class TestDerivedFields:
+    def test_against_oracles_on_link_families(self):
+        for _, braid, expected in seeded_link_sweep():
+            fields = ["n", "left", "targets", "trip", "crossings", "ear_counts", "to_json_dict"]
+            assert_reads(braid, expected, fields)
+
     def test_fields_stay_plain_properties(self):
         # perfbench/tracer.py times these two by wrapping
         # vars(LorenzBraid)[name].fget; a cached_property or a dataclass
@@ -438,6 +502,10 @@ class TestBraidGenerators:
         braid = braid_of_words(validate_link(["LRLRRRLRRR"]))
         assert len(braid_generators(braid)) == 19
 
+    def test_each_pair_crosses_at_most_once(self):
+        for braid, _ in lobe_string_sweep():
+            replay_generators(braid.lobes, braid_generators(braid))
+
 
 class TestLinkingMatrix:
     def test_two_four_torus_link(self):
@@ -447,6 +515,44 @@ class TestLinkingMatrix:
     def test_knot_is_trivial(self):
         braid = braid_of_words(validate_link(["LRLRL"]))
         assert linking_matrix(braid) == [[0]]
+
+    def test_three_component_link_against_oracle(self):
+        # the LR orbit passes between the two fixed strands and links neither
+        braid = braid_of_words(validate_link(["L", "R", "LR"]))
+        assert_reads(braid, lobe_reads(braid.lobes), ["linking_matrix"])
+        assert linking_matrix(braid) == [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+
+    def test_various_links_against_oracle(self):
+        for braid, expected in lobe_string_sweep():
+            assert_reads(braid, expected, ["linking_matrix"])
+
+
+class TestReadOffThePermutation:
+    """The generators, the linking numbers and the words on seeded links, and
+    every field and read on the T-links."""
+
+    def test_words_on_every_small_t_link(self):
+        params = t_link_params_up_to(14)
+        assert len(params) == 8_192
+        repeated = 0
+        for pairs in params:
+            braid = to_lorenz(TLinkParams(pairs))
+            expected = lobe_reads(braid.lobes)
+            assert_reads(braid, expected, READS)
+            replay_generators(braid.lobes, braid_generators(braid))
+            repeated += len(set(expected["words"])) < len(expected["words"])
+        assert repeated  # parallel orbits repeat a word
+
+    def test_generators_and_linking_on_seeded_links(self):
+        for _, braid, expected in seeded_link_sweep():
+            replay_generators(braid.lobes, braid_generators(braid))
+            assert_reads(braid, expected, ["linking_matrix"])
+
+    def test_words_on_seeded_links(self):
+        for link, braid, expected in seeded_link_sweep():
+            assert_reads(braid, expected, ["words"])
+            words = words_of_braid(braid)
+            assert sorted(words) == sorted(link), link
 
 
 class TestSerialization:
