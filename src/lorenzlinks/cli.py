@@ -250,9 +250,9 @@ def query_atlas(
 # output helpers
 
 
-def _emit(rows: Iterable[dict], fmt: str, stream: TextIO) -> None:
+def _emit(rows: Iterable[dict], fmt: str) -> None:
     """Write rows as JSON lines, as key-value tables separated by a blank
-    line, or as CSV under the first row's header, one write per row."""
+    line, or as CSV under the first row's header, one sys.stdout write per row."""
     for number, row in enumerate(rows):
         if fmt == "json":
             text = _encode(row) + "\n"
@@ -265,7 +265,7 @@ def _emit(rows: Iterable[dict], fmt: str, stream: TextIO) -> None:
             text = ",".join(_csv_cell(v) for v in row.values()) + "\n"
             if not number:
                 text = ",".join(row.keys()) + "\n" + text
-        stream.write(text)
+        sys.stdout.write(text)
 
 
 def _plain(value: object) -> str:
@@ -306,7 +306,7 @@ def _cmd_word_info(args: argparse.Namespace) -> int:
             "genus", "chi", "braid_index", "c_min", "torus",
         )},
     }
-    _emit([payload], args.format, sys.stdout)
+    _emit([payload], args.format)
     return 0
 
 
@@ -329,7 +329,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         payload = {"pairs": tlink_mod.from_lorenz(braid).to_json_list()}
     else:  # word
         payload = {"words": braid_mod.words_of_braid(braid)}
-    _emit([payload], args.format, sys.stdout)
+    _emit([payload], args.format)
     return 0
 
 
@@ -358,19 +358,19 @@ def _cmd_jones(args: argparse.Namespace) -> int:
         "jones": poly.format(),
         "pairs": [list(pair) for pair in poly.pairs()],
     }
-    _emit([payload], args.format, sys.stdout)
+    _emit([payload], args.format)
     return 0
 
 
 def _cmd_modular(args: argparse.Namespace) -> int:
     if args.action == "encode":
         matrix = mod_mod.matrix_of_word(args.value)
-        _emit([{"matrix": matrix.to_rows(), "trace": matrix.trace}], args.format, sys.stdout)
+        _emit([{"matrix": matrix.to_rows(), "trace": matrix.trace}], args.format)
     elif args.action == "decode":
         word = mod_mod.word_of_matrix(mod_mod.Mat2Z.from_rows(_parse_json(args.value, "matrix")))
-        _emit([{"word": word}], args.format, sys.stdout)
+        _emit([{"word": word}], args.format)
     else:  # rademacher
-        _emit([mod_mod.rademacher_record(args.value)], args.format, sys.stdout)
+        _emit([mod_mod.rademacher_record(args.value)], args.format)
     return 0
 
 
@@ -454,7 +454,7 @@ def _cmd_atlas_query(args: argparse.Namespace) -> int:
     filters = [parse_filter(expr) for expr in args.where or []]
     with open(args.atlas) as handle:
         try:
-            _emit(query_atlas(handle, filters), args.format, sys.stdout)
+            _emit(query_atlas(handle, filters), args.format)
         except UnicodeDecodeError as exc:  # raised by the file's own line iterator
             raise ValidationError(
                 f"{args.atlas!r} is not {exc.encoding} text: {exc.reason}"

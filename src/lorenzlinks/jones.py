@@ -75,9 +75,6 @@ class LaurentPoly:
         """Sorted (quarter_exponent, coefficient) pairs; the wire form."""
         return tuple(sorted(self._coeffs.items()))
 
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented

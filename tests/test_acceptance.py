@@ -6,6 +6,7 @@ criterion states a numeric tolerance; stated time budgets are asserted with
 wall-clock measurements.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -24,6 +25,10 @@ from lorenzlinks.jones import _divide_by_one_minus_t_squared, jones_of_braid, jo
 from lorenzlinks.modular import matrix_of_word, rademacher, rademacher_psi, word_of_matrix
 from lorenzlinks.tlink import TLinkParams, from_lorenz, t_braid_word, to_lorenz
 from lorenzlinks.words import aperiodic_count, involute, lyndon_words
+
+
+# sha256 of the atlas of every word up to the length cap of 18, no Jones fields
+ATLAS_18_SHA256 = "e3982968f87f4fe1684fbc66dc0a574a795aab5c67ee42513d7c9373822e3b57"
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -84,6 +89,7 @@ def test_criterion_04_torus_oracle_sweep():
             ok = ok and record["genus"] == (p - 1) * (q - 1) // 2
             ok = ok and record["braid_index"] == p
             ok = ok and record["c_min"] == q * (p - 1)
+            ok = ok and record["torus"] == (p, q)
             checked += 1
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
@@ -92,10 +98,17 @@ def test_criterion_04_torus_oracle_sweep():
 
 def test_criterion_05_jones_cross_validation():
     start = time.perf_counter()
+    checked = 0
     ok = True
-    for p, q in [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5)]:
-        params = TLinkParams(((p, q),))
-        ok = ok and jones_of_braid(t_braid_word(params), params.strands) == jones_torus(p, q)
+    for p in range(2, 6):
+        for q in range(p + 1, 13):
+            if math.gcd(p, q) != 1:
+                continue
+            params = TLinkParams(((p, q),))
+            word = t_braid_word(params)
+            from_braid = jones_of_braid(word, params.strands, max_crossings=len(word))
+            ok = ok and from_braid == jones_torus(p, q)
+            checked += 1
     # 1 - t^(p-1) - t^(q-1) - t^(p+q) at (2,3), lowest power first
     bad_numerator = [1, -1, -1, 0, 0, -1]
     guard_fired = False
@@ -105,7 +118,11 @@ def test_criterion_05_jones_cross_validation():
         guard_fired = str(exc) == "division left a nonzero remainder"
     elapsed = time.perf_counter() - start
     ok = ok and guard_fired and elapsed < 30.0
-    report(5, ok, f"5 torus pairs match the closed form, bad numerator rejected, {elapsed:.2f} s")
+    report(
+        5, ok,
+        f"{checked} torus pairs (2 <= p <= 5, p < q <= 12) match the closed form, "
+        f"bad numerator rejected, {elapsed:.2f} s",
+    )
 
 
 def test_criterion_06_parametrization_equivalence():
@@ -165,10 +182,15 @@ def test_criterion_08_modular_roundtrip_and_rademacher():
             if max(abs(v) for v in (conjugator.a, conjugator.b, conjugator.c, conjugator.d)) > 50:
                 continue
             conjugated = conjugate(conjugator, matrix)
+            ok = ok and word_of_matrix(conjugated) == word
             ok = ok and rademacher_psi(conjugated) == rademacher_psi(matrix)
             spot_checks += 1
     ok = ok and spot_checks > 50
-    report(8, ok, f"{checked} roundtrips with Dedekind-oracle agreement, {spot_checks} conjugation checks")
+    report(
+        8, ok,
+        f"{checked} roundtrips with Dedekind-oracle agreement, "
+        f"{spot_checks} conjugates decoded with the same psi",
+    )
 
 
 def test_criterion_09_census_counts(tmp_path):
@@ -188,7 +210,8 @@ def test_criterion_09_census_counts(tmp_path):
                 count += 1
         ok = ok and by_length[n] == count // n
 
-    ok = ok and lines == list(cli.build_atlas(18))  # full-depth rebuild, same bytes
+    atlas = "".join(line + "\n" for line in lines).encode()
+    ok = ok and hashlib.sha256(atlas).hexdigest() == ATLAS_18_SHA256  # full depth, pinned bytes
 
     first = tmp_path / "first.jsonl"
     second = tmp_path / "second.jsonl"
@@ -196,7 +219,11 @@ def test_criterion_09_census_counts(tmp_path):
         cli.main(["atlas", "build", "--max-len", "10", "--jones-max-crossings", "10",
                   "--out", str(path)])
     ok = ok and first.read_bytes() == second.read_bytes()
-    report(9, ok, f"{len(lines)} records match necklace counts through length 18; rebuild identical")
+    report(
+        9, ok,
+        f"{len(lines)} records match necklace counts through length 18; "
+        "bytes pinned, rebuild identical",
+    )
 
 
 def test_criterion_10_flow_properties():

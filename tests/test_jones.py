@@ -52,11 +52,6 @@ def jones_of_bracket(bracket: LaurentPoly, c: int) -> LaurentPoly:
     return LaurentPoly(out)
 
 
-def jones_by_definition(word, n) -> LaurentPoly:
-    """Jones from the state-sum bracket."""
-    return jones_of_bracket(state_sum_bracket(word, n), len(word))
-
-
 def least_open_start(word) -> int:
     """The start of the rotation of ``word`` whose strand positions stay open
     for the fewest steps in all, each position from its first use to its
@@ -131,6 +126,23 @@ class TestLaurentPoly:
         assert poly({4: 1, 12: 1, 16: -1}).format() == "t + t^3 - t^4"
         assert poly({2: -1}).format() == "-t^(1/2)"
         assert LaurentPoly().format() == "0"
+        assert poly({1: 1, -3: 2, 6: -1}).format() == "2*t^(-3/4) + t^(1/4) - t^(3/2)"
+
+    def test_repr(self):
+        assert repr(poly({4: 1, 12: 1, 16: -1})) == "LaurentPoly('t + t^3 - t^4')"
+        assert repr(LaurentPoly()) == "LaurentPoly('0')"
+
+    def test_equal_values_hash_alike(self):
+        # a zero coefficient is dropped, so it changes neither value nor hash
+        left, right = poly({4: 1, 12: -1}), poly({12: -1, 8: 0, 4: 1})
+        assert left == right and hash(left) == hash(right)
+        assert len({left, right, poly({4: 1})}) == 2
+
+    def test_never_equals_a_non_polynomial(self):
+        # not even the value it was built from, or zero for the zero polynomial
+        for other in [0, 1, "t", ((4, 1),), {4: 1}, None]:
+            assert poly({4: 1}).__eq__(other) is NotImplemented
+            assert poly({4: 1}) != other and LaurentPoly() != other
 
 
 class TestDivideByOneMinusTSquared:
@@ -246,7 +258,9 @@ class TestKauffmanBracket:
 
 
 class TestBracketAgainstStateSum:
-    """The transfer evaluation equals the 2^c state sum of bracket_oracle."""
+    """The transfer evaluation equals the 2^c state sum of bracket_oracle;
+    where a test draws a braid, its Jones polynomial is also checked against
+    the one read off that state sum."""
 
     def test_t_braids_of_small_knots(self):
         checked = 0
@@ -274,7 +288,9 @@ class TestBracketAgainstStateSum:
     @destabilizing_examples
     def test_random_positive_braids(self, braid):
         word, n = braid
-        assert kauffman_bracket(word, n) == state_sum_bracket(word, n)
+        bracket = state_sum_bracket(word, n)
+        assert kauffman_bracket(word, n) == bracket
+        assert jones_of_braid(word, n) == jones_of_bracket(bracket, len(word))
 
     def test_more_strands_than_a_byte_key_holds(self):
         n = 300
@@ -346,36 +362,22 @@ class TestPackedSlots:
     every exponent."""
 
     @pytest.mark.parametrize("width", [2, 3, 9, 64])
-    def test_unpack_digits_at_the_slot_edges(self, width):
-        half = 1 << (width - 1)
-        digits = [-half, half - 1, 0, -1, 1, -half, half - 1, -half]
-        packed = sum(digit << (width * k) for k, digit in enumerate(digits))
-        assert _unpack(packed, width, len(digits)) == digits
-        assert _unpack(packed, width, len(digits) + 2) == digits + [0, 0]
-
-    @pytest.mark.parametrize("width", [2, 3, 9, 64])
-    def test_unpack_digits_at_the_slot_edges_across_leaves(self, width):
-        # 197 slots, each negative digit borrowing from the slot above it
+    @pytest.mark.parametrize("slots", [8, 197])
+    def test_unpack_digits_at_the_slot_edges(self, slots, width):
+        # each negative digit borrows from the slot above it
         half = 1 << (width - 1)
         edges = [-half, half - 1, 0, -1, 1, -half, half - 1, -half]
-        digits = (edges * 25)[:197]
+        digits = (edges * 25)[:slots]
         packed = sum(digit << (width * k) for k, digit in enumerate(digits))
-        assert _unpack(packed, width, len(digits)) == digits
-        assert _unpack(packed, width, len(digits) + 2) == digits + [0, 0]
+        assert _unpack(packed, width, slots) == digits
+        assert _unpack(packed, width, slots + 2) == digits + [0, 0]
 
     @pytest.mark.parametrize("width", [2, 9])
-    def test_unpack_refuses_digits_beyond_its_slots(self, width):
-        with pytest.raises(InternalInconsistencyError):
-            _unpack(1 << (3 * width), width, 3)
-        # +2^(W-1) is not a balanced digit: it borrows from a fourth slot
-        with pytest.raises(InternalInconsistencyError):
-            _unpack(1 << (3 * width - 1), width, 3)
-
-    @pytest.mark.parametrize("width", [2, 9])
-    def test_unpack_refuses_digits_beyond_its_slots_across_leaves(self, width):
-        slots = 197
+    @pytest.mark.parametrize("slots", [8, 197])
+    def test_unpack_refuses_digits_beyond_its_slots(self, slots, width):
         with pytest.raises(InternalInconsistencyError):
             _unpack(1 << (slots * width), width, slots)
+        # +2^(W-1) is not a balanced digit: it borrows from a slot past the last
         with pytest.raises(InternalInconsistencyError):
             _unpack(1 << (slots * width - 1), width, slots)
         # +2^(W-1) in the lowest slot under the top digit 2^(W-1) - 1 in
@@ -398,15 +400,17 @@ class TestPackedSlots:
 
     @pytest.mark.parametrize("word, n", MOSTLY_UNTOUCHED)
     def test_mostly_untouched_strands(self, word, n):
-        assert kauffman_bracket(word, n) == state_sum_bracket(word, n)
+        bracket = state_sum_bracket(word, n)
+        assert kauffman_bracket(word, n) == bracket
+        assert jones_of_braid(word, n) == jones_of_bracket(bracket, len(word))
 
     def test_one_crossing_on_six_hundred_strands(self):
         # a kinked unknot and m loose ones: (-A^3) d^m, d = -A^2 - A^-2,
         # expanded as (-1)^(m + 1) sum_k C(m, k) A^(2m - 4k + 3)
-        for m in (598, 4998):
-            sign = (-1) ** (m + 1)
-            expected = {4 * (2 * m - 4 * k + 3): sign * math.comb(m, k) for k in range(m + 1)}
-            assert kauffman_bracket([1], m + 2) == LaurentPoly(expected), m
+        m = 598
+        sign = (-1) ** (m + 1)
+        expected = {4 * (2 * m - 4 * k + 3): sign * math.comb(m, k) for k in range(m + 1)}
+        assert kauffman_bracket([1], m + 2) == LaurentPoly(expected)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -438,20 +442,6 @@ class TestJonesOfBraid:
     def test_refuses_a_braid_without_strands(self, evaluate):
         with pytest.raises(ValidationError, match="^strand count must be >= 1$"):
             evaluate([], 0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(positive_braids())
-    @example(([], 1))
-    @example(([], 4))
-    @example(([1, 4, 1, 4], 6))  # positions 3 and 6 untouched
-    @destabilizing_examples
-    def test_random_positive_braids_against_the_state_sum(self, braid):
-        word, n = braid
-        assert jones_of_braid(word, n) == jones_by_definition(word, n)
-
-    @pytest.mark.parametrize("word, n", MOSTLY_UNTOUCHED)
-    def test_mostly_untouched_strands_against_the_state_sum(self, word, n):
-        assert jones_of_braid(word, n) == jones_by_definition(word, n)
 
     def test_read_off_the_bracket_term_by_term(self):
         # jones_of_braid reads Jones off the packed digits; the conversion
@@ -513,17 +503,6 @@ class TestJonesTorus:
                 if p + q <= 13 and math.gcd(p, q) == 1:
                     assert jones_torus(p, q) == jones_torus(q, p)
 
-    def test_agrees_with_bracket_oracle(self):
-        for p in range(2, 6):
-            for q in range(p + 1, 13):
-                if math.gcd(p, q) != 1:
-                    continue
-                params = TLinkParams(((p, q),))
-                from_braid = jones_of_braid(
-                    t_braid_word(params), params.strands, max_crossings=(p - 1) * q
-                )
-                assert from_braid == jones_torus(p, q), (p, q)
-
     def test_seven_letter_word_is_the_three_four_torus_knot(self):
         # adjudicates the (3,4)-vs-(3,5) labelling by the bracket itself
         braid = braid_of_words(validate_link(["LRLRLRL"]))
@@ -573,14 +552,3 @@ class TestJonesTorus:
         assert str(caught.value) == (
             "torus knot (at least 2^16609, 3) needs p + q strands, over the cap of 100000"
         )
-
-    def test_alternative_numerator_is_not_divisible(self):
-        # 1 - t^(p-1) - t^(q-1) - t^(p+q) at (p, q) = (2, 3) fails the guard
-        p, q = 2, 3
-        numerator = [0] * (p + q + 1)
-        numerator[0] += 1
-        numerator[p - 1] -= 1
-        numerator[q - 1] -= 1
-        numerator[p + q] -= 1
-        with pytest.raises(InternalInconsistencyError, match="^division left a nonzero remainder$"):
-            _divide_by_one_minus_t_squared(numerator)
