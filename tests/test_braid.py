@@ -240,9 +240,6 @@ class TestRotationRanks:
         if request.param is not None:
             monkeypatch.setattr(braid_mod, "SEED", request.param)
 
-    # at the default seed single words take the rotation sort, which
-    # TestRotationSort::test_every_word_to_length_16 already holds to bwt
-    @pytest.mark.parametrize("seed", [1, 2], ids=["seed-1", "seed-2"], indirect=True)
     def test_every_word_to_length_12(self, seed):
         for word in lyndon_words(12):
             link = (word,)

@@ -57,6 +57,15 @@ def fixed_word(length: int) -> str:
 
 
 class TestWordInfo:
+    def test_ten_strand_word(self, capsys):
+        payload = run_json(capsys, "word", "info", "LRLRRRLRRR")
+        assert payload["new_positions"] == [1, 6, 3, 10, 8, 5, 2, 9, 7, 4]
+        assert payload["over_strands"] == 3
+        assert payload["under_strands"] == 7
+        assert payload["trip"] == [[5, 1], [7, 2]]
+        assert payload["genus"] == 5
+        assert payload["braid_index"] == 3
+
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "word", "info", "LR", "--format", "table")
         assert code == 0
@@ -115,6 +124,10 @@ class TestConvert:
             "",
         )
 
+    def test_bad_params_exit_code(self, capsys):
+        code, _, _ = run(capsys, "convert", "[[3,1],[2,2]]", "--to", "word")
+        assert code == 2
+
     @needs_digit_limit
     def test_integer_beyond_the_digit_limit(self, capsys):
         code, out, err = run(
@@ -139,6 +152,12 @@ class TestConvert:
         assert code == 2
         assert out == ""
         assert f"block {shown} must be a pair of integers" in err
+
+    def test_strand_cap_exit_code(self, capsys):
+        code, out, err = run(capsys, "convert", "[[2,100000000]]", "--to", "word")
+        assert code == 3
+        assert out == ""
+        assert "need 100000002 strands, over the cap of 100000" in err
 
     def test_strand_count_beyond_the_digit_limit_is_named_by_size(self, capsys):
         # two q of 4,300 digits each parse, but their sum has 4,301 digits
@@ -407,6 +426,10 @@ class TestModular:
         assert type(caught.value) is ValidationError
         assert run(capsys, "modular", "rademacher", spelling) == (2, "", f"error: {caught.value}\n")
 
+    def test_decode_not_hyperbolic(self, capsys):
+        code, _, _ = run(capsys, "modular", "decode", "[[1,1],[0,1]]")
+        assert code == 2
+
     @pytest.mark.parametrize("rows", ["[[1,5],[0,1]]", "[[-1,3],[0,-1]]"])
     def test_decode_lower_left_zero_is_refused_by_its_trace(self, capsys, rows):
         # det 1 with c = 0 forces a = d = +-1, so |trace| = 2
@@ -646,6 +669,14 @@ class TestAtlas:
         assert [r["word"] for r in records] == ["L", "R"]
         assert all(r["genus"] == 0 and r["c_min"] == 0 for r in records)
 
+    def test_rebuild_is_byte_identical(self, capsys, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        run(capsys, "atlas", "build", "--max-len", "7", "--jones-max-crossings", "8",
+            "--out", str(a))
+        run(capsys, "atlas", "build", "--max-len", "7", "--jones-max-crossings", "8",
+            "--out", str(b))
+        assert a.read_bytes() == b.read_bytes()
+
     def test_cap_exit_code(self, capsys, tmp_path):
         code, out, err = run(
             capsys, "atlas", "build", "--max-len", "19", "--out", str(tmp_path / "x")
@@ -781,6 +812,24 @@ class TestAtlas:
         assert query("torus>2,3") == [
             r["word"] for r in records if r["torus"] is not None and r["torus"] > [2, 3]
         ]
+
+    def test_unorderable_filter_exit_code(self, capsys, tmp_path):
+        out_path = tmp_path / "atlas.jsonl"
+        run(capsys, "atlas", "build", "--max-len", "3", "--out", str(out_path))
+        code, out, err = run(capsys, "atlas", "query", str(out_path), "--where", "word<3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot order 'word' against 3\n"
+
+    def test_bad_filter_exit_code(self, capsys, tmp_path):
+        out_path = tmp_path / "atlas.jsonl"
+        run(capsys, "atlas", "build", "--max-len", "3", "--out", str(out_path))
+        code, _, _ = run(capsys, "atlas", "query", str(out_path), "--where", "nonsense")
+        assert code == 2
+        code, _, _ = run(
+            capsys, "atlas", "query", str(out_path), "--where", "no_field=3"
+        )
+        assert code == 2
 
     @pytest.mark.parametrize("where", ["genus==1", "genus=>1", "c_min=<3", "genus=!1"])
     def test_doubled_operator_is_refused(self, capsys, tmp_path, where):

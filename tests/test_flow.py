@@ -37,6 +37,10 @@ def max_abs(traj, start=0):
     return max(max(map(abs, sample[1:])) for sample in islice(traj, start, None))
 
 
+def final(traj):
+    return deque(traj, maxlen=1)[0][1:]
+
+
 def samples(times, z):
     """Hand-built (t, x, y, z) samples with x = y = 0."""
     return [(t, 0.0, 0.0, zi) for t, zi in zip(times, z)]
@@ -81,6 +85,22 @@ class TestIntegrate:
         )
         _, *stepped = list(integrate(start, dt=dt, steps=1))[1]
         assert stepped == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_equilibrium_stays_put(self):
+        point = equilibria()[1]
+        traj = integrate(point, dt=1e-3, steps=1000)
+        drift = max(abs(v - p) for sample in traj for v, p in zip(sample[1:], point))
+        assert drift < 1e-9
+
+    def test_step_halving_error_ratio(self):
+        # global error over a fixed interval scales like dt^4 for classical RK4
+        start = (1.0, 0.0, 0.0)
+        reference = integrate(start, dt=1e-4, steps=4000)
+        coarse = integrate(start, dt=1e-2, steps=40)
+        halved = integrate(start, dt=5e-3, steps=80)
+        e1 = math.dist(final(coarse), final(reference))
+        e2 = math.dist(final(halved), final(reference))
+        assert 12.0 <= e1 / e2 <= 40.0
 
     def test_long_run_stays_bounded(self):
         traj = integrate((1.0, 1.0, 1.0), dt=1e-3, steps=1_000_000)
@@ -169,6 +189,11 @@ class TestItinerary:
         traj = integrate((10.0, 10.0, 27.0), dt=1e-3, steps=4000)
         symbols = itinerary(traj)
         assert symbols and set(symbols[:5]) == {"R"}
+
+    def test_symbols_stable_under_step_halving(self):
+        coarse = itinerary(integrate((1.0, 1.0, 1.0), dt=1e-3, steps=30000), 10.0)
+        fine = itinerary(integrate((1.0, 1.0, 1.0), dt=5e-4, steps=60000), 10.0)
+        assert coarse[:10] == fine[:10]
 
     def test_no_events_on_short_trajectory(self):
         with pytest.raises(ValidationError, match="^no section events after the transient$"):

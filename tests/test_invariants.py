@@ -1,12 +1,13 @@
 """Genus, braid index, minimum crossings, torus detection."""
 
 import json
+import math
 
 from lorenzlinks import cli
 from lorenzlinks.braid import braid_of_words
 from lorenzlinks.invariants import compute_record
 from lorenzlinks.tlink import TLinkParams, to_lorenz
-from lorenzlinks.words import lyndon_words, validate_link
+from lorenzlinks.words import involute, lyndon_words, validate_link
 
 
 def braid_of(word: str):
@@ -15,6 +16,15 @@ def braid_of(word: str):
 
 def record_of(word: str) -> dict:
     return compute_record(braid_of(word))
+
+
+def coprime_pairs(lo, hi):
+    return [
+        (p, q)
+        for p in range(lo, hi + 1)
+        for q in range(p + 1, hi + 1)
+        if math.gcd(p, q) == 1
+    ]
 
 
 class TestGenus:
@@ -70,6 +80,28 @@ class TestTorusDetection:
             if record["torus"] is not None:
                 p, q = record["torus"]
                 assert record["genus"] == (p - 1) * (q - 1) // 2
+
+
+class TestTorusSweep:
+    def test_closed_forms_for_all_coprime_pairs(self):
+        for p, q in coprime_pairs(2, 8):
+            record = compute_record(to_lorenz(TLinkParams(((p, q),))))
+            assert record["genus"] == (p - 1) * (q - 1) // 2
+            assert record["braid_index"] == p
+            assert record["c_min"] == q * (p - 1)
+            assert record["torus"] == (p, q)
+
+
+class TestSymmetry:
+    def test_invariants_stable_under_involution(self):
+        for word in lyndon_words(12):
+            braid = braid_of_words([word])
+            mirror = braid_of_words([involute(word)])
+            record, mirrored = compute_record(braid), compute_record(mirror)
+            for key in ("genus", "braid_index", "c_min"):
+                assert record[key] == mirrored[key]
+            ll, lr, rl, rr = braid.ear_counts
+            assert mirror.ear_counts == (rr, rl, lr, ll)
 
 
 class TestFormulaAudit:

@@ -1,6 +1,7 @@
 """Temperley-Lieb bracket against the state-sum oracle, Jones normalization,
 and the torus closed form."""
 
+import functools
 import itertools
 import math
 import random
@@ -50,6 +51,18 @@ def jones_of_bracket(bracket: LaurentPoly, c: int) -> LaurentPoly:
             raise InternalInconsistencyError("bracket exponent not a multiple of 4")
         out[(12 * c - e) // 4] = (-1) ** c * a
     return LaurentPoly(out)
+
+
+@functools.lru_cache(maxsize=1024)
+def shared_state_sum(word: tuple, n: int) -> LaurentPoly:
+    """The 2^c state-sum bracket of one braid, computed once per session:
+    the bracket test and the Jones test of the same braid both read it."""
+    return state_sum_bracket(list(word), n)
+
+
+def jones_by_definition(word, n) -> LaurentPoly:
+    """Jones from the state-sum bracket."""
+    return jones_of_bracket(shared_state_sum(tuple(word), n), len(word))
 
 
 def least_open_start(word) -> int:
@@ -258,9 +271,7 @@ class TestKauffmanBracket:
 
 
 class TestBracketAgainstStateSum:
-    """The transfer evaluation equals the 2^c state sum of bracket_oracle;
-    where a test draws a braid, its Jones polynomial is also checked against
-    the one read off that state sum."""
+    """The transfer evaluation equals the 2^c state sum of bracket_oracle."""
 
     def test_t_braids_of_small_knots(self):
         checked = 0
@@ -288,9 +299,7 @@ class TestBracketAgainstStateSum:
     @destabilizing_examples
     def test_random_positive_braids(self, braid):
         word, n = braid
-        bracket = state_sum_bracket(word, n)
-        assert kauffman_bracket(word, n) == bracket
-        assert jones_of_braid(word, n) == jones_of_bracket(bracket, len(word))
+        assert kauffman_bracket(word, n) == shared_state_sum(tuple(word), n)
 
     def test_more_strands_than_a_byte_key_holds(self):
         n = 300
@@ -345,6 +354,14 @@ class TestCheapestStart:
                 assert kauffman_bracket(rotated, n) == expected, (rotated, n)
 
 
+def slot_cases(*widths):
+    """(slots, width) for 8 and 197 slots; an id names the width, and the
+    slot count too when it is not 8."""
+    return [pytest.param(8, w, id=f"{w}") for w in widths] + [
+        pytest.param(197, w, id=f"197-{w}") for w in widths
+    ]
+
+
 MOSTLY_UNTOUCHED = [
     ([1], 40),
     ([20, 20, 20], 40),
@@ -361,8 +378,7 @@ class TestPackedSlots:
     d^m on the decoded digits, and the n - 1 closure offsets that move
     every exponent."""
 
-    @pytest.mark.parametrize("width", [2, 3, 9, 64])
-    @pytest.mark.parametrize("slots", [8, 197])
+    @pytest.mark.parametrize("slots, width", slot_cases(2, 3, 9, 64))
     def test_unpack_digits_at_the_slot_edges(self, slots, width):
         # each negative digit borrows from the slot above it
         half = 1 << (width - 1)
@@ -372,8 +388,7 @@ class TestPackedSlots:
         assert _unpack(packed, width, slots) == digits
         assert _unpack(packed, width, slots + 2) == digits + [0, 0]
 
-    @pytest.mark.parametrize("width", [2, 9])
-    @pytest.mark.parametrize("slots", [8, 197])
+    @pytest.mark.parametrize("slots, width", slot_cases(2, 9))
     def test_unpack_refuses_digits_beyond_its_slots(self, slots, width):
         with pytest.raises(InternalInconsistencyError):
             _unpack(1 << (slots * width), width, slots)
@@ -400,9 +415,7 @@ class TestPackedSlots:
 
     @pytest.mark.parametrize("word, n", MOSTLY_UNTOUCHED)
     def test_mostly_untouched_strands(self, word, n):
-        bracket = state_sum_bracket(word, n)
-        assert kauffman_bracket(word, n) == bracket
-        assert jones_of_braid(word, n) == jones_of_bracket(bracket, len(word))
+        assert kauffman_bracket(word, n) == shared_state_sum(tuple(word), n)
 
     def test_one_crossing_on_six_hundred_strands(self):
         # a kinked unknot and m loose ones: (-A^3) d^m, d = -A^2 - A^-2,
@@ -442,6 +455,20 @@ class TestJonesOfBraid:
     def test_refuses_a_braid_without_strands(self, evaluate):
         with pytest.raises(ValidationError, match="^strand count must be >= 1$"):
             evaluate([], 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(positive_braids())
+    @example(([], 1))
+    @example(([], 4))
+    @example(([1, 4, 1, 4], 6))  # positions 3 and 6 untouched
+    @destabilizing_examples
+    def test_random_positive_braids_against_the_state_sum(self, braid):
+        word, n = braid
+        assert jones_of_braid(word, n) == jones_by_definition(word, n)
+
+    @pytest.mark.parametrize("word, n", MOSTLY_UNTOUCHED)
+    def test_mostly_untouched_strands_against_the_state_sum(self, word, n):
+        assert jones_of_braid(word, n) == jones_by_definition(word, n)
 
     def test_read_off_the_bracket_term_by_term(self):
         # jones_of_braid reads Jones off the packed digits; the conversion
@@ -503,6 +530,17 @@ class TestJonesTorus:
                 if p + q <= 13 and math.gcd(p, q) == 1:
                     assert jones_torus(p, q) == jones_torus(q, p)
 
+    def test_agrees_with_bracket_oracle(self):
+        for p in range(2, 6):
+            for q in range(p + 1, 13):
+                if math.gcd(p, q) != 1:
+                    continue
+                params = TLinkParams(((p, q),))
+                from_braid = jones_of_braid(
+                    t_braid_word(params), params.strands, max_crossings=(p - 1) * q
+                )
+                assert from_braid == jones_torus(p, q), (p, q)
+
     def test_seven_letter_word_is_the_three_four_torus_knot(self):
         # adjudicates the (3,4)-vs-(3,5) labelling by the bracket itself
         braid = braid_of_words(validate_link(["LRLRLRL"]))
@@ -552,3 +590,14 @@ class TestJonesTorus:
         assert str(caught.value) == (
             "torus knot (at least 2^16609, 3) needs p + q strands, over the cap of 100000"
         )
+
+    def test_alternative_numerator_is_not_divisible(self):
+        # 1 - t^(p-1) - t^(q-1) - t^(p+q) at (p, q) = (2, 3) fails the guard
+        p, q = 2, 3
+        numerator = [0] * (p + q + 1)
+        numerator[0] += 1
+        numerator[p - 1] -= 1
+        numerator[q - 1] -= 1
+        numerator[p + q] -= 1
+        with pytest.raises(InternalInconsistencyError, match="^division left a nonzero remainder$"):
+            _divide_by_one_minus_t_squared(numerator)

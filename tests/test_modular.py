@@ -165,6 +165,10 @@ class TestWordOfMatrix:
         with pytest.raises(ValidationError, match="^trace 0 <= 2 carries no closed geodesic$"):
             word_of_matrix(Mat2Z(0, -1, 1, 0))
 
+    def test_roundtrip_on_all_mixed_words(self):
+        for word in mixed_words(10):
+            assert word_of_matrix(matrix_of_word(word)) == word
+
     def test_roundtrip_survives_conjugation(self):
         rng = random.Random(20110628)
         for word in mixed_words(6):
@@ -394,6 +398,10 @@ class TestRademacher:
         assert rademacher_psi(matrix_of_word("LLR")) == 1
         assert rademacher_phi(matrix_of_word("LRR")) == 2
         assert rademacher_psi(matrix_of_word("LRR")) == -1
+
+    def test_letter_count_equals_dedekind_oracle(self):
+        for word in mixed_words(10):
+            assert rademacher(word) == rademacher_psi(matrix_of_word(word)), word
 
     def test_antisymmetric_under_involution(self):
         for word in mixed_words(10):

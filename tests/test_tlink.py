@@ -3,8 +3,9 @@
 import pytest
 from rotation_oracle import least_rotation_oracle
 
-from lorenzlinks.braid import braid_of_words, words_of_braid
+from lorenzlinks.braid import braid_generators, braid_of_words, words_of_braid
 from lorenzlinks.errors import ResourceCapError, ValidationError
+from lorenzlinks.jones import jones_of_braid
 from lorenzlinks.tlink import TLinkParams, from_lorenz, t_braid_word, to_lorenz
 from lorenzlinks.words import MAX_LETTERS, lyndon_words, validate_link
 
@@ -45,6 +46,12 @@ class TestParams:
 
 
 class TestTBraidWord:
+    def test_figure_example(self):
+        word = t_braid_word(TLinkParams(((2, 3), (4, 4), (5, 3))))
+        expected = [1] * 3 + [1, 2, 3] * 4 + [1, 2, 3, 4] * 3
+        assert word == expected
+        assert len(word) == 3 * 1 + 4 * 3 + 3 * 4
+
     def test_single_blocks(self):
         assert t_braid_word(TLinkParams(((2, 3),))) == [1, 1, 1]
         assert t_braid_word(TLinkParams(((2, 1),))) == [1]
@@ -57,6 +64,11 @@ class TestTBraidWord:
 
 
 class TestToLorenz:
+    def test_figure_eight_strand_counts(self):
+        braid = to_lorenz(TLinkParams(((2, 4), (3, 2), (6, 1), (8, 2))))
+        assert braid.ear_counts == (6, 3, 3, 5)
+        assert braid.n == 17
+
     def test_trefoil(self):
         braid = to_lorenz(TLinkParams(((2, 3),)))
         assert braid.targets == (3, 4, 5, 1, 2)
@@ -112,3 +124,14 @@ class TestCrossParametrization:
             params = from_lorenz(braid)
             t_crossings = len(t_braid_word(params))
             assert t_crossings - params.strands + 1 == braid.crossings - braid.n + 1
+
+    def test_jones_agrees_on_small_words(self):
+        # the decisive correspondence check; the full sweep runs in acceptance
+        for word in lyndon_words(9):
+            braid = braid_of_words([word])
+            if braid.crossings > 12:
+                continue
+            params = from_lorenz(braid)
+            lorenz_jones = jones_of_braid(braid_generators(braid), braid.n)
+            t_jones = jones_of_braid(t_braid_word(params), params.strands)
+            assert lorenz_jones == t_jones, str(word)
