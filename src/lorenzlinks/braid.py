@@ -206,30 +206,29 @@ def braid_of_words(texts: Sequence[str]) -> LorenzBraid:
     rotations: the family's BWT, the last letters of its rotations in sorted
     order, without rotating a word to its canonical spelling.
 
-    A single text of at most SEED letters sorts its rotations, slices of the
-    doubled text; a proper power repeats its least rotation, so the first
-    two tie.  Links and longer words are ordered by _rotation_order, in
-    memory linear in the letter count, so words.MAX_LETTERS is the one cap
-    on a word's size.  An empty family, a bad or over-cap string and a tie
-    are handed to validate_link, so braid_of_words accepts exactly the
-    families validate_link accepts and refuses the rest as it does.  Each
-    word's rotations make one cycle, so the braid records len(texts)
-    components without a walk, numbered by least strand as in
-    words_of_braid, not in the order of ``texts``.
+    A single text of at most SEED letters, checked once, sorts its
+    rotations, slices of the doubled text; a proper power repeats its least
+    rotation, so the first two tie.  Links and longer words are ordered by
+    _rotation_order, in memory linear in the letter count, so
+    words.MAX_LETTERS is the one cap on a word's size.  An empty family, a
+    bad or over-cap string and a tie are handed to validate_link, so
+    braid_of_words accepts exactly the families validate_link accepts and
+    refuses the rest as it does.  Each word's rotations make one cycle, so
+    the braid records len(texts) components without a walk, numbered by
+    least strand as in words_of_braid, not in the order of ``texts``.
     """
     lobes = None
-    if texts and all(0 < len(text) <= MAX_LETTERS and not text.strip(ALPHABET) for text in texts):
-        if len(texts) == 1 and len(texts[0]) <= SEED:
-            text = texts[0]
-            n, doubled = len(text), text + text
-            rotations = sorted([doubled[k : k + n] for k in range(n)])
-            if n == 1 or rotations[0] != rotations[1]:
-                lobes = "".join([rotation[-1] for rotation in rotations])
-        else:
-            order = _rotation_order(texts)
-            if order is not None:
-                last = "".join([text[-1] + text[:-1] for text in texts])
-                lobes = "".join([last[i] for i in order])
+    if len(texts) == 1 and 0 < len(texts[0]) <= SEED and not texts[0].strip(ALPHABET):
+        text = texts[0]
+        n, doubled = len(text), text + text
+        rotations = sorted([doubled[k : k + n] for k in range(n)])
+        if n == 1 or rotations[0] != rotations[1]:
+            lobes = "".join([rotation[-1] for rotation in rotations])
+    elif texts and all(0 < len(text) <= MAX_LETTERS and not text.strip(ALPHABET) for text in texts):
+        order = _rotation_order(texts)
+        if order is not None:
+            last = "".join([text[-1] + text[:-1] for text in texts])
+            lobes = "".join([last[i] for i in order])
     if lobes is None:
         validate_link(texts)  # refuses the family with its own message
         raise InternalInconsistencyError("rotations of a valid word family tie")

@@ -7,11 +7,13 @@ with the same arguments is byte-identical.  Words stream from
 ``words.lyndon_words``, canonical by construction, each straight to its braid
 and record, so no word list is held and memory is flat in ``--max-len``.
 
-One compact JSON encoder writes every atlas line and every json row, so an
-unfiltered json ``atlas query`` reproduces a built atlas byte for byte: its
-rows are re-encoded, never echoed as read.  ``atlas query`` decodes each line
-once and re-checks the record; a line that is not exactly one JSON value is
-refused with the message ``json.loads`` gives for it.
+``build_atlas`` writes each line from one fixed template of the record's
+keys.  Json's compact encoder writes every json row, re-encoded, never echoed
+as read, so an unfiltered json ``atlas query`` reproduces a built atlas byte
+for byte exactly when the two writers agree: it checks one against the other.
+``atlas query`` decodes each line once and re-checks the record; a line that
+is not exactly one JSON value is refused with the message ``json.loads``
+gives for it.
 
 Subcommands: word info, convert, jones, modular {encode, decode, rademacher},
 flow itinerary, atlas {build, query}.  Exit codes: 0 success, 2 validation
@@ -58,13 +60,24 @@ _FILTER_OPS = {
 _T = TypeVar("_T")
 # exit code by refusal; any other error, InternalInconsistencyError too, propagates
 _EXIT_CODES = {ValidationError: 2, ResourceCapError: 3, OSError: 4}
-# one codec for every atlas line and json row, with json's default settings
+# one codec, with json's default settings: it writes every json row and reads
+# every atlas line
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 _decode = json.JSONDecoder().raw_decode
 
 
 # ---------------------------------------------------------------------------
 # atlas records
+
+# An atlas line as _encode would write it: word_record's keys in its order.
+# build_atlas alone fills it; its words are plain L/R text and every value an
+# int, a pair or a list of pairs, so no field needs json's escaping or its
+# float forms
+_ATLAS_LINE = (
+    '{"word":"%s","length":%d,"components":%d,"n":%d,"c":%d,"trip":%s,'
+    '"LL":%d,"LR":%d,"RL":%d,"RR":%d,"genus":%d,"chi":%d,"braid_index":%d,'
+    '"c_min":%d,"torus":%s,"jones":%s}'
+)
 
 
 def word_record(word: str, braid: braid_mod.LorenzBraid, jones_max_crossings: int = 0) -> dict:
@@ -90,9 +103,26 @@ def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
         raise ResourceCapError(f"max_len {max_len} exceeds the cap of {MAX_ATLAS_LEN}")
     _check_jones_cap(jones_max_crossings)
     return (
-        _encode(word_record(text, braid_mod.braid_of_words([text]), jones_max_crossings))
+        _atlas_line(word_record(text, braid_mod.braid_of_words([text]), jones_max_crossings))
         for text in words_mod.lyndon_words(max_len)
     )
+
+
+def _atlas_line(record: dict) -> str:
+    """The atlas line of a record ``build_atlas`` made: its values, in the
+    record's key order, through the one template of that order."""
+    (word, length, components, n, c, trip, ll, lr, rl, rr,
+     genus, chi, braid_index, c_min, torus, jones) = record.values()
+    return _ATLAS_LINE % (
+        word, length, components, n, c, _json_pairs(trip), ll, lr, rl, rr,
+        genus, chi, braid_index, c_min,
+        "null" if torus is None else "[%d,%d]" % torus,
+        "null" if jones is None else _json_pairs(jones),
+    )
+
+
+def _json_pairs(pairs: Iterable[tuple[int, int]]) -> str:
+    return "[%s]" % ",".join(["[%d,%d]" % pair for pair in pairs])
 
 
 def _check_jones_cap(cap: int) -> None:

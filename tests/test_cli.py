@@ -576,8 +576,10 @@ class TestFlow:
 
     @pytest.mark.parametrize("csv", [False, True])
     def test_itinerary_has_bounded_memory(self, capsys, tmp_path, csv):
-        # samples are read as they are computed, so nothing grows with --steps
-        argv = ["flow", "itinerary", "--steps", "200000"]
+        # samples are read as they are computed, so nothing grows with --steps;
+        # buffering these 20,000 samples, with or without --csv, peaks at
+        # about 3.4 MB under tracemalloc
+        argv = ["flow", "itinerary", "--steps", "20000"]
         if csv:
             argv += ["--csv", str(tmp_path / "traj.csv")]
         tracemalloc.start()
@@ -1265,7 +1267,8 @@ class TestAtomicBuild:
 
 
 class TestAtlasBytes:
-    """sha256 of atlases built before the braid kept its derived fields."""
+    """sha256 of atlases built before the braid kept its derived fields, and
+    json's encoder as the oracle of every line the atlas template writes."""
 
     @pytest.mark.parametrize(
         "max_len, jones_max_crossings, digest",
@@ -1280,6 +1283,14 @@ class TestAtlasBytes:
         atlas = "".join(line + "\n" for line in lines).encode()
         assert hashlib.sha256(atlas).hexdigest() == digest
         assert len(list(cli.query_atlas(lines, []))) == len(lines)  # every record verifies
+
+    def test_every_line_is_the_json_encoding_of_its_record(self):
+        # the line template against json's encoder, on an atlas no digest
+        # pins, whose Jones pairs are wider than atlas-16's
+        assert list(cli.build_atlas(13, jones_max_crossings=26)) == [
+            json.dumps(cli.word_record(w, braid_of_words([w]), 26), separators=(",", ":"))
+            for w in lyndon_words(13)
+        ]
 
     def test_unfiltered_json_query_reproduces_the_atlas(self, capsys, tmp_path):
         # the atlas-12 pin above: every row is decoded, re-checked and re-encoded
