@@ -223,7 +223,7 @@ def braid_of_words(texts: Sequence[str]) -> LorenzBraid:
         n, doubled = len(text), text + text
         rotations = sorted([doubled[k : k + n] for k in range(n)])
         if n == 1 or rotations[0] != rotations[1]:
-            lobes = "".join([rotation[-1] for rotation in rotations])
+            lobes = "".join(rotations)[n - 1 :: n]  # each rotation's last letter
     elif texts and all(0 < len(text) <= MAX_LETTERS and not text.strip(ALPHABET) for text in texts):
         order = _rotation_order(texts)
         if order is not None:

@@ -7,10 +7,13 @@ with the same arguments is byte-identical.  Words stream from
 ``words.lyndon_words``, canonical by construction, each straight to its braid
 and record, so no word list is held and memory is flat in ``--max-len``.
 
-``build_atlas`` writes each line from one fixed template of the record's
-keys.  Json's compact encoder writes every json row, re-encoded, never echoed
-as read, so an unfiltered json ``atlas query`` reproduces a built atlas byte
-for byte exactly when the two writers agree: it checks one against the other.
+An atlas record is ``word`` and ``length``, then the invariants under
+``invariants.RECORD_KEYS``, then ``jones``.  ``build_atlas`` writes each line
+from one fixed template made from those keys, filled straight from the tuple
+``invariants.record_values`` returns, with no record dict per word.  Json's
+compact encoder writes every json row, re-encoded, never echoed as read, so
+an unfiltered json ``atlas query`` reproduces a built atlas byte for byte
+exactly when the two writers agree: it checks one against the other.
 ``atlas query`` decodes each line once and re-checks the record; a line that
 is not exactly one JSON value is refused with the message ``json.loads``
 gives for it.
@@ -69,29 +72,15 @@ _decode = json.JSONDecoder().raw_decode
 # ---------------------------------------------------------------------------
 # atlas records
 
-# An atlas line as _encode would write it: word_record's keys in its order.
-# build_atlas alone fills it; its words are plain L/R text and every value an
-# int, a pair or a list of pairs, so no field needs json's escaping or its
-# float forms
-_ATLAS_LINE = (
-    '{"word":"%s","length":%d,"components":%d,"n":%d,"c":%d,"trip":%s,'
-    '"LL":%d,"LR":%d,"RL":%d,"RR":%d,"genus":%d,"chi":%d,"braid_index":%d,'
-    '"c_min":%d,"torus":%s,"jones":%s}'
+# An atlas line as _encode would write it: "word" and "length", the keys of
+# RECORD_KEYS in their order, then "jones".  build_atlas alone fills it; its
+# words are plain L/R text and every value an int or, written beforehand as
+# JSON text, a pair or a list of pairs, so no field needs json's escaping or
+# its float forms
+_ATLAS_LINE = "{%s}" % ",".join(
+    '"%s":%s' % (key, {"word": '"%s"', "trip": "%s", "torus": "%s", "jones": "%s"}.get(key, "%d"))
+    for key in ("word", "length", *inv_mod.RECORD_KEYS, "jones")
 )
-
-
-def word_record(word: str, braid: braid_mod.LorenzBraid, jones_max_crossings: int = 0) -> dict:
-    """The full atlas record of one canonical word's spelling and its Lorenz
-    braid; every field derives from the word.  The invariant fields, their
-    keys and their order come from ``compute_record``, so this and it are the
-    one place the record's key names and order are written.  A negative
-    Jones crossing cap raises ValidationError."""
-    _check_jones_cap(jones_max_crossings)
-    record = inv_mod.compute_record(braid)
-    jones_pairs = None
-    if jones_max_crossings and record["c"] <= jones_max_crossings:
-        jones_pairs = jones_mod.jones_of_lorenz_braid(braid, jones_max_crossings).pairs()
-    return {"word": word, "length": len(word), **record, "jones": jones_pairs}
 
 
 def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
@@ -102,23 +91,24 @@ def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
     if max_len > MAX_ATLAS_LEN:
         raise ResourceCapError(f"max_len {max_len} exceeds the cap of {MAX_ATLAS_LEN}")
     _check_jones_cap(jones_max_crossings)
-    return (
-        _atlas_line(word_record(text, braid_mod.braid_of_words([text]), jones_max_crossings))
-        for text in words_mod.lyndon_words(max_len)
-    )
+    return _atlas_lines(max_len, jones_max_crossings)
 
 
-def _atlas_line(record: dict) -> str:
-    """The atlas line of a record ``build_atlas`` made: its values, in the
-    record's key order, through the one template of that order."""
-    (word, length, components, n, c, trip, ll, lr, rl, rr,
-     genus, chi, braid_index, c_min, torus, jones) = record.values()
-    return _ATLAS_LINE % (
-        word, length, components, n, c, _json_pairs(trip), ll, lr, rl, rr,
-        genus, chi, braid_index, c_min,
-        "null" if torus is None else "[%d,%d]" % torus,
-        "null" if jones is None else _json_pairs(jones),
-    )
+def _atlas_lines(max_len: int, cap: int) -> Iterator[str]:
+    """Each word's line, written straight from its braid's record values,
+    with Jones when the braid has at most ``cap`` crossings and cap > 0."""
+    for text in words_mod.lyndon_words(max_len):
+        braid = braid_mod.braid_of_words([text])
+        (components, n, c, trip, ll, lr, rl, rr,
+         genus, chi, braid_index, c_min, torus) = inv_mod.record_values(braid)
+        jones = "null"
+        if cap and c <= cap:
+            jones = _json_pairs(jones_mod.jones_of_lorenz_braid(braid, cap).pairs())
+        yield _ATLAS_LINE % (
+            text, len(text), components, n, c, _json_pairs(trip), ll, lr, rl, rr,
+            genus, chi, braid_index, c_min,
+            "null" if torus is None else "[%d,%d]" % torus, jones,
+        )
 
 
 def _json_pairs(pairs: Iterable[tuple[int, int]]) -> str:
@@ -166,9 +156,10 @@ def verify_record(record: dict) -> None:
 def _verify_jones(record: dict) -> None:
     """Relations between a knot's published Jones polynomial and the
     invariants beside it: span V <= c (Kauffman-Murasugi-Thistlethwaite),
-    V(1) = 1, V(-1) odd and span V <= c_min.  Pairs (e, a) carry quarter
-    exponents, so span V <= c reads max e - min e <= 4c, and a knot's
-    exponents are multiples of 4."""
+    V(1) = 1, V(-1) odd, span V <= c_min and, where ``torus`` is [p, q]
+    with p, q >= 2, V equal to the closed form of T(p, q).  Pairs (e, a)
+    carry quarter exponents, so span V <= c reads max e - min e <= 4c, and
+    a knot's exponents are multiples of 4."""
     word, pairs = record["word"], record["jones"]
     exponents = [e for e, _ in pairs]
     span = max(exponents) - min(exponents) if exponents else None
@@ -181,6 +172,15 @@ def _verify_jones(record: dict) -> None:
         raise ValidationError(f"corrupt atlas record {word}: Jones V(-1) is not odd")
     if span > 4 * record["c_min"]:
         raise ValidationError(f"corrupt atlas record {word}: Jones span > c_min")
+    torus = record["torus"]
+    if torus is not None and min(torus) >= 2:
+        p, q = torus
+        try:
+            expected = [list(pair) for pair in jones_mod.jones_torus(p, q).pairs()]
+        except (ValidationError, ResourceCapError):  # T(p, q) is no knot or over the cap
+            expected = None
+        if pairs != expected:
+            raise ValidationError(f"corrupt atlas record {word}: Jones != Jones of T({p}, {q})")
 
 
 def parse_filter(expression: str) -> tuple[str, str, object]:

@@ -51,6 +51,16 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def word_record(word: str, braid: braid_mod.LorenzBraid, jones_max_crossings: int) -> dict:
+    """The reference atlas record of a word and its braid: word and length,
+    the invariants as compute_record keys them, then Jones under the cap."""
+    record = inv_mod.compute_record(braid)
+    jones = None
+    if jones_max_crossings and record["c"] <= jones_max_crossings:
+        jones = jones_mod.jones_of_lorenz_braid(braid, jones_max_crossings).pairs()
+    return {"word": word, "length": len(word), **record, "jones": jones}
+
+
 def fixed_word(length: int) -> str:
     """A fixed string of L's and R's, seeded by its length."""
     return "".join(random.Random(length).choices("LR", k=length))
@@ -986,6 +996,10 @@ class TestAtlas:
             ({"components": 10**12}, "components != 1"),
             ({"jones": [[4, 1], [12, 1], [14, -1]]}, "Jones V(-1) is not odd"),
             ({"jones": [[4, 1], [12, 1], [16, -1], [20, 1], [24, -1]]}, "Jones span > c_min"),
+            # the mirror image, V(1/t), passes every relation above
+            ({"jones": [[-16, -1], [-12, 1], [-4, 1]]}, "Jones != Jones of T(2, 3)"),
+            # (2 - 1)(4 - 1) // 2 is the trefoil's genus, but T(2, 4) is a link
+            ({"torus": [2, 4]}, "Jones != Jones of T(2, 4)"),
         ],
     )
     def test_jones_relations_rechecked_on_load(self, capsys, tmp_path, edit, message):
@@ -1288,7 +1302,7 @@ class TestAtlasBytes:
         # the line template against json's encoder, on an atlas no digest
         # pins, whose Jones pairs are wider than atlas-16's
         assert list(cli.build_atlas(13, jones_max_crossings=26)) == [
-            json.dumps(cli.word_record(w, braid_of_words([w]), 26), separators=(",", ":"))
+            json.dumps(word_record(w, braid_of_words([w]), 26), separators=(",", ":"))
             for w in lyndon_words(13)
         ]
 
@@ -1505,7 +1519,7 @@ class TestHelpers:
                 cli.build_atlas(3, jones_max_crossings=cap)
         link = validate_link(["LRR"])
         with pytest.raises(ValidationError, match=f"must be >= 0, got {cap}$"):
-            cli.word_record(link[0], braid_of_words(link), jones_max_crossings=cap)
+            jones_mod.jones_of_lorenz_braid(braid_of_words(link), cap)
 
 
 class TestParserReuse:
