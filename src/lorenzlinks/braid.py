@@ -11,7 +11,8 @@ strand.  Rotations are ranked by their infinite periodic extensions (a
 tie-free order for valid word families), and the strand starting at the rank
 of rotation k ends at the rank of rotation k + 1, one letter on.  A single
 word of at most SEED letters, as every census word is, sorts its rotations,
-slices of the doubled word.  Links and longer words sort bounded prefixes of the extensions,
+slices of the doubled word that one itemgetter call, made once per length,
+cuts out.  Links and longer words sort bounded prefixes of the extensions,
 then ranks double until no two tie, so no rotation is spelled and memory is
 linear in the letter count.  A tie names a family validate_link refuses, and
 its message is validate_link's.
@@ -36,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import InternalInconsistencyError, ValidationError
@@ -46,8 +48,13 @@ from .words import ALPHABET, MAX_LETTERS, validate_link
 # word among them, sorts its n rotations of n letters, inside the same bound
 SEED = 64
 
+# _ROTATIONS[n] slices the n rotations of an n-letter word out of the doubled
+# word in one call; at n = 1 it returns the one rotation itself, not a tuple,
+# and sorting its one letter gives the same list
+_ROTATIONS = {n: itemgetter(*[slice(k, k + n) for k in range(n)]) for n in range(1, SEED + 1)}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class LorenzBraid:
     """A positive permutation braid stored as its lobe string, the BWT of its
     words: ``lobes[r - 1]`` is the lobe of the strand ending at position r.
@@ -59,12 +66,16 @@ class LorenzBraid:
     are set when the braid is built; ``targets``, its ``cycles`` and the
     ``components`` they label on first use, each once, as the census reads
     none of them.
+
+    The constructor is one frame: it checks the string and writes every
+    field set at build time straight into the instance dict, past the
+    frozen ``__setattr__``.  ``lobes`` stays the one dataclass field, so
+    equality, hashing, ``repr`` and ``dataclasses.replace`` see only it.
     """
 
     lobes: str
 
-    def __post_init__(self) -> None:
-        lobes = self.lobes
+    def __init__(self, lobes: str) -> None:
         if not lobes:
             raise ValidationError("a braid needs at least one strand")
         if lobes.strip(ALPHABET):
@@ -73,19 +84,20 @@ class LorenzBraid:
         # runs[p] is the run of L's after the p-th R: q strands of displacement p
         runs = lobes.split("R")
         trip = tuple([(p, len(run)) for p, run in enumerate(runs) if p and run])
-        left = len(lobes) - len(runs) + 1
+        n = len(lobes)  # one strand per letter of the closure's words
+        left = n - len(runs) + 1
         # a strand's next pass rounds the left lobe exactly when it ends in the
         # left block; the left L's there make LL + RL = left, so RL = left - LL
         # equals LR
         ll = lobes.count("L", 0, left)
         lr = left - ll
-        vars(self).update(
-            n=len(lobes),  # one strand per letter of the closure's words
-            left=left,
-            trip=trip,  # (displacement p_i, multiplicity q_i), p_1 < p_2 < ...
-            _crossings=sum([p * q for p, q in trip]),
-            _ear_counts=(ll, lr, lr, len(lobes) - left - lr),
-        )
+        fields = self.__dict__
+        fields["lobes"] = lobes
+        fields["n"] = n
+        fields["left"] = left
+        fields["trip"] = trip  # (displacement p_i, multiplicity q_i), p_1 < p_2 < ...
+        fields["_crossings"] = sum([p * q for p, q in trip])
+        fields["_ear_counts"] = (ll, lr, lr, n - left - lr)
 
     # -- derived structure ------------------------------------------------
 
@@ -207,21 +219,22 @@ def braid_of_words(texts: Sequence[str]) -> LorenzBraid:
     order, without rotating a word to its canonical spelling.
 
     A single text of at most SEED letters, checked once, sorts its
-    rotations, slices of the doubled text; a proper power repeats its least
-    rotation, so the first two tie.  Links and longer words are ordered by
-    _rotation_order, in memory linear in the letter count, so
-    words.MAX_LETTERS is the one cap on a word's size.  An empty family, a
-    bad or over-cap string and a tie are handed to validate_link, so
-    braid_of_words accepts exactly the families validate_link accepts and
-    refuses the rest as it does.  Each word's rotations make one cycle, so
-    the braid records len(texts) components without a walk, numbered by
-    least strand as in words_of_braid, not in the order of ``texts``.
+    rotations, sliced out of the doubled text by one _ROTATIONS call; a
+    proper power repeats its least rotation, so the first two tie.  Links
+    and longer words are ordered by _rotation_order, in memory linear in the
+    letter count, so words.MAX_LETTERS is the one cap on a word's size.  An
+    empty family, a bad or over-cap string and a tie are handed to
+    validate_link, so braid_of_words accepts exactly the families
+    validate_link accepts and refuses the rest as it does.  Each word's
+    rotations make one cycle, so the braid records len(texts) components
+    without a walk, numbered by least strand as in words_of_braid, not in
+    the order of ``texts``.
     """
     lobes = None
     if len(texts) == 1 and 0 < len(texts[0]) <= SEED and not texts[0].strip(ALPHABET):
         text = texts[0]
-        n, doubled = len(text), text + text
-        rotations = sorted([doubled[k : k + n] for k in range(n)])
+        n = len(text)
+        rotations = sorted(_ROTATIONS[n](text + text))
         if n == 1 or rotations[0] != rotations[1]:
             lobes = "".join(rotations)[n - 1 :: n]  # each rotation's last letter
     elif texts and all(0 < len(text) <= MAX_LETTERS and not text.strip(ALPHABET) for text in texts):

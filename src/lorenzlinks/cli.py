@@ -320,7 +320,7 @@ def _csv_cell(value: object) -> str:
 def _cmd_word_info(args: argparse.Namespace) -> int:
     braid = braid_mod.braid_of_words([args.word])
     (word,) = braid_mod.words_of_braid(braid)  # the canonical spelling, read off its cycle
-    record = inv_mod.compute_record(braid)
+    record, keys = inv_mod.compute_record(braid), inv_mod.RECORD_KEYS
     payload = {
         "word": word,
         "length": len(word),
@@ -331,10 +331,8 @@ def _cmd_word_info(args: argparse.Namespace) -> int:
         # strand moves left when an L follows its R
         "over_strands": braid.lobes.lstrip("L").count("L"),
         "under_strands": braid.lobes.rstrip("R").count("R"),
-        **{k: record[k] for k in (
-            "trip", "LL", "LR", "RL", "RR", "components", "n", "c",
-            "genus", "chi", "braid_index", "c_min", "torus",
-        )},
+        # trip and the ear counts, then components, n and c, then the rest
+        **{k: record[k] for k in keys[3:8] + keys[:3] + keys[8:]},
     }
     _emit([payload], args.format)
     return 0

@@ -3,7 +3,8 @@
 Seifert's algorithm applied to the closure of a positive braid on n strands
 with c crossings yields a minimal-genus surface built from n disks and c
 bands, so chi = n - c and, for knots, 2g = c - n + 1.  The braid index is
-min(|LR|, |RL|), the number of strands passing between the two lobes.  The
+min(|LR|, |RL|), the number of strands passing between the two lobes; a
+LorenzBraid's two counts are equal by construction, so |LR| is read.  The
 field c_min = 2g + b - 1, for braid index b, counts the crossings of any
 positive braid on b strands that closes to the knot, since the same count
 2g = c - n + 1 holds on it with n = b.  So it is an upper bound on the
@@ -57,7 +58,7 @@ def record_values(braid: LorenzBraid) -> tuple:
     n = braid.n
     trip = braid.trip
     components = braid.component_count
-    index = min(lr, rl) or 1
+    index = lr or 1  # LR = RL on every LorenzBraid
     g = c_min = torus = None
     if components == 1:
         two_g = crossings - n + 1

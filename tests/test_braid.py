@@ -312,6 +312,22 @@ class TestRotationSort:
         else:
             assert braid_of_words([text]).lobes == bwt(validate_link([text]))
 
+    def test_seeded_words_of_every_length_to_the_seed(self, no_doubling):
+        # every entry of the rotation table, each word given in a rotation
+        # other than its least one (a one-letter word has no other)
+        rng = random.Random(braid_mod.SEED)
+        for length in range(1, braid_mod.SEED + 1):
+            built = 0
+            while built < 3:
+                text = "".join(rng.choices("LR", k=length))
+                rotations = {text[k:] + text[:k] for k in range(length)}
+                if len(rotations) < length:
+                    continue  # a proper power
+                if length > 1 and text == min(rotations):
+                    text = text[1:] + text[0]
+                assert braid_of_words([text]).lobes == bwt(validate_link([text])), text
+                built += 1
+
     def test_every_string_to_12_letters_without_the_doubling(self, no_doubling):
         # every rotation of every word, and every proper power
         for text in every_lobe_string(12):
@@ -422,6 +438,33 @@ class TestLorenzBraidRejections:
         assert [field.name for field in dataclasses.fields(braid)] == ["lobes"]
         assert (braid.targets, braid.left, braid.n) == ((3, 4, 5, 1, 2), 3, 5)
         assert braid == braid_of_words(["LRLRL"])
+
+    def test_frozen(self):
+        braid = LorenzBraid("RRLLL")
+        for name in ("lobes", "n"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(braid, name, "LR")
+        assert braid.lobes == "RRLLL"
+
+    def test_equality_and_hash_read_the_lobes_alone(self):
+        # a braid from words carries a component count the plain one has not
+        # yet computed; neither changes equality or the hash
+        built, plain = braid_of_words(["LRLRL"]), LorenzBraid("RRLLL")
+        assert "component_count" in vars(built) and "component_count" not in vars(plain)
+        assert built == plain and hash(built) == hash(plain)
+        assert len({built, plain, LorenzBraid("RRLLR")}) == 2
+        assert LorenzBraid("RRLLL") != LorenzBraid("RLRLL")
+
+    def test_replace_rederives_every_field(self):
+        braid = dataclasses.replace(LorenzBraid("RRLLL"), lobes="LRRLRLLR")
+        reads = lobe_reads("LRRLRLLR")
+        for name in ("n", "left", "trip", "crossings", "ear_counts"):
+            assert getattr(braid, name) == reads[name], name
+        with pytest.raises(ValidationError, match="^a braid needs at least one strand$"):
+            dataclasses.replace(braid, lobes="")
+
+    def test_repr(self):
+        assert repr(LorenzBraid("RRLLL")) == "LorenzBraid(lobes='RRLLL')"
 
     def test_merge_accepts_exactly_what_the_oracle_accepts(self):
         # every permutation of n <= 6 strands, every lobe split: the pairs

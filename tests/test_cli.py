@@ -1175,6 +1175,17 @@ REFUSALS = [
         ["convert", "[[2,100000000]]", "--to", "word"], 3,
         "T-link parameters need 100000002 strands, over the cap of 100000", id="strand-cap",
     ),
+    # a strand count of 64 bits is printed, one of 65 bits is named by its size
+    pytest.param(
+        ["convert", f"[[2,{2**64 - 3}]]", "--to", "word"], 3,
+        "T-link parameters need 18446744073709551615 strands, over the cap of 100000",
+        id="strand-cap-64-bits",
+    ),
+    pytest.param(
+        ["convert", f"[[2,{2**64 - 2}]]", "--to", "word"], 3,
+        "T-link parameters need at least 2^64 strands, over the cap of 100000",
+        id="strand-cap-65-bits",
+    ),
     pytest.param(
         ["jones", "99999,99998"], 3,
         "torus knot (99999, 99998) needs p + q strands, over the cap of 100000",
