@@ -9,11 +9,15 @@ and record, so no word list is held and memory is flat in ``--max-len``.
 
 An atlas record is ``word`` and ``length``, then the invariants under
 ``invariants.RECORD_KEYS``, then ``jones``.  ``build_atlas`` writes each line
-from one fixed template made from those keys, filled straight from the tuple
-``invariants.record_values`` returns, with no record dict per word.  Json's
-compact encoder writes every json row, re-encoded, never echoed as read, so
-an unfiltered json ``atlas query`` reproduces a built atlas byte for byte
-exactly when the two writers agree: it checks one against the other.
+from a template made from those keys, one per trip block count, filled
+straight from the tuple ``invariants.record_values`` returns, with no record
+dict per word.  A trip block is a non-empty run of L's after an R of the
+braid's lobe string, which has the word's letters, so a word of n letters has
+at most n // 2 blocks, and templates for 0 to MAX_ATLAS_LEN // 2 blocks cover
+every word the builder accepts.  Json's compact encoder writes every json
+row, re-encoded, never echoed as read, so an unfiltered json ``atlas query``
+reproduces a built atlas byte for byte exactly when the two writers agree: it
+checks one against the other.
 ``atlas query`` decodes each line once and re-checks the record; a line that
 is not exactly one JSON value is refused with the message ``json.loads``
 gives for it.
@@ -76,11 +80,17 @@ _decode = json.JSONDecoder().raw_decode
 # RECORD_KEYS in their order, then "jones".  build_atlas alone fills it; its
 # words are plain L/R text and every value an int or, written beforehand as
 # JSON text, a pair or a list of pairs, so no field needs json's escaping or
-# its float forms
-_ATLAS_LINE = "{%s}" % ",".join(
-    '"%s":%s' % (key, {"word": '"%s"', "trip": "%s", "torus": "%s", "jones": "%s"}.get(key, "%d"))
-    for key in ("word", "length", *inv_mod.RECORD_KEYS, "jones")
-)
+# its float forms.  Entry k writes a trip of k blocks as k pairs of %d fields.
+# Block p is the run of L's after the p-th R and holds at least one L, so a
+# word of n letters has k <= min(#L, #R) <= n // 2 and the table covers every
+# word build_atlas accepts
+_ATLAS_LINES = [
+    "{%s}" % ",".join(
+        '"%s":%s' % (key, {"word": '"%s"', "trip": trip, "torus": "%s", "jones": "%s"}.get(key, "%d"))
+        for key in ("word", "length", *inv_mod.RECORD_KEYS, "jones")
+    )
+    for trip in ["[%s]" % ",".join(["[%d,%d]"] * k) for k in range(MAX_ATLAS_LEN // 2 + 1)]
+]
 
 
 def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
@@ -96,7 +106,9 @@ def build_atlas(max_len: int, jones_max_crossings: int = 0) -> Iterator[str]:
 
 def _atlas_lines(max_len: int, cap: int) -> Iterator[str]:
     """Each word's line, written straight from its braid's record values,
-    with Jones when the braid has at most ``cap`` crossings and cap > 0."""
+    with Jones when the braid has at most ``cap`` crossings and cap > 0.  The
+    template is the one for the word's number of trip blocks, so the trip's
+    pairs are filled as plain ints by the same ``%`` as every other field."""
     for text in words_mod.lyndon_words(max_len):
         braid = braid_mod.braid_of_words([text])
         (components, n, c, trip, ll, lr, rl, rr,
@@ -104,8 +116,8 @@ def _atlas_lines(max_len: int, cap: int) -> Iterator[str]:
         jones = "null"
         if cap and c <= cap:
             jones = _json_pairs(jones_mod.jones_of_lorenz_braid(braid, cap).pairs())
-        yield _ATLAS_LINE % (
-            text, len(text), components, n, c, _json_pairs(trip), ll, lr, rl, rr,
+        yield _ATLAS_LINES[len(trip)] % (
+            text, len(text), components, n, c, *sum(trip, ()), ll, lr, rl, rr,
             genus, chi, braid_index, c_min,
             "null" if torus is None else "[%d,%d]" % torus, jones,
         )

@@ -413,6 +413,12 @@ class TestStrandProfile:
     def test_trip_equals_the_oracle_on_every_word_to_length_12(self):
         for braid, expected in lobe_string_sweep():
             assert_reads(braid, expected, ["trip"])
+            # each block is a run of L's after an R: the atlas line table's bound
+            assert len(braid.trip) <= min(braid.lobes.count("L"), braid.lobes.count("R"))
+
+    def test_trip_reaches_half_the_letters(self):
+        # the one atlas-18 word with 18 // 2 blocks, the atlas line table's last entry
+        assert len(braid_of_words(["LLLLRRLRLRRRRLLRLR"]).trip) == 9
 
 
 # the only strings LorenzBraid refuses, as caller input

@@ -1317,6 +1317,17 @@ class TestAtlasBytes:
             for w in lyndon_words(13)
         ]
 
+    def test_lines_of_the_widest_trips_are_the_json_encoding_of_their_records(self, monkeypatch):
+        # atlas-13 has 0-6 trip blocks; these are the first words with 7, 8
+        # and 9, so every line template meets the encoder, Jones included
+        widest = ["LLLLRRRLRLLRLRR", "LLLLRLRRLRLLLRRRR", "LLLLRRLRLRRRRLLRLR"]
+        monkeypatch.setattr(cli.words_mod, "lyndon_words", lambda max_len: iter(widest))
+        assert [len(braid_of_words([w]).trip) for w in widest] == [7, 8, 9]
+        assert list(cli.build_atlas(18, jones_max_crossings=45)) == [
+            json.dumps(word_record(w, braid_of_words([w]), 45), separators=(",", ":"))
+            for w in widest
+        ]
+
     def test_unfiltered_json_query_reproduces_the_atlas(self, capsys, tmp_path):
         # the atlas-12 pin above: every row is decoded, re-checked and re-encoded
         path = tmp_path / "atlas.jsonl"
