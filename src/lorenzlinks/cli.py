@@ -54,6 +54,8 @@ from . import words as words_mod
 from .errors import ResourceCapError, ValidationError
 
 MAX_ATLAS_LEN = 18
+# an atlas record's keys in its key order, the only fields a filter may name
+ATLAS_KEYS = ("word", "length", *inv_mod.RECORD_KEYS, "jones")
 _parser: argparse.ArgumentParser | None = None  # built by the first `main` call
 # in parse order: a two-letter operator before the one-letter one it contains
 _FILTER_OPS = {
@@ -76,18 +78,18 @@ _decode = json.JSONDecoder().raw_decode
 # ---------------------------------------------------------------------------
 # atlas records
 
-# An atlas line as _encode would write it: "word" and "length", the keys of
-# RECORD_KEYS in their order, then "jones".  build_atlas alone fills it; its
-# words are plain L/R text and every value an int or, written beforehand as
-# JSON text, a pair or a list of pairs, so no field needs json's escaping or
-# its float forms.  Entry k writes a trip of k blocks as k pairs of %d fields.
-# Block p is the run of L's after the p-th R and holds at least one L, so a
-# word of n letters has k <= min(#L, #R) <= n // 2 and the table covers every
-# word build_atlas accepts
+# An atlas line as _encode would write it, its keys those of ATLAS_KEYS in
+# their order.  build_atlas alone fills it; its words are plain L/R text and
+# every value an int or, written beforehand as JSON text, a pair or a list of
+# pairs, so no field needs json's escaping or its float forms.  Entry k
+# writes a trip of k blocks as k pairs of %d fields.  Block p is the run of
+# L's after the p-th R and holds at least one L, so a word of n letters has
+# k <= min(#L, #R) <= n // 2 and the table covers every word build_atlas
+# accepts
 _ATLAS_LINES = [
     "{%s}" % ",".join(
         '"%s":%s' % (key, {"word": '"%s"', "trip": trip, "torus": "%s", "jones": "%s"}.get(key, "%d"))
-        for key in ("word", "length", *inv_mod.RECORD_KEYS, "jones")
+        for key in ATLAS_KEYS
     )
     for trip in ["[%s]" % ",".join(["[%d,%d]"] * k) for k in range(MAX_ATLAS_LEN // 2 + 1)]
 ]
@@ -197,13 +199,16 @@ def _verify_jones(record: dict) -> None:
 
 def parse_filter(expression: str) -> tuple[str, str, object]:
     """Parse ``field OP value`` with OP in =, !=, <=, >=, <, >; a value that
-    starts with an operator character, as in ``genus==1``, is refused."""
+    starts with an operator character, as in ``genus==1``, is refused, and
+    so is a field outside ``ATLAS_KEYS``, before any atlas is read."""
     for op in _FILTER_OPS:
         if op in expression:
             field, _, raw = expression.partition(op)
             field, raw = field.strip(), raw.strip()
             if not field or not raw or raw[0] in "=<>!":
                 raise ValidationError(f"cannot parse filter {expression!r}")
+            if field not in ATLAS_KEYS:
+                raise ValidationError(f"unknown field {field!r}")
             try:
                 return field, op, _parse_filter_value(raw)
             except ValueError as exc:  # an integer beyond the interpreter's digit limit
@@ -245,12 +250,10 @@ def _refuse_unmatchable(value: object) -> None:
 
 
 def record_matches(record: dict, filters: Iterable[tuple[str, str, object]]) -> bool:
-    """Whether the record passes every filter.  Ordering null against
-    anything raises TypeError and is no match; any other unorderable pair is
-    a bad filter."""
+    """Whether the record, which has every key of ``ATLAS_KEYS``, passes
+    every filter.  Ordering null against anything raises TypeError and is no
+    match; any other unorderable pair is a bad filter."""
     for field, op, value in filters:
-        if field not in record:
-            raise ValidationError(f"unknown field {field!r}")
         actual = record[field]
         try:
             if not _FILTER_OPS[op](actual, value):

@@ -121,7 +121,7 @@ def _word_product(text: str) -> Mat2Z:
 
 
 def _letter_cap_error(letters: int) -> ResourceCapError:
-    # a count over Python's int-to-str digit limit is named by its bit length
+    # a count of at most 64 bits is printed; a longer one is named by its bit length
     size = letters if letters.bit_length() <= 64 else f"2^{letters.bit_length() - 1}"
     return ResourceCapError(
         f"the decoded word has at least {size} letters, over the cap of {MAX_LETTERS}"

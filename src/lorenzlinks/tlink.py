@@ -90,7 +90,7 @@ def to_lorenz(params: TLinkParams) -> LorenzBraid:
     m = sum(q for _, q in params.pairs)
     n = m + params.pairs[-1][0]
     if n > MAX_LETTERS:
-        # an n over Python's int-to-str digit limit is named by its bit length
+        # an n of at most 64 bits is printed; a longer one is named by its bit length
         size = n if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}"
         raise ResourceCapError(
             f"T-link parameters need {size} strands, over the cap of {MAX_LETTERS}"

@@ -140,25 +140,16 @@ def lyndon_words(max_len: int) -> Iterator[str]:
             head = prefix and prefix[:-1] + "R"
 
 
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    result, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
-
-
 def aperiodic_count(n: int) -> int:
-    """Number of aperiodic binary necklaces of length n (Mobius inversion)."""
+    """Number of aperiodic binary necklaces of length n: the census words of
+    length n.  The full shift on {L, R} has 2^n points of period dividing n,
+    and an orbit of least period d holds d of them, so the counts a(d) solve
+    sum over d | n of d * a(d) = 2^n.  Each a(d) follows from the a(e) of the
+    divisors e < d of d, so one walk up the divisors of n reaches a(n)."""
     if n < 1:
         raise ValidationError("length must be >= 1")
-    total = sum(_mobius(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0)
-    return total // n
+    count: dict[int, int] = {}  # a(d) for each divisor d of n walked so far
+    for d in range(1, n + 1):
+        if n % d == 0:
+            count[d] = (2**d - sum(e * a for e, a in count.items() if d % e == 0)) // d
+    return count[n]

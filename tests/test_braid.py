@@ -416,6 +416,27 @@ class TestStrandProfile:
             # each block is a run of L's after an R: the atlas line table's bound
             assert len(braid.trip) <= min(braid.lobes.count("L"), braid.lobes.count("R"))
 
+    def test_ear_counts_are_the_words_cyclic_two_letter_factors(self):
+        # a second method from the word alone: strand k leaves the letter of
+        # rotation k for the letter of rotation k + 1
+        for text in lyndon_words(14):
+            factors = Counter(map("".join, zip(text, text[1:] + text[0])))
+            expected = tuple(factors[pair] for pair in ("LL", "LR", "RL", "RR"))
+            assert braid_of_words([text]).ear_counts == expected, text
+
+    def test_crossings_are_the_rotation_pairs_one_shift_flips(self):
+        # a second method from the word alone: two strands cross once when
+        # the order of their rotations flips under one shift
+        for text in lyndon_words(12):
+            n = len(text)
+            rotations = [text[k:] + text[:k] for k in range(n)]
+            flips = sum(
+                rotations[i] < rotations[j] and rotations[(i + 1) % n] > rotations[(j + 1) % n]
+                for i in range(n)
+                for j in range(n)
+            )
+            assert braid_of_words([text]).crossings == flips, text
+
     def test_trip_reaches_half_the_letters(self):
         # the one atlas-18 word with 18 // 2 blocks, the atlas line table's last entry
         assert len(braid_of_words(["LLLLRRLRLRRRRLLRLR"]).trip) == 9

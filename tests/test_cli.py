@@ -1058,7 +1058,8 @@ class TestAtlas:
 
 # One row per kind of refusal; the message is what tells them apart, and
 # the exception's class alone decides the exit code.  "{atlas}" stands for a
-# valid atlas of the words up to length 3.  A dead-band section event and an
+# valid atlas of the words up to length 3, "{empty}" for an empty atlas and
+# "{missing}" for a path with no file.  A dead-band section event and an
 # inexact torus division cannot be reached from the command line.
 REFUSALS = [
     pytest.param(["word", "info", ""], 2, "a cyclic word needs at least one letter", id="empty-word"),
@@ -1112,6 +1113,15 @@ REFUSALS = [
     pytest.param(
         ["atlas", "query", "{atlas}", "--where", "no_field=3"], 2, "unknown field 'no_field'",
         id="filter-field",
+    ),
+    # refused before the atlas is read, so the atlas cannot change the outcome
+    pytest.param(
+        ["atlas", "query", "{empty}", "--where", "no_field=3"], 2, "unknown field 'no_field'",
+        id="filter-field-empty-atlas",
+    ),
+    pytest.param(
+        ["atlas", "query", "{missing}", "--where", "no_field=3"], 2, "unknown field 'no_field'",
+        id="filter-field-missing-atlas",
     ),
     pytest.param(
         ["atlas", "query", "{atlas}", "--where", "word<3"], 2, "cannot order 'word' against 3",
@@ -1205,9 +1215,11 @@ REFUSALS = [
 
 @pytest.mark.parametrize("argv, code, message", REFUSALS)
 def test_refusal_exit_code_and_message(capsys, tmp_path, argv, code, message):
-    atlas = tmp_path / "atlas.jsonl"
+    atlas, empty = tmp_path / "atlas.jsonl", tmp_path / "empty.jsonl"
     atlas.write_text("".join(line + "\n" for line in cli.build_atlas(3)))
-    argv = [arg.replace("{atlas}", str(atlas)) for arg in argv]
+    empty.write_text("")
+    paths = {"{atlas}": atlas, "{empty}": empty, "{missing}": tmp_path / "missing.jsonl"}
+    argv = [str(paths.get(arg, arg)) for arg in argv]
     assert run(capsys, *argv) == (code, "", f"error: {message}\n")
 
 

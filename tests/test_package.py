@@ -2,8 +2,11 @@
 
 import ast
 import importlib
+import signal
 import types
 from pathlib import Path
+
+import pytest
 
 import lorenzlinks
 from lorenzlinks import LaurentPoly, Mat2Z, errors
@@ -168,3 +171,12 @@ def test_oracles_bind_no_code_they_check():
         if not _oracle_may_use(value)
     ]
     assert found == []
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM, so no time limit")
+def test_every_test_runs_under_the_time_limit():
+    # conftest.py arms the timer around each test; firing fails the test
+    remaining, _ = signal.getitimer(signal.ITIMER_REAL)
+    assert 0 < remaining <= 120
+    with pytest.raises(pytest.fail.Exception, match="ran over 120 s$"):
+        signal.getsignal(signal.SIGALRM)(signal.SIGALRM, None)

@@ -169,7 +169,21 @@ class TestEnumerate:
             by_length[len(w)] = by_length.get(len(w), 0) + 1
         for n in range(1, 21):
             assert by_length[n] == aperiodic_count(n)
-        assert aperiodic_count(5) == 6  # (2^5 - 2) / 5
+
+    # counts read off by hand, with no walk over divisors: the points of least
+    # period n are those of period dividing n less those of a smaller period,
+    # and those are 2 fixed points at a prime p and, at n = 2^k, the points
+    # of period dividing 2^(k-1)
+    @pytest.mark.parametrize(
+        "n, expected",
+        [pytest.param(p, (2**p - 2) // p, id=f"prime-{p}") for p in (2, 61, 127, 1009)]
+        + [
+            pytest.param(2**k, (2 ** 2**k - 2 ** 2 ** (k - 1)) // 2**k, id=f"two-to-the-{k}")
+            for k in range(1, 11)
+        ],
+    )
+    def test_count_equals_its_closed_form(self, n, expected):
+        assert aperiodic_count(n) == expected
 
     def test_count_refuses_an_empty_length(self):
         with pytest.raises(ValidationError, match="^length must be >= 1$"):
