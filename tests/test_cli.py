@@ -541,6 +541,25 @@ class TestFlow:
             "8aaa9c95e8541245bbac9a3cfde319c369e396c31c2935fcd7e4c426213e2cc8"
         )
 
+    def test_csv_run_prints_the_same_symbols(self, capsys, tmp_path):
+        # the plain run reads section events off the RK4 loop, the --csv run
+        # reads the written samples with the generic reader
+        rng = random.Random(44)
+        cases = [[]]
+        for _ in range(6):
+            start = ",".join(f"{rng.uniform(-20.0, 20.0):.4f}" for _ in range(3))
+            dt = rng.choice(["0.001", "0.002", "0.005", "0.01"])
+            cases.append([
+                f"--seed-state={start}", "--dt", dt, "--steps", str(round(15 / float(dt))),
+                "--skip-transient", rng.choice(["0", "2.5", "10"]),
+            ])
+        for i, argv in enumerate(cases):
+            plain = run(capsys, "flow", "itinerary", *argv)
+            assert plain[0] == 0, argv
+            csv_path = tmp_path / f"traj{i}.csv"
+            assert run(capsys, "flow", "itinerary", *argv, "--csv", str(csv_path)) == plain, argv
+            assert csv_path.exists()
+
     def test_step_cap_exit_code(self, capsys, tmp_path):
         csv_path = tmp_path / "traj.csv"
         code, out, err = run(

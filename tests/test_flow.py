@@ -133,6 +133,30 @@ class TestIntegrate:
         with pytest.raises(ValidationError):
             integrate((1.0, 1.0, 1.0), dt=1e-3, steps=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"steps": 2.5}, "steps must be an int: 2.5"),
+            ({"steps": "3"}, "steps must be an int: '3'"),
+            ({"steps": True}, "steps must be an int: True"),
+            ({"steps": None}, "steps must be an int: None"),
+            ({"dt": "0.001"}, "dt must be a real number: '0.001'"),
+            ({"dt": None}, "dt must be a real number: None"),
+            ({"dt": 1j}, "dt must be a real number: 1j"),
+        ],
+    )
+    def test_argument_types(self, kwargs, message):
+        with pytest.raises(ValidationError) as caught:
+            integrate((1.0, 1.0, 1.0), **{"dt": 1e-3, "steps": 10, **kwargs})
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("samples", [[], integrate((1.0, 1.0, 1.0), dt=1e-3, steps=10)])
+    @pytest.mark.parametrize("transient", ["1", None, 1j])
+    def test_transient_type(self, samples, transient):
+        with pytest.raises(ValidationError) as caught:
+            itinerary(samples, skip_transient=transient)
+        assert str(caught.value) == f"skip_transient must be a real number: {transient!r}"
+
     @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**12])
     def test_step_cap_fires_before_any_allocation(self, monkeypatch, steps):
         def no_samples(self):
@@ -141,6 +165,16 @@ class TestIntegrate:
         monkeypatch.setattr(flow.Trajectory, "__iter__", no_samples)
         with pytest.raises(ResourceCapError) as caught:
             integrate((1.0, 1.0, 1.0), dt=1e-3, steps=steps)
+        assert str(caught.value) == f"{steps} steps exceed the cap of {MAX_STEPS}"
+
+    @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**12])
+    def test_step_cap_fires_before_any_section_event(self, monkeypatch, steps):
+        def no_events(self):
+            raise AssertionError("a section event was produced before the step cap")
+
+        monkeypatch.setattr(flow.Trajectory, "_section_events", no_events)
+        with pytest.raises(ResourceCapError) as caught:
+            itinerary(integrate((1.0, 1.0, 1.0), dt=1e-3, steps=steps))
         assert str(caught.value) == f"{steps} steps exceed the cap of {MAX_STEPS}"
 
     def test_divergence_detected(self):
@@ -221,3 +255,66 @@ class TestItinerary:
     def test_ambiguous_event_raises(self):
         with pytest.raises(ValidationError, match=r"^\|x\| = 0 at t = 1$"):
             itinerary(samples([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]))
+
+
+def read(samples, skip_transient):
+    """The itinerary of ``samples``, or the message it was refused with."""
+    try:
+        return itinerary(samples, skip_transient)
+    except ValidationError as exc:
+        return f"error: {exc}"
+
+
+class TestTwoReads:
+    """`itinerary` takes a Trajectory's section events straight off the RK4
+    loop; ``iter(trajectory)`` goes through the generic reader of samples,
+    the reference the section walker is held to."""
+
+    def test_trajectory_is_not_iterated(self, monkeypatch):
+        def no_samples(self):
+            raise AssertionError("itinerary iterated the trajectory's samples")
+
+        traj = integrate((1.0, 1.0, 1.0), dt=1e-3, steps=5000)
+        expected = itinerary(list(traj))
+        monkeypatch.setattr(flow.Trajectory, "__iter__", no_samples)
+        assert itinerary(traj) == expected
+
+    def test_section_walker_matches_the_generic_reader(self):
+        rng = random.Random(44)
+        kinds = {}
+        for case in range(400):
+            dt = rng.choice((1e-3, 2e-3, 5e-3, 1e-2))
+            steps = rng.randint(1, 2000)
+            if case % 8 == 1:
+                # a hair off a lobe center, z moves by a few ulps and repeats
+                # values, so a plateau must not be read as a maximum
+                x, y, z = rng.choice(equilibria()[1:])
+                start = (x + rng.choice((1e-12, 1e-11, 1e-10)) * rng.uniform(-1.0, 1.0), y, z)
+            else:
+                scale = 2000.0 if case % 8 == 0 else 20.0  # some of these starts diverge
+                start = tuple(rng.uniform(-scale, scale) for _ in range(3))
+            span = steps * dt
+            skip = rng.choice(
+                (-rng.uniform(0.0, span), 0.0, rng.uniform(0.0, span),
+                 rng.randint(0, steps) * dt, span + rng.uniform(0.0, 1.0))
+            )
+            traj = integrate(start, dt=dt, steps=steps)
+            outcome = read(traj, skip)
+            assert outcome == read(iter(traj), skip), (start, dt, steps, skip)
+            kind = outcome.split(" at step")[0] if outcome.startswith("error") else "symbols"
+            kinds[kind] = kinds.get(kind, 0) + 1
+        assert set(kinds) == {
+            "symbols",
+            "error: trajectory diverged",
+            "error: no section events after the transient",
+        }, kinds
+
+    def test_dead_band_refusal_is_the_same_on_both_reads(self, monkeypatch):
+        monkeypatch.setattr(flow, "_AMBIGUITY_TOL", 1e3)
+        traj = integrate((1.0, 1.0, 1.0), dt=1e-3, steps=5000)
+        messages = []
+        for samples in (traj, iter(traj)):
+            with pytest.raises(ValidationError, match=r"^\|x\| = \S+ at t = \S+$") as caught:
+                itinerary(samples, skip_transient=1.0)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
