@@ -18,9 +18,10 @@ every word the builder accepts.  Json's compact encoder writes every json
 row, re-encoded, never echoed as read, so an unfiltered json ``atlas query``
 reproduces a built atlas byte for byte exactly when the two writers agree: it
 checks one against the other.
-``atlas query`` decodes each line once and re-checks the record; a line that
-is not exactly one JSON value is refused with the message ``json.loads``
-gives for it.
+``atlas query`` decodes each line once, with json's scanner, and re-checks
+the record; a line that is not exactly one JSON value is refused with the
+message ``json.loads`` gives for it.  The one writer and the one reader are
+built once per process, at import, not once per row.
 
 Subcommands: word info, convert, jones, modular {encode, decode, rademacher},
 flow itinerary, atlas {build, query}.  Exit codes: 0 success, 2 validation
@@ -70,9 +71,23 @@ _T = TypeVar("_T")
 # exit code by refusal; any other error, InternalInconsistencyError too, propagates
 _EXIT_CODES = {ValidationError: 2, ResourceCapError: 3, OSError: 4}
 # one codec, with json's default settings: it writes every json row and reads
-# every atlas line
-_encode = json.JSONEncoder(separators=(",", ":")).encode
-_decode = json.JSONDecoder().raw_decode
+# every atlas line.  Its encoder and scanner are built once per process, here:
+# JSONEncoder.encode would build a C encoder for every row and list cell, with
+# the arguments passed below, and raw_decode only wraps the scanner.  No row
+# refers to itself, so the encoder keeps no circular-reference markers
+_decode = json.JSONDecoder().scan_once
+_writer = json.JSONEncoder(separators=(",", ":"))
+if json.encoder.c_make_encoder is None:  # a Python without _json
+    _encode = _writer.encode
+else:
+    _chunks = json.encoder.c_make_encoder(
+        None, _writer.default, json.encoder.encode_basestring_ascii, _writer.indent,
+        _writer.key_separator, _writer.item_separator, _writer.sort_keys,
+        _writer.skipkeys, _writer.allow_nan,
+    )
+
+    def _encode(o: object) -> str:
+        return "".join(_chunks(o, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +292,8 @@ def query_atlas(
             continue
         try:
             try:
-                record, end = _decode(line)
-            except ValueError:
+                record, end = _decode(line, 0)
+            except (ValueError, StopIteration):  # StopIteration: no value at column 1
                 end = 0
             if end != len(line):  # a bad line: raise what json.loads says of it
                 record = json.loads(line)

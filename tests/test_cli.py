@@ -960,6 +960,16 @@ class TestAtlas:
                 6, lambda line: "null", "'NoneType' object is not subscriptable", id="null"
             ),
             pytest.param(2, lambda line: "3", "'int' object is not subscriptable", id="number"),
+            pytest.param(
+                3, lambda line: "x" + line, "Expecting value: line 1 column 1 (char 0)",
+                id="no-value",
+            ),
+            pytest.param(
+                5, lambda line: "]", "Expecting value: line 1 column 1 (char 0)", id="bracket"
+            ),
+            pytest.param(
+                6, lambda line: '"LR"', "string indices must be integers", id="string"
+            ),
         ],
     )
     def test_a_line_that_is_not_one_record_is_refused(
@@ -1575,6 +1585,96 @@ class TestHelpers:
             jones_mod.jones_of_lorenz_braid(braid_of_words(link), cap)
 
 
+class TestCodec:
+    """``cli._encode`` is json's compact encoder, built once at import, and
+    writes what ``JSONEncoder(separators=(",", ":")).encode`` writes, which is
+    also the writer of a Python without json's C accelerator."""
+
+    reference = staticmethod(json.JSONEncoder(separators=(",", ":")).encode)
+
+    def test_every_record_of_atlas_twelve_with_jones(self):
+        records = [json.loads(line) for line in cli.build_atlas(12, jones_max_crossings=16)]
+        assert len(records) == 747
+        assert sum(record["jones"] is not None for record in records) > 0
+        for record in records:
+            assert cli._encode(record) == self.reference(record)
+
+    def test_one_payload_of_each_command_shape(self, capsys, monkeypatch):
+        rows = []
+        emit = cli._emit
+
+        def keep(payloads, fmt):
+            rows.extend(payloads)
+            emit(payloads, fmt)
+
+        monkeypatch.setattr(cli, "_emit", keep)
+        commands = [
+            ["word", "info", "LRLRRLR"],
+            ["convert", "[[2,3],[3,5]]", "--to", "braid"],
+            ["convert", "LLRLR", "--to", "tlink"],
+            ["convert", "[[2,3]]", "--to", "word"],
+            ["jones", "LR,LLR"],
+            ["modular", "encode", "LLRLR"],
+            ["modular", "decode", "[[2,1],[1,1]]"],
+            ["modular", "rademacher", "LLRLR"],
+        ]
+        for argv in commands:
+            assert run(capsys, *argv)[0] == 0, argv
+        assert len(rows) == len(commands)
+        for row in rows:
+            assert cli._encode(row) == self.reference(row)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "caf\u00e9 \u2603 \U0001d11e",
+            "tab\tnul\x00bell\x07quote\"back\\slash\x7f",
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            -0.0,
+            0.1,
+            [],
+            {},
+            [[], [[1, [2, []]]], {"a": [{}]}],
+            True,
+            None,
+            "LR",
+            {"word": "LR", "torus": None, "ok": False, "x": [1.5, -2, "\u00ff"]},
+            (1, (2, 3)),
+        ],
+        ids=repr,
+    )
+    def test_edge_values(self, value):
+        assert cli._encode(value) == self.reference(value)
+
+    @needs_digit_limit
+    def test_an_integer_past_the_digit_limit(self):
+        value = {"c": [10 ** len(BEYOND_DIGIT_LIMIT)]}
+        with pytest.raises(ValueError) as expected:
+            self.reference(value)
+        with pytest.raises(ValueError) as got:
+            cli._encode(value)
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+    @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+    def test_atlas_query_builds_no_encoder_per_row(self, capsys, tmp_path, monkeypatch, fmt):
+        # JSONEncoder.encode builds one C encoder per call, so a query that
+        # called it would build one per row and per list cell
+        make = json.encoder.c_make_encoder
+        if make is None:
+            pytest.skip("this interpreter has no C encoder")
+        path = tmp_path / "atlas.jsonl"
+        path.write_text("".join(line + "\n" for line in cli.build_atlas(6, jones_max_crossings=8)))
+        calls = []
+        monkeypatch.setattr(json.encoder, "c_make_encoder", lambda *a: calls.append(a) or make(*a))
+        code, out, err = run(capsys, "atlas", "query", str(path), "--format", fmt)
+        assert (code, err) == (0, "") and out.count("LLRLRR") == 1
+        assert calls == []
+        self.reference([1])  # the counter sees an encoder that is built per call
+        assert len(calls) == 1
+
+
 class TestParserReuse:
     """`main` builds its parser once per process and reuses it."""
 
@@ -1647,8 +1747,9 @@ class TestSeparateProcess:
     value to `sys.exit`, in a process whose parser is built afresh.  Each
     command line gives the same exit code, stdout and stderr there as
     through `main`, called twice in this process on the one shared parser:
-    successes, an argparse refusal and one refusal for each of exit 2, 3
-    and 4."""
+    successes, atlas queries in every format among them, so the encoder
+    built at import writes rows and list cells in a fresh interpreter, an
+    argparse refusal and one refusal for each of exit 2, 3 and 4."""
 
     def test_a_child_process_and_main_agree(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
@@ -1661,6 +1762,8 @@ class TestSeparateProcess:
             ["modular", "rademacher", "LLRLR"],
             ["atlas", "query", atlas, "--where", "genus>=1", "--where", "torus=null"],
             ["atlas", "query", atlas],
+            ["atlas", "query", atlas, "--format", "table"],
+            ["atlas", "query", atlas, "--where", "jones!=null", "--format", "csv"],
             ["convert", "LLR", "--to", "knot"],
             ["word", "info", "LLLL"],
             ["jones", "LLLRLRLRLRRLRRLR"],
@@ -1675,7 +1778,7 @@ class TestSeparateProcess:
             for argv in commands
         ]
         seen = [(child.returncode, child.stdout, child.stderr) for child in children]
-        assert [code for code, _, _ in seen] == [0] * 7 + [2, 2, 3, 4]
+        assert [code for code, _, _ in seen] == [0] * 9 + [2, 2, 3, 4]
         for _ in range(2):
             for argv, child in zip(commands, seen):
                 try:
